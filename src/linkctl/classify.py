@@ -21,24 +21,22 @@ from .decomp import (
     ChainRemoval,
     Decomposition,
     DecompositionStage,
-    StageVerdict,
     StageVerdictKind,
     Tolerances,
     Witness,
-    chain_mechanism,
+    _build_stage,
+    _check_on_constraint,
+    _decomposition,
+    _Hit,
+    _search,
+    _whole,
+    _witness,
     enumerate_chain_removals,
     find_nontransversive_witness,
     find_smoothness_certificate,
-    remainder_mechanism,
-    stage_classify,
 )
-from .errors import (
-    DegenerateDirection,
-    InvalidSpec,
-    NotAPlatform,
-    OffConstraint,
-)
-from .model import Configuration, Linkage, check_match, constraint_jacobian, constraint_residual
+from .errors import DegenerateDirection, InvalidSpec, NotAPlatform
+from .model import Configuration, Linkage, check_match, constraint_jacobian
 from .numeric import BranchReport, local_branch_count, numerical_rank
 
 __all__ = [
@@ -156,9 +154,7 @@ def classify_configuration(
     combination signals a numerical tolerance problem rather than geometry.
     """
     check_match(linkage, config)
-    res = np.max(np.abs(constraint_residual(linkage, config)))
-    if res >= tols.residual * (1.0 + linkage.length_scale):
-        raise OffConstraint(f"configuration residual {res:.3g} too large to classify")
+    _check_on_constraint(linkage, config, tols)
     depth = depth_limit if depth_limit is not None else tols.depth
 
     rank = numerical_rank(constraint_jacobian(linkage, config), tols.rank)
@@ -167,13 +163,10 @@ def classify_configuration(
         branch_report = local_branch_count(linkage, config, seed=branch_seed, tol_rank=tols.rank)
 
     if rank == linkage.k:
-        cert = Decomposition(
-            stages=(),
-            base_vertices=tuple(range(linkage.n_vertices)),
-            base_edges=tuple(range(linkage.k)),
-        )
+        # a full-rank mechanism is its own zero-stage certificate (the search's base case)
+        certificate = _decomposition(_Hit((), _whole(linkage), None))
         return ClassificationReport(
-            Verdict.SMOOTH, rank, linkage.k, certificate=cert, branch_report=branch_report,
+            Verdict.SMOOTH, rank, linkage.k, certificate=certificate, branch_report=branch_report,
             notes=("full constraint rank",),
         )
 
@@ -364,76 +357,27 @@ def verify_platform_singularity(
         removed = next(i for i in range(3) if i not in cond.branches)
 
     removal = _branch_removal(linkage, removed)
-    remainder = remainder_mechanism(linkage, removal)
-    chain = chain_mechanism(linkage, removal)
-    v_rem = remainder.restrict(config)
-    v_chain = chain.restrict(config)
-    verdict = stage_classify(remainder.linkage, chain.linkage, v_rem, v_chain, tols)
-    try:
-        aligned = is_aligned(v_chain, tol=tols.align) is not None
-    except DegenerateDirection:
-        aligned = True
-    stage = DecompositionStage(
-        chain_vertices=removal.chain_vertices,
-        chain_edges=removal.chain_edges,
-        remainder_vertices=removal.remainder_vertices,
-        remainder_edges=removal.remainder_edges,
-        chain_aligned=aligned,
-    )
+    stage, verdict, remainder, v_rem = _build_stage(_whole(linkage), config, removal, tols)
     notes = [f"platform condition ({cond.kind}) on branches {cond.branches}"]
     if verdict.gradient_norm is not None:
         notes.append(f"reduced work gradient norm at remainder: {verdict.gradient_norm:.3e}")
 
     if verdict.kind is StageVerdictKind.GENERICALLY_NON_TRANSVERSE:
-        witness = Witness(
-            decomposition=Decomposition(
-                stages=(stage,),
-                base_vertices=stage.remainder_vertices,
-                base_edges=stage.remainder_edges,
-            ),
-            stage_index=0,
-            verdict=verdict,
-            signature=verdict.signature,  # type: ignore[arg-type]
-            euclidean_factor=0,
-        )
-        return ClassificationReport(
-            Verdict.GENERIC_SINGULAR, rank, linkage.k, witness=witness,
-            conjunction=_conjunction_text(witness), notes=tuple(notes),
-        )
-
-    if verdict.kind is StageVerdictKind.TRANSVERSE:
-        inner = find_nontransversive_witness(
-            remainder.linkage, v_rem, tols.depth, tols
-        )
-        if inner is not None:
-            d = linkage.ambient_dim
-            mapped_stages = tuple(
-                DecompositionStage(
-                    chain_vertices=tuple(remainder.vertex_ids[v] for v in s.chain_vertices),
-                    chain_edges=tuple(remainder.edge_ids[i] for i in s.chain_edges),
-                    remainder_vertices=tuple(remainder.vertex_ids[v] for v in s.remainder_vertices),
-                    remainder_edges=tuple(remainder.edge_ids[i] for i in s.remainder_edges),
-                    chain_aligned=s.chain_aligned,
-                )
-                for s in inner.decomposition.stages
-            )
-            witness = Witness(
-                decomposition=Decomposition(
-                    stages=(stage,) + mapped_stages,
-                    base_vertices=tuple(remainder.vertex_ids[v] for v in inner.decomposition.base_vertices),
-                    base_edges=tuple(remainder.edge_ids[i] for i in inner.decomposition.base_edges),
-                ),
-                stage_index=inner.stage_index + 1,
-                verdict=inner.verdict,
-                signature=inner.signature,
-                euclidean_factor=inner.euclidean_factor + (d - 1) * removal.n_links - d,
-            )
-            return ClassificationReport(
-                Verdict.GENERIC_SINGULAR, rank, linkage.k, witness=witness,
-                conjunction=_conjunction_text(witness), notes=tuple(notes),
-            )
-        notes.append("no witness found inside the remainder")
+        hit: Optional[_Hit] = _Hit((stage,), remainder, verdict)
+    elif verdict.kind is StageVerdictKind.TRANSVERSE:
+        # the check find_nontransversive_witness makes on its input
+        _check_on_constraint(remainder.linkage, v_rem, tols)
+        hit = _search(remainder, v_rem, tols.depth, tols, False, {})
+        if hit is None:
+            notes.append("no witness found inside the remainder")
+            return ClassificationReport(Verdict.INDETERMINATE, rank, linkage.k, notes=tuple(notes))
+        hit = hit._replace(stages=(stage,) + hit.stages)
+    else:
+        notes.append(f"non-generic: stage degenerate ({', '.join(verdict.reasons)})")
         return ClassificationReport(Verdict.INDETERMINATE, rank, linkage.k, notes=tuple(notes))
 
-    notes.append(f"non-generic: stage degenerate ({', '.join(verdict.reasons)})")
-    return ClassificationReport(Verdict.INDETERMINATE, rank, linkage.k, notes=tuple(notes))
+    witness = _witness(hit, linkage.ambient_dim)
+    return ClassificationReport(
+        Verdict.GENERIC_SINGULAR, rank, linkage.k, witness=witness,
+        conjunction=_conjunction_text(witness), notes=tuple(notes),
+    )

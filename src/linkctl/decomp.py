@@ -1,5 +1,5 @@
 """Pullback decompositions: open-chain removals, stage transversality,
-generically non-transverse stage detection, and depth-limited searches for
+generically non-transverse stage detection, and one depth-limited search for
 singularity witnesses and smoothness certificates.
 
 A removal splits a mechanism into an open chain (interior vertices of degree
@@ -11,13 +11,21 @@ distance, and the endpoints are apart.  A witness is a decomposition whose
 deepest stage is generically non-transverse and whose outer removed chains
 are all non-aligned; a certificate is a decomposition with every stage
 transverse over a full-rank base.
+
+Both are found by the same depth-first walk down the decomposition tree
+(``_search``), which differs between the two only in where it stops and
+which stages it descends through.  ``_build_stage`` classifies one removal
+and records it in the host mechanism's ids, so nested stages need no
+remapping; ``_witness`` derives the stage index and the Euclidean factor
+from the stages.  The platform verifier reuses both with a forced first
+removal.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -107,10 +115,6 @@ class ChainRemoval:
     @property
     def interior(self) -> tuple[int, ...]:
         return self.chain_vertices[1:-1]
-
-    @property
-    def n_links(self) -> int:
-        return len(self.chain_edges)
 
 
 @dataclass(frozen=True)
@@ -427,6 +431,117 @@ def _check_on_constraint(linkage: Linkage, config: Configuration, tols: Toleranc
         raise OffConstraint(f"configuration residual {np.max(np.abs(res)):.3g} too large")
 
 
+def _build_stage(
+    sub: SubMechanism,
+    sub_cfg: Configuration,
+    removal: ChainRemoval,
+    tols: Tolerances,
+) -> tuple[DecompositionStage, StageVerdict, SubMechanism, Configuration]:
+    """Classify one removal of ``sub``.
+
+    Returns the stage and the remainder in the host's ids, the stage verdict
+    and the remainder's configuration.  A chain with a zero-length link counts
+    as aligned, so no search descends through it as a non-aligned chain.
+    """
+    remainder = remainder_mechanism(sub.linkage, removal)
+    chain = chain_mechanism(sub.linkage, removal)
+    v_rem = remainder.restrict(sub_cfg)
+    v_chain = chain.restrict(sub_cfg)
+    verdict = stage_classify(remainder.linkage, chain.linkage, v_rem, v_chain, tols)
+    try:
+        aligned = is_aligned(v_chain, tol=tols.align) is not None
+    except DegenerateDirection:
+        aligned = True
+    host_remainder = SubMechanism(
+        linkage=remainder.linkage,
+        vertex_ids=tuple(sub.vertex_ids[v] for v in remainder.vertex_ids),
+        edge_ids=tuple(sub.edge_ids[i] for i in remainder.edge_ids),
+    )
+    stage = DecompositionStage(
+        chain_vertices=tuple(sub.vertex_ids[v] for v in removal.chain_vertices),
+        chain_edges=tuple(sub.edge_ids[i] for i in removal.chain_edges),
+        remainder_vertices=host_remainder.vertex_ids,
+        remainder_edges=host_remainder.edge_ids,
+        chain_aligned=aligned,
+    )
+    return stage, verdict, host_remainder, v_rem
+
+
+class _Hit(NamedTuple):
+    """A search result: the stages (outermost first), the base, and the
+    deepest stage's verdict (None for a certificate)."""
+
+    stages: tuple[DecompositionStage, ...]
+    base: SubMechanism
+    verdict: Optional[StageVerdict]
+
+
+def _search(
+    sub: SubMechanism,
+    sub_cfg: Configuration,
+    depth: int,
+    tols: Tolerances,
+    certificate: bool,
+    memo: dict[tuple[frozenset[int], int], Optional[_Hit]],
+) -> Optional[_Hit]:
+    """Depth-first walk down the decomposition tree of ``sub``.
+
+    Removals are visited in lexicographic edge order and the first hit is
+    returned.  A certificate stops at a full-rank base and descends through
+    transverse stages, ``depth`` counting removals.  A witness stops at a
+    generically non-transverse stage and descends through non-aligned
+    chains, ``depth`` counting stages.
+    """
+    key = (frozenset(sub.edge_ids), depth)
+    if key in memo:
+        return memo[key]
+    result: Optional[_Hit] = None
+    full_rank = certificate and (
+        numerical_rank(constraint_jacobian(sub.linkage, sub_cfg), tols.rank) == sub.linkage.k
+    )
+    if full_rank:
+        result = _Hit((), sub, None)
+    elif depth > 0 or not certificate:
+        for removal in enumerate_chain_removals(sub.linkage.graph):
+            try:
+                stage, verdict, remainder, v_rem = _build_stage(sub, sub_cfg, removal, tols)
+            except (CoincidentEndpoints, OffConstraint):
+                continue
+            if certificate:
+                descend = verdict.kind is StageVerdictKind.TRANSVERSE
+            elif verdict.kind is StageVerdictKind.GENERICALLY_NON_TRANSVERSE:
+                result = _Hit((stage,), remainder, verdict)
+                break
+            else:
+                descend = not stage.chain_aligned and depth > 1
+            if not descend:
+                continue
+            found = _search(remainder, v_rem, depth - 1, tols, certificate, memo)
+            if found is not None:
+                result = found._replace(stages=(stage,) + found.stages)
+                break
+    memo[key] = result
+    return result
+
+
+def _decomposition(hit: _Hit) -> Decomposition:
+    return Decomposition(
+        stages=hit.stages, base_vertices=hit.base.vertex_ids, base_edges=hit.base.edge_ids
+    )
+
+
+def _witness(hit: _Hit, d: int) -> Witness:
+    """The witness of a hit: every stage but the last adds (d-1)·links − d to
+    the Euclidean factor."""
+    return Witness(
+        decomposition=_decomposition(hit),
+        stage_index=len(hit.stages) - 1,
+        verdict=hit.verdict,  # type: ignore[arg-type]
+        signature=hit.verdict.signature,  # type: ignore[union-attr]
+        euclidean_factor=sum((d - 1) * len(s.chain_edges) - d for s in hit.stages[:-1]),
+    )
+
+
 def find_nontransversive_witness(
     linkage: Linkage,
     config: Configuration,
@@ -441,74 +556,8 @@ def find_nontransversive_witness(
     depth limit, which callers must report as indeterminate, never as smooth.
     """
     _check_on_constraint(linkage, config, tols)
-    d = linkage.ambient_dim
-    memo: dict[tuple[frozenset[int], int], Optional[Witness]] = {}
-
-    def search(sub: SubMechanism, sub_cfg: Configuration, depth: int) -> Optional[Witness]:
-        key = (frozenset(sub.edge_ids), depth)
-        if key in memo:
-            return memo[key]
-        result: Optional[Witness] = None
-        removals = enumerate_chain_removals(sub.linkage.graph)
-        for removal in removals:
-            remainder = remainder_mechanism(sub.linkage, removal)
-            chain = chain_mechanism(sub.linkage, removal)
-            v_rem = remainder.restrict(sub_cfg)
-            v_chain = chain.restrict(sub_cfg)
-            try:
-                verdict = stage_classify(remainder.linkage, chain.linkage, v_rem, v_chain, tols)
-            except (CoincidentEndpoints, OffConstraint):
-                continue
-            try:
-                aligned = is_aligned(v_chain, tol=tols.align) is not None
-            except DegenerateDirection:
-                aligned = True
-            stage = DecompositionStage(
-                chain_vertices=tuple(sub.vertex_ids[v] for v in removal.chain_vertices),
-                chain_edges=tuple(sub.edge_ids[i] for i in removal.chain_edges),
-                remainder_vertices=tuple(sub.vertex_ids[v] for v in removal.remainder_vertices),
-                remainder_edges=tuple(sub.edge_ids[i] for i in removal.remainder_edges),
-                chain_aligned=aligned,
-            )
-            if verdict.kind is StageVerdictKind.GENERICALLY_NON_TRANSVERSE:
-                decomposition = Decomposition(
-                    stages=(stage,),
-                    base_vertices=stage.remainder_vertices,
-                    base_edges=stage.remainder_edges,
-                )
-                result = Witness(
-                    decomposition=decomposition,
-                    stage_index=0,
-                    verdict=verdict,
-                    signature=verdict.signature,  # type: ignore[arg-type]
-                    euclidean_factor=0,
-                )
-                break
-            if not aligned and depth > 1:
-                inner_sub = SubMechanism(
-                    linkage=remainder.linkage,
-                    vertex_ids=tuple(sub.vertex_ids[v] for v in remainder.vertex_ids),
-                    edge_ids=tuple(sub.edge_ids[i] for i in remainder.edge_ids),
-                )
-                found = search(inner_sub, v_rem, depth - 1)
-                if found is not None:
-                    extra = (d - 1) * removal.n_links - d
-                    result = Witness(
-                        decomposition=Decomposition(
-                            stages=(stage,) + found.decomposition.stages,
-                            base_vertices=found.decomposition.base_vertices,
-                            base_edges=found.decomposition.base_edges,
-                        ),
-                        stage_index=found.stage_index + 1,
-                        verdict=found.verdict,
-                        signature=found.signature,
-                        euclidean_factor=found.euclidean_factor + extra,
-                    )
-                    break
-        memo[key] = result
-        return result
-
-    return search(_whole(linkage), config, depth_limit)
+    hit = _search(_whole(linkage), config, depth_limit, tols, False, {})
+    return None if hit is None else _witness(hit, linkage.ambient_dim)
 
 
 def find_smoothness_certificate(
@@ -524,59 +573,5 @@ def find_smoothness_certificate(
     search order; None means no certificate within the depth limit.
     """
     _check_on_constraint(linkage, config, tols)
-    memo: dict[tuple[frozenset[int], int], Optional[Decomposition]] = {}
-
-    def search(sub: SubMechanism, sub_cfg: Configuration, depth: int) -> Optional[Decomposition]:
-        key = (frozenset(sub.edge_ids), depth)
-        if key in memo:
-            return memo[key]
-        rank = numerical_rank(constraint_jacobian(sub.linkage, sub_cfg), tols.rank)
-        if rank == sub.linkage.k:
-            result: Optional[Decomposition] = Decomposition(
-                stages=(), base_vertices=sub.vertex_ids, base_edges=sub.edge_ids
-            )
-            memo[key] = result
-            return result
-        if depth == 0:
-            memo[key] = None
-            return None
-        result = None
-        for removal in enumerate_chain_removals(sub.linkage.graph):
-            remainder = remainder_mechanism(sub.linkage, removal)
-            chain = chain_mechanism(sub.linkage, removal)
-            v_rem = remainder.restrict(sub_cfg)
-            v_chain = chain.restrict(sub_cfg)
-            try:
-                verdict = stage_classify(remainder.linkage, chain.linkage, v_rem, v_chain, tols)
-            except (CoincidentEndpoints, OffConstraint):
-                continue
-            if verdict.kind is not StageVerdictKind.TRANSVERSE:
-                continue
-            inner_sub = SubMechanism(
-                linkage=remainder.linkage,
-                vertex_ids=tuple(sub.vertex_ids[v] for v in remainder.vertex_ids),
-                edge_ids=tuple(sub.edge_ids[i] for i in remainder.edge_ids),
-            )
-            found = search(inner_sub, v_rem, depth - 1)
-            if found is not None:
-                try:
-                    aligned = is_aligned(v_chain, tol=tols.align) is not None
-                except DegenerateDirection:
-                    aligned = True
-                stage = DecompositionStage(
-                    chain_vertices=tuple(sub.vertex_ids[v] for v in removal.chain_vertices),
-                    chain_edges=tuple(sub.edge_ids[i] for i in removal.chain_edges),
-                    remainder_vertices=tuple(sub.vertex_ids[v] for v in removal.remainder_vertices),
-                    remainder_edges=tuple(sub.edge_ids[i] for i in removal.remainder_edges),
-                    chain_aligned=aligned,
-                )
-                result = Decomposition(
-                    stages=(stage,) + found.stages,
-                    base_vertices=found.base_vertices,
-                    base_edges=found.base_edges,
-                )
-                break
-        memo[key] = result
-        return result
-
-    return search(_whole(linkage), config, depth_limit)
+    hit = _search(_whole(linkage), config, depth_limit, tols, True, {})
+    return None if hit is None else _decomposition(hit)

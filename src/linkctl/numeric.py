@@ -468,12 +468,6 @@ def trace_curve(
     reason = "max_steps"
 
     for step_idx in range(max_steps):
-        predictor = v.flat + step * tangent
-
-        def res(x: np.ndarray, _t=tangent, _p=predictor) -> np.ndarray:
-            cfg = Configuration.from_flat(x, d)
-            return np.concatenate([constraint_residual(linkage, cfg), [_t @ (x - _p)]])
-
         def jac(x: np.ndarray, _t=tangent) -> np.ndarray:
             cfg = Configuration.from_flat(x, d)
             return np.vstack([constraint_jacobian(linkage, cfg), _t])
@@ -481,14 +475,18 @@ def trace_curve(
         corrected = None
         sub_step = step
         for _ in range(3):
+            # a retry corrects in the hyperplane through its own, shorter predictor
+            predictor = v.flat + sub_step * tangent
+
+            def res(x: np.ndarray, _t=tangent, _p=predictor) -> np.ndarray:
+                cfg = Configuration.from_flat(x, d)
+                return np.concatenate([constraint_residual(linkage, cfg), [_t @ (x - _p)]])
+
             try:
-                corrected = _gauss_newton(
-                    res, jac, v.flat + sub_step * tangent, project_tol, 60, tol_rank
-                )
+                corrected = _gauss_newton(res, jac, predictor, project_tol, 60, tol_rank)
                 break
             except NoConvergence:
                 sub_step *= 0.5
-                predictor = v.flat + sub_step * tangent
         if corrected is None:
             reason = "stalled_at_singularity"
             break

@@ -8,8 +8,9 @@ from linkctl.classify import (
     platform_conditions,
     verify_platform_singularity,
 )
-from linkctl.decomp import Tolerances
-from linkctl.errors import NotAPlatform, OffConstraint
+from linkctl.chains import is_aligned
+from linkctl.decomp import StageVerdictKind, Tolerances
+from linkctl.errors import DegenerateDirection, NotAPlatform, OffConstraint
 from linkctl.model import Configuration, Linkage, MechanismType, build_linkage
 from linkctl.numeric import numerical_rank, sample_cspace
 from linkctl.model import constraint_jacobian
@@ -164,3 +165,92 @@ class TestPlatform:
             linkage, config = _demo_pair(name)
             report = classify_configuration(linkage, config)
             assert report.verdict is Verdict.GENERIC_SINGULAR
+
+
+def _braced_node(brace):
+    """The four-bar node braced from its vertex 0 to its vertex 2 by a bent
+    open chain through the points ``brace``.  The brace takes the lowest
+    vertex and edge ids, so its removals are tried first and the whole brace
+    becomes the witness's outer, non-aligned stage, and the four-bar's ids
+    inside the remainder differ from its ids in the host."""
+    m = len(brace)
+    node = [(0.0, 0.0), (3.0, 0.0), (0.5, 0.0), (2.0, 0.0)]
+    points = np.array(list(brace) + node)
+    path = [m] + list(range(m)) + [m + 2]
+    cycle = ((m, m + 1), (m + 1, m + 2), (m + 2, m + 3), (m + 3, m))
+    edges = tuple(zip(path[:-1], path[1:])) + cycle
+    lengths = tuple(float(np.linalg.norm(points[u] - points[v])) for u, v in edges)
+    linkage = Linkage(MechanismType(len(points), edges), lengths, 2, m, m + 1, m + 2)
+    return linkage, Configuration(points)
+
+
+def _assert_well_formed(linkage, config, decomposition):
+    """Each stage splits the previous remainder into an open chain and a new
+    remainder, in the host's ids; the base is the last remainder."""
+    host_vertices = set(range(linkage.n_vertices))
+    host_edges = set(range(linkage.k))
+    for stage in decomposition.stages:
+        chain_edges, rem_edges = set(stage.chain_edges), set(stage.remainder_edges)
+        assert chain_edges.isdisjoint(rem_edges)
+        assert chain_edges | rem_edges == host_edges
+        path = stage.chain_vertices
+        assert len(set(path)) == len(path) == len(stage.chain_edges) + 1
+        for u, v, e in zip(path[:-1], path[1:], stage.chain_edges):
+            assert set(linkage.graph.edges[e]) == {u, v}
+        for v in path[1:-1]:
+            assert sum(v in linkage.graph.edges[e] for e in host_edges) == 2
+        assert set(stage.remainder_vertices) == host_vertices - set(path[1:-1])
+        try:
+            aligned = is_aligned(config.points[list(path)]) is not None
+        except DegenerateDirection:
+            aligned = True
+        assert stage.chain_aligned == aligned
+        host_vertices, host_edges = set(stage.remainder_vertices), rem_edges
+    if decomposition.stages:
+        last = decomposition.stages[-1]
+        assert decomposition.base_vertices == last.remainder_vertices
+        assert decomposition.base_edges == last.remainder_edges
+    else:
+        assert decomposition.base_vertices == tuple(range(linkage.n_vertices))
+        assert decomposition.base_edges == tuple(range(linkage.k))
+
+
+def _assert_witness_well_formed(linkage, config, witness):
+    stages = witness.decomposition.stages
+    _assert_well_formed(linkage, config, witness.decomposition)
+    d = linkage.ambient_dim
+    assert witness.stage_index == len(stages) - 1
+    assert witness.euclidean_factor == sum((d - 1) * len(s.chain_edges) - d for s in stages[:-1])
+    assert witness.verdict.kind is StageVerdictKind.GENERICALLY_NON_TRANSVERSE
+    assert witness.signature == witness.verdict.signature
+
+
+class TestDecompositionWellFormed:
+    @pytest.mark.parametrize(
+        "name", ["four-bar-singular", "four-bar-regular", "five-bar", "egsing", "tri-platform-b"]
+    )
+    def test_classify_demo(self, name):
+        linkage, config = _demo_pair(name)
+        report = classify_configuration(linkage, config)
+        if report.certificate is not None:
+            _assert_well_formed(linkage, config, report.certificate)
+        if report.witness is not None:
+            _assert_witness_well_formed(linkage, config, report.witness)
+            assert not any(s.chain_aligned for s in report.witness.decomposition.stages[:-1])
+
+    @pytest.mark.parametrize("brace, factor", [([(0.25, 1.0)], 0), ([(0.2, 1.0), (0.6, 1.2)], 1)])
+    def test_classify_nested_witness(self, brace, factor):
+        linkage, config = _braced_node(brace)
+        witness = classify_configuration(linkage, config).witness
+        _assert_witness_well_formed(linkage, config, witness)
+        outer, inner = witness.decomposition.stages
+        assert outer.chain_edges == tuple(range(len(brace) + 1)) and not outer.chain_aligned
+        assert inner.chain_aligned
+        assert witness.euclidean_factor == factor
+
+    @pytest.mark.parametrize("name, n_stages", [("tri-platform-a", 2), ("tri-platform-b", 1)])
+    def test_verify_platform_demo(self, name, n_stages):
+        linkage, config = _demo_pair(name)
+        witness = verify_platform_singularity(linkage, config).witness
+        _assert_witness_well_formed(linkage, config, witness)
+        assert len(witness.decomposition.stages) == n_stages

@@ -267,6 +267,28 @@ class TestTraceCurve:
         last = result.points[-1]
         assert np.linalg.norm(last.flat - fixed.flat) < 1e-3
 
+    def test_retry_starts_on_its_own_hyperplane(self, monkeypatch):
+        import linkctl.numeric as numeric
+
+        linkage = four_bar((2.0, 1.2, 1.7, 0.9))
+        start = sample_cspace(linkage, 1, seed=11)[0]
+        real = numeric._gauss_newton
+        arclength_rows = []  # hyperplane row of each corrector call at its start point
+
+        def fail_first_corrector(res, jac, x0, *args):
+            r0 = res(x0)
+            if len(r0) == linkage.k + 1:  # the corrector, not a plain projection
+                arclength_rows.append(float(r0[-1]))
+                if len(arclength_rows) == 1:
+                    raise NoConvergence("forced")
+            return real(res, jac, x0, *args)
+
+        monkeypatch.setattr(numeric, "_gauss_newton", fail_first_corrector)
+        result = trace_curve(linkage, start, step=0.05, max_steps=2)
+        assert len(arclength_rows) == 3  # failed try, its retry, the next step
+        assert arclength_rows[1] == pytest.approx(0.0, abs=1e-12)
+        assert len(result.points) == 3
+
 
 class TestLocalBranchCount:
     def test_smooth_point_two_branches(self):
