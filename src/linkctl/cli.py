@@ -15,6 +15,7 @@ on errors.  The seed comes from --seed, falling back to LINKCTL_SEED.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -241,7 +242,10 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parsing leaves the parser unchanged, and the
+    # LINKCTL_SEED fallback is read at command time, in _seed.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol-rank", type=float, default=1e-8, help="relative rank cutoff")
     common.add_argument("--tol-grad", type=float, default=1e-6, help="gradient tolerance scale")

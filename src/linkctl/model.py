@@ -13,7 +13,8 @@ d coordinates first), and constraint rows follow the edge-list order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from functools import cached_property
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -101,6 +102,16 @@ class PlatformSpec:
     moving: tuple[int, ...]
 
 
+class _EdgeKernel(NamedTuple):
+    """A linkage's edge list compiled to index arrays for the constraint kernel."""
+
+    u: np.ndarray  # (k,) first endpoint of each edge
+    v: np.ndarray  # (k,) second endpoint of each edge
+    target: np.ndarray  # (k,) squared target lengths
+    u_at: np.ndarray  # (k, d) flat positions of row i's vertex-u block in the (k, N*d) Jacobian
+    v_at: np.ndarray  # (k, d) the same for vertex v's block
+
+
 @dataclass(frozen=True)
 class Linkage:
     """A mechanism graph with one positive length per edge.
@@ -162,6 +173,20 @@ class Linkage:
     def squared_lengths(self) -> np.ndarray:
         return np.asarray(self.lengths, dtype=float) ** 2
 
+    @cached_property
+    def _kernel(self) -> _EdgeKernel:
+        # Built on first use and kept on the instance; every field it reads is frozen.
+        edges = np.array(self.graph.edges, dtype=int).reshape(-1, 2)
+        d = self.ambient_dim
+        row_start = np.arange(self.k)[:, None] * (self.n_vertices * d) + np.arange(d)
+        return _EdgeKernel(
+            u=edges[:, 0],
+            v=edges[:, 1],
+            target=self.squared_lengths(),
+            u_at=row_start + edges[:, :1] * d,
+            v_at=row_start + edges[:, 1:] * d,
+        )
+
 
 class Configuration:
     """An assignment of ambient points to vertices, immutable after creation."""
@@ -172,8 +197,7 @@ class Configuration:
         arr = np.array(points, dtype=float)
         if arr.ndim != 2:
             raise InvalidSpec("configuration must be an (N, d) array of points")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidSpec("configuration coordinates must be finite")
+        check_finite(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "points", arr)
 
@@ -219,6 +243,12 @@ class SubspaceBasis:
     @property
     def dim(self) -> int:
         return self.vectors.shape[0]
+
+
+def check_finite(points: np.ndarray) -> None:
+    """Raise InvalidSpec unless every coordinate is finite."""
+    if not np.isfinite(points).all():
+        raise InvalidSpec("configuration coordinates must be finite")
 
 
 def check_match(linkage: Linkage, config: Configuration) -> None:
@@ -283,19 +313,38 @@ def build_linkage(doc: Mapping) -> Linkage:
     )
 
 
+def _length_map_points(linkage: Linkage, p: np.ndarray) -> np.ndarray:
+    """Squared-length map at the (N, d) point array p, which must fit the linkage."""
+    kernel = linkage._kernel
+    diff = p.take(kernel.u, axis=0) - p.take(kernel.v, axis=0)
+    return np.einsum("ij,ij->i", diff, diff)
+
+
+def _residual_points(linkage: Linkage, p: np.ndarray) -> np.ndarray:
+    """Constraint residual at the (N, d) point array p, which must fit the linkage."""
+    return _length_map_points(linkage, p) - linkage._kernel.target
+
+
+def _jacobian_points(linkage: Linkage, p: np.ndarray) -> np.ndarray:
+    """Constraint Jacobian at the (N, d) point array p, which must fit the linkage."""
+    kernel = linkage._kernel
+    g = 2.0 * (p.take(kernel.u, axis=0) - p.take(kernel.v, axis=0))
+    jac = np.zeros((linkage.k, p.size))
+    jac.put(kernel.u_at, g)
+    jac.put(kernel.v_at, -g)
+    return jac
+
+
 def squared_length_map(linkage: Linkage, config: Configuration) -> np.ndarray:
     """Vector of squared endpoint distances, one entry per edge, in edge order."""
     check_match(linkage, config)
-    p = config.points
-    u = np.array([e[0] for e in linkage.graph.edges], dtype=int)
-    v = np.array([e[1] for e in linkage.graph.edges], dtype=int)
-    diff = p[u] - p[v]
-    return np.einsum("ij,ij->i", diff, diff)
+    return _length_map_points(linkage, config.points)
 
 
 def constraint_residual(linkage: Linkage, config: Configuration) -> np.ndarray:
     """squared_length_map(V) minus the target squared lengths; zero on the constraint set."""
-    return squared_length_map(linkage, config) - linkage.squared_lengths()
+    check_match(linkage, config)
+    return _residual_points(linkage, config.points)
 
 
 def constraint_jacobian(linkage: Linkage, config: Configuration) -> np.ndarray:
@@ -305,14 +354,7 @@ def constraint_jacobian(linkage: Linkage, config: Configuration) -> np.ndarray:
     vertex v's block; all other entries vanish.  Shape (k, N*d).
     """
     check_match(linkage, config)
-    p = config.points
-    n, d = p.shape
-    jac = np.zeros((linkage.k, n * d))
-    for i, (u, v) in enumerate(linkage.graph.edges):
-        g = 2.0 * (p[u] - p[v])
-        jac[i, u * d : (u + 1) * d] = g
-        jac[i, v * d : (v + 1) * d] = -g
-    return jac
+    return _jacobian_points(linkage, config.points)
 
 
 def pointed_normalize(config: Configuration, base_vertex: int) -> Configuration:

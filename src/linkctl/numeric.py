@@ -26,6 +26,9 @@ from .model import (
     Configuration,
     Linkage,
     SubspaceBasis,
+    _jacobian_points,
+    _residual_points,
+    check_finite,
     check_match,
     constraint_jacobian,
     constraint_residual,
@@ -136,11 +139,15 @@ def _gauss_newton(
     tol: float,
     max_iter: int,
     tol_rank: float = 1e-8,
+    r0: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Damped Gauss-Newton (Armijo backtracking, factor 0.5, c=1e-4)."""
+    """Damped Gauss-Newton (Armijo backtracking, factor 0.5, c=1e-4).
+
+    r0, when given, is residual_fn(x0), already computed by the caller.
+    """
     x = np.array(x0, dtype=float)
-    r = residual_fn(x)
-    if np.max(np.abs(r)) < tol:
+    r = residual_fn(x) if r0 is None else r0
+    if np.abs(r).max() < tol:
         return x
     for _ in range(max_iter):
         jac = jacobian_fn(x)
@@ -157,9 +164,21 @@ def _gauss_newton(
             if alpha < 1e-12:
                 raise NoConvergence("line search stalled")
         x, r = x_new, r_new
-        if np.max(np.abs(r)) < tol:
+        if np.abs(r).max() < tol:
             return x
     raise NoConvergence(f"no convergence after {max_iter} iterations (|r|_inf={np.max(np.abs(r)):.3g})")
+
+
+def _finite_points(x: np.ndarray, d: int) -> np.ndarray:
+    """View of a flat Gauss-Newton iterate as (N, d) points, checked finite.
+
+    Residual closures call it on every iterate: a non-finite step raises
+    InvalidSpec, as building a Configuration would, instead of ending in
+    NoConvergence.  Jacobians are only taken at iterates a residual has seen.
+    """
+    p = x.reshape(-1, d)
+    check_finite(p)
+    return p
 
 
 def project_to_cspace(
@@ -177,24 +196,25 @@ def project_to_cspace(
     leaves the constraints exact).
     """
     check_match(linkage, guess)
-    if np.max(np.abs(constraint_residual(linkage, guess))) < tol:
+    r0 = _residual_points(linkage, guess.points)
+    if np.abs(r0).max() < tol:
         return guess
 
     d = linkage.ambient_dim
-    was_pointed = bool(
+    was_pointed = preserve_pointed and bool(
         np.linalg.norm(guess.points[linkage.base_vertex])
         < 1e-12 * (1.0 + np.max(np.abs(guess.points)))
     )
 
     def res(x: np.ndarray) -> np.ndarray:
-        return constraint_residual(linkage, Configuration.from_flat(x, d))
+        return _residual_points(linkage, _finite_points(x, d))
 
     def jac(x: np.ndarray) -> np.ndarray:
-        return constraint_jacobian(linkage, Configuration.from_flat(x, d))
+        return _jacobian_points(linkage, x.reshape(-1, d))
 
-    x = _gauss_newton(res, jac, guess.flat, tol, max_iter, tol_rank)
+    x = _gauss_newton(res, jac, guess.flat, tol, max_iter, tol_rank, r0)
     out = Configuration.from_flat(x, d)
-    if preserve_pointed and was_pointed:
+    if was_pointed:
         out = pointed_normalize(out, linkage.base_vertex)
     return out
 
@@ -469,8 +489,7 @@ def trace_curve(
 
     for step_idx in range(max_steps):
         def jac(x: np.ndarray, _t=tangent) -> np.ndarray:
-            cfg = Configuration.from_flat(x, d)
-            return np.vstack([constraint_jacobian(linkage, cfg), _t])
+            return np.vstack([_jacobian_points(linkage, x.reshape(-1, d)), _t])
 
         corrected = None
         sub_step = step
@@ -479,8 +498,8 @@ def trace_curve(
             predictor = v.flat + sub_step * tangent
 
             def res(x: np.ndarray, _t=tangent, _p=predictor) -> np.ndarray:
-                cfg = Configuration.from_flat(x, d)
-                return np.concatenate([constraint_residual(linkage, cfg), [_t @ (x - _p)]])
+                p = _finite_points(x, d)
+                return np.concatenate([_residual_points(linkage, p), [_t @ (x - _p)]])
 
             try:
                 corrected = _gauss_newton(res, jac, predictor, project_tol, 60, tol_rank)

@@ -1,3 +1,5 @@
+from typing import Optional
+
 import numpy as np
 import pytest
 
@@ -47,10 +49,17 @@ def egsing_linkage() -> tuple[Linkage, Configuration]:
     return linkage, config
 
 
-def random_linkage(rng: np.random.Generator, max_vertices: int = 8) -> tuple[Linkage, Configuration]:
-    """Random connected linkage with lengths realized by a random placement."""
+def random_linkage(
+    rng: np.random.Generator, max_vertices: int = 8, dim: Optional[int] = None
+) -> tuple[Linkage, Configuration]:
+    """Random connected linkage with lengths realized by a random placement.
+
+    The ambient dimension is drawn from {2, 3} unless ``dim`` fixes it.
+    Spanning-tree edges are listed as (u, v) with u > v; extra edges in
+    either order.
+    """
     n = int(rng.integers(2, max_vertices + 1))
-    d = int(rng.choice([2, 3]))
+    d = int(rng.choice([2, 3])) if dim is None else dim
     points = rng.uniform(-2.0, 2.0, (n, d))
     edges = [(i, int(rng.integers(0, i))) for i in range(1, n)]  # random spanning tree
     extra = int(rng.integers(0, n))
@@ -62,9 +71,35 @@ def random_linkage(rng: np.random.Generator, max_vertices: int = 8) -> tuple[Lin
             seen.add(frozenset((int(u), int(v))))
     lengths = [float(np.linalg.norm(points[u] - points[v])) for u, v in edges]
     if min(lengths) < 1e-3:
-        return random_linkage(rng, max_vertices)
+        return random_linkage(rng, max_vertices, dim)
     linkage = Linkage(MechanismType(n, tuple(edges)), tuple(lengths), ambient_dim=d)
     return linkage, Configuration(points)
+
+
+def reference_length_map(linkage: Linkage, config: Configuration) -> np.ndarray:
+    """Reference squared-length map, with the edge index arrays rebuilt on every call."""
+    p = config.points
+    u = np.array([e[0] for e in linkage.graph.edges], dtype=int)
+    v = np.array([e[1] for e in linkage.graph.edges], dtype=int)
+    diff = p[u] - p[v]
+    return np.einsum("ij,ij->i", diff, diff)
+
+
+def reference_residual(linkage: Linkage, config: Configuration) -> np.ndarray:
+    """Reference constraint residual."""
+    return reference_length_map(linkage, config) - linkage.squared_lengths()
+
+
+def reference_jacobian(linkage: Linkage, config: Configuration) -> np.ndarray:
+    """Reference constraint Jacobian, filled one edge at a time."""
+    p = config.points
+    n, d = p.shape
+    jac = np.zeros((linkage.k, n * d))
+    for i, (u, v) in enumerate(linkage.graph.edges):
+        g = 2.0 * (p[u] - p[v])
+        jac[i, u * d : (u + 1) * d] = g
+        jac[i, v * d : (v + 1) * d] = -g
+    return jac
 
 
 def random_open_chain(rng: np.random.Generator, k: int, d: int) -> np.ndarray:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from linkctl.cli import main
+from linkctl.cli import _build_parser, main
 from linkctl.demos import DEMO_NAMES, build_demo
 from linkctl.model import build_linkage
 
@@ -154,3 +154,29 @@ class TestDeterminism:
         a = build_linkage(linkage_doc)
         b = build_linkage(json.loads(text))
         assert a == b
+
+
+class TestOneProcess:
+    def test_repeated_calls_parse_their_own_arguments(self, demo_files, capsys, monkeypatch):
+        assert _build_parser() is _build_parser()
+        lp, cp = demo_files("four-bar-regular")
+        slp, scp = demo_files("four-bar-singular")
+
+        monkeypatch.setenv("LINKCTL_SEED", "1")
+        _, env1 = run(capsys, "sample", lp, "-n", "4")
+        monkeypatch.setenv("LINKCTL_SEED", "2")
+        _, env2 = run(capsys, "sample", lp, "-n", "4")
+        assert env1 != env2
+        _, flag1 = run(capsys, "sample", lp, "-n", "4", "--seed", "1")
+        assert flag1 == env1
+
+        assert run(capsys, "analyze", slp, scp)[0] == 10
+        assert run(capsys, "analyze", lp, cp)[0] == 0
+        _, out = run(capsys, "workspace", "--lengths", "2,1")
+        assert json.loads(out) == {"m": 1.0, "M": 3.0}
+
+        _, default_n = run(capsys, "sample", lp)  # neither -n 4 nor --seed 1 carries over
+        assert json.loads(default_n)["attempts"] == 20
+        monkeypatch.setenv("LINKCTL_SEED", "1")
+        _, again = run(capsys, "sample", lp, "-n", "4")
+        assert again == env1

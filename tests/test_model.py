@@ -16,14 +16,21 @@ from linkctl.model import (
 )
 from linkctl.numeric import numerical_rank
 
-from conftest import four_bar, four_bar_node, random_linkage
+from conftest import (
+    four_bar,
+    four_bar_node,
+    random_linkage,
+    reference_jacobian,
+    reference_length_map,
+    reference_residual,
+)
 
 
 def single_edge(length=5.0, d=2):
     return Linkage(MechanismType(2, ((0, 1),)), (length,), ambient_dim=d)
 
 
-def fd_jacobian(linkage, config, h=None):
+def fd_jacobian(linkage, config, h=None, fn=squared_length_map):
     flat = config.flat
     if h is None:
         h = 1e-6 * (1.0 + np.max(np.abs(flat)))
@@ -31,8 +38,8 @@ def fd_jacobian(linkage, config, h=None):
     for j in range(flat.size):
         e = np.zeros_like(flat)
         e[j] = h
-        fp = squared_length_map(linkage, Configuration.from_flat(flat + e, config.dim))
-        fm = squared_length_map(linkage, Configuration.from_flat(flat - e, config.dim))
+        fp = fn(linkage, Configuration.from_flat(flat + e, config.dim))
+        fm = fn(linkage, Configuration.from_flat(flat - e, config.dim))
         cols.append((fp - fm) / (2 * h))
     return np.stack(cols, axis=1)
 
@@ -167,6 +174,61 @@ class TestJacobian:
                 rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
                 moved = Configuration(config.points @ rot.T + rng.uniform(-3, 3, 2))
                 assert numerical_rank(constraint_jacobian(linkage, moved)) == base
+
+
+class TestConstraintKernel:
+    """The compiled edge kernel against the per-edge code it replaced."""
+
+    @staticmethod
+    def cases(d, count=25):
+        rng = np.random.default_rng(40 + d)
+        for _ in range(count):
+            linkage, config = random_linkage(rng, dim=d)
+            off = Configuration(config.points + rng.normal(scale=0.3, size=config.points.shape))
+            yield linkage, config
+            yield linkage, off
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_bit_identical_to_per_edge_loop(self, d):
+        directions = set()
+        for linkage, config in self.cases(d):
+            directions.update(u > v for u, v in linkage.graph.edges)
+            want_map = reference_length_map(linkage, config)
+            assert squared_length_map(linkage, config).tobytes() == want_map.tobytes()
+            want_res = reference_residual(linkage, config)
+            assert constraint_residual(linkage, config).tobytes() == want_res.tobytes()
+            want_jac = reference_jacobian(linkage, config)
+            got_jac = constraint_jacobian(linkage, config)
+            assert got_jac.shape == want_jac.shape
+            assert got_jac.tobytes() == want_jac.tobytes()
+        assert directions == {True, False}  # edges given as (u, v) with u > v and u < v
+
+    def test_edgeless_linkage(self):
+        linkage = Linkage(MechanismType(1, ()), (), ambient_dim=3)
+        config = Configuration([(1.0, 2.0, 3.0)])
+        assert constraint_residual(linkage, config).shape == (0,)
+        assert constraint_jacobian(linkage, config).shape == (0, 3)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_jacobian_matches_central_differences_of_residual(self, d):
+        for linkage, config in self.cases(d, count=10):
+            fd = fd_jacobian(linkage, config, fn=constraint_residual)
+            jac = constraint_jacobian(linkage, config)
+            assert np.linalg.norm(jac - fd) / max(np.linalg.norm(jac), 1e-12) < 1e-6
+
+    def test_kernel_is_cached_and_leaves_equality_alone(self):
+        a, b = four_bar(), four_bar()
+        constraint_jacobian(a, four_bar_node())
+        assert a._kernel is a._kernel
+        assert a == b and hash(a) == hash(b)
+
+    def test_dimension_mismatch(self):
+        linkage = four_bar()
+        wrong = Configuration(np.zeros((4, 3)))
+        with pytest.raises(DimensionMismatch):
+            constraint_residual(linkage, wrong)
+        with pytest.raises(DimensionMismatch):
+            constraint_jacobian(linkage, wrong)
 
 
 class TestNormalization:

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+import linkctl.numeric as numeric
 from linkctl.chains import ChainKind, ChainSpec, is_aligned
+from linkctl.demos import build_demo
 from linkctl.errors import (
     CoincidentEndpoints,
+    InvalidSpec,
     NoConvergence,
     NoFeasiblePoint,
     NotACurve,
@@ -13,6 +16,7 @@ from linkctl.model import (
     Configuration,
     Linkage,
     MechanismType,
+    build_linkage,
     constraint_jacobian,
     constraint_residual,
 )
@@ -30,7 +34,14 @@ from linkctl.numeric import (
     work_image,
 )
 
-from conftest import four_bar, four_bar_node, random_open_chain, triangle
+from conftest import (
+    four_bar,
+    four_bar_node,
+    random_open_chain,
+    reference_jacobian,
+    reference_residual,
+    triangle,
+)
 
 
 class TestNumericalRank:
@@ -99,6 +110,96 @@ class TestSampling:
         assert len(a) == len(b)
         for x, y in zip(a, b):
             assert np.array_equal(x.points, y.points)
+
+
+def demo_pair(name):
+    linkage_doc, config_doc = build_demo(name)
+    return build_linkage(linkage_doc), Configuration(config_doc["points"])
+
+
+def reference_gauss_newton(residual_fn, jacobian_fn, x0, tol, max_iter, tol_rank=1e-8, r0=None):
+    """numeric._gauss_newton as a loop of its own that evaluates the start residual itself."""
+    x = np.array(x0, dtype=float)
+    r = residual_fn(x)
+    if np.max(np.abs(r)) < tol:
+        return x
+    for _ in range(max_iter):
+        jac = jacobian_fn(x)
+        delta = -numeric._pinv_solve(jac, r, tol_rank)
+        phi = float(r @ r)
+        slope = float(2.0 * (jac.T @ r) @ delta)
+        alpha = 1.0
+        while True:
+            x_new = x + alpha * delta
+            r_new = residual_fn(x_new)
+            if float(r_new @ r_new) <= phi + 1e-4 * alpha * slope:
+                break
+            alpha *= 0.5
+            if alpha < 1e-12:
+                raise NoConvergence("line search stalled")
+        x, r = x_new, r_new
+        if np.max(np.abs(r)) < tol:
+            return x
+    raise NoConvergence(f"no convergence after {max_iter} iterations")
+
+
+@pytest.fixture
+def reference_path(monkeypatch):
+    """Switch numeric's projections and corrector to the reference path: a
+    Configuration built at every residual and Jacobian evaluation, per-edge
+    loops, and the reference Gauss-Newton loop."""
+
+    def use():
+        monkeypatch.setattr(numeric, "_gauss_newton", reference_gauss_newton)
+        monkeypatch.setattr(
+            numeric, "_residual_points", lambda lk, p: reference_residual(lk, Configuration(p))
+        )
+        monkeypatch.setattr(
+            numeric, "_jacobian_points", lambda lk, p: reference_jacobian(lk, Configuration(p))
+        )
+
+    return use
+
+
+def as_bytes(configs):
+    return [c.points.tobytes() for c in configs]
+
+
+class TestReferencePathEquivalence:
+    """Projection and continuation on flat arrays give bit-identical output."""
+
+    @pytest.mark.parametrize(
+        "name, n, seeds",
+        [("four-bar-regular", 20, (0, 7)), ("egsing", 20, (0, 3)), ("tri-platform-a", 8, (0,))],
+    )
+    def test_sample_cspace(self, reference_path, name, n, seeds):
+        linkage, _ = demo_pair(name)
+        got = [as_bytes(sample_cspace(linkage, n, seed=s)) for s in seeds]
+        reference_path()
+        want = [as_bytes(sample_cspace(linkage, n, seed=s)) for s in seeds]
+        assert got == want
+
+    @pytest.mark.parametrize("name", ["four-bar-regular", "egsing"])
+    def test_trace_curve(self, reference_path, name):
+        linkage, _ = demo_pair(name)
+        start = sample_cspace(linkage, 1, seed=5)[0]
+        got = trace_curve(linkage, start, step=0.05, max_steps=40)
+        reference_path()
+        want = trace_curve(linkage, start, step=0.05, max_steps=40)
+        assert (got.stop_reason, got.closed) == (want.stop_reason, want.closed)
+        assert as_bytes(got.points) == as_bytes(want.points)
+        assert len(got.points) > 5
+
+    def test_non_finite_step_is_invalid_spec(self, monkeypatch):
+        linkage, config = demo_pair("four-bar-regular")
+        guess = Configuration(config.points * 1.05)
+        monkeypatch.setattr(
+            numeric, "_pinv_solve", lambda jac, rhs, tol_rank: np.full(jac.shape[1], np.inf)
+        )
+        with np.errstate(invalid="ignore"), pytest.raises(
+            InvalidSpec, match="configuration coordinates must be finite"
+        ):
+            project_to_cspace(linkage, guess)
 
 
 class TestTangentFrame:
