@@ -335,6 +335,30 @@ def _jacobian_points(linkage: Linkage, p: np.ndarray) -> np.ndarray:
     return jac
 
 
+def _residual_rows(linkage: Linkage, x: np.ndarray) -> np.ndarray:
+    """Constraint residuals of a batch: x is (B, N*d), one flat configuration a
+    row; returns (B, k).  Row i equals _residual_points at row i bit for bit."""
+    kernel = linkage._kernel
+    d = linkage.ambient_dim
+    p = x.reshape(x.shape[0], -1, d)
+    diff = (p.take(kernel.u, axis=1) - p.take(kernel.v, axis=1)).reshape(-1, d)
+    return np.einsum("ij,ij->i", diff, diff).reshape(x.shape[0], linkage.k) - kernel.target
+
+
+def _jacobian_rows(linkage: Linkage, x: np.ndarray) -> np.ndarray:
+    """Constraint Jacobians of a batch of flat configurations x, (B, N*d);
+    returns (B, k, N*d).  Slice i equals _jacobian_points at row i."""
+    kernel = linkage._kernel
+    b = x.shape[0]
+    p = x.reshape(b, -1, linkage.ambient_dim)
+    g = (2.0 * (p.take(kernel.u, axis=1) - p.take(kernel.v, axis=1))).reshape(b, -1)
+    jac = np.zeros((b, linkage.k, x.shape[1]))
+    flat = jac.reshape(b, -1)
+    flat[:, kernel.u_at.reshape(-1)] = g
+    flat[:, kernel.v_at.reshape(-1)] = -g
+    return jac
+
+
 def squared_length_map(linkage: Linkage, config: Configuration) -> np.ndarray:
     """Vector of squared endpoint distances, one entry per edge, in edge order."""
     check_match(linkage, config)

@@ -27,7 +27,9 @@ from .model import (
     Linkage,
     SubspaceBasis,
     _jacobian_points,
+    _jacobian_rows,
     _residual_points,
+    _residual_rows,
     check_finite,
     check_match,
     constraint_jacobian,
@@ -55,6 +57,19 @@ __all__ = [
 ]
 
 ABS_FLOOR = 1e-12
+
+# Armijo backtracking of the damped Gauss-Newton step: a step t is accepted
+# when |r(x + t*delta)|^2 <= |r(x)|^2 + _ARMIJO_C * t * slope; the search tries
+# the steps of _STEP_LADDER, longest first, and stalls when none passes.
+_ARMIJO_C = 1e-4
+_STEP_LADDER = tuple(0.5**j for j in range(40))  # 1, 1/2, ..., 2^-39 >= 1e-12 > 2^-40
+
+# project_to_cspace's defaults, which sample_cspace also projects with.
+_PROJECT_MAX_ITER = 100
+_PROJECT_TOL_RANK = 1e-8
+
+# Starts that sample_cspace projects together; bounds the batch's memory.
+_SAMPLE_CHUNK = 32
 
 
 class Gauge(enum.Enum):
@@ -122,14 +137,19 @@ def numerical_rank(matrix: np.ndarray, tol_rank: float = 1e-8) -> int:
     return int(np.sum(s > max(tol_rank * s[0], ABS_FLOOR)))
 
 
+def _inverse_singular_values(s: np.ndarray, tol_rank: float) -> np.ndarray:
+    """1/s for the singular values (last axis, largest first) above
+    max(tol_rank * s[0], ABS_FLOOR); 0 for the others."""
+    keep = s > np.maximum(tol_rank * s[..., :1], ABS_FLOOR)
+    return np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
+
+
 def _pinv_solve(jac: np.ndarray, rhs: np.ndarray, tol_rank: float) -> np.ndarray:
     """Minimal-norm least-squares solve via truncated SVD."""
     u, s, vt = np.linalg.svd(jac, full_matrices=False)
     if s.size == 0:
         return np.zeros(jac.shape[1])
-    cutoff = max(tol_rank * s[0], ABS_FLOOR)
-    inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-    return vt.T @ (inv * (u.T @ rhs))
+    return vt.T @ (_inverse_singular_values(s, tol_rank) * (u.T @ rhs))
 
 
 def _gauss_newton(
@@ -141,7 +161,8 @@ def _gauss_newton(
     tol_rank: float = 1e-8,
     r0: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Damped Gauss-Newton (Armijo backtracking, factor 0.5, c=1e-4).
+    """Damped Gauss-Newton: a truncated-SVD step, then Armijo backtracking
+    along _STEP_LADDER.
 
     r0, when given, is residual_fn(x0), already computed by the caller.
     """
@@ -154,19 +175,80 @@ def _gauss_newton(
         delta = -_pinv_solve(jac, r, tol_rank)
         phi = float(r @ r)
         slope = float(2.0 * (jac.T @ r) @ delta)
-        alpha = 1.0
-        while True:
+        for alpha in _STEP_LADDER:
             x_new = x + alpha * delta
             r_new = residual_fn(x_new)
-            if float(r_new @ r_new) <= phi + 1e-4 * alpha * slope:
+            if float(r_new @ r_new) <= phi + _ARMIJO_C * alpha * slope:
                 break
-            alpha *= 0.5
-            if alpha < 1e-12:
-                raise NoConvergence("line search stalled")
+        else:
+            raise NoConvergence("line search stalled")
         x, r = x_new, r_new
         if np.abs(r).max() < tol:
             return x
     raise NoConvergence(f"no convergence after {max_iter} iterations (|r|_inf={np.max(np.abs(r)):.3g})")
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[..., i, :] @ b[..., i, :] for every row, each the same dot product
+    that `@` takes of two vectors."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _gauss_newton_rows(
+    linkage: Linkage,
+    x0: np.ndarray,
+    r0: np.ndarray,
+    tol: float,
+    max_iter: int,
+    tol_rank: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """_gauss_newton on the constraint residual of every row of x0, in lockstep.
+
+    x0 is (B, N*d), one flat start a row, and r0 its residuals.  Returns
+    (x, ok): where ok[i], x[i] is what _gauss_newton returns from row i, bit
+    for bit; elsewhere it raises NoConvergence, and x[i] is the iterate it
+    stopped at (the line search stalled there, or max_iter ran out).  An iteration
+    takes one stacked SVD and tries the full step on every live row; the
+    rows that reject it evaluate every shorter step of _STEP_LADDER in one
+    pass and take the first that passes Armijo, or stall when none does.
+    Only the full steps are checked finite: a shorter step lies between x
+    and the full step, so it is finite when both are.
+    """
+    x = np.array(x0, dtype=float)
+    r = np.array(r0, dtype=float)
+    ok = np.abs(r).max(axis=1) < tol
+    live = np.flatnonzero(~ok)
+    shorter = np.array(_STEP_LADDER[1:])
+    for _ in range(max_iter):
+        if live.size == 0:
+            break
+        xl, rl = x[live], r[live]
+        jac = _jacobian_rows(linkage, xl)
+        u, s, vt = np.linalg.svd(jac, full_matrices=False)
+        proj = _inverse_singular_values(s, tol_rank) * (np.swapaxes(u, -1, -2) @ rl[..., None])[..., 0]
+        delta = -(np.swapaxes(vt, -1, -2) @ proj[..., None])[..., 0]
+        phi = _row_dots(rl, rl)
+        slope = _row_dots(2.0 * (np.swapaxes(jac, -1, -2) @ rl[..., None])[..., 0], delta)
+        x_new = xl + delta  # the full step, t = 1
+        check_finite(x_new)
+        r_new = _residual_rows(linkage, x_new)
+        rejected = np.flatnonzero(~(_row_dots(r_new, r_new) <= phi + _ARMIJO_C * slope))
+        moved = np.ones(live.size, dtype=bool)
+        if rejected.size:
+            xs = xl[rejected, None, :] + shorter[:, None] * delta[rejected, None, :]
+            rs = _residual_rows(linkage, xs.reshape(-1, xs.shape[-1])).reshape(*xs.shape[:2], -1)
+            bound = phi[rejected, None] + _ARMIJO_C * shorter * slope[rejected, None]
+            passed = _row_dots(rs, rs) <= bound
+            first = passed.argmax(axis=1)
+            x_new[rejected] = xs[np.arange(rejected.size), first]
+            r_new[rejected] = rs[np.arange(rejected.size), first]
+            moved[rejected] = passed.any(axis=1)  # no step passes: "line search stalled"
+        stepped = live[moved]
+        x[stepped], r[stepped] = x_new[moved], r_new[moved]
+        done = moved & (np.abs(r_new).max(axis=1) < tol)
+        ok[live[done]] = True
+        live = live[moved & ~done]
+    return x, ok
 
 
 def _finite_points(x: np.ndarray, d: int) -> np.ndarray:
@@ -181,12 +263,17 @@ def _finite_points(x: np.ndarray, d: int) -> np.ndarray:
     return p
 
 
+def _at_base(points: np.ndarray, base: int) -> bool:
+    """True when the base vertex sits at the origin, to roundoff in the points' scale."""
+    return bool(np.linalg.norm(points[base]) < 1e-12 * (1.0 + np.max(np.abs(points))))
+
+
 def project_to_cspace(
     linkage: Linkage,
     guess: Configuration,
     tol: float = 1e-10,
-    max_iter: int = 100,
-    tol_rank: float = 1e-8,
+    max_iter: int = _PROJECT_MAX_ITER,
+    tol_rank: float = _PROJECT_TOL_RANK,
     preserve_pointed: bool = True,
 ) -> Configuration:
     """Gauss-Newton projection of a guess onto the constraint set.
@@ -201,10 +288,7 @@ def project_to_cspace(
         return guess
 
     d = linkage.ambient_dim
-    was_pointed = preserve_pointed and bool(
-        np.linalg.norm(guess.points[linkage.base_vertex])
-        < 1e-12 * (1.0 + np.max(np.abs(guess.points)))
-    )
+    was_pointed = preserve_pointed and _at_base(guess.points, linkage.base_vertex)
 
     def res(x: np.ndarray) -> np.ndarray:
         return _residual_points(linkage, _finite_points(x, d))
@@ -224,19 +308,35 @@ def sample_cspace(linkage: Linkage, n: int, seed: int = 0, tol: float = 1e-10) -
 
     Starts draw coordinates uniformly from a box of half-width sum(lengths);
     attempt i uses the substream keyed by (seed, i), so results are
-    deterministic and schedule-independent.
+    deterministic and schedule-independent.  The starts are projected
+    together, in chunks of _SAMPLE_CHUNK, by one lockstep Gauss-Newton; each
+    result equals project_to_cspace(linkage, start, tol=tol) of its start bit
+    for bit.  Only NoConvergence drops an attempt: any other error, such as
+    InvalidSpec on a non-finite iterate, propagates.
     """
     if n < 1:
         raise InvalidSpec("need at least one sample attempt")
     box = linkage.length_scale
+    shape = (linkage.n_vertices, linkage.ambient_dim)
     out: list[Configuration] = []
-    for i in range(n):
-        rng = np.random.default_rng([seed, i])
-        start = Configuration(rng.uniform(-box, box, (linkage.n_vertices, linkage.ambient_dim)))
-        try:
-            out.append(project_to_cspace(linkage, start, tol=tol))
-        except NoConvergence:
-            continue
+    for lo in range(0, n, _SAMPLE_CHUNK):
+        starts = np.stack(
+            [
+                np.random.default_rng([seed, i]).uniform(-box, box, shape).reshape(-1)
+                for i in range(lo, min(n, lo + _SAMPLE_CHUNK))
+            ]
+        )
+        r0 = _residual_rows(linkage, starts)
+        x, ok = _gauss_newton_rows(linkage, starts, r0, tol, _PROJECT_MAX_ITER, _PROJECT_TOL_RANK)
+        # project_to_cspace returns a start on the set as it is and re-pins the others
+        on_set = np.abs(r0).max(axis=1) < tol
+        for row, start, good, as_drawn in zip(x, starts, ok, on_set):
+            if not good:
+                continue
+            config = Configuration.from_flat(row, shape[1])
+            if not as_drawn and _at_base(start.reshape(shape), linkage.base_vertex):
+                config = pointed_normalize(config, linkage.base_vertex)
+            out.append(config)
     if not out:
         raise NoFeasiblePoint(f"all {n} projection attempts failed")
     return out

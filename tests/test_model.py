@@ -7,6 +7,8 @@ from linkctl.model import (
     Linkage,
     MechanismType,
     SubspaceBasis,
+    _jacobian_rows,
+    _residual_rows,
     build_linkage,
     constraint_jacobian,
     constraint_residual,
@@ -201,6 +203,13 @@ class TestConstraintKernel:
             got_jac = constraint_jacobian(linkage, config)
             assert got_jac.shape == want_jac.shape
             assert got_jac.tobytes() == want_jac.tobytes()
+            # the batched kernel, row by row
+            rows = np.stack([config.flat, 0.5 * config.flat + 1.0])
+            res_rows, jac_rows = _residual_rows(linkage, rows), _jacobian_rows(linkage, rows)
+            for row, res, jac in zip(rows, res_rows, jac_rows):
+                placed = Configuration(row.reshape(-1, d))
+                assert res.tobytes() == reference_residual(linkage, placed).tobytes()
+                assert jac.tobytes() == reference_jacobian(linkage, placed).tobytes()
         assert directions == {True, False}  # edges given as (u, v) with u > v and u < v
 
     def test_edgeless_linkage(self):
@@ -208,6 +217,8 @@ class TestConstraintKernel:
         config = Configuration([(1.0, 2.0, 3.0)])
         assert constraint_residual(linkage, config).shape == (0,)
         assert constraint_jacobian(linkage, config).shape == (0, 3)
+        assert _residual_rows(linkage, np.zeros((2, 3))).shape == (2, 0)
+        assert _jacobian_rows(linkage, np.zeros((2, 3))).shape == (2, 0, 3)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_jacobian_matches_central_differences_of_residual(self, d):

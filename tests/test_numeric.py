@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,7 @@ from linkctl.numeric import (
 from conftest import (
     four_bar,
     four_bar_node,
+    random_linkage,
     random_open_chain,
     reference_jacobian,
     reference_residual,
@@ -117,8 +120,16 @@ def demo_pair(name):
     return build_linkage(linkage_doc), Configuration(config_doc["points"])
 
 
-def reference_gauss_newton(residual_fn, jacobian_fn, x0, tol, max_iter, tol_rank=1e-8, r0=None):
-    """numeric._gauss_newton as a loop of its own that evaluates the start residual itself."""
+def reference_gauss_newton(
+    residual_fn, jacobian_fn, x0, tol, max_iter, tol_rank=1e-8, r0=None, log=None
+):
+    """numeric._gauss_newton as a loop of its own that evaluates the start residual itself.
+
+    log, when given, gets an (event, iterate) pair for each iteration,
+    ("full step" or "shorter step", the new iterate), and for a failure,
+    ("line search stalled" or "max_iter", the iterate it stopped at).
+    """
+    note = log.append if log is not None else lambda event: None
     x = np.array(x0, dtype=float)
     r = residual_fn(x)
     if np.max(np.abs(r)) < tol:
@@ -136,11 +147,32 @@ def reference_gauss_newton(residual_fn, jacobian_fn, x0, tol, max_iter, tol_rank
                 break
             alpha *= 0.5
             if alpha < 1e-12:
+                note(("line search stalled", x))
                 raise NoConvergence("line search stalled")
         x, r = x_new, r_new
+        note(("full step" if alpha == 1.0 else "shorter step", x))
         if np.max(np.abs(r)) < tol:
             return x
+    note(("max_iter", x))
     raise NoConvergence(f"no convergence after {max_iter} iterations")
+
+
+def draw_start(linkage, seed, i):
+    """Start i of sample_cspace(linkage, n, seed): uniform in the box of half-width sum(lengths)."""
+    box = linkage.length_scale
+    rng = np.random.default_rng([seed, i])
+    return Configuration(rng.uniform(-box, box, (linkage.n_vertices, linkage.ambient_dim)))
+
+
+def per_start_samples(linkage, n, seed, tol=1e-10):
+    """sample_cspace as one project_to_cspace per (seed, i) start, failures dropped."""
+    out = []
+    for i in range(n):
+        try:
+            out.append(project_to_cspace(linkage, draw_start(linkage, seed, i), tol=tol))
+        except NoConvergence:
+            continue
+    return out
 
 
 @pytest.fixture
@@ -173,10 +205,12 @@ class TestReferencePathEquivalence:
         [("four-bar-regular", 20, (0, 7)), ("egsing", 20, (0, 3)), ("tri-platform-a", 8, (0,))],
     )
     def test_sample_cspace(self, reference_path, name, n, seeds):
+        # the batched sampler calls none of the patched functions, so the
+        # reference is an explicit loop over the starts
         linkage, _ = demo_pair(name)
         got = [as_bytes(sample_cspace(linkage, n, seed=s)) for s in seeds]
         reference_path()
-        want = [as_bytes(sample_cspace(linkage, n, seed=s)) for s in seeds]
+        want = [as_bytes(per_start_samples(linkage, n, s)) for s in seeds]
         assert got == want
 
     @pytest.mark.parametrize("name", ["four-bar-regular", "egsing"])
@@ -200,6 +234,94 @@ class TestReferencePathEquivalence:
             InvalidSpec, match="configuration coordinates must be finite"
         ):
             project_to_cspace(linkage, guess)
+
+
+def overstretched(linkage: Linkage) -> Linkage:
+    """A random_linkage linkage plus a vertex w, tied to the last vertex by a
+    unit edge and to vertex 0 by an edge 0.1% longer than the path from w
+    through the spanning tree to 0.  No placement closes it; near the best
+    ones that path is almost straight and the Jacobian almost singular."""
+    n, edges = linkage.n_vertices, linkage.graph.edges
+    path, v = 1.0, n - 1
+    while v != 0:  # random_linkage lists tree edge v - 1 as (v, parent of v)
+        path += linkage.lengths[v - 1]
+        v = edges[v - 1][1]
+    return Linkage(
+        MechanismType(n + 1, edges + ((n, n - 1), (n, 0))),
+        linkage.lengths + (1.0, 1.001 * path),
+        ambient_dim=linkage.ambient_dim,
+    )
+
+
+def reference_row(linkage, start, tol):
+    """reference_gauss_newton on the constraint residual from one flat start,
+    with project_to_cspace's defaults: (x, ok, events), x being the point it
+    returns or the iterate it stopped at."""
+    d = linkage.ambient_dim
+    log = []
+    try:
+        x = reference_gauss_newton(
+            lambda y: numeric._residual_points(linkage, y.reshape(-1, d)),
+            lambda y: numeric._jacobian_points(linkage, y.reshape(-1, d)),
+            start, tol, 100, 1e-8, log=log,
+        )
+        ok = True
+    except NoConvergence:
+        x, ok = log[-1][1], False
+    events = [event for event, _ in log] or ["converged at the start"]
+    return x, ok, events
+
+
+class TestBatchedSampling:
+    """sample_cspace projects its starts in lockstep chunks; each result must
+    equal project_to_cspace of its own start bit for bit."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_batch_equals_per_start(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        events = Counter()
+        for draw in range(4):
+            linkage, _ = random_linkage(rng, max_vertices=6, dim=dim)
+            box = linkage.length_scale
+            cases = [
+                (linkage, 12, 1e-10),
+                (linkage, 12, 0.5 * box**2),  # loose enough for some starts as drawn
+                (overstretched(linkage), 16, 1e-10),
+            ]
+            if draw == 0:
+                cases.append((linkage, 2 * numeric._SAMPLE_CHUNK + 5, 1e-10))
+            for lk, n, tol in cases:
+                want = per_start_samples(lk, n, draw, tol)
+                try:
+                    got = sample_cspace(lk, n, seed=draw, tol=tol)
+                except NoFeasiblePoint:
+                    got = []
+                assert as_bytes(got) == as_bytes(want), (draw, n, tol)
+
+                # every row, failed ones included, stops where the per-start loop stops
+                starts = np.stack([draw_start(lk, draw, i).flat for i in range(n)])
+                r0 = numeric._residual_rows(lk, starts)
+                x, ok = numeric._gauss_newton_rows(lk, starts, r0, tol, 100, 1e-8)
+                for i in range(n):
+                    ref_x, ref_ok, seen = reference_row(lk, starts[i], tol)
+                    assert (ok[i], x[i].tobytes()) == (ref_ok, ref_x.tobytes()), (draw, n, tol, i)
+                    events.update(seen)
+        for event in (
+            "converged at the start",
+            "full step",
+            "shorter step",
+            "line search stalled",
+            "max_iter",
+        ):
+            assert events[event] > 0, (event, events)
+
+    def test_non_finite_iterate_is_invalid_spec(self):
+        # squared lengths overflow: the first full step is not finite
+        linkage = triangle((3e200, 4e200, 5e200))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            InvalidSpec, match="configuration coordinates must be finite"
+        ):
+            sample_cspace(linkage, 3, seed=0)
 
 
 class TestTangentFrame:
