@@ -203,7 +203,7 @@ def aligned_morse_index(chain: ChainSpec, config: Configuration | np.ndarray, to
     complementary path) and f the number of the first n links pointing along
     +w, the index is (d-1)*(f-1): each forward link beyond the first
     contributes d-1 downhill directions.  Validated against the
-    finite-difference Hessian oracle; see also forward_count for f.
+    finite-difference Hessian oracle; f comes from forward_count.
     """
     if chain.kind is not ChainKind.CLOSED:
         raise InvalidSpec("aligned_morse_index expects a closed chain")
@@ -218,9 +218,7 @@ def aligned_morse_index(chain: ChainSpec, config: Configuration | np.ndarray, to
     scale = 1.0 + float(np.max(np.abs(points)))
     if rho < 1e-12 * scale:
         raise DegenerateDirection("variable link has zero length; index undefined")
-    w = chord / rho
-    vecs = np.diff(points, axis=0)  # the n fixed links
-    f = int(np.sum(vecs @ w > 0.0))
+    f = forward_count(points, chord / rho, tol=tol)  # among the n fixed links
     return (chain.ambient_dim - 1) * (f - 1)
 
 

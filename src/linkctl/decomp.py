@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .chains import is_aligned
+from .chains import forward_count, is_aligned
 from .errors import (
     CoincidentEndpoints,
     DegenerateDirection,
@@ -174,18 +174,14 @@ def enumerate_chain_removals(graph: MechanismType) -> list[ChainRemoval]:
         rem_edges = tuple(i for i in range(graph.edge_count) if i not in set(chain_edges))
         if not rem_edges:
             continue
-        # remainder connectivity over its own vertex set
+        # remainder connectivity over its own vertex set; an interior vertex
+        # has degree two, both its edges in the chain, so no remainder edge
+        # touches one
         sub_adj: dict[int, list[int]] = {v: [] for v in rem_vertices}
-        ok = True
         for i in rem_edges:
             u, w = graph.edges[i]
-            if u in interior or w in interior:
-                ok = False
-                break
             sub_adj[u].append(w)
             sub_adj[w].append(u)
-        if not ok:
-            continue
         seen = {rem_vertices[0]}
         stack = [rem_vertices[0]]
         while stack:
@@ -276,21 +272,18 @@ def transversality_check(
     return numerical_rank(stacked, tol_rank) == d
 
 
-def _chain_chord_signature(lam: Linkage, v_k: Configuration, d: int) -> tuple[int, int]:
+def _chain_chord_signature(lam: Linkage, v_k: Configuration, tols: Tolerances) -> tuple[int, int]:
     """(positive, negative) inertia of the chord-length Hessian of an aligned
-    open chain on its reduced frame, from the forward/backward pattern."""
+    open chain on its reduced frame, from the forward/backward pattern:
+    with f of its k links along the chord, (d-1)*(k-f) and (d-1)*(f-1)."""
     pts = v_k.points
-    k = lam.k
-    if k == 1:
-        return (0, 0)
     chord = pts[-1] - pts[0]
     rho = float(np.linalg.norm(chord))
     if rho < 1e-12 * (1.0 + float(np.max(np.abs(pts)))):
         raise CoincidentEndpoints("aligned chain chord vanishes")
-    w = chord / rho
-    vecs = np.diff(pts, axis=0)
-    f = int(np.sum(vecs @ w > 0.0))
-    return ((d - 1) * (k - f), (d - 1) * (f - 1))
+    f = forward_count(pts, chord / rho, tol=tols.align)
+    d = lam.ambient_dim
+    return ((d - 1) * (lam.k - f), (d - 1) * (f - 1))
 
 
 def stage_classify(
@@ -371,7 +364,7 @@ def stage_classify(
             reasons=tuple(reasons),
         )
 
-    chain_sig = _chain_chord_signature(lam, v_k, d)
+    chain_sig = _chain_chord_signature(lam, v_k, tols)
     signature = (rem_sig[0] + chain_sig[1], rem_sig[1] + chain_sig[0])
     return StageVerdict(
         StageVerdictKind.GENERICALLY_NON_TRANSVERSE,
@@ -545,7 +538,7 @@ def _witness(hit: _Hit, d: int) -> Witness:
 def find_nontransversive_witness(
     linkage: Linkage,
     config: Configuration,
-    depth_limit: int = 4,
+    depth_limit: Optional[int] = None,
     tols: Tolerances = Tolerances(),
 ) -> Optional[Witness]:
     """Depth-first search for a decomposition with a generically
@@ -554,16 +547,18 @@ def find_nontransversive_witness(
     Deterministic: removals are visited in lexicographic edge order, depth
     first, and the first hit is returned.  None means no witness within the
     depth limit, which callers must report as indeterminate, never as smooth.
+    depth_limit None means tols.depth.
     """
     _check_on_constraint(linkage, config, tols)
-    hit = _search(_whole(linkage), config, depth_limit, tols, False, {})
+    depth = tols.depth if depth_limit is None else depth_limit
+    hit = _search(_whole(linkage), config, depth, tols, False, {})
     return None if hit is None else _witness(hit, linkage.ambient_dim)
 
 
 def find_smoothness_certificate(
     linkage: Linkage,
     config: Configuration,
-    depth_limit: int = 4,
+    depth_limit: Optional[int] = None,
     tols: Tolerances = Tolerances(),
 ) -> Optional[Decomposition]:
     """Depth-first search for a decomposition with every stage transverse and
@@ -571,7 +566,9 @@ def find_smoothness_certificate(
 
     A full-rank mechanism certifies itself (zero stages).  Deterministic
     search order; None means no certificate within the depth limit.
+    depth_limit None means tols.depth.
     """
     _check_on_constraint(linkage, config, tols)
-    hit = _search(_whole(linkage), config, depth_limit, tols, True, {})
+    depth = tols.depth if depth_limit is None else depth_limit
+    hit = _search(_whole(linkage), config, depth, tols, True, {})
     return None if hit is None else _decomposition(hit)

@@ -68,9 +68,6 @@ class MechanismType:
     def degree(self, v: int) -> int:
         return sum(1 for u, w in self.edges if v in (u, w))
 
-    def incident_edges(self, v: int) -> list[int]:
-        return [i for i, (u, w) in enumerate(self.edges) if v in (u, w)]
-
     def is_connected(self) -> bool:
         if self.vertex_count == 1:
             return True

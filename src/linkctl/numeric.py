@@ -124,6 +124,12 @@ class WorkData:
     frame: TangentFrame
 
 
+def _kept_singular_values(s: np.ndarray, tol_rank: float) -> np.ndarray:
+    """Mask of the singular values (last axis, largest first) above
+    max(tol_rank * s[0], ABS_FLOOR); all False when s[0] is 0."""
+    return s > np.maximum(tol_rank * s[..., :1], ABS_FLOOR)
+
+
 def numerical_rank(matrix: np.ndarray, tol_rank: float = 1e-8) -> int:
     """Number of singular values above tol_rank * sigma_max (absolute floor 1e-12)."""
     m = np.asarray(matrix, dtype=float)
@@ -131,16 +137,12 @@ def numerical_rank(matrix: np.ndarray, tol_rank: float = 1e-8) -> int:
         return 0
     if not np.all(np.isfinite(m)):
         raise InvalidSpec("matrix entries must be finite")
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > max(tol_rank * s[0], ABS_FLOOR)))
+    return int(np.count_nonzero(_kept_singular_values(np.linalg.svd(m, compute_uv=False), tol_rank)))
 
 
 def _inverse_singular_values(s: np.ndarray, tol_rank: float) -> np.ndarray:
-    """1/s for the singular values (last axis, largest first) above
-    max(tol_rank * s[0], ABS_FLOOR); 0 for the others."""
-    keep = s > np.maximum(tol_rank * s[..., :1], ABS_FLOOR)
+    """1/s for the singular values that _kept_singular_values keeps; 0 for the others."""
+    keep = _kept_singular_values(s, tol_rank)
     return np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
 
 
@@ -208,9 +210,10 @@ def _gauss_newton_rows(
     (x, ok): where ok[i], x[i] is what _gauss_newton returns from row i, bit
     for bit; elsewhere it raises NoConvergence, and x[i] is the iterate it
     stopped at (the line search stalled there, or max_iter ran out).  An iteration
-    takes one stacked SVD and tries the full step on every live row; the
-    rows that reject it evaluate every shorter step of _STEP_LADDER in one
-    pass and take the first that passes Armijo, or stall when none does.
+    takes one stacked SVD and tries the full step on every live row.  The
+    rows that reject it try the next four steps of _STEP_LADDER, where most
+    pass, and the rest every shorter step; each row takes the first step
+    that passes Armijo, or stalls when none does.
     Only the full steps are checked finite: a shorter step lies between x
     and the full step, so it is finite when both are.
     """
@@ -218,7 +221,7 @@ def _gauss_newton_rows(
     r = np.array(r0, dtype=float)
     ok = np.abs(r).max(axis=1) < tol
     live = np.flatnonzero(~ok)
-    shorter = np.array(_STEP_LADDER[1:])
+    shorter = (np.array(_STEP_LADDER[1:5]), np.array(_STEP_LADDER[5:]))
     for _ in range(max_iter):
         if live.size == 0:
             break
@@ -234,15 +237,19 @@ def _gauss_newton_rows(
         r_new = _residual_rows(linkage, x_new)
         rejected = np.flatnonzero(~(_row_dots(r_new, r_new) <= phi + _ARMIJO_C * slope))
         moved = np.ones(live.size, dtype=bool)
-        if rejected.size:
-            xs = xl[rejected, None, :] + shorter[:, None] * delta[rejected, None, :]
+        for steps in shorter:
+            if not rejected.size:
+                break
+            xs = xl[rejected, None, :] + steps[:, None] * delta[rejected, None, :]
             rs = _residual_rows(linkage, xs.reshape(-1, xs.shape[-1])).reshape(*xs.shape[:2], -1)
-            bound = phi[rejected, None] + _ARMIJO_C * shorter * slope[rejected, None]
+            bound = phi[rejected, None] + _ARMIJO_C * steps * slope[rejected, None]
             passed = _row_dots(rs, rs) <= bound
-            first = passed.argmax(axis=1)
-            x_new[rejected] = xs[np.arange(rejected.size), first]
-            r_new[rejected] = rs[np.arange(rejected.size), first]
-            moved[rejected] = passed.any(axis=1)  # no step passes: "line search stalled"
+            hit = np.flatnonzero(passed.any(axis=1))
+            first = passed[hit].argmax(axis=1)
+            x_new[rejected[hit]] = xs[hit, first]
+            r_new[rejected[hit]] = rs[hit, first]
+            rejected = np.delete(rejected, hit)
+        moved[rejected] = False  # no step passes: "line search stalled"
         stepped = live[moved]
         x[stepped], r[stepped] = x_new[moved], r_new[moved]
         done = moved & (np.abs(r_new).max(axis=1) < tol)
@@ -377,11 +384,8 @@ def _orthonormal_rows(rows: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
     """Orthonormal basis of the row space, dropping near-dependent directions."""
     if rows.shape[0] == 0:
         return rows
-    u, s, vt = np.linalg.svd(rows, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((0, rows.shape[1]))
-    keep = s > max(rel_tol * s[0], ABS_FLOOR)
-    return vt[: int(np.sum(keep))]
+    _, s, vt = np.linalg.svd(rows, full_matrices=False)
+    return vt[: np.count_nonzero(_kept_singular_values(s, rel_tol))]
 
 
 def tangent_frame(
@@ -400,19 +404,13 @@ def tangent_frame(
         raise OffConstraint(f"residual too large for tangent analysis: {np.max(np.abs(res)):.3g}")
 
     jac = constraint_jacobian(linkage, config)
-    nd = jac.shape[1]
     _, s, vt = np.linalg.svd(jac, full_matrices=True)
-    cutoff = max(tol_rank * (s[0] if s.size else 0.0), ABS_FLOOR)
-    rank = int(np.sum(s > cutoff))
-    null = vt[rank:]
+    null = vt[np.count_nonzero(_kept_singular_values(s, tol_rank)) :]
 
     gauge_vecs = _orthonormal_rows(_gauge_vectors(config.points, gauge))
     if gauge_vecs.shape[0] and null.shape[0]:
         null = null - (null @ gauge_vecs.T) @ gauge_vecs
-    basis = _orthonormal_rows(null)
-    if basis.shape[0] == 0:
-        basis = np.zeros((0, nd))
-    return TangentFrame(base_config=config, basis=basis, gauge=gauge)
+    return TangentFrame(base_config=config, basis=_orthonormal_rows(null), gauge=gauge)
 
 
 def work_image(
@@ -657,83 +655,82 @@ def local_branch_count(
     count is computed at the radius and at half of it; ``stable`` records
     whether the two agree.
 
+    Sample i steps along a unit tangent direction drawn from the substream
+    keyed by (seed, i); each radius' steps are retracted together.  A step
+    that fails to converge or lands within 0.05 * radius of the center is
+    dropped; one landing over 0.1 * radius off the sphere is rescaled onto it
+    and retried, 8 rounds at most.  Raises InvalidSpec unless radius and
+    cluster_factor are positive and finite and n_samples >= 1.
+
     Half-branches that leave the center tangent to each other are merged:
     their separation on the sphere shrinks like radius**2, below the
     threshold, and halving the radius does not split them, so ``stable``
     stays True while the count is too low.  At the egsing demo, a
     tacnode with four half-branches, it reports 2 (cluster sizes 27/21,
     stable at radius 1e-2 and 1e-3).
+
+    Where the reduced tangent space has dimension 2 or more, the count
+    depends on n_samples: at the five-bar demo, whose link is one circle,
+    seed 0 gives 9, 9 and 4 branches at 16, 48 and 96 samples, all stable.
     """
+    if radius is not None and not (np.isfinite(radius) and radius > 0):
+        raise InvalidSpec(f"radius must be positive and finite, got {radius}")
+    if n_samples < 1:
+        raise InvalidSpec(f"need at least one sphere sample, got {n_samples}")
+    if not (np.isfinite(cluster_factor) and cluster_factor > 0):
+        raise InvalidSpec(f"cluster_factor must be positive and finite, got {cluster_factor}")
     r = radius if radius is not None else 1e-2 * min(linkage.lengths)
     center = _gauge_fix(linkage, project_to_cspace(linkage, config, tol=1e-12))
     frame = tangent_frame(linkage, center, Gauge.REDUCED, tol_rank)
+    d, nd = linkage.ambient_dim, center.flat.size
 
-    def collect(rad: float) -> list[np.ndarray]:
-        if frame.dim == 0:
-            return []
-        pts = []
+    def collect(rad: float) -> np.ndarray:
+        """The retained points on the sphere of radius rad, one flat row each."""
+        starts = []
         for i in range(n_samples):
-            rng = np.random.default_rng([seed, i])
-            coeff = rng.normal(size=frame.dim)
+            coeff = np.random.default_rng([seed, i]).normal(size=frame.dim)
             nrm = np.linalg.norm(coeff)
-            if nrm < 1e-12:
-                continue
-            delta = (coeff / nrm) @ frame.basis * rad
-            flat = center.flat + delta
-            ok = False
-            for _ in range(8):
-                try:
-                    w = _gauge_fix(linkage, _retract(linkage, flat, tol_rank))
-                except NoConvergence:
-                    break
-                offset = w.flat - center.flat
-                dist = float(np.linalg.norm(offset))
-                if dist < 0.05 * rad:
-                    break
-                if abs(dist - rad) <= 0.1 * rad:
-                    pts.append(w.flat)
-                    ok = True
-                    break
-                flat = center.flat + offset * (rad / dist)
-            if not ok:
-                continue
-        return pts
+            if nrm >= 1e-12:
+                starts.append(center.flat + (coeff / nrm) @ frame.basis * rad)
+        flat, kept = np.reshape(starts, (-1, nd)), [np.zeros((0, nd))]
+        for _ in range(8):
+            if not len(flat):
+                break
+            x, ok = _gauss_newton_rows(linkage, flat, _residual_rows(linkage, flat), 1e-12, 60, tol_rank)
+            fixed = [_gauge_fix(linkage, Configuration.from_flat(row, d)).flat for row in x[ok]]
+            w = np.reshape(fixed, (-1, nd))
+            offset = w - center.flat
+            dist = np.sqrt(_row_dots(offset, offset))  # np.linalg.norm of each row
+            on_shell = np.abs(dist - rad) <= 0.1 * rad
+            kept.append(w[on_shell])
+            retry = ~on_shell & (dist >= 0.05 * rad)
+            flat = center.flat + offset[retry] * (rad / dist[retry])[:, None]
+        return np.concatenate(kept)
 
-    def count(pts: list[np.ndarray], rad: float) -> tuple[int, list[int]]:
+    def cluster_sizes(pts: np.ndarray, rad: float) -> list[int]:
+        """Sizes of the connected components of the graph that joins two points
+        closer than cluster_factor * rad, largest first."""
         n = len(pts)
-        if n == 0:
-            return 0, []
-        parent = list(range(n))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        thresh = cluster_factor * rad
-        for a in range(n):
-            for b in range(a + 1, n):
-                if np.linalg.norm(pts[a] - pts[b]) < thresh:
-                    ra, rb = find(a), find(b)
-                    if ra != rb:
-                        parent[ra] = rb
-        sizes: dict[int, int] = {}
-        for a in range(n):
-            root = find(a)
-            sizes[root] = sizes.get(root, 0) + 1
-        return len(sizes), sorted(sizes.values(), reverse=True)
+        if not n:
+            return []
+        # each distance is np.linalg.norm of the difference; a point joins itself
+        near = np.array([np.sqrt(_row_dots(pts - p, pts - p)) < cluster_factor * rad for p in pts])
+        label = np.arange(n)
+        while True:  # every point takes the least label of its neighbours
+            least = np.where(near, label, n).min(axis=1)
+            if np.array_equal(least, label):
+                break
+            label = least
+        return sorted(np.unique(label, return_counts=True)[1].tolist(), reverse=True)
 
     pts_r = collect(r)
-    n_branches, sizes = count(pts_r, r)
-    pts_half = collect(0.5 * r)
-    n_half, _ = count(pts_half, 0.5 * r)
-
+    sizes = cluster_sizes(pts_r, r)
+    n_half = len(cluster_sizes(collect(0.5 * r), 0.5 * r))
     return BranchReport(
         radius=r,
         sample_count=len(pts_r),
-        branch_count=n_branches,
+        branch_count=len(sizes),
         cluster_sizes=tuple(sizes),
-        stable=(n_branches == n_half),
+        stable=(len(sizes) == n_half),
         halved_branch_count=n_half,
     )

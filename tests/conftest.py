@@ -160,3 +160,116 @@ def fb_node():
 @pytest.fixture
 def egsing():
     return egsing_linkage()
+
+
+def reference_local_branch_count(
+    linkage: Linkage,
+    config: Configuration,
+    radius: Optional[float] = None,
+    n_samples: int = 48,
+    seed: int = 0,
+    cluster_factor: float = 0.25,
+    tol_rank: float = 1e-8,
+    log: Optional[list] = None,
+):
+    """numeric.local_branch_count as a per-sample loop: each sample is
+    retracted on its own by project_to_cspace, and the points are clustered by
+    union-find over every pair.
+
+    log, when given, gets one event for each retraction a sample takes:
+    "kept", "rescaled", "no convergence" or "collapsed", and "out of rounds"
+    for a sample still off the sphere after 8 rounds.
+    """
+    from linkctl.errors import NoConvergence
+    from linkctl.numeric import (
+        BranchReport,
+        Gauge,
+        _gauge_fix,
+        project_to_cspace,
+        tangent_frame,
+    )
+
+    note = log.append if log is not None else lambda event: None
+    r = radius if radius is not None else 1e-2 * min(linkage.lengths)
+    center = _gauge_fix(linkage, project_to_cspace(linkage, config, tol=1e-12))
+    frame = tangent_frame(linkage, center, Gauge.REDUCED, tol_rank)
+
+    def retract(flat: np.ndarray) -> Configuration:
+        return project_to_cspace(
+            linkage,
+            Configuration.from_flat(flat, linkage.ambient_dim),
+            tol=1e-12,
+            max_iter=60,
+            tol_rank=tol_rank,
+            preserve_pointed=False,
+        )
+
+    def collect(rad: float) -> list[np.ndarray]:
+        if frame.dim == 0:
+            return []
+        pts = []
+        for i in range(n_samples):
+            rng = np.random.default_rng([seed, i])
+            coeff = rng.normal(size=frame.dim)
+            nrm = np.linalg.norm(coeff)
+            if nrm < 1e-12:
+                continue
+            delta = (coeff / nrm) @ frame.basis * rad
+            flat = center.flat + delta
+            for _ in range(8):
+                try:
+                    w = _gauge_fix(linkage, retract(flat))
+                except NoConvergence:
+                    note("no convergence")
+                    break
+                offset = w.flat - center.flat
+                dist = float(np.linalg.norm(offset))
+                if dist < 0.05 * rad:
+                    note("collapsed")
+                    break
+                if abs(dist - rad) <= 0.1 * rad:
+                    note("kept")
+                    pts.append(w.flat)
+                    break
+                note("rescaled")
+                flat = center.flat + offset * (rad / dist)
+            else:
+                note("out of rounds")
+        return pts
+
+    def count(pts: list[np.ndarray], rad: float) -> tuple[int, list[int]]:
+        n = len(pts)
+        if n == 0:
+            return 0, []
+        parent = list(range(n))
+
+        def find(a: int) -> int:
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
+
+        thresh = cluster_factor * rad
+        for a in range(n):
+            for b in range(a + 1, n):
+                if np.linalg.norm(pts[a] - pts[b]) < thresh:
+                    ra, rb = find(a), find(b)
+                    if ra != rb:
+                        parent[ra] = rb
+        sizes: dict[int, int] = {}
+        for a in range(n):
+            root = find(a)
+            sizes[root] = sizes.get(root, 0) + 1
+        return len(sizes), sorted(sizes.values(), reverse=True)
+
+    pts_r = collect(r)
+    n_branches, sizes = count(pts_r, r)
+    n_half, _ = count(collect(0.5 * r), 0.5 * r)
+    return BranchReport(
+        radius=r,
+        sample_count=len(pts_r),
+        branch_count=n_branches,
+        cluster_sizes=tuple(sizes),
+        stable=(n_branches == n_half),
+        halved_branch_count=n_half,
+    )

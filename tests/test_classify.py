@@ -9,7 +9,7 @@ from linkctl.classify import (
     verify_platform_singularity,
 )
 from linkctl.chains import is_aligned
-from linkctl.decomp import StageVerdictKind, Tolerances
+from linkctl.decomp import StageVerdictKind, Tolerances, find_nontransversive_witness
 from linkctl.errors import DegenerateDirection, NotAPlatform, OffConstraint
 from linkctl.model import Configuration, Linkage, MechanismType, build_linkage
 from linkctl.numeric import numerical_rank, sample_cspace
@@ -247,6 +247,13 @@ class TestDecompositionWellFormed:
         assert outer.chain_edges == tuple(range(len(brace) + 1)) and not outer.chain_aligned
         assert inner.chain_aligned
         assert witness.euclidean_factor == factor
+
+    @pytest.mark.parametrize("brace", [[(0.25, 1.0)], [(0.2, 1.0), (0.6, 1.2)]])
+    def test_search_depth_defaults_to_tols(self, brace):
+        linkage, config = _braced_node(brace)
+        assert len(find_nontransversive_witness(linkage, config).decomposition.stages) == 2
+        shallow = find_nontransversive_witness(linkage, config, tols=Tolerances(depth=1))
+        assert shallow is None or len(shallow.decomposition.stages) == 1
 
     @pytest.mark.parametrize("name, n_stages", [("tri-platform-a", 2), ("tri-platform-b", 1)])
     def test_verify_platform_demo(self, name, n_stages):

@@ -130,6 +130,17 @@ class TestBranchesCommand:
         assert doc["branch_count"] == 4
         assert doc["stable"] is True
 
+    @pytest.mark.parametrize(
+        "option", [("--radius", "0"), ("--radius", "nan"), ("--samples", "-1"), ("--cluster-factor", "-1")]
+    )
+    def test_out_of_range_option_exits_1(self, demo_files, capsys, option):
+        lp, cp = demo_files("four-bar-singular")
+        code = main(["branches", lp, cp, *option])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
 
 class TestDeterminism:
     def test_analyze_bytes_identical(self, demo_files, capsys):

@@ -42,6 +42,7 @@ from conftest import (
     random_linkage,
     random_open_chain,
     reference_jacobian,
+    reference_local_branch_count,
     reference_residual,
     triangle,
 )
@@ -538,3 +539,65 @@ class TestLocalBranchCount:
         a = local_branch_count(four_bar(), four_bar_node(), radius=0.01, seed=3)
         b = local_branch_count(four_bar(), four_bar_node(), radius=0.01, seed=3)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            {"radius": 0.0},
+            {"radius": -0.01},
+            {"radius": float("inf")},
+            {"radius": float("nan")},
+            {"n_samples": 0},
+            {"n_samples": -1},
+            {"cluster_factor": 0.0},
+            {"cluster_factor": -1.0},
+            {"cluster_factor": float("nan")},
+        ],
+    )
+    def test_out_of_range_inputs_rejected(self, option):
+        with pytest.raises(InvalidSpec):
+            local_branch_count(four_bar(), four_bar_node(), **option)
+
+
+def collinear(linkage: Linkage, config: Configuration):
+    """The linkage's graph with its vertices projected onto the first axis and
+    every length remeasured there, or None when an edge gets shorter than 0.01.
+    Every edge is then aligned, and many retractions near the point fail."""
+    points = config.points.copy()
+    points[:, 1:] = 0.0
+    lengths = tuple(float(np.linalg.norm(points[u] - points[v])) for u, v in linkage.graph.edges)
+    if min(lengths) < 1e-2:
+        return None
+    return Linkage(linkage.graph, lengths, ambient_dim=linkage.ambient_dim), Configuration(points)
+
+
+class TestBranchCountEqualsPerSample:
+    """local_branch_count retracts a radius' samples in lockstep and clusters by
+    connected components; its report must equal the per-sample reference
+    loop's, whose retractions go through project_to_cspace one at a time."""
+
+    @pytest.mark.parametrize("name", ["four-bar-singular", "egsing", "tri-platform-b", "five-bar"])
+    def test_demos(self, name):
+        linkage, config = demo_pair(name)
+        cases = [{"n_samples": n, "seed": s} for n in (16, 48, 96) for s in (0, 1)]
+        cases += [{"radius": 0.05, "seed": 2}, {"cluster_factor": 0.6, "seed": 3}]
+        for kw in cases:
+            want = reference_local_branch_count(linkage, config, **kw)
+            assert local_branch_count(linkage, config, **kw) == want, kw
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_random_linkages(self, dim):
+        rng = np.random.default_rng(300 + dim)
+        events = Counter()
+        for draw in range(12):
+            linkage, config = random_linkage(rng, max_vertices=6, dim=dim)
+            for pair in ((linkage, config), collinear(linkage, config)):
+                if pair is None:
+                    continue
+                kw = {"radius": 0.2 * min(pair[0].lengths), "n_samples": 16, "seed": draw}
+                log = []
+                want = reference_local_branch_count(*pair, log=log, **kw)
+                assert local_branch_count(*pair, **kw) == want, (draw, kw)
+                events.update(log)
+        for event in ("kept", "rescaled", "no convergence", "collapsed"):
+            assert events[event] > 0, (event, events)
