@@ -160,6 +160,30 @@ class TestPlatform:
         assert report.witness.verdict.gradient_norm < 1e-6
         assert any("gradient" in n for n in report.notes)
 
+    def test_type_a_no_witness_in_remainder_is_indeterminate(self):
+        # an eigenvalue floor above every Hessian eigenvalue leaves the forced
+        # stage transverse and no generic stage inside its remainder
+        linkage, config = _demo_pair("tri-platform-a")
+        report = verify_platform_singularity(linkage, config, Tolerances(eig_floor=1e6))
+        assert report.verdict is Verdict.INDETERMINATE
+        assert report.rank < report.k
+        assert report.witness is None
+        assert report.notes == (
+            "platform condition (a) on branches (0, 1)",
+            "no witness found inside the remainder",
+        )
+
+    def test_type_b_degenerate_stage_is_non_generic(self):
+        linkage, config = _demo_pair("tri-platform-b")
+        report = verify_platform_singularity(linkage, config, Tolerances(eig_floor=1e6))
+        assert report.verdict is Verdict.INDETERMINATE
+        assert report.rank < report.k
+        assert report.witness is None
+        assert len(report.notes) == 3
+        assert report.notes[0] == "platform condition (b) on branches (0, 1, 2)"
+        assert report.notes[1].startswith("reduced work gradient norm at remainder: ")
+        assert report.notes[2] == "non-generic: stage degenerate (degenerate_hessian)"
+
     def test_platform_classify_agrees(self):
         for name in ("tri-platform-a", "tri-platform-b"):
             linkage, config = _demo_pair(name)
