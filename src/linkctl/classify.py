@@ -24,16 +24,11 @@ from .decomp import (
     StageVerdictKind,
     Tolerances,
     Witness,
-    _build_stage,
     _check_on_constraint,
-    _decomposition,
-    _Hit,
-    _search,
-    _whole,
-    _witness,
     enumerate_chain_removals,
     find_nontransversive_witness,
     find_smoothness_certificate,
+    find_witness_through,
 )
 from .errors import DegenerateDirection, InvalidSpec, NotAPlatform
 from .model import Configuration, Linkage, check_match, constraint_jacobian
@@ -164,7 +159,7 @@ def classify_configuration(
 
     if rank == linkage.k:
         # a full-rank mechanism is its own zero-stage certificate (the search's base case)
-        certificate = _decomposition(_Hit((), _whole(linkage), None))
+        certificate = Decomposition((), tuple(range(linkage.n_vertices)), tuple(range(linkage.k)))
         return ClassificationReport(
             Verdict.SMOOTH, rank, linkage.k, certificate=certificate, branch_report=branch_report,
             notes=("full constraint rank",),
@@ -340,8 +335,9 @@ def verify_platform_singularity(
 ) -> ClassificationReport:
     """Classify a pose already known to satisfy a platform condition.
 
-    Removes one branch as the open chain (for type 'b' the stage itself must
-    be generically non-transverse, and the report records the reduced work
+    Removes one branch as the open chain and takes the witness from
+    ``decomp.find_witness_through`` (for type 'b' the stage itself must be
+    generically non-transverse, and the report records the reduced work
     gradient there; for type 'a' the non-pair branch is removed and the
     witness search continues inside the remainder).  A degenerate stage
     yields Indeterminate, flagged as non-generic.
@@ -356,27 +352,16 @@ def verify_platform_singularity(
     else:
         removed = next(i for i in range(3) if i not in cond.branches)
 
-    removal = _branch_removal(linkage, removed)
-    stage, verdict, remainder, v_rem = _build_stage(_whole(linkage), config, removal, tols)
+    verdict, witness = find_witness_through(linkage, config, _branch_removal(linkage, removed), tols)
     notes = [f"platform condition ({cond.kind}) on branches {cond.branches}"]
     if verdict.gradient_norm is not None:
         notes.append(f"reduced work gradient norm at remainder: {verdict.gradient_norm:.3e}")
-
-    if verdict.kind is StageVerdictKind.GENERICALLY_NON_TRANSVERSE:
-        hit: Optional[_Hit] = _Hit((stage,), remainder, verdict)
-    elif verdict.kind is StageVerdictKind.TRANSVERSE:
-        # the check find_nontransversive_witness makes on its input
-        _check_on_constraint(remainder.linkage, v_rem, tols)
-        hit = _search(remainder, v_rem, tols.depth, tols, False, {})
-        if hit is None:
+    if witness is None:
+        if verdict.kind is StageVerdictKind.TRANSVERSE:
             notes.append("no witness found inside the remainder")
-            return ClassificationReport(Verdict.INDETERMINATE, rank, linkage.k, notes=tuple(notes))
-        hit = hit._replace(stages=(stage,) + hit.stages)
-    else:
-        notes.append(f"non-generic: stage degenerate ({', '.join(verdict.reasons)})")
+        else:
+            notes.append(f"non-generic: stage degenerate ({', '.join(verdict.reasons)})")
         return ClassificationReport(Verdict.INDETERMINATE, rank, linkage.k, notes=tuple(notes))
-
-    witness = _witness(hit, linkage.ambient_dim)
     return ClassificationReport(
         Verdict.GENERIC_SINGULAR, rank, linkage.k, witness=witness,
         conjunction=_conjunction_text(witness), notes=tuple(notes),

@@ -137,18 +137,15 @@ def _two_anchor_chains(linkage: Linkage) -> tuple[np.ndarray, list[float], np.nd
         raise LinkctlError("lens workspace is implemented for cycle mechanisms")
     u, v = linkage.graph.edges[linkage.base_link]
     ground = linkage.lengths[linkage.base_link]
-    adj: dict[int, list[tuple[int, int]]] = {w: [] for w in range(linkage.n_vertices)}
-    for i, (a, b) in enumerate(linkage.graph.edges):
-        adj[a].append((b, i))
-        adj[b].append((a, i))
 
     def walk(start: int) -> list[float]:
         lengths: list[float] = []
         prev_edge = linkage.base_link
         vertex = start
         while vertex != linkage.end_effector:
-            nxt = [(w, i) for w, i in adj[vertex] if i != prev_edge]
-            vertex, prev_edge = nxt[0]
+            vertex, prev_edge = next(
+                (w, i) for w, i in linkage.graph.adjacency[vertex] if i != prev_edge
+            )
             lengths.append(linkage.lengths[prev_edge])
         return lengths
 
@@ -246,30 +243,39 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     # Built once per process: parsing leaves the parser unchanged, and the
     # LINKCTL_SEED fallback is read at command time, in _seed.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol-rank", type=float, default=1e-8, help="relative rank cutoff")
-    common.add_argument("--tol-grad", type=float, default=1e-6, help="gradient tolerance scale")
-    common.add_argument("--tol-align", type=float, default=1e-6, help="alignment tolerance (radians)")
-    common.add_argument("--seed", type=int, default=None, help="RNG seed (default LINKCTL_SEED or 0)")
-    common.add_argument("--depth", type=int, default=4, help="decomposition search depth")
+    # Option groups, each given only to the subcommands that read it; the
+    # defaults are the library's.
+    defaults = Tolerances()
+    rank = argparse.ArgumentParser(add_help=False)
+    rank.add_argument("--tol-rank", type=float, default=defaults.rank, help="relative rank cutoff")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None, help="RNG seed (default LINKCTL_SEED or 0)")
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument(
+        "--tol-grad", type=float, default=defaults.grad_scale, help="gradient tolerance scale"
+    )
+    search.add_argument(
+        "--tol-align", type=float, default=defaults.align, help="alignment tolerance (radians)"
+    )
+    search.add_argument("--depth", type=int, default=defaults.depth, help="decomposition search depth")
 
     parser = argparse.ArgumentParser(prog="linkctl", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common], help="classify a configuration")
+    p = sub.add_parser("analyze", parents=[rank, seed, search], help="classify a configuration")
     p.add_argument("linkage")
     p.add_argument("config")
     p.add_argument("--branches", action="store_true", help="include a local branch count")
     p.add_argument("--svg", help="render the configuration to an SVG file")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("sample", parents=[common], help="draw random configurations")
+    p = sub.add_parser("sample", parents=[seed], help="draw random configurations")
     p.add_argument("linkage")
     p.add_argument("-n", type=int, default=20, help="number of attempts")
     p.add_argument("--svg", help="render the samples to an SVG file")
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("trace", parents=[common], help="trace the solution curve")
+    p = sub.add_parser("trace", parents=[rank], help="trace the solution curve")
     p.add_argument("linkage")
     p.add_argument("config")
     p.add_argument("--step", type=float, default=0.05)
@@ -280,13 +286,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--py", type=int, default=1, help="flat coordinate for the SVG y axis")
     p.set_defaults(func=_cmd_trace)
 
-    p = sub.add_parser("workspace", parents=[common], help="reachable interval or lens")
+    p = sub.add_parser("workspace", help="reachable interval or lens")
     p.add_argument("linkage", nargs="?", help="cycle linkage document (lens mode)")
     p.add_argument("--lengths", help="comma-separated open-chain lengths (interval mode)")
     p.add_argument("--svg", help="render annuli and boundary to an SVG file")
     p.set_defaults(func=_cmd_workspace)
 
-    p = sub.add_parser("branches", parents=[common], help="count local solution branches")
+    p = sub.add_parser("branches", parents=[rank, seed], help="count local solution branches")
     p.add_argument("linkage")
     p.add_argument("config")
     p.add_argument("--radius", type=float, default=None)
@@ -294,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cluster-factor", type=float, default=0.25)
     p.set_defaults(func=_cmd_branches)
 
-    p = sub.add_parser("demo", parents=[common], help="write a demo mechanism to cwd")
+    p = sub.add_parser("demo", help="write a demo mechanism to cwd")
     p.add_argument("name", help=f"one of: {', '.join(DEMO_NAMES)}")
     p.set_defaults(func=_cmd_demo)
 

@@ -17,8 +17,8 @@ Both are found by the same depth-first walk down the decomposition tree
 which stages it descends through.  ``_build_stage`` classifies one removal
 and records it in the host mechanism's ids, so nested stages need no
 remapping; ``_witness`` derives the stage index and the Euclidean factor
-from the stages.  The platform verifier reuses both with a forced first
-removal.
+from the stages.  ``find_witness_through`` runs the witness search with a
+forced first removal, the platform verifier's entry point.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ __all__ = [
     "transversality_check",
     "stage_classify",
     "find_nontransversive_witness",
+    "find_witness_through",
     "find_smoothness_certificate",
     "remainder_mechanism",
     "chain_mechanism",
@@ -139,57 +140,37 @@ def enumerate_chain_removals(graph: MechanismType) -> list[ChainRemoval]:
     if not graph.is_connected():
         raise InvalidSpec("chain removal enumeration requires a connected graph")
 
-    edge_of: dict[frozenset[int], int] = {
-        frozenset(e): i for i, e in enumerate(graph.edges)
-    }
-    adj: dict[int, list[int]] = {v: [] for v in range(graph.vertex_count)}
-    for u, w in graph.edges:
-        adj[u].append(w)
-        adj[w].append(u)
-    degree = {v: len(adj[v]) for v in adj}
+    paths: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
-    paths: list[tuple[int, ...]] = []
-
-    def extend(path: list[int]) -> None:
-        if len(path) >= 2 and path[0] < path[-1]:
-            paths.append(tuple(path))
+    def extend(path: list[int], edges: list[int]) -> None:
+        if edges and path[0] < path[-1]:
+            paths.append((tuple(path), tuple(edges)))
         tail = path[-1]
-        if len(path) >= 2 and degree[tail] != 2:
+        if edges and graph.degree(tail) != 2:
             return  # tail would become an interior vertex of degree != 2
-        for nxt in adj[tail]:
+        for nxt, i in graph.adjacency[tail]:
             if nxt in path:
                 continue
             path.append(nxt)
-            extend(path)
+            edges.append(i)
+            extend(path, edges)
             path.pop()
+            edges.pop()
 
     for start in range(graph.vertex_count):
-        extend([start])
+        extend([start], [])
 
     removals = []
-    for path in paths:
-        chain_edges = tuple(edge_of[frozenset((path[i], path[i + 1]))] for i in range(len(path) - 1))
-        interior = set(path[1:-1])
-        rem_vertices = tuple(v for v in range(graph.vertex_count) if v not in interior)
-        rem_edges = tuple(i for i in range(graph.edge_count) if i not in set(chain_edges))
+    for path, chain_edges in paths:
+        chain = set(chain_edges)
+        rem_edges = tuple(i for i in range(graph.edge_count) if i not in chain)
         if not rem_edges:
             continue
-        # remainder connectivity over its own vertex set; an interior vertex
-        # has degree two, both its edges in the chain, so no remainder edge
-        # touches one
-        sub_adj: dict[int, list[int]] = {v: [] for v in rem_vertices}
-        for i in rem_edges:
-            u, w = graph.edges[i]
-            sub_adj[u].append(w)
-            sub_adj[w].append(u)
-        seen = {rem_vertices[0]}
-        stack = [rem_vertices[0]]
-        while stack:
-            for nb in sub_adj[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        if len(seen) != len(rem_vertices):
+        interior = set(path[1:-1])
+        rem_vertices = tuple(v for v in range(graph.vertex_count) if v not in interior)
+        # an interior vertex has degree two, both its edges in the chain, so a
+        # walk that skips chain edges stays in the remainder
+        if len(graph.reachable(path[0], chain)) != len(rem_vertices):
             continue
         removals.append(
             ChainRemoval(
@@ -380,13 +361,9 @@ def stage_classify(
 
 
 @dataclass(frozen=True)
-class DecompositionStage:
+class DecompositionStage(ChainRemoval):
     """One removal step, recorded in the host mechanism's original ids."""
 
-    chain_vertices: tuple[int, ...]
-    chain_edges: tuple[int, ...]
-    remainder_vertices: tuple[int, ...]
-    remainder_edges: tuple[int, ...]
     chain_aligned: bool
 
 
@@ -553,6 +530,32 @@ def find_nontransversive_witness(
     depth = tols.depth if depth_limit is None else depth_limit
     hit = _search(_whole(linkage), config, depth, tols, False, {})
     return None if hit is None else _witness(hit, linkage.ambient_dim)
+
+
+def find_witness_through(
+    linkage: Linkage,
+    config: Configuration,
+    removal: ChainRemoval,
+    tols: Tolerances = Tolerances(),
+) -> tuple[StageVerdict, Optional[Witness]]:
+    """Witness search whose first stage is the given removal of the whole
+    mechanism; returns that stage's verdict and the witness, if any.
+
+    A generically non-transverse stage is itself the witness.  A transverse
+    stage is followed by the first witness inside its remainder within
+    tols.depth stages, after the remainder's residual check.  A degenerate
+    stage, or a remainder without a witness, gives None.
+    """
+    stage, verdict, remainder, v_rem = _build_stage(_whole(linkage), config, removal, tols)
+    hit: Optional[_Hit] = None
+    if verdict.kind is StageVerdictKind.GENERICALLY_NON_TRANSVERSE:
+        hit = _Hit((), remainder, verdict)
+    elif verdict.kind is StageVerdictKind.TRANSVERSE:
+        _check_on_constraint(remainder.linkage, v_rem, tols)
+        hit = _search(remainder, v_rem, tols.depth, tols, False, {})
+    if hit is None:
+        return verdict, None
+    return verdict, _witness(hit._replace(stages=(stage,) + hit.stages), linkage.ambient_dim)
 
 
 def find_smoothness_certificate(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Container, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -65,24 +65,31 @@ class MechanismType:
     def edge_count(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The (neighbour, edge index) pairs of each vertex, in edge order."""
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.vertex_count)]
+        for i, (u, w) in enumerate(self.edges):
+            adj[u].append((w, i))
+            adj[w].append((u, i))
+        return tuple(tuple(a) for a in adj)
+
+    def reachable(self, start: int, skip_edges: Container[int] = ()) -> set[int]:
+        """Vertices reachable from ``start`` along edges not in ``skip_edges``."""
+        seen = {start}
+        stack = [start]
+        while stack:
+            for nb, i in self.adjacency[stack.pop()]:
+                if nb not in seen and i not in skip_edges:
+                    seen.add(nb)
+                    stack.append(nb)
+        return seen
+
     def degree(self, v: int) -> int:
-        return sum(1 for u, w in self.edges if v in (u, w))
+        return len(self.adjacency[v])
 
     def is_connected(self) -> bool:
-        if self.vertex_count == 1:
-            return True
-        adj: dict[int, list[int]] = {v: [] for v in range(self.vertex_count)}
-        for u, w in self.edges:
-            adj[u].append(w)
-            adj[w].append(u)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for n in adj[stack.pop()]:
-                if n not in seen:
-                    seen.add(n)
-                    stack.append(n)
-        return len(seen) == self.vertex_count
+        return len(self.reachable(0)) == self.vertex_count
 
 
 @dataclass(frozen=True)

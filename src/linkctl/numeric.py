@@ -570,8 +570,11 @@ def trace_curve(
     predictor, and stops on loop closure, step exhaustion, or singularity
     indicators: a jump in tangent direction or dimension ("tangent_jump"),
     the rank-proximity ratio falling below detect_tol, or a corrector that
-    keeps failing as the step shrinks ("stalled_at_singularity").
+    keeps failing as the step shrinks ("stalled_at_singularity").  Raises
+    InvalidSpec unless step is positive and finite.
     """
+    if not (np.isfinite(step) and step > 0):
+        raise InvalidSpec(f"step must be positive and finite, got {step}")
     v = _gauge_fix(linkage, project_to_cspace(linkage, start, tol=project_tol))
     frame = tangent_frame(linkage, v, Gauge.REDUCED, tol_rank)
     if frame.dim != 1:

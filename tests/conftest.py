@@ -3,6 +3,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
+from linkctl.decomp import ChainRemoval
 from linkctl.model import Configuration, Linkage, MechanismType
 
 
@@ -273,3 +274,59 @@ def reference_local_branch_count(
         stable=(n_branches == n_half),
         halved_branch_count=n_half,
     )
+
+
+def reference_enumerate_chain_removals(graph: MechanismType) -> list[ChainRemoval]:
+    """Reference removal enumeration: its own adjacency, edge and degree maps,
+    and a remainder connectivity walk over a sub-adjacency built per path."""
+    assert graph.is_connected()
+    edge_of = {frozenset(e): i for i, e in enumerate(graph.edges)}
+    adj: dict[int, list[int]] = {v: [] for v in range(graph.vertex_count)}
+    for u, w in graph.edges:
+        adj[u].append(w)
+        adj[w].append(u)
+    degree = {v: len(adj[v]) for v in adj}
+
+    paths: list[tuple[int, ...]] = []
+
+    def extend(path: list[int]) -> None:
+        if len(path) >= 2 and path[0] < path[-1]:
+            paths.append(tuple(path))
+        tail = path[-1]
+        if len(path) >= 2 and degree[tail] != 2:
+            return
+        for nxt in adj[tail]:
+            if nxt in path:
+                continue
+            path.append(nxt)
+            extend(path)
+            path.pop()
+
+    for start in range(graph.vertex_count):
+        extend([start])
+
+    removals = []
+    for path in paths:
+        chain_edges = tuple(edge_of[frozenset((path[i], path[i + 1]))] for i in range(len(path) - 1))
+        interior = set(path[1:-1])
+        rem_vertices = tuple(v for v in range(graph.vertex_count) if v not in interior)
+        rem_edges = tuple(i for i in range(graph.edge_count) if i not in set(chain_edges))
+        if not rem_edges:
+            continue
+        sub_adj: dict[int, list[int]] = {v: [] for v in rem_vertices}
+        for i in rem_edges:
+            u, w = graph.edges[i]
+            sub_adj[u].append(w)
+            sub_adj[w].append(u)
+        seen = {rem_vertices[0]}
+        stack = [rem_vertices[0]]
+        while stack:
+            for nb in sub_adj[stack.pop()]:
+                if nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+        if len(seen) != len(rem_vertices):
+            continue
+        removals.append(ChainRemoval(path, chain_edges, rem_vertices, rem_edges))
+    removals.sort(key=lambda r: r.chain_edges)
+    return removals

@@ -271,6 +271,29 @@ def test_criterion_6_platform_conditions():
     _report("6 platform-conditions", True)
 
 
+def _generic_platform():
+    """tri-platform-b with leg A1-P1 (edge 6) made 10% longer: lengths with
+    no forced alignment, so its configuration space has smooth 3-DOF poses."""
+    linkage_doc, _ = build_demo("tri-platform-b")
+    linkage_doc = json.loads(json.dumps(linkage_doc))
+    linkage_doc["edges"][6]["length"] *= 1.1
+    return build_linkage(linkage_doc)
+
+
+def test_criterion_6_platform_conditions_on_smooth_poses():
+    linkage = _generic_platform()
+    poses = []
+    seed = 0
+    while len(poses) < 1000:
+        poses += sample_cspace(linkage, 200, seed=seed)
+        seed += 1
+    for pose in poses[:1000]:
+        sigma = np.linalg.svd(constraint_jacobian(linkage, pose), compute_uv=False)
+        assert sigma[linkage.k - 1] / sigma[0] >= 1e-4
+        assert platform_conditions(linkage, pose) is None
+    _report("6 platform-conditions on smooth poses", True)
+
+
 def test_criterion_7_workspace_intervals():
     assert workspace_interval((2, 1)) == (1.0, 3.0)
     assert workspace_interval((1, 1, 1)) == (0.0, 3.0)

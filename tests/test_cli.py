@@ -3,6 +3,7 @@ import json
 import pytest
 
 from linkctl.cli import _build_parser, main
+from linkctl.decomp import Tolerances
 from linkctl.demos import DEMO_NAMES, build_demo
 from linkctl.model import build_linkage
 
@@ -103,6 +104,16 @@ class TestTraceCommand:
         assert doc["stop_reason"] == "loop_closed"
         assert svg_path.exists()
 
+    @pytest.mark.parametrize("step", ["0", "-0.05"])
+    def test_non_positive_step_exits_1(self, demo_files, capsys, step):
+        lp, cp = demo_files("four-bar-regular")
+        code = main(["trace", lp, cp, "--step", step, "--max-steps", "30"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: step must be positive and finite")
+
+
 
 class TestWorkspaceCommand:
     def test_interval_mode(self, capsys):
@@ -191,3 +202,51 @@ class TestOneProcess:
         monkeypatch.setenv("LINKCTL_SEED", "1")
         _, again = run(capsys, "sample", lp, "-n", "4")
         assert again == env1
+
+
+_POSITIONALS = {
+    "analyze": ["l.json", "c.json"],
+    "sample": ["l.json"],
+    "trace": ["l.json", "c.json"],
+    "workspace": ["--lengths", "2,1"],
+    "branches": ["l.json", "c.json"],
+    "demo": ["four-bar-singular"],
+}
+_READ = {
+    "analyze": {"--tol-rank", "--tol-grad", "--tol-align", "--seed", "--depth"},
+    "sample": {"--seed"},
+    "trace": {"--tol-rank"},
+    "workspace": set(),
+    "branches": {"--tol-rank", "--seed"},
+    "demo": set(),
+}
+_VALUES = {"--tol-rank": "0.001", "--tol-grad": "0.002", "--tol-align": "0.003", "--seed": "3", "--depth": "1"}
+
+
+class TestOptions:
+    @pytest.mark.parametrize(
+        "command, option",
+        [(c, o) for c in _POSITIONALS for o in _VALUES if o not in _READ[c]],
+    )
+    def test_option_a_command_does_not_read_exits_2(self, capsys, command, option):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *_POSITIONALS[command], option, _VALUES[option]])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", list(_POSITIONALS))
+    def test_options_a_command_reads_parse(self, command):
+        argv = [command, *_POSITIONALS[command]]
+        for option in sorted(_READ[command]):
+            argv += [option, _VALUES[option]]
+        args = _build_parser().parse_args(argv)
+        for option in _READ[command]:
+            assert str(getattr(args, option[2:].replace("-", "_"))) == _VALUES[option]
+
+    def test_defaults_come_from_tolerances(self):
+        args = _build_parser().parse_args(["analyze", "l.json", "c.json"])
+        defaults = Tolerances()
+        assert (args.tol_rank, args.tol_grad, args.tol_align, args.depth) == (
+            defaults.rank, defaults.grad_scale, defaults.align, defaults.depth
+        )
+        assert args.seed is None

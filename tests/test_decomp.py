@@ -21,7 +21,17 @@ from linkctl.model import (
 )
 from linkctl.numeric import sample_cspace
 
-from conftest import egsing_linkage, four_bar, four_bar_node, triangle
+from linkctl.demos import DEMO_NAMES, build_demo
+from linkctl.model import build_linkage
+
+from conftest import (
+    egsing_linkage,
+    four_bar,
+    four_bar_node,
+    random_linkage,
+    reference_enumerate_chain_removals,
+    triangle,
+)
 
 
 class TestEnumerateRemovals:
@@ -70,6 +80,25 @@ class TestEnumerateRemovals:
         seven = MechanismType(6, tuple(e for i, e in enumerate(linkage.graph.edges) if i != 4))
         chains = {r.chain_vertices for r in enumerate_chain_removals(seven)}
         assert (1, 0, 3) in chains or (3, 0, 1) in chains
+
+    @pytest.mark.parametrize("name", DEMO_NAMES)
+    def test_matches_reference_on_demos(self, name):
+        graph = build_linkage(build_demo(name)[0]).graph
+        assert enumerate_chain_removals(graph) == reference_enumerate_chain_removals(graph)
+
+    def test_matches_reference_on_random_graphs(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            graph = random_linkage(rng, max_vertices=9)[0].graph
+            assert enumerate_chain_removals(graph) == reference_enumerate_chain_removals(graph)
+
+    def test_adjacency_and_walk(self):
+        graph = four_bar().graph  # edges (0,1), (1,2), (2,3), (3,0)
+        assert graph.adjacency == (((1, 0), (3, 3)), ((0, 0), (2, 1)), ((1, 1), (3, 2)), ((2, 2), (0, 3)))
+        assert graph.reachable(0) == {0, 1, 2, 3}
+        assert graph.reachable(0, {0, 3}) == {0}
+        assert graph.reachable(1, {1, 3}) == {0, 1}
+        assert [graph.degree(v) for v in range(4)] == [2, 2, 2, 2]
 
 
 class TestTransversalityCheck:

@@ -468,6 +468,13 @@ class TestTraceCurve:
         dots = np.einsum("ij,ij->i", secants[:-1], secants[1:])
         assert np.all(dots > 0)
 
+    @pytest.mark.parametrize("step", [0.0, -0.05, float("nan"), float("inf")])
+    def test_step_must_be_positive_and_finite(self, step):
+        linkage = four_bar((2.0, 1.2, 1.7, 0.9))
+        start = sample_cspace(linkage, 1, seed=11)[0]
+        with pytest.raises(InvalidSpec, match="step"):
+            trace_curve(linkage, start, step=step, max_steps=30)
+
     def test_not_a_curve(self):
         linkage = triangle()
         v = project_to_cspace(linkage, Configuration([(0, 0), (3, 0), (3, 4)]))
