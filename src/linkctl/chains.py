@@ -233,8 +233,10 @@ def chain_work_image(
     config: Configuration | np.ndarray,
     tol_rank: float = 1e-8,
 ) -> SubspaceBasis:
-    """Image of the work-map differential on the pointed tangent space.
+    """Image of the work-map differential on the constraint null space.
 
+    No gauge is removed: translations lie in the null space and the work map
+    sends them to 0, so this is the image over the pointed tangent space.
     Dimension d off alignment (for k >= 2); dimension d-1 and orthogonal to
     the alignment direction when aligned.
     """

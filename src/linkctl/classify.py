@@ -24,14 +24,13 @@ from .decomp import (
     StageVerdictKind,
     Tolerances,
     Witness,
-    _check_on_constraint,
     enumerate_chain_removals,
     find_nontransversive_witness,
     find_smoothness_certificate,
     find_witness_through,
 )
 from .errors import DegenerateDirection, InvalidSpec, NotAPlatform
-from .model import Configuration, Linkage, check_match, constraint_jacobian
+from .model import Configuration, Linkage, check_match, check_on_constraint, constraint_jacobian
 from .numeric import BranchReport, local_branch_count, numerical_rank
 
 __all__ = [
@@ -148,9 +147,8 @@ def classify_configuration(
     both turn up the report says Conflict and surfaces them, since that
     combination signals a numerical tolerance problem rather than geometry.
     """
-    check_match(linkage, config)
-    _check_on_constraint(linkage, config, tols)
-    depth = depth_limit if depth_limit is not None else tols.depth
+    depth = tols.search_depth(depth_limit)
+    check_on_constraint(linkage, config, tols.residual)
 
     rank = numerical_rank(constraint_jacobian(linkage, config), tols.rank)
     branch_report = None

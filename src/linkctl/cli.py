@@ -108,6 +108,9 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     linkage, config = _load_pair(args.linkage, args.config)
+    coords = config.flat.size
+    if args.svg and not (0 <= args.px < coords and 0 <= args.py < coords):
+        raise LinkctlError(f"--px and --py must lie in [0, {coords}), got {args.px} and {args.py}")
     result = trace_curve(
         linkage,
         config,
@@ -133,7 +136,8 @@ def _two_anchor_chains(linkage: Linkage) -> tuple[np.ndarray, list[float], np.nd
     """Split a cycle with a ground edge into the two anchor-to-effector chains."""
     if linkage.base_link is None or linkage.end_effector is None:
         raise LinkctlError("workspace of a linkage needs base_link and effector")
-    if any(linkage.graph.degree(v) != 2 for v in range(linkage.n_vertices)):
+    graph = linkage.graph
+    if not graph.is_connected() or any(graph.degree(v) != 2 for v in range(linkage.n_vertices)):
         raise LinkctlError("lens workspace is implemented for cycle mechanisms")
     u, v = linkage.graph.edges[linkage.base_link]
     ground = linkage.lengths[linkage.base_link]

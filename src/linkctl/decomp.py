@@ -24,7 +24,7 @@ forced first removal, the platform verifier's entry point.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -44,8 +44,8 @@ from .model import (
     MechanismType,
     SubspaceBasis,
     check_match,
+    check_on_constraint,
     constraint_jacobian,
-    constraint_residual,
 )
 from .numeric import numerical_rank, reduced_work_data, work_image
 
@@ -75,7 +75,8 @@ class Tolerances:
 
     tol_grad scales with the total length; the eigenvalue cutoff combines a
     relative part with an absolute floor so exactly-zero Hessians are
-    recognized as degenerate.
+    recognized as degenerate.  Raises InvalidSpec unless every threshold is
+    finite and >= 0 and the depth is >= 0.
     """
 
     rank: float = 1e-8
@@ -86,6 +87,20 @@ class Tolerances:
     effector_match: float = 1e-8
     residual: float = 1e-8
     depth: int = 4
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "depth" and not (np.isfinite(value) and value >= 0):
+                raise InvalidSpec(f"tolerance {f.name} must be finite and >= 0, got {value}")
+        self.search_depth(None)
+
+    def search_depth(self, depth_limit: Optional[int]) -> int:
+        """depth_limit, or self.depth when it is None; raises InvalidSpec when negative."""
+        depth = self.depth if depth_limit is None else depth_limit
+        if depth < 0:
+            raise InvalidSpec(f"search depth must be >= 0, got {depth}")
+        return depth
 
     def grad_tol(self, linkage: Linkage) -> float:
         return self.grad_scale * (1.0 + linkage.length_scale)
@@ -395,12 +410,6 @@ def _whole(linkage: Linkage) -> SubMechanism:
     )
 
 
-def _check_on_constraint(linkage: Linkage, config: Configuration, tols: Tolerances) -> None:
-    res = constraint_residual(linkage, config)
-    if np.max(np.abs(res)) >= tols.residual * (1.0 + linkage.length_scale):
-        raise OffConstraint(f"configuration residual {np.max(np.abs(res)):.3g} too large")
-
-
 def _build_stage(
     sub: SubMechanism,
     sub_cfg: Configuration,
@@ -460,7 +469,7 @@ def _search(
     returned.  A certificate stops at a full-rank base and descends through
     transverse stages, ``depth`` counting removals.  A witness stops at a
     generically non-transverse stage and descends through non-aligned
-    chains, ``depth`` counting stages.
+    chains, ``depth`` counting stages.  At depth 0 neither visits a removal.
     """
     key = (frozenset(sub.edge_ids), depth)
     if key in memo:
@@ -471,7 +480,7 @@ def _search(
     )
     if full_rank:
         result = _Hit((), sub, None)
-    elif depth > 0 or not certificate:
+    elif depth > 0:
         for removal in enumerate_chain_removals(sub.linkage.graph):
             try:
                 stage, verdict, remainder, v_rem = _build_stage(sub, sub_cfg, removal, tols)
@@ -526,8 +535,8 @@ def find_nontransversive_witness(
     depth limit, which callers must report as indeterminate, never as smooth.
     depth_limit None means tols.depth.
     """
-    _check_on_constraint(linkage, config, tols)
-    depth = tols.depth if depth_limit is None else depth_limit
+    depth = tols.search_depth(depth_limit)
+    check_on_constraint(linkage, config, tols.residual)
     hit = _search(_whole(linkage), config, depth, tols, False, {})
     return None if hit is None else _witness(hit, linkage.ambient_dim)
 
@@ -551,7 +560,7 @@ def find_witness_through(
     if verdict.kind is StageVerdictKind.GENERICALLY_NON_TRANSVERSE:
         hit = _Hit((), remainder, verdict)
     elif verdict.kind is StageVerdictKind.TRANSVERSE:
-        _check_on_constraint(remainder.linkage, v_rem, tols)
+        check_on_constraint(remainder.linkage, v_rem, tols.residual)
         hit = _search(remainder, v_rem, tols.depth, tols, False, {})
     if hit is None:
         return verdict, None
@@ -571,7 +580,7 @@ def find_smoothness_certificate(
     search order; None means no certificate within the depth limit.
     depth_limit None means tols.depth.
     """
-    _check_on_constraint(linkage, config, tols)
-    depth = tols.depth if depth_limit is None else depth_limit
+    depth = tols.search_depth(depth_limit)
+    check_on_constraint(linkage, config, tols.residual)
     hit = _search(_whole(linkage), config, depth, tols, True, {})
     return None if hit is None else _decomposition(hit)

@@ -18,7 +18,7 @@ from typing import Container, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateDirection, DimensionMismatch, InvalidSpec
+from .errors import DegenerateDirection, DimensionMismatch, InvalidSpec, OffConstraint
 
 __all__ = [
     "MechanismType",
@@ -262,6 +262,13 @@ def check_match(linkage: Linkage, config: Configuration) -> None:
             f"configuration shape ({config.n_vertices},{config.dim}) does not match "
             f"linkage ({linkage.n_vertices},{linkage.ambient_dim})"
         )
+
+
+def check_on_constraint(linkage: Linkage, config: Configuration, tol: float = 1e-8) -> None:
+    """Raise OffConstraint unless every residual is below tol * (1 + total length); no edges pass."""
+    worst = float(np.abs(constraint_residual(linkage, config)).max(initial=0.0))
+    if worst >= tol * (1.0 + linkage.length_scale):
+        raise OffConstraint(f"configuration residual {worst:.3g} too large")
 
 
 def build_linkage(doc: Mapping) -> Linkage:

@@ -2,6 +2,9 @@
 sampling, tangent frames, finite-difference derivative oracles, reduced work
 data, pseudo-arclength continuation, and local branch counting.
 
+Tangent frames, work images and traced points read the constraint Jacobian's
+null space off one SVD per configuration, taken in ``_null_space``.
+
 All stochastic operations are pure functions of (inputs, seed): every sample
 draws from its own substream keyed by (seed, index).
 """
@@ -20,7 +23,6 @@ from .errors import (
     NoConvergence,
     NoFeasiblePoint,
     NotACurve,
-    OffConstraint,
 )
 from .model import (
     Configuration,
@@ -32,8 +34,8 @@ from .model import (
     _residual_rows,
     check_finite,
     check_match,
+    check_on_constraint,
     constraint_jacobian,
-    constraint_residual,
     pointed_normalize,
     reduced_normalize,
 )
@@ -388,6 +390,22 @@ def _orthonormal_rows(rows: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
     return vt[: np.count_nonzero(_kept_singular_values(s, rel_tol))]
 
 
+def _null_space(linkage: Linkage, config: Configuration, tol_rank: float) -> tuple[np.ndarray, np.ndarray]:
+    """The constraint Jacobian's singular values (largest first) and orthonormal
+    null rows at a configuration on the constraint set (check_on_constraint)."""
+    check_on_constraint(linkage, config)
+    _, s, vt = np.linalg.svd(constraint_jacobian(linkage, config), full_matrices=True)
+    return s, vt[np.count_nonzero(_kept_singular_values(s, tol_rank)) :]
+
+
+def _gauge_frame(config: Configuration, null: np.ndarray, gauge: Gauge) -> TangentFrame:
+    """The tangent frame of config: the null rows with the gauge subspace projected out."""
+    gauge_vecs = _orthonormal_rows(_gauge_vectors(config.points, gauge))
+    if gauge_vecs.shape[0] and null.shape[0]:
+        null = null - (null @ gauge_vecs.T) @ gauge_vecs
+    return TangentFrame(base_config=config, basis=_orthonormal_rows(null), gauge=gauge)
+
+
 def tangent_frame(
     linkage: Linkage,
     config: Configuration,
@@ -398,19 +416,7 @@ def tangent_frame(
 
     Requires the configuration to satisfy the constraints to 1e-8.
     """
-    check_match(linkage, config)
-    res = constraint_residual(linkage, config)
-    if np.max(np.abs(res)) >= 1e-8 * (1.0 + linkage.length_scale):
-        raise OffConstraint(f"residual too large for tangent analysis: {np.max(np.abs(res)):.3g}")
-
-    jac = constraint_jacobian(linkage, config)
-    _, s, vt = np.linalg.svd(jac, full_matrices=True)
-    null = vt[np.count_nonzero(_kept_singular_values(s, tol_rank)) :]
-
-    gauge_vecs = _orthonormal_rows(_gauge_vectors(config.points, gauge))
-    if gauge_vecs.shape[0] and null.shape[0]:
-        null = null - (null @ gauge_vecs.T) @ gauge_vecs
-    return TangentFrame(base_config=config, basis=_orthonormal_rows(null), gauge=gauge)
+    return _gauge_frame(config, _null_space(linkage, config, tol_rank)[1], gauge)
 
 
 def work_image(
@@ -420,15 +426,13 @@ def work_image(
     effector: int,
     tol_rank: float = 1e-8,
 ) -> SubspaceBasis:
-    """Image of the effector-displacement differential over the pointed tangent."""
+    """Image of the effector-displacement differential over the constraint null
+    space.  No gauge is removed: the map sends translations, which lie in the
+    null space, to 0, so this is the image over the pointed tangent."""
     d = linkage.ambient_dim
-    frame = tangent_frame(linkage, config, Gauge.POINTED, tol_rank)
-    if frame.dim == 0:
-        return SubspaceBasis(d, np.zeros((0, d)))
-    fields = frame.basis.reshape(frame.dim, linkage.n_vertices, d)
+    fields = _null_space(linkage, config, tol_rank)[1].reshape(-1, linkage.n_vertices, d)
     rows = fields[:, effector, :] - fields[:, base, :]
-    basis = _orthonormal_rows(rows, rel_tol=max(tol_rank, 1e-9))
-    return SubspaceBasis(d, basis)
+    return SubspaceBasis(d, _orthonormal_rows(rows, rel_tol=max(tol_rank, 1e-9)))
 
 
 def _retract(linkage: Linkage, flat: np.ndarray, tol_rank: float) -> Configuration:
@@ -543,15 +547,6 @@ def _gauge_fix(linkage: Linkage, config: Configuration) -> Configuration:
     return pointed_normalize(config, linkage.base_vertex)
 
 
-def _singularity_proximity(linkage: Linkage, config: Configuration) -> float:
-    """Ratio sigma_k / sigma_1 of the constraint Jacobian; small near rank drops."""
-    s = np.linalg.svd(constraint_jacobian(linkage, config), compute_uv=False)
-    k = linkage.k
-    if s.size < k or s[0] == 0.0:
-        return 0.0
-    return float(s[k - 1] / s[0])
-
-
 def trace_curve(
     linkage: Linkage,
     start: Configuration,
@@ -612,11 +607,14 @@ def trace_curve(
             break
 
         w = _gauge_fix(linkage, Configuration.from_flat(corrected, d))
-        if _singularity_proximity(linkage, w) < detect_tol:
+        s, null = _null_space(linkage, w, tol_rank)
+        # sigma_k / sigma_1 of the constraint Jacobian, small near a rank drop
+        proximity = s[linkage.k - 1] / s[0] if s.size >= linkage.k and s[0] > 0.0 else 0.0
+        if proximity < detect_tol:
             points.append(w)
             reason = "tangent_jump"
             break
-        new_frame = tangent_frame(linkage, w, Gauge.REDUCED, tol_rank)
+        new_frame = _gauge_frame(w, null, Gauge.REDUCED)
         if new_frame.dim != 1:
             points.append(w)
             reason = "tangent_jump"

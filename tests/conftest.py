@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from linkctl.decomp import ChainRemoval
-from linkctl.model import Configuration, Linkage, MechanismType
+from linkctl.model import Configuration, Linkage, MechanismType, SubspaceBasis
 
 
 def four_bar(lengths=(3.0, 2.5, 1.5, 2.0)) -> Linkage:
@@ -330,3 +330,19 @@ def reference_enumerate_chain_removals(graph: MechanismType) -> list[ChainRemova
         removals.append(ChainRemoval(path, chain_edges, rem_vertices, rem_edges))
     removals.sort(key=lambda r: r.chain_edges)
     return removals
+
+
+def reference_work_image(
+    linkage: Linkage, config: Configuration, base: int, effector: int, tol_rank: float = 1e-8
+) -> SubspaceBasis:
+    """Reference work image: the effector-minus-base differential over the
+    pointed tangent frame, translations projected out of the null space first."""
+    from linkctl.numeric import Gauge, _orthonormal_rows, tangent_frame
+
+    d = linkage.ambient_dim
+    frame = tangent_frame(linkage, config, Gauge.POINTED, tol_rank)
+    if frame.dim == 0:
+        return SubspaceBasis(d, np.zeros((0, d)))
+    fields = frame.basis.reshape(frame.dim, linkage.n_vertices, d)
+    rows = fields[:, effector, :] - fields[:, base, :]
+    return SubspaceBasis(d, _orthonormal_rows(rows, rel_tol=max(tol_rank, 1e-9)))

@@ -10,7 +10,7 @@ from linkctl.classify import (
 )
 from linkctl.chains import is_aligned
 from linkctl.decomp import StageVerdictKind, Tolerances, find_nontransversive_witness
-from linkctl.errors import DegenerateDirection, NotAPlatform, OffConstraint
+from linkctl.errors import DegenerateDirection, InvalidSpec, NotAPlatform, OffConstraint
 from linkctl.model import Configuration, Linkage, MechanismType, build_linkage
 from linkctl.numeric import numerical_rank, sample_cspace
 from linkctl.model import constraint_jacobian
@@ -48,6 +48,23 @@ class TestClassify:
     def test_off_constraint_rejected(self, fb):
         with pytest.raises(OffConstraint):
             classify_configuration(fb, Configuration([(0, 0), (1, 1), (2, 2), (3, 3)]))
+
+    def test_edgeless_linkage_is_smooth(self):
+        linkage = Linkage(MechanismType(2, ()), (), ambient_dim=2)
+        report = classify_configuration(linkage, Configuration([(0.0, 0.0), (1.0, 0.0)]))
+        assert report.verdict is Verdict.SMOOTH
+        assert (report.rank, report.k) == (0, 0)
+
+    def test_depth_zero_is_indeterminate(self, fb, fb_node):
+        report = classify_configuration(fb, fb_node, depth_limit=0)
+        assert report.verdict is Verdict.INDETERMINATE
+        assert report.witness is None and report.certificate is None
+
+    def test_negative_depth_rejected(self, fb, fb_node):
+        v = sample_cspace(fb, 1, seed=5)[0]
+        for config in (v, fb_node):
+            with pytest.raises(InvalidSpec, match="depth"):
+                classify_configuration(fb, config, depth_limit=-3)
 
     def test_rigid_motion_invariance(self, fb, fb_node):
         rng = np.random.default_rng(40)

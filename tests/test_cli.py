@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import linkctl
 
 from linkctl.cli import _build_parser, main
 from linkctl.decomp import Tolerances
@@ -74,6 +80,24 @@ class TestAnalyzeCommand:
         bad.write_text("{not json")
         assert main(["analyze", str(bad), str(bad)]) == 1
 
+    def test_depth_zero_is_indeterminate(self, demo_files, capsys):
+        lp, cp = demo_files("four-bar-singular")
+        code, out = run(capsys, "analyze", lp, cp, "--depth", "0")
+        assert code == 20
+        assert json.loads(out)["witness"] is None
+
+    @pytest.mark.parametrize(
+        "option",
+        [("--depth", "-3"), ("--tol-align", "nan"), ("--tol-grad", "-1"), ("--tol-rank", "nan")],
+    )
+    def test_out_of_range_option_exits_1(self, demo_files, capsys, option):
+        lp, cp = demo_files("four-bar-singular")
+        code = main(["analyze", lp, cp, *option])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and ">= 0, got" in captured.err
+
     def test_svg_written(self, demo_files, tmp_path, capsys):
         lp, cp = demo_files("four-bar-singular")
         out_svg = tmp_path / "fb.svg"
@@ -113,6 +137,17 @@ class TestTraceCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: step must be positive and finite")
 
+    @pytest.mark.parametrize("axes", [("99", "1"), ("0", "-1"), ("8", "0"), ("-1", "1")])
+    def test_svg_axis_out_of_range_exits_1(self, demo_files, tmp_path, capsys, axes):
+        # four-bar-regular has 4 vertices in the plane: flat coordinates 0..7
+        lp, cp = demo_files("four-bar-regular")
+        svg_path = tmp_path / "curve.svg"
+        code = main(["trace", lp, cp, "--svg", str(svg_path), "--px", axes[0], "--py", axes[1]])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: --px and --py must lie in [0, 8)")
+        assert not svg_path.exists()
 
 
 class TestWorkspaceCommand:
@@ -130,6 +165,26 @@ class TestWorkspaceCommand:
         assert doc["annuli"][0]["m"] == pytest.approx(1.0)
         assert doc["annuli"][0]["M"] == pytest.approx(4.0)
         assert len(doc["boundary"]) > 100
+
+    def test_disconnected_cycles_exit_1(self, tmp_path):
+        # two disjoint triangles: every degree is 2, but no cycle joins base and effector
+        edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
+        doc = {
+            "dim": 2, "vertices": 6, "base": 0, "base_link": 0, "effector": 4,
+            "edges": [{"u": u, "v": v, "length": 1.0} for u, v in edges],
+        }
+        path = tmp_path / "two-triangles.json"
+        path.write_text(json.dumps(doc))
+        # a subprocess, so that a walk that never ends fails the test instead of hanging it
+        src = str(Path(linkctl.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "linkctl.cli", "workspace", str(path)],
+            capture_output=True, text=True, timeout=30, env=env,
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: lens workspace is implemented for cycle mechanisms")
 
 
 class TestBranchesCommand:

@@ -1,8 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from linkctl.decomp import (
     StageVerdictKind,
+    Tolerances,
     chain_mechanism,
     enumerate_chain_removals,
     find_nontransversive_witness,
@@ -11,7 +14,7 @@ from linkctl.decomp import (
     stage_classify,
     transversality_check,
 )
-from linkctl.errors import DimensionMismatch, MismatchedEffector
+from linkctl.errors import DimensionMismatch, InvalidSpec, MismatchedEffector
 from linkctl.model import (
     Configuration,
     Linkage,
@@ -208,6 +211,11 @@ class TestWitnessSearch:
             a.verdict.hessian_eigenvalues, b.verdict.hessian_eigenvalues
         )
 
+    def test_depth_zero_finds_nothing(self, fb, fb_node):
+        assert find_nontransversive_witness(fb, fb_node, depth_limit=1) is not None
+        assert find_nontransversive_witness(fb, fb_node, depth_limit=0) is None
+        assert find_nontransversive_witness(fb, fb_node, tols=Tolerances(depth=0)) is None
+
 
 class TestCertificateSearch:
     def test_full_rank_trivial_certificate(self, fb):
@@ -225,3 +233,26 @@ class TestCertificateSearch:
         # decomposition exists
         linkage, config = egsing
         assert find_smoothness_certificate(linkage, config, depth_limit=5) is None
+
+    def test_depth_zero_finds_only_a_full_rank_base(self, fb, fb_node):
+        v = sample_cspace(fb, 1, seed=5)[0]
+        assert find_smoothness_certificate(fb, v, depth_limit=0).stages == ()
+        assert find_smoothness_certificate(fb, fb_node, depth_limit=0) is None
+
+
+class TestTolerances:
+    @pytest.mark.parametrize("name", [f.name for f in fields(Tolerances) if f.name != "depth"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_thresholds_must_be_finite_and_non_negative(self, name, value):
+        with pytest.raises(InvalidSpec, match=name):
+            Tolerances(**{name: value})
+
+    def test_zero_thresholds_and_depth_allowed(self):
+        Tolerances(**{f.name: 0 for f in fields(Tolerances)})
+
+    def test_negative_depth(self, fb, fb_node):
+        with pytest.raises(InvalidSpec, match="depth"):
+            Tolerances(depth=-1)
+        for search in (find_nontransversive_witness, find_smoothness_certificate):
+            with pytest.raises(InvalidSpec, match="depth"):
+                search(fb, fb_node, depth_limit=-3)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from linkctl.errors import DegenerateDirection, DimensionMismatch, InvalidSpec
+from linkctl.errors import DegenerateDirection, DimensionMismatch, InvalidSpec, OffConstraint
 from linkctl.model import (
     Configuration,
     Linkage,
@@ -10,6 +10,7 @@ from linkctl.model import (
     _jacobian_rows,
     _residual_rows,
     build_linkage,
+    check_on_constraint,
     constraint_jacobian,
     constraint_residual,
     pointed_normalize,
@@ -118,6 +119,29 @@ class TestResidual:
     def test_off_constraint_value(self):
         v = Configuration([(0, 0), (5, 5)])
         assert constraint_residual(single_edge(), v) == pytest.approx([25.0])
+
+
+class TestCheckOnConstraint:
+    def test_boundary(self):
+        # residual 1.1**2 - 1 against tol * (1 + 1): the bound itself is rejected
+        linkage, config = single_edge(1.0), Configuration([(0.0, 0.0), (1.1, 0.0)])
+        worst = float(constraint_residual(linkage, config)[0])
+        with pytest.raises(OffConstraint, match="too large"):
+            check_on_constraint(linkage, config, tol=worst / 2.0)
+        check_on_constraint(linkage, config, tol=np.nextafter(worst / 2.0, np.inf))
+
+    def test_default_tolerance(self):
+        check_on_constraint(four_bar(), four_bar_node())
+        with pytest.raises(OffConstraint):
+            check_on_constraint(four_bar(), Configuration([(0, 0), (1, 1), (2, 2), (3, 3)]))
+
+    def test_edgeless_linkage_is_on_its_constraint_set(self):
+        linkage = Linkage(MechanismType(2, ()), (), ambient_dim=3)
+        check_on_constraint(linkage, Configuration([(1.0, 2.0, 3.0), (0.0, 0.0, 0.0)]))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            check_on_constraint(four_bar(), Configuration(np.zeros((4, 3))))
 
 
 class TestJacobian:

@@ -5,6 +5,7 @@ import pytest
 
 import linkctl.numeric as numeric
 from linkctl.chains import ChainKind, ChainSpec, is_aligned
+from linkctl.decomp import chain_mechanism, enumerate_chain_removals, remainder_mechanism
 from linkctl.demos import build_demo
 from linkctl.errors import (
     CoincidentEndpoints,
@@ -44,6 +45,7 @@ from conftest import (
     reference_jacobian,
     reference_local_branch_count,
     reference_residual,
+    reference_work_image,
     triangle,
 )
 
@@ -359,6 +361,13 @@ class TestTangentFrame:
         with pytest.raises(OffConstraint):
             tangent_frame(four_bar(), Configuration([(0, 0), (1, 1), (2, 2), (3, 3)]))
 
+    def test_edgeless_linkage(self):
+        # no constraint: the null space is everything, less the gauge
+        linkage = Linkage(MechanismType(2, ()), (), ambient_dim=2)
+        v = Configuration([(0.0, 0.0), (1.0, 0.0)])
+        assert tangent_frame(linkage, v, Gauge.FULL).dim == 4
+        assert tangent_frame(linkage, v, Gauge.REDUCED).dim == 1
+
 
 class TestWorkDifferentialRankLaw:
     def test_rank_is_d_or_d_minus_one(self):
@@ -395,6 +404,61 @@ class TestWorkDifferentialRankLaw:
                 assert np.linalg.norm(fd - analytic[:, comp]) / max(
                     np.linalg.norm(analytic[:, comp]), 1e-9
                 ) < 1e-6
+
+
+def aligned_open_chain(rng: np.random.Generator, k: int, d: int) -> np.ndarray:
+    """Open chain with every link along one random line, folded at random."""
+    w = rng.normal(size=d)
+    steps = rng.choice([-1.0, 1.0], k) * rng.uniform(0.5, 2.0, k)
+    return np.vstack([np.zeros(d), np.cumsum(steps)[:, None] * (w / np.linalg.norm(w))])
+
+
+def projector(basis) -> np.ndarray:
+    return basis.vectors.T @ basis.vectors
+
+
+class TestWorkImage:
+    """work_image over the plain null space equals the pointed-frame image."""
+
+    def assert_matches_reference(self, linkage, config, base, effector):
+        got = work_image(linkage, config, base, effector)
+        want = reference_work_image(linkage, config, base, effector)
+        assert got.dim == want.dim
+        assert np.max(np.abs(projector(got) - projector(want)), initial=0.0) < 1e-10
+        return got.dim
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_random_linkages(self, d):
+        rng = np.random.default_rng(80 + d)
+        dims = set()
+        for _ in range(60):
+            linkage, config = random_linkage(rng, dim=d)
+            base, effector = rng.choice(linkage.n_vertices, 2, replace=False)
+            dims.add(self.assert_matches_reference(linkage, config, base, effector))
+        assert dims == {d - 1, d}  # pairs held at a fixed distance, and free pairs
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_open_chains(self, d):
+        rng = np.random.default_rng(90 + d)
+        for chain in (random_open_chain, aligned_open_chain):
+            for k in range(1, 7):
+                pts = chain(rng, k, d)
+                lengths = tuple(np.linalg.norm(np.diff(pts, axis=0), axis=1))
+                linkage = ChainSpec(ChainKind.OPEN, lengths, d).to_linkage()
+                dim = self.assert_matches_reference(linkage, Configuration(pts), 0, k)
+                if chain is aligned_open_chain:
+                    assert dim == d - 1
+
+    def test_demo_stages(self):
+        # both endpoint images of every first-level stage, singular demos included
+        for name in ("four-bar-singular", "egsing", "five-bar", "tri-platform-b"):
+            linkage, config = demo_pair(name)
+            for removal in enumerate_chain_removals(linkage.graph):
+                for part in (remainder_mechanism(linkage, removal), chain_mechanism(linkage, removal)):
+                    sub = part.linkage
+                    self.assert_matches_reference(
+                        sub, part.restrict(config), sub.base_vertex, sub.end_effector
+                    )
 
 
 class TestFiniteDifferences:
