@@ -136,7 +136,6 @@ def classify_configuration(
     linkage: Linkage,
     config: Configuration,
     tols: Tolerances = Tolerances(),
-    depth_limit: Optional[int] = None,
     with_branches: bool = False,
     branch_seed: int = 0,
 ) -> ClassificationReport:
@@ -146,8 +145,8 @@ def classify_configuration(
     smoothness certificate and a non-transversality witness are searched; if
     both turn up the report says Conflict and surfaces them, since that
     combination signals a numerical tolerance problem rather than geometry.
+    Both searches go tols.depth deep.
     """
-    depth = tols.search_depth(depth_limit)
     check_on_constraint(linkage, config, tols.residual)
 
     rank = numerical_rank(constraint_jacobian(linkage, config), tols.rank)
@@ -163,8 +162,8 @@ def classify_configuration(
             notes=("full constraint rank",),
         )
 
-    certificate = find_smoothness_certificate(linkage, config, depth, tols)
-    witness = find_nontransversive_witness(linkage, config, depth, tols)
+    certificate = find_smoothness_certificate(linkage, config, tols)
+    witness = find_nontransversive_witness(linkage, config, tols)
 
     if certificate is not None and witness is not None:
         return ClassificationReport(
@@ -185,7 +184,7 @@ def classify_configuration(
         )
     return ClassificationReport(
         Verdict.INDETERMINATE, rank, linkage.k, branch_report=branch_report,
-        notes=(f"rank deficient but no witness or certificate within depth {depth}",),
+        notes=(f"rank deficient but no witness or certificate within depth {tols.depth}",),
     )
 
 
@@ -198,6 +197,16 @@ def lines_concurrent(
     Parallel pairs fail unless all three lines coincide; otherwise the three
     pairwise intersections must lie within tol of each other.
     """
+    return _meeting_point(lines, tol) is not None
+
+
+def _meeting_point(
+    lines: Sequence[tuple[np.ndarray, np.ndarray]],
+    tol: float,
+) -> Optional[np.ndarray]:
+    """Where three planar lines meet, as ``lines_concurrent`` decides it, or
+    None when they do not: the first intersection of two crossing lines, or
+    line 0's point when all three coincide."""
     if len(lines) != 3:
         raise InvalidSpec("lines_concurrent expects exactly three lines")
     pts = []
@@ -214,32 +223,28 @@ def lines_concurrent(
     def cross(a: np.ndarray, b: np.ndarray) -> float:
         return float(a[0] * b[1] - a[1] * b[0])
 
-    pairs = [(0, 1), (0, 2), (1, 2)]
-    intersections = []
-    for i, j in pairs:
+    found = []
+    for i, j in [(0, 1), (0, 2), (1, 2)]:
         den = cross(dirs[i], dirs[j])
         if abs(den) < 1e-12:
             # parallel: acceptable only if the pair is the same line
             if abs(cross(dirs[i], pts[j] - pts[i])) > tol:
-                return False
-            intersections.append(None)
+                return None
             continue
         t = cross(pts[j] - pts[i], dirs[j]) / den
-        intersections.append(pts[i] + t * dirs[i])
-    found = [q for q in intersections if q is not None]
-    if not found:
-        return True  # all three coincide as lines
+        found.append(pts[i] + t * dirs[i])
     for a in range(len(found)):
         for b in range(a + 1, len(found)):
             if float(np.linalg.norm(found[a] - found[b])) > tol:
-                return False
-    return True
+                return None
+    return found[0] if found else pts[0]
 
 
 @dataclass(frozen=True)
 class PlatformCondition:
     """Result of the platform alignment test: kind 'a' (two co-linear aligned
-    branches) or 'b' (three aligned branches with concurrent lines)."""
+    branches) or 'b' (three aligned branches with concurrent lines, meeting
+    at ``point``)."""
 
     kind: str
     branches: tuple[int, ...]
@@ -307,12 +312,8 @@ def platform_conditions(
 
     if len(aligned_lines) == 3:
         lines = [aligned_lines[i] for i in range(3)]
-        point_tol = 1e-6 * (1.0 + linkage.length_scale)
-        if lines_concurrent(lines, tol=point_tol):
-            (p0, w0), (p1, w1) = lines[0], lines[1]
-            den = w0[0] * w1[1] - w0[1] * w1[0]
-            t = ((p1 - p0)[0] * w1[1] - (p1 - p0)[1] * w1[0]) / den
-            meet = p0 + t * w0
+        meet = _meeting_point(lines, 1e-6 * (1.0 + linkage.length_scale))
+        if meet is not None:
             return PlatformCondition("b", (0, 1, 2), point=meet)
     return None
 

@@ -14,11 +14,12 @@ transverse over a full-rank base.
 
 Both are found by the same depth-first walk down the decomposition tree
 (``_search``), which differs between the two only in where it stops and
-which stages it descends through.  ``_build_stage`` classifies one removal
-and records it in the host mechanism's ids, so nested stages need no
-remapping; ``_witness`` derives the stage index and the Euclidean factor
-from the stages.  ``find_witness_through`` runs the witness search with a
-forced first removal, the platform verifier's entry point.
+which stages it descends through.  It carries the one host configuration
+its caller passed, and every sub-mechanism (``_part``) carries host ids, so
+``_build_stage`` returns one (stage, verdict, remainder) record per removal
+with no remapping; ``_witness`` derives the stage index and the Euclidean
+factor from the stages.  ``find_witness_through`` runs the witness search
+with a forced first removal, the platform verifier's entry point.
 """
 
 from __future__ import annotations
@@ -75,8 +76,9 @@ class Tolerances:
 
     tol_grad scales with the total length; the eigenvalue cutoff combines a
     relative part with an absolute floor so exactly-zero Hessians are
-    recognized as degenerate.  Raises InvalidSpec unless every threshold is
-    finite and >= 0 and the depth is >= 0.
+    recognized as degenerate; ``depth`` bounds every decomposition search.
+    Raises InvalidSpec unless every threshold is finite and >= 0 and the
+    depth is >= 0.
     """
 
     rank: float = 1e-8
@@ -93,14 +95,8 @@ class Tolerances:
             value = getattr(self, f.name)
             if f.name != "depth" and not (np.isfinite(value) and value >= 0):
                 raise InvalidSpec(f"tolerance {f.name} must be finite and >= 0, got {value}")
-        self.search_depth(None)
-
-    def search_depth(self, depth_limit: Optional[int]) -> int:
-        """depth_limit, or self.depth when it is None; raises InvalidSpec when negative."""
-        depth = self.depth if depth_limit is None else depth_limit
-        if depth < 0:
-            raise InvalidSpec(f"search depth must be >= 0, got {depth}")
-        return depth
+        if self.depth < 0:
+            raise InvalidSpec(f"search depth must be >= 0, got {self.depth}")
 
     def grad_tol(self, linkage: Linkage) -> float:
         return self.grad_scale * (1.0 + linkage.length_scale)
@@ -138,11 +134,20 @@ class SubMechanism:
     """A sub-linkage with its vertex/edge maps back to the host mechanism."""
 
     linkage: Linkage
-    vertex_ids: tuple[int, ...]  # original id of each new vertex index
+    vertex_ids: tuple[int, ...]  # host id of each sub-linkage vertex
     edge_ids: tuple[int, ...]
 
     def restrict(self, config: Configuration) -> Configuration:
+        """The sub-linkage's configuration, from the host's configuration."""
         return Configuration(config.points[list(self.vertex_ids)])
+
+
+def _whole(linkage: Linkage) -> SubMechanism:
+    return SubMechanism(
+        linkage=linkage,
+        vertex_ids=tuple(range(linkage.n_vertices)),
+        edge_ids=tuple(range(linkage.k)),
+    )
 
 
 def enumerate_chain_removals(graph: MechanismType) -> list[ChainRemoval]:
@@ -199,36 +204,43 @@ def enumerate_chain_removals(graph: MechanismType) -> list[ChainRemoval]:
     return removals
 
 
-def _sub_linkage(
-    host: Linkage,
+def _part(
+    sub: SubMechanism,
     vertices: tuple[int, ...],
     edges: tuple[int, ...],
-    base: int,
-    effector: int,
+    ends: tuple[int, int],
 ) -> SubMechanism:
+    """The part of ``sub`` on the given vertices and edges (in ``sub``'s ids),
+    based at ends[0] with effector ends[1], its id maps composed with
+    ``sub``'s so that they give host ids."""
+    host = sub.linkage
     index = {v: i for i, v in enumerate(vertices)}
     sub_edges = tuple((index[host.graph.edges[i][0]], index[host.graph.edges[i][1]]) for i in edges)
     linkage = Linkage(
         graph=MechanismType(len(vertices), sub_edges),
         lengths=tuple(host.lengths[i] for i in edges),
         ambient_dim=host.ambient_dim,
-        base_vertex=index[base],
+        base_vertex=index[ends[0]],
         base_link=None,
-        end_effector=index[effector],
+        end_effector=index[ends[1]],
     )
-    return SubMechanism(linkage=linkage, vertex_ids=vertices, edge_ids=edges)
+    return SubMechanism(
+        linkage=linkage,
+        vertex_ids=tuple(sub.vertex_ids[v] for v in vertices),
+        edge_ids=tuple(sub.edge_ids[i] for i in edges),
+    )
 
 
 def remainder_mechanism(host: Linkage, removal: ChainRemoval) -> SubMechanism:
     """The remainder as a sub-linkage, based at the smaller shared endpoint."""
-    base, eff = removal.endpoints
-    return _sub_linkage(host, removal.remainder_vertices, removal.remainder_edges, base, eff)
+    ends = removal.endpoints
+    return _part(_whole(host), removal.remainder_vertices, removal.remainder_edges, ends)
 
 
 def chain_mechanism(host: Linkage, removal: ChainRemoval) -> SubMechanism:
     """The removed chain as an open-chain sub-linkage along its path order."""
-    base, eff = removal.endpoints
-    return _sub_linkage(host, removal.chain_vertices, removal.chain_edges, base, eff)
+    ends = removal.endpoints
+    return _part(_whole(host), removal.chain_vertices, removal.chain_edges, ends)
 
 
 class StageVerdictKind(enum.Enum):
@@ -239,11 +251,14 @@ class StageVerdictKind(enum.Enum):
 
 @dataclass(frozen=True)
 class StageVerdict:
-    """Outcome of the transversality test for one (remainder, chain) stage."""
+    """Outcome of the transversality test for one (remainder, chain) stage.
+    ``chain_aligned`` is set on every stage, and a zero-length link counts
+    as aligned; the direction is the links' common one, when they have one."""
 
     kind: StageVerdictKind
     remainder_image: SubspaceBasis
     chain_image: SubspaceBasis
+    chain_aligned: bool
     chain_aligned_direction: Optional[np.ndarray] = None
     gradient_norm: Optional[float] = None
     hessian_eigenvalues: Optional[np.ndarray] = None
@@ -315,17 +330,19 @@ def stage_classify(
         gamma_prime, v_prime, gamma_prime.base_vertex, gamma_prime.end_effector, tols.rank
     )
     img_chain = work_image(lam, v_k, lam.base_vertex, lam.end_effector, tols.rank)
-    if transversality_check(img_remainder, img_chain, d, tols.rank):
-        return StageVerdict(StageVerdictKind.TRANSVERSE, img_remainder, img_chain)
-
-    reasons: list[str] = []
+    aligned = None
     try:
         aligned = is_aligned(v_k, tol=tols.align)
+        reasons = [] if aligned is not None else ["chain_not_aligned"]
     except DegenerateDirection:
-        aligned = None
-        reasons.append("chain_degenerate_link")
-    if aligned is None and not reasons:
-        reasons.append("chain_not_aligned")
+        reasons = ["chain_degenerate_link"]
+    # a zero-length link counts as aligned, so no search descends through it
+    # as a non-aligned chain
+    chain_aligned = reasons != ["chain_not_aligned"]
+    if transversality_check(img_remainder, img_chain, d, tols.rank):
+        return StageVerdict(
+            StageVerdictKind.TRANSVERSE, img_remainder, img_chain, chain_aligned, aligned
+        )
 
     if float(np.linalg.norm(psi)) < 1e-9 * scale:
         reasons.append("coincident_endpoints")
@@ -354,6 +371,7 @@ def stage_classify(
             StageVerdictKind.DEGENERATE_NON_TRANSVERSE,
             img_remainder,
             img_chain,
+            chain_aligned,
             chain_aligned_direction=aligned,
             gradient_norm=grad_norm,
             hessian_eigenvalues=eigs,
@@ -366,6 +384,7 @@ def stage_classify(
         StageVerdictKind.GENERICALLY_NON_TRANSVERSE,
         img_remainder,
         img_chain,
+        chain_aligned,
         chain_aligned_direction=aligned,
         gradient_norm=grad_norm,
         hessian_eigenvalues=eigs,
@@ -402,48 +421,26 @@ class Witness:
     euclidean_factor: int
 
 
-def _whole(linkage: Linkage) -> SubMechanism:
-    return SubMechanism(
-        linkage=linkage,
-        vertex_ids=tuple(range(linkage.n_vertices)),
-        edge_ids=tuple(range(linkage.k)),
-    )
-
-
 def _build_stage(
     sub: SubMechanism,
-    sub_cfg: Configuration,
+    config: Configuration,
     removal: ChainRemoval,
     tols: Tolerances,
-) -> tuple[DecompositionStage, StageVerdict, SubMechanism, Configuration]:
-    """Classify one removal of ``sub``.
-
-    Returns the stage and the remainder in the host's ids, the stage verdict
-    and the remainder's configuration.  A chain with a zero-length link counts
-    as aligned, so no search descends through it as a non-aligned chain.
-    """
-    remainder = remainder_mechanism(sub.linkage, removal)
-    chain = chain_mechanism(sub.linkage, removal)
-    v_rem = remainder.restrict(sub_cfg)
-    v_chain = chain.restrict(sub_cfg)
+) -> tuple[DecompositionStage, StageVerdict, SubMechanism]:
+    """Classify one removal of ``sub`` at the host configuration: the stage
+    and the remainder in host ids, and the stage's verdict."""
+    remainder = _part(sub, removal.remainder_vertices, removal.remainder_edges, removal.endpoints)
+    chain = _part(sub, removal.chain_vertices, removal.chain_edges, removal.endpoints)
+    v_rem, v_chain = remainder.restrict(config), chain.restrict(config)
     verdict = stage_classify(remainder.linkage, chain.linkage, v_rem, v_chain, tols)
-    try:
-        aligned = is_aligned(v_chain, tol=tols.align) is not None
-    except DegenerateDirection:
-        aligned = True
-    host_remainder = SubMechanism(
-        linkage=remainder.linkage,
-        vertex_ids=tuple(sub.vertex_ids[v] for v in remainder.vertex_ids),
-        edge_ids=tuple(sub.edge_ids[i] for i in remainder.edge_ids),
-    )
     stage = DecompositionStage(
-        chain_vertices=tuple(sub.vertex_ids[v] for v in removal.chain_vertices),
-        chain_edges=tuple(sub.edge_ids[i] for i in removal.chain_edges),
-        remainder_vertices=host_remainder.vertex_ids,
-        remainder_edges=host_remainder.edge_ids,
-        chain_aligned=aligned,
+        chain_vertices=chain.vertex_ids,
+        chain_edges=chain.edge_ids,
+        remainder_vertices=remainder.vertex_ids,
+        remainder_edges=remainder.edge_ids,
+        chain_aligned=verdict.chain_aligned,
     )
-    return stage, verdict, host_remainder, v_rem
+    return stage, verdict, remainder
 
 
 class _Hit(NamedTuple):
@@ -457,13 +454,14 @@ class _Hit(NamedTuple):
 
 def _search(
     sub: SubMechanism,
-    sub_cfg: Configuration,
+    config: Configuration,
     depth: int,
     tols: Tolerances,
     certificate: bool,
     memo: dict[tuple[frozenset[int], int], Optional[_Hit]],
 ) -> Optional[_Hit]:
-    """Depth-first walk down the decomposition tree of ``sub``.
+    """Depth-first walk down the decomposition tree of ``sub`` at the host
+    configuration ``config``.
 
     Removals are visited in lexicographic edge order and the first hit is
     returned.  A certificate stops at a full-rank base and descends through
@@ -476,14 +474,15 @@ def _search(
         return memo[key]
     result: Optional[_Hit] = None
     full_rank = certificate and (
-        numerical_rank(constraint_jacobian(sub.linkage, sub_cfg), tols.rank) == sub.linkage.k
+        numerical_rank(constraint_jacobian(sub.linkage, sub.restrict(config)), tols.rank)
+        == sub.linkage.k
     )
     if full_rank:
         result = _Hit((), sub, None)
     elif depth > 0:
         for removal in enumerate_chain_removals(sub.linkage.graph):
             try:
-                stage, verdict, remainder, v_rem = _build_stage(sub, sub_cfg, removal, tols)
+                stage, verdict, remainder = _build_stage(sub, config, removal, tols)
             except (CoincidentEndpoints, OffConstraint):
                 continue
             if certificate:
@@ -495,7 +494,7 @@ def _search(
                 descend = not stage.chain_aligned and depth > 1
             if not descend:
                 continue
-            found = _search(remainder, v_rem, depth - 1, tols, certificate, memo)
+            found = _search(remainder, config, depth - 1, tols, certificate, memo)
             if found is not None:
                 result = found._replace(stages=(stage,) + found.stages)
                 break
@@ -524,20 +523,18 @@ def _witness(hit: _Hit, d: int) -> Witness:
 def find_nontransversive_witness(
     linkage: Linkage,
     config: Configuration,
-    depth_limit: Optional[int] = None,
     tols: Tolerances = Tolerances(),
 ) -> Optional[Witness]:
     """Depth-first search for a decomposition with a generically
     non-transverse deepest stage and non-aligned chains at all outer stages.
 
     Deterministic: removals are visited in lexicographic edge order, depth
-    first, and the first hit is returned.  None means no witness within the
-    depth limit, which callers must report as indeterminate, never as smooth.
-    depth_limit None means tols.depth.
+    first, and the first hit is returned.  None means no witness within
+    tols.depth stages, which callers must report as indeterminate, never as
+    smooth.
     """
-    depth = tols.search_depth(depth_limit)
     check_on_constraint(linkage, config, tols.residual)
-    hit = _search(_whole(linkage), config, depth, tols, False, {})
+    hit = _search(_whole(linkage), config, tols.depth, tols, False, {})
     return None if hit is None else _witness(hit, linkage.ambient_dim)
 
 
@@ -555,13 +552,13 @@ def find_witness_through(
     tols.depth stages, after the remainder's residual check.  A degenerate
     stage, or a remainder without a witness, gives None.
     """
-    stage, verdict, remainder, v_rem = _build_stage(_whole(linkage), config, removal, tols)
+    stage, verdict, remainder = _build_stage(_whole(linkage), config, removal, tols)
     hit: Optional[_Hit] = None
     if verdict.kind is StageVerdictKind.GENERICALLY_NON_TRANSVERSE:
         hit = _Hit((), remainder, verdict)
     elif verdict.kind is StageVerdictKind.TRANSVERSE:
-        check_on_constraint(remainder.linkage, v_rem, tols.residual)
-        hit = _search(remainder, v_rem, tols.depth, tols, False, {})
+        check_on_constraint(remainder.linkage, remainder.restrict(config), tols.residual)
+        hit = _search(remainder, config, tols.depth, tols, False, {})
     if hit is None:
         return verdict, None
     return verdict, _witness(hit._replace(stages=(stage,) + hit.stages), linkage.ambient_dim)
@@ -570,17 +567,14 @@ def find_witness_through(
 def find_smoothness_certificate(
     linkage: Linkage,
     config: Configuration,
-    depth_limit: Optional[int] = None,
     tols: Tolerances = Tolerances(),
 ) -> Optional[Decomposition]:
     """Depth-first search for a decomposition with every stage transverse and
     a base whose constraint Jacobian has full rank.
 
     A full-rank mechanism certifies itself (zero stages).  Deterministic
-    search order; None means no certificate within the depth limit.
-    depth_limit None means tols.depth.
+    search order; None means no certificate within tols.depth removals.
     """
-    depth = tols.search_depth(depth_limit)
     check_on_constraint(linkage, config, tols.residual)
-    hit = _search(_whole(linkage), config, depth, tols, True, {})
+    hit = _search(_whole(linkage), config, tols.depth, tols, True, {})
     return None if hit is None else _decomposition(hit)

@@ -168,11 +168,12 @@ def _gauss_newton(
     """Damped Gauss-Newton: a truncated-SVD step, then Armijo backtracking
     along _STEP_LADDER.
 
-    r0, when given, is residual_fn(x0), already computed by the caller.
+    r0, when given, is residual_fn(x0), already computed by the caller.  An
+    empty residual (no constraint) has converged.
     """
     x = np.array(x0, dtype=float)
     r = residual_fn(x) if r0 is None else r0
-    if np.abs(r).max() < tol:
+    if np.abs(r).max(initial=0.0) < tol:
         return x
     for _ in range(max_iter):
         jac = jacobian_fn(x)
@@ -221,7 +222,7 @@ def _gauss_newton_rows(
     """
     x = np.array(x0, dtype=float)
     r = np.array(r0, dtype=float)
-    ok = np.abs(r).max(axis=1) < tol
+    ok = np.abs(r).max(axis=1, initial=0.0) < tol
     live = np.flatnonzero(~ok)
     shorter = (np.array(_STEP_LADDER[1:5]), np.array(_STEP_LADDER[5:]))
     for _ in range(max_iter):
@@ -293,7 +294,7 @@ def project_to_cspace(
     """
     check_match(linkage, guess)
     r0 = _residual_points(linkage, guess.points)
-    if np.abs(r0).max() < tol:
+    if np.abs(r0).max(initial=0.0) < tol:
         return guess
 
     d = linkage.ambient_dim
@@ -338,7 +339,7 @@ def sample_cspace(linkage: Linkage, n: int, seed: int = 0, tol: float = 1e-10) -
         r0 = _residual_rows(linkage, starts)
         x, ok = _gauss_newton_rows(linkage, starts, r0, tol, _PROJECT_MAX_ITER, _PROJECT_TOL_RANK)
         # project_to_cspace returns a start on the set as it is and re-pins the others
-        on_set = np.abs(r0).max(axis=1) < tol
+        on_set = np.abs(r0).max(axis=1, initial=0.0) < tol
         for row, start, good, as_drawn in zip(x, starts, ok, on_set):
             if not good:
                 continue
@@ -566,10 +567,13 @@ def trace_curve(
     indicators: a jump in tangent direction or dimension ("tangent_jump"),
     the rank-proximity ratio falling below detect_tol, or a corrector that
     keeps failing as the step shrinks ("stalled_at_singularity").  Raises
-    InvalidSpec unless step is positive and finite.
+    InvalidSpec unless step is positive and finite and tol_rank is finite
+    and >= 0.
     """
     if not (np.isfinite(step) and step > 0):
         raise InvalidSpec(f"step must be positive and finite, got {step}")
+    if not (np.isfinite(tol_rank) and tol_rank >= 0):
+        raise InvalidSpec(f"tol_rank must be finite and >= 0, got {tol_rank}")
     v = _gauge_fix(linkage, project_to_cspace(linkage, start, tol=project_tol))
     frame = tangent_frame(linkage, v, Gauge.REDUCED, tol_rank)
     if frame.dim != 1:
@@ -608,8 +612,14 @@ def trace_curve(
 
         w = _gauge_fix(linkage, Configuration.from_flat(corrected, d))
         s, null = _null_space(linkage, w, tol_rank)
-        # sigma_k / sigma_1 of the constraint Jacobian, small near a rank drop
-        proximity = s[linkage.k - 1] / s[0] if s.size >= linkage.k and s[0] > 0.0 else 0.0
+        # sigma_k / sigma_1 of the constraint Jacobian, small near a rank drop;
+        # with no constraint there is no rank to lose
+        if linkage.k == 0:
+            proximity = np.inf
+        elif s.size >= linkage.k and s[0] > 0.0:
+            proximity = s[linkage.k - 1] / s[0]
+        else:
+            proximity = 0.0
         if proximity < detect_tol:
             points.append(w)
             reason = "tangent_jump"
@@ -661,7 +671,8 @@ def local_branch_count(
     that fails to converge or lands within 0.05 * radius of the center is
     dropped; one landing over 0.1 * radius off the sphere is rescaled onto it
     and retried, 8 rounds at most.  Raises InvalidSpec unless radius and
-    cluster_factor are positive and finite and n_samples >= 1.
+    cluster_factor are positive and finite, tol_rank is finite and >= 0,
+    and n_samples >= 1.
 
     Half-branches that leave the center tangent to each other are merged:
     their separation on the sphere shrinks like radius**2, below the
@@ -680,6 +691,8 @@ def local_branch_count(
         raise InvalidSpec(f"need at least one sphere sample, got {n_samples}")
     if not (np.isfinite(cluster_factor) and cluster_factor > 0):
         raise InvalidSpec(f"cluster_factor must be positive and finite, got {cluster_factor}")
+    if not (np.isfinite(tol_rank) and tol_rank >= 0):
+        raise InvalidSpec(f"tol_rank must be finite and >= 0, got {tol_rank}")
     r = radius if radius is not None else 1e-2 * min(linkage.lengths)
     center = _gauge_fix(linkage, project_to_cspace(linkage, config, tol=1e-12))
     frame = tangent_frame(linkage, center, Gauge.REDUCED, tol_rank)

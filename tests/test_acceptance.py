@@ -19,7 +19,7 @@ import pytest
 from linkctl.chains import ChainKind, ChainSpec, chain_work_image, is_aligned
 from linkctl.classify import Verdict, classify_configuration, platform_conditions
 from linkctl.cli import main
-from linkctl.decomp import find_nontransversive_witness
+from linkctl.decomp import Tolerances, find_nontransversive_witness
 from linkctl.model import (
     Configuration,
     build_linkage,
@@ -153,7 +153,7 @@ def test_criterion_5a_rank_deficient():
 
 def test_criterion_5b_witness_absent():
     linkage, config = egsing_linkage()
-    assert find_nontransversive_witness(linkage, config, depth_limit=4) is None
+    assert find_nontransversive_witness(linkage, config, tols=Tolerances(depth=4)) is None
     _report("5b smoothing-example-witness-absent", True)
 
 
@@ -226,7 +226,7 @@ def test_criterion_5c_smooth_via_five_chain_certificate():
     assert tangent_ratios[-1] < 1e-2
 
     # (b) The classifier must not call p Smooth, nor claim a generic crossing.
-    report = classify_configuration(linkage, config, depth_limit=5)
+    report = classify_configuration(linkage, config, tols=Tolerances(depth=5))
     ok = (
         report.verdict is Verdict.INDETERMINATE
         and report.certificate is None

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from linkctl.errors import DegenerateDirection, InvalidSpec, NotAPlatform, OffCo
 from linkctl.model import Configuration, Linkage, MechanismType, build_linkage
 from linkctl.numeric import numerical_rank, sample_cspace
 from linkctl.model import constraint_jacobian
+from linkctl import demos
 from linkctl.demos import build_demo
 
 
@@ -56,7 +59,7 @@ class TestClassify:
         assert (report.rank, report.k) == (0, 0)
 
     def test_depth_zero_is_indeterminate(self, fb, fb_node):
-        report = classify_configuration(fb, fb_node, depth_limit=0)
+        report = classify_configuration(fb, fb_node, tols=Tolerances(depth=0))
         assert report.verdict is Verdict.INDETERMINATE
         assert report.witness is None and report.certificate is None
 
@@ -64,7 +67,7 @@ class TestClassify:
         v = sample_cspace(fb, 1, seed=5)[0]
         for config in (v, fb_node):
             with pytest.raises(InvalidSpec, match="depth"):
-                classify_configuration(fb, config, depth_limit=-3)
+                classify_configuration(fb, config, tols=Tolerances(depth=-3))
 
     def test_rigid_motion_invariance(self, fb, fb_node):
         rng = np.random.default_rng(40)
@@ -157,6 +160,32 @@ class TestPlatform:
         cond = platform_conditions(linkage, config)
         assert cond is not None and cond.kind == "b"
         assert cond.point == pytest.approx([0.0, 0.0], abs=1e-8)
+
+    def test_type_b_point_with_near_coincident_lines(self):
+        # lines 0 and 1 lie 1e-6 apart: too far apart for type (a), but one
+        # line to the concurrency test, so the point must come from lines
+        # that cross
+        points = np.array(
+            [(-3, 0), (3, 1e-6), (1, -3), (-1, 0), (1.5, 1e-6), (1, -1), (-2, 0), (2, 1e-6), (1, -2)],
+            dtype=float,
+        )
+        edges = demos._PLATFORM_EDGES
+        ldoc, cdoc = demos._docs(
+            points, edges, demos._edge_lengths(points, edges), base=0, base_link=0, effector=5,
+            platform=demos._PLATFORM_SPEC,
+        )
+        linkage, config = build_linkage(ldoc), Configuration(cdoc["points"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cond = platform_conditions(linkage, config)
+        assert cond is not None and cond.kind == "b"
+        assert np.all(np.isfinite(cond.point))
+        point_tol = 1e-6 * (1.0 + linkage.length_scale)
+        for anchor, tip in ((0, 3), (1, 4), (2, 5)):
+            a, b = points[anchor], points[tip]
+            w = (b - a) / np.linalg.norm(b - a)
+            q = cond.point - a
+            assert abs(q[0] * w[1] - q[1] * w[0]) <= point_tol
 
     def test_generic_pose_no_condition(self):
         linkage, _ = _demo_pair("tri-platform-a")

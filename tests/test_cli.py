@@ -35,6 +35,20 @@ def demo_files(tmp_path, monkeypatch):
     return write
 
 
+@pytest.fixture
+def edgeless_files(tmp_path, monkeypatch):
+    """Two vertices in the plane and no edge: no constraint at all."""
+    monkeypatch.chdir(tmp_path)
+    lpath = tmp_path / "edgeless.linkage.json"
+    cpath = tmp_path / "edgeless.config.json"
+    lpath.write_text(json.dumps({"dim": 2, "vertices": 2, "edges": []}))
+    cpath.write_text(json.dumps({"points": [[0.0, 0.0], [1.0, 0.0]]}))
+    return str(lpath), str(cpath)
+
+
+TOL_RANK_OUT_OF_RANGE = ["nan", "inf", "-1"]
+
+
 class TestDemoCommand:
     def test_writes_documents(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -116,6 +130,12 @@ class TestSampleCommand:
         assert out1 == out2
         assert json.loads(out1)["count"] >= 1
 
+    def test_edgeless_linkage(self, edgeless_files, capsys):
+        lp, _ = edgeless_files
+        code, out = run(capsys, "sample", lp, "-n", "2")
+        assert code == 0
+        assert json.loads(out)["count"] == 2
+
 
 class TestTraceCommand:
     def test_closed_loop_json(self, demo_files, tmp_path, capsys):
@@ -136,6 +156,23 @@ class TestTraceCommand:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("error: step must be positive and finite")
+
+    @pytest.mark.parametrize("tol_rank", TOL_RANK_OUT_OF_RANGE)
+    def test_tol_rank_out_of_range_exits_1(self, demo_files, capsys, tol_rank):
+        lp, cp = demo_files("four-bar-regular")
+        code = main(["trace", lp, cp, "--tol-rank", tol_rank, "--max-steps", "30"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: tol_rank must be finite and >= 0")
+
+    def test_edgeless_linkage(self, edgeless_files, capsys):
+        lp, cp = edgeless_files
+        code, out = run(capsys, "trace", lp, cp, "--max-steps", "30")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["stop_reason"] == "max_steps"
+        assert len(doc["points"]) == 31
 
     @pytest.mark.parametrize("axes", [("99", "1"), ("0", "-1"), ("8", "0"), ("-1", "1")])
     def test_svg_axis_out_of_range_exits_1(self, demo_files, tmp_path, capsys, axes):
@@ -197,7 +234,9 @@ class TestBranchesCommand:
         assert doc["stable"] is True
 
     @pytest.mark.parametrize(
-        "option", [("--radius", "0"), ("--radius", "nan"), ("--samples", "-1"), ("--cluster-factor", "-1")]
+        "option",
+        [("--radius", "0"), ("--radius", "nan"), ("--samples", "-1"), ("--cluster-factor", "-1")]
+        + [("--tol-rank", value) for value in TOL_RANK_OUT_OF_RANGE],
     )
     def test_out_of_range_option_exits_1(self, demo_files, capsys, option):
         lp, cp = demo_files("four-bar-singular")
@@ -206,6 +245,14 @@ class TestBranchesCommand:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    def test_edgeless_linkage(self, edgeless_files, capsys):
+        lp, cp = edgeless_files
+        code, out = run(capsys, "branches", lp, cp, "--radius", "0.1")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["branch_count"] == 2
+        assert doc["stable"] is True
 
 
 class TestDeterminism:

@@ -14,7 +14,15 @@ from linkctl.decomp import (
     stage_classify,
     transversality_check,
 )
-from linkctl.errors import DimensionMismatch, InvalidSpec, MismatchedEffector
+from linkctl.chains import ChainKind, ChainSpec, is_aligned
+from linkctl.errors import (
+    CoincidentEndpoints,
+    DegenerateDirection,
+    DimensionMismatch,
+    InvalidSpec,
+    MismatchedEffector,
+    OffConstraint,
+)
 from linkctl.model import (
     Configuration,
     Linkage,
@@ -181,6 +189,60 @@ class TestStageClassify:
             stage_classify(remainder.linkage, chain.linkage, remainder.restrict(v), v_chain)
 
 
+def _open_chain(points):
+    points = np.asarray(points, dtype=float)
+    lengths = np.linalg.norm(np.diff(points, axis=0), axis=1)
+    return ChainSpec(ChainKind.OPEN, tuple(lengths)).to_linkage(), Configuration(points)
+
+
+class TestChainAligned:
+    def test_first_level_stages_of_the_demos(self):
+        kinds = set()
+        for name in DEMO_NAMES:
+            linkage_doc, config_doc = build_demo(name)
+            linkage, config = build_linkage(linkage_doc), Configuration(config_doc["points"])
+            for removal in enumerate_chain_removals(linkage.graph):
+                remainder = remainder_mechanism(linkage, removal)
+                chain = chain_mechanism(linkage, removal)
+                v_chain = chain.restrict(config)
+                try:
+                    verdict = stage_classify(
+                        remainder.linkage, chain.linkage, remainder.restrict(config), v_chain
+                    )
+                except (CoincidentEndpoints, OffConstraint):
+                    continue
+                try:
+                    aligned = is_aligned(v_chain) is not None
+                except DegenerateDirection:
+                    aligned = True
+                assert verdict.chain_aligned is aligned, (name, removal.chain_edges)
+                kinds.add((verdict.kind, aligned))
+        # transverse stages with aligned and with non-aligned chains are both covered
+        assert {(StageVerdictKind.TRANSVERSE, True), (StageVerdictKind.TRANSVERSE, False)} <= kinds
+
+    def test_zero_length_link_counts_as_aligned_on_a_transverse_stage(self):
+        chain = ChainSpec(ChainKind.OPEN, (2.0, 1e-14)).to_linkage()
+        v_chain = Configuration([(0.0, 0.0), (2.0, 0.0), (2.0, 1e-14)])
+        remainder, v_rem = _open_chain([(0.0, 0.0), (1.0, 1.0), (2.0, 1e-14)])
+        with pytest.raises(DegenerateDirection):
+            is_aligned(v_chain)
+        verdict = stage_classify(remainder, chain, v_rem, v_chain)
+        assert verdict.kind is StageVerdictKind.TRANSVERSE
+        assert verdict.chain_aligned is True
+
+    def test_bent_chain_not_aligned(self):
+        # bent by 1e-4 rad: both endpoint images are the chord's normal at a
+        # rank cutoff of 1e-3, and the chain is not aligned at 1e-6 rad
+        chain, v_chain = _open_chain([(0.0, 0.0), (1.0, 0.0), (2.0, 1e-4)])
+        remainder, v_rem = _open_chain([(0.0, 0.0), (1.0, 5e-5), (2.0, 1e-4)])
+        tols = Tolerances(rank=1e-3, align=1e-6)
+        verdict = stage_classify(remainder, chain, v_rem, v_chain, tols)
+        assert verdict.kind is StageVerdictKind.DEGENERATE_NON_TRANSVERSE
+        assert verdict.reasons == ("chain_not_aligned",)
+        assert verdict.chain_aligned is False
+        assert verdict.chain_aligned_direction is None
+
+
 class TestWitnessSearch:
     def test_four_bar_node_witness(self, fb, fb_node):
         witness = find_nontransversive_witness(fb, fb_node)
@@ -199,7 +261,7 @@ class TestWitnessSearch:
         # aligned chain, and all direct stages are degenerate, so the search
         # must come back empty
         linkage, config = egsing
-        assert find_nontransversive_witness(linkage, config, depth_limit=4) is None
+        assert find_nontransversive_witness(linkage, config, tols=Tolerances(depth=4)) is None
 
     def test_determinism(self, fb, fb_node):
         a = find_nontransversive_witness(fb, fb_node)
@@ -212,8 +274,7 @@ class TestWitnessSearch:
         )
 
     def test_depth_zero_finds_nothing(self, fb, fb_node):
-        assert find_nontransversive_witness(fb, fb_node, depth_limit=1) is not None
-        assert find_nontransversive_witness(fb, fb_node, depth_limit=0) is None
+        assert find_nontransversive_witness(fb, fb_node, tols=Tolerances(depth=1)) is not None
         assert find_nontransversive_witness(fb, fb_node, tols=Tolerances(depth=0)) is None
 
 
@@ -232,12 +293,13 @@ class TestCertificateSearch:
         # candidate stage touching the aligned core, so no all-transverse
         # decomposition exists
         linkage, config = egsing
-        assert find_smoothness_certificate(linkage, config, depth_limit=5) is None
+        assert find_smoothness_certificate(linkage, config, tols=Tolerances(depth=5)) is None
 
     def test_depth_zero_finds_only_a_full_rank_base(self, fb, fb_node):
         v = sample_cspace(fb, 1, seed=5)[0]
-        assert find_smoothness_certificate(fb, v, depth_limit=0).stages == ()
-        assert find_smoothness_certificate(fb, fb_node, depth_limit=0) is None
+        depth0 = Tolerances(depth=0)
+        assert find_smoothness_certificate(fb, v, tols=depth0).stages == ()
+        assert find_smoothness_certificate(fb, fb_node, tols=depth0) is None
 
 
 class TestTolerances:
@@ -250,9 +312,6 @@ class TestTolerances:
     def test_zero_thresholds_and_depth_allowed(self):
         Tolerances(**{f.name: 0 for f in fields(Tolerances)})
 
-    def test_negative_depth(self, fb, fb_node):
+    def test_negative_depth(self):
         with pytest.raises(InvalidSpec, match="depth"):
             Tolerances(depth=-1)
-        for search in (find_nontransversive_witness, find_smoothness_certificate):
-            with pytest.raises(InvalidSpec, match="depth"):
-                search(fb, fb_node, depth_limit=-3)

@@ -94,6 +94,12 @@ class TestProjection:
         with pytest.raises(NoConvergence):
             project_to_cspace(linkage, Configuration([(0, 0), (1, 0), (0, 1)]))
 
+    def test_edgeless_linkage_unchanged(self):
+        # an empty residual has converged
+        linkage = Linkage(MechanismType(2, ()), (), ambient_dim=2)
+        v = Configuration([(0.0, 0.0), (1.0, 0.0)])
+        assert project_to_cspace(linkage, v) is v
+
 
 class TestSampling:
     def test_rigid_triangle_congruent(self):
@@ -108,6 +114,9 @@ class TestSampling:
     def test_infeasible_linkage(self):
         with pytest.raises(NoFeasiblePoint):
             sample_cspace(triangle((1.0, 1.0, 5.0)), 10, seed=0)
+
+    def test_edgeless_linkage(self):
+        assert len(sample_cspace(Linkage(MechanismType(2, ()), (), ambient_dim=2), 2)) == 2
 
     def test_determinism(self):
         linkage = four_bar()
@@ -539,6 +548,20 @@ class TestTraceCurve:
         with pytest.raises(InvalidSpec, match="step"):
             trace_curve(linkage, start, step=step, max_steps=30)
 
+    @pytest.mark.parametrize("tol_rank", [float("nan"), float("inf"), -1.0])
+    def test_tol_rank_must_be_finite_and_non_negative(self, tol_rank):
+        linkage = four_bar((2.0, 1.2, 1.7, 0.9))
+        start = sample_cspace(linkage, 1, seed=11)[0]
+        with pytest.raises(InvalidSpec, match="tol_rank"):
+            trace_curve(linkage, start, max_steps=30, tol_rank=tol_rank)
+
+    def test_edgeless_linkage(self):
+        # no constraint, so no rank to lose: the trace runs out of steps
+        linkage = Linkage(MechanismType(2, ()), (), ambient_dim=2)
+        result = trace_curve(linkage, Configuration([(0.0, 0.0), (1.0, 0.0)]), max_steps=30)
+        assert result.stop_reason == "max_steps"
+        assert len(result.points) == 31
+
     def test_not_a_curve(self):
         linkage = triangle()
         v = project_to_cspace(linkage, Configuration([(0, 0), (3, 0), (3, 4)]))
@@ -623,11 +646,23 @@ class TestLocalBranchCount:
             {"cluster_factor": 0.0},
             {"cluster_factor": -1.0},
             {"cluster_factor": float("nan")},
+            {"tol_rank": float("nan")},
+            {"tol_rank": float("inf")},
+            {"tol_rank": -1.0},
         ],
     )
     def test_out_of_range_inputs_rejected(self, option):
         with pytest.raises(InvalidSpec):
             local_branch_count(four_bar(), four_bar_node(), **option)
+
+    def test_edgeless_linkage(self):
+        # two free points in the plane: the reduced tangent is the distance,
+        # and the sphere meets it in two points
+        linkage = Linkage(MechanismType(2, ()), (), ambient_dim=2)
+        v = Configuration([(0.0, 0.0), (1.0, 0.0)])
+        report = local_branch_count(linkage, v, radius=0.1)
+        assert report.branch_count == 2
+        assert report.stable
 
 
 def collinear(linkage: Linkage, config: Configuration):
