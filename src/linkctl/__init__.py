@@ -50,11 +50,9 @@ from .model import (
 )
 from .numeric import (
     BranchReport,
-    Gauge,
     TangentFrame,
     TraceResult,
     WorkData,
-    fd_gradient,
     fd_hessian,
     local_branch_count,
     numerical_rank,

@@ -67,8 +67,8 @@ class ChainSpec:
         object.__setattr__(self, "lengths", tuple(float(x) for x in self.lengths))
         if not self.lengths:
             raise EmptyChain("chain needs at least one link")
-        if any(x <= 0 for x in self.lengths):
-            raise InvalidSpec("link lengths must be positive")
+        if not all(math.isfinite(x) and x > 0 for x in self.lengths):
+            raise InvalidSpec("link lengths must be positive and finite")
         if self.ambient_dim not in (2, 3):
             raise InvalidSpec("ambient_dim must be 2 or 3")
         if self.kind is ChainKind.CLOSED:
@@ -131,13 +131,14 @@ def workspace_interval(lengths: Sequence[float]) -> tuple[float, float]:
     """Reachable interval [m, M] of the endpoint distance of an open chain.
 
     M is the total length; m is 2*max(l) - M clamped at zero (the longest
-    link against everything else folded back).
+    link against everything else folded back).  Raises InvalidSpec unless
+    every length is positive and finite.
     """
     ls = [float(x) for x in lengths]
     if not ls:
         raise EmptyChain("workspace_interval needs at least one link")
-    if any(x <= 0 for x in ls):
-        raise InvalidSpec("link lengths must be positive")
+    if not all(math.isfinite(x) and x > 0 for x in ls):
+        raise InvalidSpec("link lengths must be positive and finite")
     total = sum(ls)
     m = max(0.0, 2.0 * max(ls) - total)
     return (m, total)
@@ -195,9 +196,10 @@ def forward_count(
     return int(np.sum(vecs @ np.asarray(w, dtype=float) > 0.0))
 
 
-def aligned_morse_index(chain: ChainSpec, config: Configuration | np.ndarray, tol: float = 1e-6) -> int:
+def aligned_morse_index(chain: ChainSpec, config: Configuration | np.ndarray) -> int:
     """Morse index of the reduced endpoint-distance function at an aligned
-    configuration of a closed chain whose last link is the variable one.
+    configuration of a closed chain whose last link is the variable one,
+    aligned as is_aligned decides it at its default tolerance.
 
     With w the chord direction from vertex 0 to vertex n (the variable link's
     complementary path) and f the number of the first n links pointing along
@@ -211,14 +213,14 @@ def aligned_morse_index(chain: ChainSpec, config: Configuration | np.ndarray, to
     n_total = chain.n_vertices
     if points.shape[0] != n_total:
         raise InvalidSpec("configuration does not match the chain")
-    if is_aligned(points, tol=tol, closed=True) is None:
+    if is_aligned(points, closed=True) is None:
         raise NotAligned("aligned_morse_index requires an aligned configuration")
     chord = points[-1] - points[0]
     rho = float(np.linalg.norm(chord))
     scale = 1.0 + float(np.max(np.abs(points)))
     if rho < 1e-12 * scale:
         raise DegenerateDirection("variable link has zero length; index undefined")
-    f = forward_count(points, chord / rho, tol=tol)  # among the n fixed links
+    f = forward_count(points, chord / rho)  # among the n fixed links
     return (chain.ambient_dim - 1) * (f - 1)
 
 
@@ -228,12 +230,9 @@ def chain_work_map(config: Configuration | np.ndarray) -> np.ndarray:
     return points[-1] - points[0]
 
 
-def chain_work_image(
-    chain: ChainSpec,
-    config: Configuration | np.ndarray,
-    tol_rank: float = 1e-8,
-) -> SubspaceBasis:
-    """Image of the work-map differential on the constraint null space.
+def chain_work_image(chain: ChainSpec, config: Configuration | np.ndarray) -> SubspaceBasis:
+    """Image of the work-map differential on the constraint null space, at
+    work_image's default rank tolerance.
 
     No gauge is removed: translations lie in the null space and the work map
     sends them to 0, so this is the image over the pointed tangent space.
@@ -248,7 +247,7 @@ def chain_work_image(
     linkage = chain.to_linkage()
     cfg = Configuration(points)
     check_match(linkage, cfg)
-    return work_image(linkage, cfg, 0, linkage.n_vertices - 1, tol_rank=tol_rank)
+    return work_image(linkage, cfg, 0, linkage.n_vertices - 1)
 
 
 @dataclass(frozen=True)
@@ -283,11 +282,12 @@ def _principal(angle: float) -> float:
     return a - math.pi
 
 
-def to_spherical(config: Configuration | np.ndarray, tol_align: float = 1e-6) -> SphericalParams:
+def to_spherical(config: Configuration | np.ndarray) -> SphericalParams:
     """Extract (theta, joint data) from an open-chain configuration.
 
     Raises UndefinedTheta when the endpoints coincide and the chain is not
-    aligned (no preferred direction exists).
+    aligned, as is_aligned decides it at its default tolerance (no preferred
+    direction exists).
     """
     points = _chain_points(config)
     d = points.shape[1]
@@ -303,7 +303,7 @@ def to_spherical(config: Configuration | np.ndarray, tol_align: float = 1e-6) ->
     if rho > 1e-9 * scale:
         theta = chord / rho
     else:
-        w = is_aligned(points, tol=tol_align)
+        w = is_aligned(points)
         if w is None:
             raise UndefinedTheta("endpoints coincide and chain is not aligned")
         theta = w

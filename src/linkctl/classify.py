@@ -147,7 +147,7 @@ def classify_configuration(
     combination signals a numerical tolerance problem rather than geometry.
     Both searches go tols.depth deep.
     """
-    check_on_constraint(linkage, config, tols.residual)
+    check_on_constraint(linkage, config)
 
     rank = numerical_rank(constraint_jacobian(linkage, config), tols.rank)
     branch_report = None
@@ -188,16 +188,13 @@ def classify_configuration(
     )
 
 
-def lines_concurrent(
-    lines: Sequence[tuple[np.ndarray, np.ndarray]],
-    tol: float = 1e-6,
-) -> bool:
+def lines_concurrent(lines: Sequence[tuple[np.ndarray, np.ndarray]]) -> bool:
     """True iff three planar lines (point, direction) meet in a single point.
 
     Parallel pairs fail unless all three lines coincide; otherwise the three
-    pairwise intersections must lie within tol of each other.
+    pairwise intersections must lie within 1e-6 of each other.
     """
-    return _meeting_point(lines, tol) is not None
+    return _meeting_point(lines, 1e-6) is not None
 
 
 def _meeting_point(

@@ -25,6 +25,7 @@ with a forced first removal, the platform verifier's entry point.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
 
@@ -74,20 +75,17 @@ __all__ = [
 class Tolerances:
     """Numerical thresholds shared by the classification pipeline.
 
-    tol_grad scales with the total length; the eigenvalue cutoff combines a
-    relative part with an absolute floor so exactly-zero Hessians are
-    recognized as degenerate; ``depth`` bounds every decomposition search.
-    Raises InvalidSpec unless every threshold is finite and >= 0 and the
-    depth is >= 0.
+    tol_grad scales with the total length; the eigenvalue cutoff is the
+    larger of 1e-6 times the largest |eigenvalue| and an absolute floor, so
+    exactly-zero Hessians are recognized as degenerate; ``depth`` bounds
+    every decomposition search.  Raises InvalidSpec unless every threshold
+    is finite and >= 0 and the depth is an integer >= 0.
     """
 
     rank: float = 1e-8
     align: float = 1e-6
     grad_scale: float = 1e-6
-    eig_rel: float = 1e-6
     eig_floor: float = 1e-3
-    effector_match: float = 1e-8
-    residual: float = 1e-8
     depth: int = 4
 
     def __post_init__(self) -> None:
@@ -95,14 +93,18 @@ class Tolerances:
             value = getattr(self, f.name)
             if f.name != "depth" and not (np.isfinite(value) and value >= 0):
                 raise InvalidSpec(f"tolerance {f.name} must be finite and >= 0, got {value}")
-        if self.depth < 0:
-            raise InvalidSpec(f"search depth must be >= 0, got {self.depth}")
+        try:
+            valid = operator.index(self.depth) >= 0
+        except TypeError:
+            valid = False
+        if not valid:
+            raise InvalidSpec(f"search depth must be an integer >= 0, got {self.depth}")
 
     def grad_tol(self, linkage: Linkage) -> float:
         return self.grad_scale * (1.0 + linkage.length_scale)
 
     def eig_tol(self, linkage: Linkage, eigs: np.ndarray) -> float:
-        rel = self.eig_rel * (float(np.max(np.abs(eigs))) if eigs.size else 0.0)
+        rel = 1e-6 * (float(np.max(np.abs(eigs))) if eigs.size else 0.0)
         return max(rel, self.eig_floor / (1.0 + linkage.length_scale))
 
 
@@ -311,6 +313,8 @@ def stage_classify(
     aligned, the remainder has full constraint rank and a nondegenerate
     critical endpoint-distance, and the shared endpoints are apart; any
     failed condition downgrades the verdict to degenerate, with reasons.
+    Raises MismatchedEffector unless the two work points agree to
+    1e-8 * (1 + the larger total length).
     """
     check_match(gamma_prime, v_prime)
     check_match(lam, v_k)
@@ -321,7 +325,7 @@ def stage_classify(
     psi = v_prime.points[gamma_prime.end_effector] - v_prime.points[gamma_prime.base_vertex]
     phi = v_k.points[lam.end_effector] - v_k.points[lam.base_vertex]
     scale = 1.0 + max(gamma_prime.length_scale, lam.length_scale)
-    if float(np.linalg.norm(psi - phi)) > tols.effector_match * scale:
+    if float(np.linalg.norm(psi - phi)) > 1e-8 * scale:
         raise MismatchedEffector(
             f"work points disagree by {np.linalg.norm(psi - phi):.3g}"
         )
@@ -533,7 +537,7 @@ def find_nontransversive_witness(
     tols.depth stages, which callers must report as indeterminate, never as
     smooth.
     """
-    check_on_constraint(linkage, config, tols.residual)
+    check_on_constraint(linkage, config)
     hit = _search(_whole(linkage), config, tols.depth, tols, False, {})
     return None if hit is None else _witness(hit, linkage.ambient_dim)
 
@@ -557,7 +561,7 @@ def find_witness_through(
     if verdict.kind is StageVerdictKind.GENERICALLY_NON_TRANSVERSE:
         hit = _Hit((), remainder, verdict)
     elif verdict.kind is StageVerdictKind.TRANSVERSE:
-        check_on_constraint(remainder.linkage, remainder.restrict(config), tols.residual)
+        check_on_constraint(remainder.linkage, remainder.restrict(config))
         hit = _search(remainder, config, tols.depth, tols, False, {})
     if hit is None:
         return verdict, None
@@ -575,6 +579,6 @@ def find_smoothness_certificate(
     A full-rank mechanism certifies itself (zero stages).  Deterministic
     search order; None means no certificate within tols.depth removals.
     """
-    check_on_constraint(linkage, config, tols.residual)
+    check_on_constraint(linkage, config)
     hit = _search(_whole(linkage), config, tols.depth, tols, True, {})
     return None if hit is None else _decomposition(hit)

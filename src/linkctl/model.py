@@ -398,18 +398,15 @@ def pointed_normalize(config: Configuration, base_vertex: int) -> Configuration:
     return Configuration(p - p[base_vertex])
 
 
-def reduced_normalize(
-    linkage: Linkage,
-    config: Configuration,
-    tol: float = 1e-12,
-) -> Configuration:
+def reduced_normalize(linkage: Linkage, config: Configuration) -> Configuration:
     """Pin the pointed gauge and rotate the base link onto the first axis.
 
     In d=3 the rotation is the minimal one taking the link direction to e1
     (axis given by the cross product); the residual rotation about e1 is not
     fixed here and is quotiented out inside tangent-space computations.
 
-    Raises DegenerateDirection when the base link's endpoints coincide.
+    Raises DegenerateDirection when the base link's endpoints are closer than
+    1e-12 * (1 + max |coordinate|).
     """
     check_match(linkage, config)
     if linkage.base_link is None:
@@ -420,7 +417,7 @@ def reduced_normalize(
     direction = p[other]
     norm = float(np.linalg.norm(direction))
     scale = 1.0 + float(np.max(np.abs(config.points)))
-    if norm < tol * scale:
+    if norm < 1e-12 * scale:
         raise DegenerateDirection("base link endpoints coincide; no direction to pin")
     w = direction / norm
     d = linkage.ambient_dim

@@ -1,9 +1,10 @@
 """Numerical engine: rank with tolerance, projection onto the constraint set,
-sampling, tangent frames, finite-difference derivative oracles, reduced work
-data, pseudo-arclength continuation, and local branch counting.
+sampling, tangent frames, a finite-difference Hessian, reduced work data,
+pseudo-arclength continuation, and local branch counting.
 
 Tangent frames, work images and traced points read the constraint Jacobian's
-null space off one SVD per configuration, taken in ``_null_space``.
+null space off one SVD per configuration, taken in ``_null_space``.  Every
+tangent frame is reduced: rigid translations and rotations are projected out.
 
 All stochastic operations are pure functions of (inputs, seed): every sample
 draws from its own substream keyed by (seed, index).
@@ -11,7 +12,6 @@ draws from its own substream keyed by (seed, index).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -41,7 +41,6 @@ from .model import (
 )
 
 __all__ = [
-    "Gauge",
     "TangentFrame",
     "BranchReport",
     "TraceResult",
@@ -51,7 +50,6 @@ __all__ = [
     "sample_cspace",
     "tangent_frame",
     "work_image",
-    "fd_gradient",
     "fd_hessian",
     "reduced_work_data",
     "trace_curve",
@@ -70,28 +68,23 @@ _STEP_LADDER = tuple(0.5**j for j in range(40))  # 1, 1/2, ..., 2^-39 >= 1e-12 >
 _PROJECT_MAX_ITER = 100
 _PROJECT_TOL_RANK = 1e-8
 
+# trace_curve's corrector tolerance, and the least |cos| between consecutive
+# tangents before it reports a tangent jump.
+_TRACE_TOL = 1e-10
+_TRACE_MIN_COS = 0.5
+
 # Starts that sample_cspace projects together; bounds the batch's memory.
 _SAMPLE_CHUNK = 32
 
 
-class Gauge(enum.Enum):
-    FULL = "full"
-    POINTED = "pointed"
-    REDUCED = "reduced"
-
-
 @dataclass(frozen=True)
 class TangentFrame:
-    """Orthonormal basis of null(d(lambda)) with a gauge subspace projected out.
-
-    FULL removes nothing; POINTED removes the d translation generators;
-    REDUCED additionally removes the rigid rotation generators (including, in
-    d=3, the residual rotation about the pinned direction).
-    """
+    """Orthonormal basis of null(d(lambda)) with the rigid motions projected
+    out: the d translation generators and the rotation generators (including,
+    in d=3, the residual rotation about the pinned direction)."""
 
     base_config: Configuration
     basis: np.ndarray  # (m, N*d), orthonormal rows
-    gauge: Gauge
 
     @property
     def dim(self) -> int:
@@ -316,17 +309,18 @@ def project_to_cspace(
 def sample_cspace(linkage: Linkage, n: int, seed: int = 0, tol: float = 1e-10) -> list[Configuration]:
     """Project n random ambient starts onto the constraint set; failures are dropped.
 
-    Starts draw coordinates uniformly from a box of half-width sum(lengths);
-    attempt i uses the substream keyed by (seed, i), so results are
-    deterministic and schedule-independent.  The starts are projected
-    together, in chunks of _SAMPLE_CHUNK, by one lockstep Gauss-Newton; each
-    result equals project_to_cspace(linkage, start, tol=tol) of its start bit
-    for bit.  Only NoConvergence drops an attempt: any other error, such as
+    Starts draw coordinates uniformly from a box of half-width sum(lengths),
+    or 1 when that sum is 0 (a linkage without edges); attempt i uses the
+    substream keyed by (seed, i), so results are deterministic and
+    schedule-independent.  The starts are projected together, in chunks of
+    _SAMPLE_CHUNK, by one lockstep Gauss-Newton; each result equals
+    project_to_cspace(linkage, start, tol=tol) of its start bit for bit.
+    Only NoConvergence drops an attempt: any other error, such as
     InvalidSpec on a non-finite iterate, propagates.
     """
     if n < 1:
         raise InvalidSpec("need at least one sample attempt")
-    box = linkage.length_scale
+    box = linkage.length_scale or 1.0
     shape = (linkage.n_vertices, linkage.ambient_dim)
     out: list[Configuration] = []
     for lo in range(0, n, _SAMPLE_CHUNK):
@@ -365,21 +359,17 @@ def _rotation_generators(d: int) -> list[np.ndarray]:
     return gens
 
 
-def _gauge_vectors(points: np.ndarray, gauge: Gauge) -> np.ndarray:
-    """Rigid-motion generator fields to be projected out of the null space."""
+def _gauge_vectors(points: np.ndarray) -> np.ndarray:
+    """Rigid-motion generator fields to be projected out of the null space:
+    the d translations, then the rotations."""
     n, d = points.shape
     vecs: list[np.ndarray] = []
-    if gauge in (Gauge.POINTED, Gauge.REDUCED):
-        for j in range(d):
-            t = np.zeros((n, d))
-            t[:, j] = 1.0
-            vecs.append(t.reshape(-1))
-    if gauge is Gauge.REDUCED:
-        for gen in _rotation_generators(d):
-            field = points @ gen.T
-            vecs.append(field.reshape(-1))
-    if not vecs:
-        return np.zeros((0, n * d))
+    for j in range(d):
+        t = np.zeros((n, d))
+        t[:, j] = 1.0
+        vecs.append(t.reshape(-1))
+    for gen in _rotation_generators(d):
+        vecs.append((points @ gen.T).reshape(-1))
     return np.stack(vecs, axis=0)
 
 
@@ -399,25 +389,19 @@ def _null_space(linkage: Linkage, config: Configuration, tol_rank: float) -> tup
     return s, vt[np.count_nonzero(_kept_singular_values(s, tol_rank)) :]
 
 
-def _gauge_frame(config: Configuration, null: np.ndarray, gauge: Gauge) -> TangentFrame:
-    """The tangent frame of config: the null rows with the gauge subspace projected out."""
-    gauge_vecs = _orthonormal_rows(_gauge_vectors(config.points, gauge))
-    if gauge_vecs.shape[0] and null.shape[0]:
-        null = null - (null @ gauge_vecs.T) @ gauge_vecs
-    return TangentFrame(base_config=config, basis=_orthonormal_rows(null), gauge=gauge)
+def _gauge_frame(config: Configuration, null: np.ndarray) -> TangentFrame:
+    """The tangent frame of config: the null rows with the rigid motions projected out."""
+    gauge_vecs = _orthonormal_rows(_gauge_vectors(config.points))
+    null = null - (null @ gauge_vecs.T) @ gauge_vecs
+    return TangentFrame(base_config=config, basis=_orthonormal_rows(null))
 
 
-def tangent_frame(
-    linkage: Linkage,
-    config: Configuration,
-    gauge: Gauge = Gauge.REDUCED,
-    tol_rank: float = 1e-8,
-) -> TangentFrame:
-    """Orthonormal basis of the constraint null space minus the gauge subspace.
+def tangent_frame(linkage: Linkage, config: Configuration, tol_rank: float = 1e-8) -> TangentFrame:
+    """Orthonormal basis of the constraint null space minus the rigid motions.
 
     Requires the configuration to satisfy the constraints to 1e-8.
     """
-    return _gauge_frame(config, _null_space(linkage, config, tol_rank)[1], gauge)
+    return _gauge_frame(config, _null_space(linkage, config, tol_rank)[1])
 
 
 def work_image(
@@ -451,36 +435,17 @@ def _default_step(config: Configuration) -> float:
     return 1e-4 * (1.0 + float(np.max(np.abs(config.points))))
 
 
-def fd_gradient(
-    linkage: Linkage,
-    f: Callable[[Configuration], float],
-    frame: TangentFrame,
-    h: Optional[float] = None,
-    tol_rank: float = 1e-8,
-) -> np.ndarray:
-    """Central-difference gradient of f along the frame, re-projecting each
-    evaluation point onto the constraint set first."""
-    v0 = frame.base_config.flat
-    step = h if h is not None else _default_step(frame.base_config)
-    grad = np.zeros(frame.dim)
-    for i in range(frame.dim):
-        fp = f(_retract(linkage, v0 + step * frame.basis[i], tol_rank))
-        fm = f(_retract(linkage, v0 - step * frame.basis[i], tol_rank))
-        grad[i] = (fp - fm) / (2.0 * step)
-    return grad
-
-
 def fd_hessian(
     linkage: Linkage,
     f: Callable[[Configuration], float],
     frame: TangentFrame,
-    h: Optional[float] = None,
     tol_rank: float = 1e-8,
 ) -> np.ndarray:
     """Symmetrized central-difference Hessian of f along the frame, with
-    retraction-first evaluation so curvature of the constraint set is included."""
+    retraction-first evaluation so curvature of the constraint set is included.
+    The step is 1e-4 * (1 + max |coordinate|) of the frame's configuration."""
     v0 = frame.base_config.flat
-    step = h if h is not None else _default_step(frame.base_config)
+    step = _default_step(frame.base_config)
     m = frame.dim
     f0 = f(_retract(linkage, v0, tol_rank))
     hess = np.zeros((m, m))
@@ -502,22 +467,18 @@ def fd_hessian(
     return hess
 
 
-def reduced_work_data(
-    linkage: Linkage,
-    config: Configuration,
-    effector: Optional[int] = None,
-    tol_rank: float = 1e-8,
-    h: Optional[float] = None,
-) -> WorkData:
-    """Gradient and Hessian of the base-to-effector distance on the reduced frame.
+def reduced_work_data(linkage: Linkage, config: Configuration, tol_rank: float = 1e-8) -> WorkData:
+    """Gradient and Hessian of the distance from the linkage's base vertex to
+    its end effector, on the reduced frame.
 
     The gradient is the analytic ambient gradient projected onto the frame;
-    the Hessian is the retraction-corrected finite difference.  Raises
+    the Hessian is fd_hessian's retraction-corrected finite difference.
+    Raises InvalidSpec when the linkage has no end effector, and
     CoincidentEndpoints when base and effector occupy the same point.
     """
-    eff = effector if effector is not None else linkage.end_effector
+    eff = linkage.end_effector
     if eff is None:
-        raise InvalidSpec("no effector given and linkage has none")
+        raise InvalidSpec("linkage has no end effector")
     base = linkage.base_vertex
     check_match(linkage, config)
     p = config.points
@@ -527,7 +488,7 @@ def reduced_work_data(
     if dist < 1e-9 * scale:
         raise CoincidentEndpoints("effector coincides with base; reduced work data undefined")
 
-    frame = tangent_frame(linkage, config, Gauge.REDUCED, tol_rank)
+    frame = tangent_frame(linkage, config, tol_rank)
     unit = diff / dist
     amb = np.zeros_like(p)
     amb[eff] += unit
@@ -538,7 +499,7 @@ def reduced_work_data(
         q = cfg.points
         return float(np.linalg.norm(q[eff] - q[base]))
 
-    hess = fd_hessian(linkage, dist_fn, frame, h=h, tol_rank=tol_rank)
+    hess = fd_hessian(linkage, dist_fn, frame, tol_rank)
     return WorkData(gradient=grad, hessian=hess, frame=frame)
 
 
@@ -555,27 +516,30 @@ def trace_curve(
     max_steps: int = 2000,
     tol_rank: float = 1e-8,
     detect_tol: float = 1e-4,
-    project_tol: float = 1e-10,
-    min_cos: float = 0.5,
     direction: Optional[np.ndarray] = None,
 ) -> TraceResult:
     """Pseudo-arclength continuation of a one-dimensional solution curve.
 
     Predicts along the unit reduced tangent (orientation kept by sign
-    matching), corrects by Gauss-Newton in the hyperplane orthogonal to the
-    predictor, and stops on loop closure, step exhaustion, or singularity
-    indicators: a jump in tangent direction or dimension ("tangent_jump"),
-    the rank-proximity ratio falling below detect_tol, or a corrector that
+    matching), corrects by Gauss-Newton to residual 1e-10 in the hyperplane
+    orthogonal to the predictor, and stops on loop closure, step exhaustion,
+    or singularity indicators: a jump in tangent dimension or direction
+    (|cos| below 0.5 between consecutive tangents), or the rank-proximity
+    ratio falling below detect_tol ("tangent_jump"), or a corrector that
     keeps failing as the step shrinks ("stalled_at_singularity").  Raises
-    InvalidSpec unless step is positive and finite and tol_rank is finite
-    and >= 0.
+    InvalidSpec unless step is positive and finite, max_steps >= 0, and
+    tol_rank and detect_tol are finite and >= 0.
     """
     if not (np.isfinite(step) and step > 0):
         raise InvalidSpec(f"step must be positive and finite, got {step}")
+    if max_steps < 0:
+        raise InvalidSpec(f"max_steps must be >= 0, got {max_steps}")
     if not (np.isfinite(tol_rank) and tol_rank >= 0):
         raise InvalidSpec(f"tol_rank must be finite and >= 0, got {tol_rank}")
-    v = _gauge_fix(linkage, project_to_cspace(linkage, start, tol=project_tol))
-    frame = tangent_frame(linkage, v, Gauge.REDUCED, tol_rank)
+    if not (np.isfinite(detect_tol) and detect_tol >= 0):
+        raise InvalidSpec(f"detect_tol must be finite and >= 0, got {detect_tol}")
+    v = _gauge_fix(linkage, project_to_cspace(linkage, start, tol=_TRACE_TOL))
+    frame = tangent_frame(linkage, v, tol_rank)
     if frame.dim != 1:
         raise NotACurve(f"reduced tangent dimension is {frame.dim}, not 1")
     tangent = frame.basis[0]
@@ -602,7 +566,7 @@ def trace_curve(
                 return np.concatenate([_residual_points(linkage, p), [_t @ (x - _p)]])
 
             try:
-                corrected = _gauss_newton(res, jac, predictor, project_tol, 60, tol_rank)
+                corrected = _gauss_newton(res, jac, predictor, _TRACE_TOL, 60, tol_rank)
                 break
             except NoConvergence:
                 sub_step *= 0.5
@@ -624,7 +588,7 @@ def trace_curve(
             points.append(w)
             reason = "tangent_jump"
             break
-        new_frame = _gauge_frame(w, null, Gauge.REDUCED)
+        new_frame = _gauge_frame(w, null)
         if new_frame.dim != 1:
             points.append(w)
             reason = "tangent_jump"
@@ -634,7 +598,7 @@ def trace_curve(
         if cos < 0.0:
             new_tangent = -new_tangent
             cos = -cos
-        if cos < min_cos:
+        if cos < _TRACE_MIN_COS:
             points.append(w)
             reason = "tangent_jump"
             break
@@ -695,7 +659,7 @@ def local_branch_count(
         raise InvalidSpec(f"tol_rank must be finite and >= 0, got {tol_rank}")
     r = radius if radius is not None else 1e-2 * min(linkage.lengths)
     center = _gauge_fix(linkage, project_to_cspace(linkage, config, tol=1e-12))
-    frame = tangent_frame(linkage, center, Gauge.REDUCED, tol_rank)
+    frame = tangent_frame(linkage, center, tol_rank)
     d, nd = linkage.ambient_dim, center.flat.size
 
     def collect(rad: float) -> np.ndarray:

@@ -1,4 +1,4 @@
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 import pytest
@@ -184,7 +184,6 @@ def reference_local_branch_count(
     from linkctl.errors import NoConvergence
     from linkctl.numeric import (
         BranchReport,
-        Gauge,
         _gauge_fix,
         project_to_cspace,
         tangent_frame,
@@ -193,7 +192,7 @@ def reference_local_branch_count(
     note = log.append if log is not None else lambda event: None
     r = radius if radius is not None else 1e-2 * min(linkage.lengths)
     center = _gauge_fix(linkage, project_to_cspace(linkage, config, tol=1e-12))
-    frame = tangent_frame(linkage, center, Gauge.REDUCED, tol_rank)
+    frame = tangent_frame(linkage, center, tol_rank)
 
     def retract(flat: np.ndarray) -> Configuration:
         return project_to_cspace(
@@ -332,17 +331,47 @@ def reference_enumerate_chain_removals(graph: MechanismType) -> list[ChainRemova
     return removals
 
 
+def pointed_frame(linkage: Linkage, config: Configuration, tol_rank: float = 1e-8) -> np.ndarray:
+    """Orthonormal rows of the pointed tangent space: the constraint
+    Jacobian's null rows with the d translations projected out."""
+    from linkctl.numeric import _null_space, _orthonormal_rows
+
+    null = _null_space(linkage, config, tol_rank)[1]
+    # row j moves every vertex by one along axis j (vertex-major coordinates)
+    moves = np.kron(np.ones(linkage.n_vertices), np.eye(linkage.ambient_dim))
+    translations = _orthonormal_rows(moves)
+    return _orthonormal_rows(null - (null @ translations.T) @ translations)
+
+
+def fd_gradient(
+    linkage: Linkage, f: Callable[[Configuration], float], config: Configuration, basis: np.ndarray
+) -> np.ndarray:
+    """Central-difference gradient of f at config along each row of basis,
+    re-projecting each evaluation point onto the constraint set first, with
+    the step fd_hessian takes."""
+    from linkctl.numeric import _default_step, _retract
+
+    v0 = config.flat
+    step = _default_step(config)
+    grad = np.zeros(len(basis))
+    for i, direction in enumerate(basis):
+        fp = f(_retract(linkage, v0 + step * direction, 1e-8))
+        fm = f(_retract(linkage, v0 - step * direction, 1e-8))
+        grad[i] = (fp - fm) / (2.0 * step)
+    return grad
+
+
 def reference_work_image(
     linkage: Linkage, config: Configuration, base: int, effector: int, tol_rank: float = 1e-8
 ) -> SubspaceBasis:
     """Reference work image: the effector-minus-base differential over the
-    pointed tangent frame, translations projected out of the null space first."""
-    from linkctl.numeric import Gauge, _orthonormal_rows, tangent_frame
+    pointed tangent frame."""
+    from linkctl.numeric import _orthonormal_rows
 
     d = linkage.ambient_dim
-    frame = tangent_frame(linkage, config, Gauge.POINTED, tol_rank)
-    if frame.dim == 0:
+    basis = pointed_frame(linkage, config, tol_rank)
+    if len(basis) == 0:
         return SubspaceBasis(d, np.zeros((0, d)))
-    fields = frame.basis.reshape(frame.dim, linkage.n_vertices, d)
+    fields = basis.reshape(len(basis), linkage.n_vertices, d)
     rows = fields[:, effector, :] - fields[:, base, :]
     return SubspaceBasis(d, _orthonormal_rows(rows, rel_tol=max(tol_rank, 1e-9)))

@@ -320,10 +320,10 @@ def test_criterion_8_continuation():
     assert np.all(np.einsum("ij,ij->i", secants[:-1], secants[1:]) > 0)
 
     singular = four_bar()
-    from linkctl.numeric import Gauge, _gauge_fix, project_to_cspace
+    from linkctl.numeric import _gauge_fix, project_to_cspace
 
     node = _gauge_fix(singular, four_bar_node())
-    frame = tangent_frame(singular, node, Gauge.REDUCED)
+    frame = tangent_frame(singular, node)
     start_flat = node.flat + 5e-4 * frame.basis[0]
     near = project_to_cspace(
         singular, Configuration.from_flat(start_flat, 2), tol=1e-12, preserve_pointed=False

@@ -39,6 +39,15 @@ class TestWorkspaceInterval:
         with pytest.raises(EmptyChain):
             workspace_interval(())
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_length_must_be_positive_and_finite(self, bad):
+        # nan gave (0.0, nan) and inf gave (0.0, inf)
+        with pytest.raises(InvalidSpec, match="positive and finite"):
+            workspace_interval((bad, 1.0))
+        for kind in ChainKind:
+            with pytest.raises(InvalidSpec, match="positive and finite"):
+                ChainSpec(kind, (bad, 1.0, 1.0))
+
     def test_against_sampling_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(12):

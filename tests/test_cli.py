@@ -134,7 +134,9 @@ class TestSampleCommand:
         lp, _ = edgeless_files
         code, out = run(capsys, "sample", lp, "-n", "2")
         assert code == 0
-        assert json.loads(out)["count"] == 2
+        doc = json.loads(out)
+        assert doc["count"] == 2
+        assert doc["samples"][0] != doc["samples"][1]
 
 
 class TestTraceCommand:
@@ -166,6 +168,24 @@ class TestTraceCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: tol_rank must be finite and >= 0")
 
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (("--max-steps", "-3"), "max_steps must be >= 0"),
+            (("--sing-tol", "nan"), "detect_tol must be finite and >= 0"),
+            (("--sing-tol", "inf"), "detect_tol must be finite and >= 0"),
+            (("--sing-tol", "-1"), "detect_tol must be finite and >= 0"),
+        ],
+    )
+    def test_out_of_range_option_exits_1(self, demo_files, capsys, option, message):
+        # --max-steps -3 exited 0 with one point; --sing-tol nan switched detection off
+        lp, cp = demo_files("four-bar-regular")
+        code = main(["trace", lp, cp, *option])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+
     def test_edgeless_linkage(self, edgeless_files, capsys):
         lp, cp = edgeless_files
         code, out = run(capsys, "trace", lp, cp, "--max-steps", "30")
@@ -192,6 +212,15 @@ class TestWorkspaceCommand:
         code, out = run(capsys, "workspace", "--lengths", "2,1")
         assert code == 0
         assert json.loads(out) == {"m": 1.0, "M": 3.0}
+
+    @pytest.mark.parametrize("lengths", ["nan,1", "inf,1", "1,-2"])
+    def test_bad_length_exits_1(self, capsys, lengths):
+        # nan printed "M": NaN, which is not JSON
+        code = main(["workspace", "--lengths", lengths])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: link lengths must be positive and finite")
 
     def test_five_bar_lens(self, demo_files, capsys):
         lp, _ = demo_files("five-bar")

@@ -315,3 +315,13 @@ class TestTolerances:
     def test_negative_depth(self):
         with pytest.raises(InvalidSpec, match="depth"):
             Tolerances(depth=-1)
+
+    @pytest.mark.parametrize("depth", [float("nan"), 1.5, 2.0])
+    def test_depth_must_be_an_integer(self, depth):
+        # nan searched nothing and 1.5 searched two levels
+        with pytest.raises(InvalidSpec, match="depth"):
+            Tolerances(depth=depth)
+
+    def test_five_fields(self):
+        names = [f.name for f in fields(Tolerances)]
+        assert names == ["rank", "align", "grad_scale", "eig_floor", "depth"]

@@ -1,8 +1,10 @@
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import linkctl
 import linkctl.numeric as numeric
 from linkctl.chains import ChainKind, ChainSpec, is_aligned
 from linkctl.decomp import chain_mechanism, enumerate_chain_removals, remainder_mechanism
@@ -24,8 +26,7 @@ from linkctl.model import (
     constraint_residual,
 )
 from linkctl.numeric import (
-    Gauge,
-    fd_gradient,
+    TangentFrame,
     fd_hessian,
     local_branch_count,
     numerical_rank,
@@ -38,8 +39,10 @@ from linkctl.numeric import (
 )
 
 from conftest import (
+    fd_gradient,
     four_bar,
     four_bar_node,
+    pointed_frame,
     random_linkage,
     random_open_chain,
     reference_jacobian,
@@ -116,7 +119,10 @@ class TestSampling:
             sample_cspace(triangle((1.0, 1.0, 5.0)), 10, seed=0)
 
     def test_edgeless_linkage(self):
-        assert len(sample_cspace(Linkage(MechanismType(2, ()), (), ambient_dim=2), 2)) == 2
+        # no length sets the start box, so it has half-width 1, not 0
+        a, b = sample_cspace(Linkage(MechanismType(2, ()), (), ambient_dim=2), 2)
+        assert not np.array_equal(a.points, b.points)
+        assert 0.0 < np.max(np.abs(a.points)) <= 1.0
 
     def test_determinism(self):
         linkage = four_bar()
@@ -340,27 +346,33 @@ class TestTangentFrame:
     def test_rigid_triangle_zero_dimensional(self):
         linkage = triangle()
         v = Configuration([(0, 0), (3, 0), (3, 4)])
-        assert tangent_frame(linkage, v, Gauge.REDUCED).dim == 0
+        assert tangent_frame(linkage, v).dim == 0
 
     def test_four_bar_generic_one_dimensional(self):
         linkage = four_bar()
         v = sample_cspace(linkage, 1, seed=5)[0]
-        assert tangent_frame(linkage, v, Gauge.REDUCED).dim == 1
+        assert tangent_frame(linkage, v).dim == 1
 
     def test_four_bar_node_two_dimensional(self):
-        assert tangent_frame(four_bar(), four_bar_node(), Gauge.REDUCED).dim == 2
+        assert tangent_frame(four_bar(), four_bar_node()).dim == 2
 
     def test_gauge_hierarchy(self):
-        linkage = four_bar()
-        v = sample_cspace(linkage, 1, seed=5)[0]
-        full = tangent_frame(linkage, v, Gauge.FULL).dim
-        pointed = tangent_frame(linkage, v, Gauge.POINTED).dim
-        reduced = tangent_frame(linkage, v, Gauge.REDUCED).dim
-        assert full == pointed + 2 == reduced + 3
+        # at a generic point the rigid motions take d(d+1)/2 directions out of
+        # the null space; in d = 3 that needs three points off one line
+        rng = np.random.default_rng(41)
+        cases = [(four_bar(), sample_cspace(four_bar(), 1, seed=5)[0])]
+        while len(cases) < 21:
+            linkage, v = random_linkage(rng, dim=len(cases) % 2 + 2)
+            if linkage.n_vertices >= 3:
+                cases.append((linkage, v))
+        for linkage, v in cases:
+            d = linkage.ambient_dim
+            rank = numerical_rank(constraint_jacobian(linkage, v))
+            assert tangent_frame(linkage, v).dim == linkage.n_vertices * d - rank - d * (d + 1) // 2
 
     def test_basis_in_null_space(self):
         linkage = four_bar()
-        frame = tangent_frame(linkage, four_bar_node(), Gauge.REDUCED)
+        frame = tangent_frame(linkage, four_bar_node())
         jac = constraint_jacobian(linkage, four_bar_node())
         gram = frame.basis @ frame.basis.T
         assert np.allclose(gram, np.eye(frame.dim), atol=1e-10)
@@ -370,12 +382,17 @@ class TestTangentFrame:
         with pytest.raises(OffConstraint):
             tangent_frame(four_bar(), Configuration([(0, 0), (1, 1), (2, 2), (3, 3)]))
 
+    def test_one_gauge(self):
+        # every frame is reduced: no gauge setting is left to choose
+        assert [f.name for f in fields(TangentFrame)] == ["base_config", "basis"]
+        assert not hasattr(linkctl, "Gauge") and not hasattr(linkctl, "fd_gradient")
+
     def test_edgeless_linkage(self):
         # no constraint: the null space is everything, less the gauge
         linkage = Linkage(MechanismType(2, ()), (), ambient_dim=2)
         v = Configuration([(0.0, 0.0), (1.0, 0.0)])
-        assert tangent_frame(linkage, v, Gauge.FULL).dim == 4
-        assert tangent_frame(linkage, v, Gauge.REDUCED).dim == 1
+        assert numeric._null_space(linkage, v, 1e-8)[1].shape[0] == 4
+        assert tangent_frame(linkage, v).dim == 1
 
 
 class TestWorkDifferentialRankLaw:
@@ -401,15 +418,14 @@ class TestWorkDifferentialRankLaw:
             lengths = tuple(np.linalg.norm(np.diff(pts, axis=0), axis=1))
             linkage = ChainSpec(ChainKind.OPEN, lengths, 2).to_linkage()
             cfg = Configuration(pts)
-            frame = tangent_frame(linkage, cfg, Gauge.POINTED)
-            analytic = frame.basis.reshape(frame.dim, k + 1, 2)[:, k, :] - frame.basis.reshape(
-                frame.dim, k + 1, 2
-            )[:, 0, :]
+            basis = pointed_frame(linkage, cfg)
+            fields = basis.reshape(len(basis), k + 1, 2)
+            analytic = fields[:, k, :] - fields[:, 0, :]
             for comp in range(2):
                 def f(c, _comp=comp):
                     return float(c.points[k, _comp] - c.points[0, _comp])
 
-                fd = fd_gradient(linkage, f, frame)
+                fd = fd_gradient(linkage, f, cfg, basis)
                 assert np.linalg.norm(fd - analytic[:, comp]) / max(
                     np.linalg.norm(analytic[:, comp]), 1e-9
                 ) < 1e-6
@@ -474,8 +490,8 @@ class TestFiniteDifferences:
     def test_constant_function(self):
         linkage = four_bar()
         v = sample_cspace(linkage, 1, seed=5)[0]
-        frame = tangent_frame(linkage, v, Gauge.REDUCED)
-        grad = fd_gradient(linkage, lambda c: 7.5, frame)
+        frame = tangent_frame(linkage, v)
+        grad = fd_gradient(linkage, lambda c: 7.5, v, frame.basis)
         hess = fd_hessian(linkage, lambda c: 7.5, frame)
         assert np.max(np.abs(grad)) < 1e-10
         assert np.max(np.abs(hess)) < 1e-6
@@ -483,12 +499,12 @@ class TestFiniteDifferences:
     def test_single_link_distance_constant(self):
         linkage = ChainSpec(ChainKind.OPEN, (1.5,), 2).to_linkage()
         v = Configuration([(0, 0), (1.5, 0)])
-        frame = tangent_frame(linkage, v, Gauge.REDUCED)
+        frame = tangent_frame(linkage, v)
 
         def f(c):
             return float(np.linalg.norm(c.points[1] - c.points[0]))
 
-        grad = fd_gradient(linkage, f, frame)
+        grad = fd_gradient(linkage, f, v, frame.basis)
         assert np.max(np.abs(grad)) < 1e-8 if grad.size else True
 
 
@@ -523,7 +539,7 @@ class TestReducedWorkData:
             def f(c):
                 return float(np.linalg.norm(c.points[-1] - c.points[0]))
 
-            fd = fd_gradient(linkage, f, data.frame)
+            fd = fd_gradient(linkage, f, cfg, data.frame.basis)
             assert np.linalg.norm(fd - data.gradient) < 1e-6 * (1 + np.linalg.norm(fd))
 
 
@@ -555,6 +571,29 @@ class TestTraceCurve:
         with pytest.raises(InvalidSpec, match="tol_rank"):
             trace_curve(linkage, start, max_steps=30, tol_rank=tol_rank)
 
+    @pytest.mark.parametrize("max_steps", [-1, -3])
+    def test_max_steps_must_be_non_negative(self, max_steps):
+        # -3 gave one point and stop_reason "max_steps"
+        linkage = four_bar((2.0, 1.2, 1.7, 0.9))
+        start = sample_cspace(linkage, 1, seed=11)[0]
+        with pytest.raises(InvalidSpec, match="max_steps"):
+            trace_curve(linkage, start, max_steps=max_steps)
+
+    @pytest.mark.parametrize("detect_tol", [float("nan"), float("inf"), -1.0])
+    def test_detect_tol_must_be_finite_and_non_negative(self, detect_tol):
+        # nan switched singularity detection off: proximity < nan is never true
+        linkage = four_bar((2.0, 1.2, 1.7, 0.9))
+        start = sample_cspace(linkage, 1, seed=11)[0]
+        with pytest.raises(InvalidSpec, match="detect_tol"):
+            trace_curve(linkage, start, max_steps=30, detect_tol=detect_tol)
+
+    def test_zero_max_steps_is_the_start(self):
+        linkage = four_bar((2.0, 1.2, 1.7, 0.9))
+        start = sample_cspace(linkage, 1, seed=11)[0]
+        result = trace_curve(linkage, start, max_steps=0)
+        assert result.stop_reason == "max_steps"
+        assert len(result.points) == 1
+
     def test_edgeless_linkage(self):
         # no constraint, so no rank to lose: the trace runs out of steps
         linkage = Linkage(MechanismType(2, ()), (), ambient_dim=2)
@@ -574,7 +613,7 @@ class TestTraceCurve:
         from linkctl.numeric import _gauge_fix
 
         fixed = _gauge_fix(linkage, node)
-        frame = tangent_frame(linkage, fixed, Gauge.REDUCED)
+        frame = tangent_frame(linkage, fixed)
         start_flat = fixed.flat + 5e-4 * frame.basis[0]
         start = project_to_cspace(
             linkage, Configuration.from_flat(start_flat, 2), tol=1e-12, preserve_pointed=False
