@@ -55,7 +55,8 @@ class ChainSpec:
     Open: path on len(lengths)+1 vertices.  Closed: cycle, one vertex per
     length.  PrismaticClosed: cycle whose last link has variable length in
     ``prismatic_range`` (defaults to the reachable interval of the fixed
-    links) instead of a fixed one.
+    links) instead of a fixed one; it has no Linkage of its own, and
+    ``prismatic_fiber`` freezes that link into a closed chain.
     """
 
     kind: ChainKind
@@ -80,50 +81,32 @@ class ChainSpec:
                 if self.prismatic_range is not None
                 else workspace_interval(self.lengths)
             )
-            if not (0.0 <= lo <= hi):
-                raise InvalidSpec("prismatic range must satisfy 0 <= min <= max")
+            if not (math.isfinite(hi) and 0.0 <= lo <= hi):
+                raise InvalidSpec("prismatic range must be finite with 0 <= min <= max")
             object.__setattr__(self, "prismatic_range", (float(lo), float(hi)))
         elif self.prismatic_range is not None:
             raise InvalidSpec("prismatic_range only applies to prismatic closed chains")
 
     @property
-    def n_links(self) -> int:
-        return len(self.lengths) + (1 if self.kind is ChainKind.PRISMATIC_CLOSED else 0)
-
-    @property
     def n_vertices(self) -> int:
-        if self.kind is ChainKind.OPEN:
-            return len(self.lengths) + 1
-        if self.kind is ChainKind.CLOSED:
-            return len(self.lengths)
-        return len(self.lengths) + 1
+        return len(self.lengths) + (0 if self.kind is ChainKind.CLOSED else 1)
 
     def to_linkage(self) -> Linkage:
-        """Realize the chain as a Linkage with base 0, base link 0, effector at the far end."""
+        """Realize an open or closed chain as a Linkage with base 0, base link 0,
+        effector at the far end.  A prismatic closed chain raises InvalidSpec."""
+        if self.kind is ChainKind.PRISMATIC_CLOSED:
+            raise InvalidSpec(
+                "a prismatic closed chain has no fixed lengths; realize a fiber "
+                "with prismatic_fiber(chain, ell).to_linkage()"
+            )
         n = self.n_vertices
-        if self.kind is ChainKind.OPEN:
-            edges = tuple((i, i + 1) for i in range(n - 1))
-            lengths = self.lengths
-            prismatic: tuple[tuple[int, float, float], ...] = ()
-        elif self.kind is ChainKind.CLOSED:
-            edges = tuple((i, (i + 1) % n) for i in range(n))
-            lengths = self.lengths
-            prismatic = ()
-        else:
-            edges = tuple((i, (i + 1) % n) for i in range(n))
-            lo, hi = self.prismatic_range  # type: ignore[misc]
-            # the variable edge still needs a nominal positive length
-            nominal = hi if lo == 0.0 else 0.5 * (lo + hi)
-            lengths = self.lengths + (nominal,)
-            prismatic = ((n - 1, lo, hi),)
         return Linkage(
-            graph=MechanismType(n, edges),
-            lengths=lengths,
+            graph=MechanismType(n, tuple((i, (i + 1) % n) for i in range(len(self.lengths)))),
+            lengths=self.lengths,
             ambient_dim=self.ambient_dim,
             base_vertex=0,
             base_link=0,
             end_effector=n - 1,
-            prismatic=prismatic,
         )
 
 

@@ -96,23 +96,15 @@ class ClassificationReport:
                 "base_vertices": list(self.certificate.base_vertices),
                 "base_edges": list(self.certificate.base_edges),
             }
-        branches = None
-        if self.branch_report is not None:
-            b = self.branch_report
-            branches = {
-                "radius": b.radius,
-                "sample_count": b.sample_count,
-                "branch_count": b.branch_count,
-                "cluster_sizes": list(b.cluster_sizes),
-                "stable": b.stable,
-            }
         return {
             "verdict": self.verdict.value,
             "rank": [self.rank, self.k],
             "witness": witness,
             "certificate": certificate,
             "conjunction": self.conjunction,
-            "branch_report": branches,
+            "branch_report": (
+                None if self.branch_report is None else self.branch_report.to_json_dict()
+            ),
             "notes": list(self.notes),
         }
 

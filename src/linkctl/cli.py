@@ -10,6 +10,28 @@
 Reports are JSON on stdout.  ``analyze`` exits 0 for Smooth, 10 for
 GenericSingular, 20 for Indeterminate, 30 for Conflict; all commands exit 1
 on errors.  The seed comes from --seed, falling back to LINKCTL_SEED.
+
+A linkage document is a JSON object:
+
+    {
+      "dim": 2,                                      2 or 3
+      "vertices": 4,                                 vertex ids are 0 .. vertices-1
+      "edges": [{"u": 0, "v": 1, "length": 3.0}, ...],
+      "base": 0,                                     optional, default 0
+      "base_link": 0,                                optional edge index at the base
+      "effector": 2,                                 optional work vertex, not the base
+      "platform": {                                  optional, planar platforms only
+        "branches": [[6, 7], [8, 9], [10, 11]],      per branch, edges from its fixed anchor
+        "fixed": [0, 1, 2],                          the fixed triangle's vertices
+        "moving": [3, 4, 5]                          the moving triangle's vertices
+      }
+    }
+
+Every length is positive and finite, and the edge order fixes the order of
+the constraint rows.  Lengths are fixed: an edge with a "prismatic" key is
+rejected, and a prismatic chain is analyzed one fiber at a time through
+``linkctl.chains.prismatic_fiber``.  A configuration document is
+``{"points": [[x, y], ...]}``, one point of ``dim`` coordinates per vertex.
 """
 
 from __future__ import annotations
@@ -216,16 +238,7 @@ def _cmd_branches(args: argparse.Namespace) -> int:
         cluster_factor=args.cluster_factor,
         tol_rank=args.tol_rank,
     )
-    _emit(
-        {
-            "radius": report.radius,
-            "sample_count": report.sample_count,
-            "branch_count": report.branch_count,
-            "cluster_sizes": list(report.cluster_sizes),
-            "stable": report.stable,
-            "halved_branch_count": report.halved_branch_count,
-        }
-    )
+    _emit(report.to_json_dict())
     return 0
 
 

@@ -1,7 +1,7 @@
 """Registry of demonstration mechanisms with distinguished configurations.
 
 Each entry builds a (linkage document, configuration document) pair in the
-CLI JSON schema.  Configurations are constructed exactly (lengths derived
+JSON schema given in ``linkctl.cli``.  Configurations are constructed exactly (lengths derived
 from placed points), so the documents satisfy their constraints to machine
 precision and round-trip deterministically.
 """

@@ -122,9 +122,8 @@ class Linkage:
 
     ``base_vertex`` pins the pointed gauge, ``base_link`` (an edge index
     incident to the base) pins the reduced gauge, ``end_effector`` is the
-    distinguished work vertex.  ``prismatic`` maps an edge index to its
-    admissible length range; only the variable edge of a prismatic closed
-    chain uses it.
+    distinguished work vertex.  ``platform``, when given, may name only edges
+    and vertices of the graph.
     """
 
     graph: MechanismType
@@ -133,7 +132,6 @@ class Linkage:
     base_vertex: int = 0
     base_link: Optional[int] = None
     end_effector: Optional[int] = None
-    prismatic: tuple[tuple[int, float, float], ...] = ()
     platform: Optional[PlatformSpec] = None
 
     def __post_init__(self) -> None:
@@ -156,11 +154,17 @@ class Linkage:
                 raise InvalidSpec("end_effector out of range")
             if self.end_effector == self.base_vertex:
                 raise InvalidSpec("end_effector must differ from base_vertex")
-        for edge_idx, lo, hi in self.prismatic:
-            if not (0 <= edge_idx < self.graph.edge_count):
-                raise InvalidSpec("prismatic edge index out of range")
-            if not (0.0 <= lo <= hi) or hi <= 0.0:
-                raise InvalidSpec("prismatic range must satisfy 0 <= min <= max, max > 0")
+        plat = self.platform
+        if plat is not None:
+            for branch in plat.branches:
+                if not branch:
+                    raise InvalidSpec("platform branch has no edges")
+                for i in branch:
+                    if not (0 <= i < self.graph.edge_count):
+                        raise InvalidSpec(f"platform branch references missing edge {i}")
+            for v in (*plat.fixed, *plat.moving):
+                if not (0 <= v < self.graph.vertex_count):
+                    raise InvalidSpec(f"platform references missing vertex {v}")
 
     @property
     def k(self) -> int:
@@ -272,7 +276,10 @@ def check_on_constraint(linkage: Linkage, config: Configuration, tol: float = 1e
 
 
 def build_linkage(doc: Mapping) -> Linkage:
-    """Validate a parsed linkage document (see the CLI JSON schema) into a Linkage."""
+    """Validate a parsed linkage document (see the schema in ``linkctl.cli``) into a Linkage.
+
+    Lengths are fixed, so an edge with a ``prismatic`` key raises InvalidSpec.
+    """
     try:
         dim = int(doc["dim"])
         n = int(doc["vertices"])
@@ -282,19 +289,17 @@ def build_linkage(doc: Mapping) -> Linkage:
 
     edges = []
     lengths = []
-    prismatic = []
     for i, e in enumerate(edge_docs):
         try:
             edges.append((int(e["u"]), int(e["v"])))
             lengths.append(float(e["length"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidSpec(f"malformed edge {i}: {exc}") from exc
-        if "prismatic" in e and e["prismatic"] is not None:
-            p = e["prismatic"]
-            try:
-                prismatic.append((i, float(p["min"]), float(p["max"])))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise InvalidSpec(f"malformed prismatic range on edge {i}: {exc}") from exc
+        if "prismatic" in e:
+            raise InvalidSpec(
+                f"edge {i} has a prismatic range; edges have fixed lengths, so freeze "
+                "the variable link with chains.prismatic_fiber(chain, ell)"
+            )
 
     platform = None
     if doc.get("platform") is not None:
@@ -307,10 +312,6 @@ def build_linkage(doc: Mapping) -> Linkage:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidSpec(f"malformed platform block: {exc}") from exc
-        for branch in platform.branches:
-            for i in branch:
-                if not (0 <= i < len(edges)):
-                    raise InvalidSpec(f"platform branch references missing edge {i}")
 
     return Linkage(
         graph=MechanismType(n, tuple(edges)),
@@ -319,7 +320,6 @@ def build_linkage(doc: Mapping) -> Linkage:
         base_vertex=int(doc.get("base", 0)),
         base_link=None if doc.get("base_link") is None else int(doc["base_link"]),
         end_effector=None if doc.get("effector") is None else int(doc["effector"]),
-        prismatic=tuple(prismatic),
         platform=platform,
     )
 

@@ -12,7 +12,7 @@ draws from its own substream keyed by (seed, index).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -101,6 +101,9 @@ class BranchReport:
     cluster_sizes: tuple[int, ...]
     stable: bool
     halved_branch_count: int
+
+    def to_json_dict(self) -> dict:
+        return {**asdict(self), "cluster_sizes": list(self.cluster_sizes)}
 
 
 @dataclass(frozen=True)

@@ -38,11 +38,10 @@ def _open_svg(xs: np.ndarray, ys: np.ndarray, margin: float = 0.5) -> tuple[list
     return lines, stroke
 
 
-def _line(p: np.ndarray, q: np.ndarray, stroke: float, color: str, dashed: bool = False) -> str:
-    dash = f' stroke-dasharray="{_fmt(3 * stroke)},{_fmt(2 * stroke)}"' if dashed else ""
+def _line(p: np.ndarray, q: np.ndarray, stroke: float, color: str) -> str:
     return (
         f'<line x1="{_fmt(p[0])}" y1="{_fmt(-p[1])}" x2="{_fmt(q[0])}" y2="{_fmt(-q[1])}" '
-        f'stroke="{color}" stroke-width="{_fmt(stroke)}"{dash}/>\n'
+        f'stroke="{color}" stroke-width="{_fmt(stroke)}"/>\n'
     )
 
 
@@ -68,18 +67,17 @@ def render_linkage(
     """Draw one or more configurations of a planar linkage as edge polylines.
 
     The first configuration is drawn solid; any further ones are faint
-    overlays.  Prismatic edges are dashed.
+    overlays.
     """
     if linkage.ambient_dim != 2:
         raise ValueError("SVG rendering is implemented for planar linkages")
     allpts = np.vstack([c.points for c in configs])
     lines, stroke = _open_svg(allpts[:, 0], allpts[:, 1])
-    prismatic = {e for e, _, _ in linkage.prismatic}
     for idx in range(len(configs) - 1, -1, -1):
         p = configs[idx].points
         color = "#1f6fb2" if idx == 0 else "#b8cfe0"
-        for i, (u, v) in enumerate(linkage.graph.edges):
-            lines.append(_line(p[u], p[v], stroke, color, dashed=i in prismatic))
+        for u, v in linkage.graph.edges:
+            lines.append(_line(p[u], p[v], stroke, color))
         for j in range(p.shape[0]):
             lines.append(_circle(p[j], 2.0 * stroke, stroke, "#222222", fill="#ffffff"))
         if idx == 0:

@@ -246,6 +246,28 @@ class TestSpherical:
         assert np.max(np.abs(back.points - pts)) < 1e-12
 
 
+class TestChainLinkage:
+    def test_open_and_closed_edge_lists(self):
+        assert ChainSpec(ChainKind.OPEN, (1.0, 1.0, 1.0)).to_linkage().graph.edges == (
+            (0, 1), (1, 2), (2, 3)
+        )
+        assert ChainSpec(ChainKind.CLOSED, (1.0, 1.0, 1.0)).to_linkage().graph.edges == (
+            (0, 1), (1, 2), (2, 0)
+        )
+
+    def test_prismatic_chain_points_to_fiber(self):
+        pc = ChainSpec(ChainKind.PRISMATIC_CLOSED, (1.0, 2.0, 1.5))
+        with pytest.raises(InvalidSpec, match="prismatic_fiber"):
+            pc.to_linkage()
+
+    @pytest.mark.parametrize(
+        "bad", [(0.5, float("nan")), (float("nan"), 2.0), (0.5, float("inf")), (float("inf"),) * 2]
+    )
+    def test_prismatic_range_must_be_finite(self, bad):
+        with pytest.raises(InvalidSpec, match="prismatic range"):
+            ChainSpec(ChainKind.PRISMATIC_CLOSED, (1.0, 2.0), prismatic_range=bad)
+
+
 class TestPrismaticFiber:
     def test_degenerate_triangle_fiber(self):
         pc = ChainSpec(ChainKind.PRISMATIC_CLOSED, (2.0, 1.0))

@@ -112,6 +112,24 @@ class TestAnalyzeCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and ">= 0, got" in captured.err
 
+    def test_prismatic_document_exits_1(self, demo_files, capsys):
+        lp, cp = demo_files("four-bar-singular")
+        doc = json.loads(Path(lp).read_text())
+        doc["edges"][2]["prismatic"] = {"min": 0.5, "max": 2.0}
+        Path(lp).write_text(json.dumps(doc))
+        code = main(["analyze", lp, cp])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "prismatic_fiber" in captured.err
+
+    def test_branch_report_matches_branches_command(self, demo_files, capsys):
+        lp, cp = demo_files("egsing")
+        _, out = run(capsys, "analyze", lp, cp, "--branches", "--seed", "3")
+        _, branches = run(capsys, "branches", lp, cp, "--seed", "3")
+        assert json.loads(out)["branch_report"] == json.loads(branches)
+        assert "halved_branch_count" in json.loads(branches)
+
     def test_svg_written(self, demo_files, tmp_path, capsys):
         lp, cp = demo_files("four-bar-singular")
         out_svg = tmp_path / "fb.svg"

@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from linkctl.demos import build_demo
 from linkctl.errors import DegenerateDirection, DimensionMismatch, InvalidSpec, OffConstraint
 from linkctl.model import (
     Configuration,
     Linkage,
     MechanismType,
+    PlatformSpec,
     SubspaceBasis,
     _jacobian_rows,
     _residual_rows,
@@ -88,6 +92,41 @@ class TestBuildLinkage:
         linkage = four_bar()
         assert linkage.lengths[0] + linkage.lengths[2] == pytest.approx(4.5)
         assert linkage.lengths[1] + linkage.lengths[3] == pytest.approx(4.5)
+
+    @pytest.mark.parametrize("prismatic", [{"min": 0.5, "max": 2.0}, None])
+    def test_prismatic_key_rejected(self, prismatic):
+        edge = {"u": 0, "v": 1, "length": 1.0, "prismatic": prismatic}
+        with pytest.raises(InvalidSpec, match="prismatic_fiber"):
+            build_linkage({"dim": 2, "vertices": 2, "edges": [edge]})
+
+
+# Platform blocks with an empty branch or a missing edge or vertex.
+BAD_PLATFORMS = [
+    ({"branches": ((99,), (8, 9), (10, 11))}, "missing edge 99"),
+    ({"branches": ((6, 7), (), (10, 11))}, "no edges"),
+    ({"fixed": (99, 98, 97)}, "missing vertex 99"),
+    ({"moving": (3, 4, -1)}, "missing vertex -1"),
+]
+
+
+class TestPlatformChecks:
+    @pytest.mark.parametrize("change, message", BAD_PLATFORMS)
+    def test_document_route(self, change, message):
+        doc, _ = build_demo("tri-platform-a")
+        doc["platform"] = {**doc["platform"], **change}
+        with pytest.raises(InvalidSpec, match=message):
+            build_linkage(doc)
+
+    @pytest.mark.parametrize("change, message", BAD_PLATFORMS)
+    def test_constructor_route(self, change, message):
+        linkage = build_linkage(build_demo("tri-platform-a")[0])
+        platform = dataclasses.replace(linkage.platform, **change)
+        with pytest.raises(InvalidSpec, match=message):
+            dataclasses.replace(linkage, platform=platform)
+
+    def test_valid_platform_kept(self):
+        linkage = build_linkage(build_demo("tri-platform-a")[0])
+        assert linkage.platform == PlatformSpec(((6, 7), (8, 9), (10, 11)), (0, 1, 2), (3, 4, 5))
 
 
 class TestSquaredLengthMap:
