@@ -8,6 +8,7 @@ from .chains import (
     aligned_morse_index,
     chain_work_image,
     chain_work_map,
+    chord_signature,
     forward_count,
     from_spherical,
     is_aligned,

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
+    CoincidentEndpoints,
     DegenerateDirection,
     EmptyChain,
     InvalidSpec,
@@ -32,6 +33,7 @@ __all__ = [
     "workspace_interval",
     "is_aligned",
     "forward_count",
+    "chord_signature",
     "aligned_morse_index",
     "chain_work_map",
     "chain_work_image",
@@ -179,6 +181,24 @@ def forward_count(
     return int(np.sum(vecs @ np.asarray(w, dtype=float) > 0.0))
 
 
+def chord_signature(config: Configuration | np.ndarray, tol: float = 1e-6) -> tuple[int, int]:
+    """(positive, negative) inertia of the chord-length Hessian of an aligned
+    open chain on its reduced frame: with f of its k links pointing along the
+    chord from the first vertex to the last, ((d-1)*(k-f), (d-1)*(f-1)).
+
+    Raises CoincidentEndpoints when the chord vanishes, and NotAligned
+    (from forward_count) unless the chain is aligned within ``tol``.
+    """
+    points = _chain_points(config)
+    chord = points[-1] - points[0]
+    rho = float(np.linalg.norm(chord))
+    if rho < 1e-12 * (1.0 + float(np.max(np.abs(points)))):
+        raise CoincidentEndpoints("aligned chain chord vanishes")
+    f = forward_count(points, chord / rho, tol=tol)
+    d = points.shape[1]
+    return ((d - 1) * (len(points) - 1 - f), (d - 1) * (f - 1))
+
+
 def aligned_morse_index(chain: ChainSpec, config: Configuration | np.ndarray) -> int:
     """Morse index of the reduced endpoint-distance function at an aligned
     configuration of a closed chain whose last link is the variable one,
@@ -188,23 +208,18 @@ def aligned_morse_index(chain: ChainSpec, config: Configuration | np.ndarray) ->
     complementary path) and f the number of the first n links pointing along
     +w, the index is (d-1)*(f-1): each forward link beyond the first
     contributes d-1 downhill directions.  Validated against the
-    finite-difference Hessian oracle; f comes from forward_count.
+    finite-difference Hessian oracle; this is chord_signature's negative
+    part on the n fixed links.  A zero-length variable link raises
+    DegenerateDirection from the closed alignment check.
     """
     if chain.kind is not ChainKind.CLOSED:
         raise InvalidSpec("aligned_morse_index expects a closed chain")
     points = _chain_points(config)
-    n_total = chain.n_vertices
-    if points.shape[0] != n_total:
+    if points.shape != (chain.n_vertices, chain.ambient_dim):
         raise InvalidSpec("configuration does not match the chain")
     if is_aligned(points, closed=True) is None:
         raise NotAligned("aligned_morse_index requires an aligned configuration")
-    chord = points[-1] - points[0]
-    rho = float(np.linalg.norm(chord))
-    scale = 1.0 + float(np.max(np.abs(points)))
-    if rho < 1e-12 * scale:
-        raise DegenerateDirection("variable link has zero length; index undefined")
-    f = forward_count(points, chord / rho)  # among the n fixed links
-    return (chain.ambient_dim - 1) * (f - 1)
+    return chord_signature(points)[1]
 
 
 def chain_work_map(config: Configuration | np.ndarray) -> np.ndarray:

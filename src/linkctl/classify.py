@@ -20,7 +20,6 @@ from .chains import is_aligned
 from .decomp import (
     ChainRemoval,
     Decomposition,
-    DecompositionStage,
     StageVerdictKind,
     Tolerances,
     Witness,
@@ -31,7 +30,7 @@ from .decomp import (
 )
 from .errors import DegenerateDirection, InvalidSpec, NotAPlatform
 from .model import Configuration, Linkage, check_match, check_on_constraint, constraint_jacobian
-from .numeric import BranchReport, local_branch_count, numerical_rank
+from .numeric import numerical_rank
 
 __all__ = [
     "Verdict",
@@ -60,76 +59,42 @@ class ClassificationReport:
     k: int
     witness: Optional[Witness] = None
     certificate: Optional[Decomposition] = None
-    conjunction: Optional[str] = None
-    branch_report: Optional[BranchReport] = None
     notes: tuple[str, ...] = ()
 
-    def to_json_dict(self) -> dict:
-        def stage_dict(s: DecompositionStage) -> dict:
-            return {
-                "chain_vertices": list(s.chain_vertices),
-                "chain_edges": list(s.chain_edges),
-                "remainder_vertices": list(s.remainder_vertices),
-                "remainder_edges": list(s.remainder_edges),
-                "chain_aligned": s.chain_aligned,
-            }
+    @property
+    def conjunction(self) -> Optional[str]:
+        """The witness's deepest stage in words: which chain is aligned along
+        which direction, against which remainder."""
+        if self.witness is None:
+            return None
+        stage = self.witness.decomposition.stages[self.witness.stage_index]
+        direction = self.witness.verdict.chain_aligned_direction
+        dir_txt = (
+            "(" + ", ".join(f"{x:.6f}" for x in direction) + ")" if direction is not None else "?"
+        )
+        chain_txt = "-".join(str(v) for v in stage.chain_vertices)
+        rem_txt = ",".join(str(v) for v in stage.remainder_vertices)
+        return (
+            f"open chain {chain_txt} aligned along {dir_txt}, co-aligned with the "
+            f"critical endpoint-distance configuration of the sub-mechanism on "
+            f"vertices {{{rem_txt}}}"
+        )
 
-        witness = None
-        if self.witness is not None:
-            w = self.witness
-            witness = {
-                "stages": [stage_dict(s) for s in w.decomposition.stages],
-                "stage_index": w.stage_index,
-                "signature": list(w.signature),
-                "euclidean_factor": w.euclidean_factor,
-                "gradient_norm": w.verdict.gradient_norm,
-                "hessian_eigenvalues": (
-                    None
-                    if w.verdict.hessian_eigenvalues is None
-                    else [float(x) for x in w.verdict.hessian_eigenvalues]
-                ),
-            }
-        certificate = None
-        if self.certificate is not None:
-            certificate = {
-                "stages": [stage_dict(s) for s in self.certificate.stages],
-                "base_vertices": list(self.certificate.base_vertices),
-                "base_edges": list(self.certificate.base_edges),
-            }
+    def to_json_dict(self) -> dict:
         return {
             "verdict": self.verdict.value,
             "rank": [self.rank, self.k],
-            "witness": witness,
-            "certificate": certificate,
+            "witness": None if self.witness is None else self.witness.to_json_dict(),
+            "certificate": None if self.certificate is None else self.certificate.to_json_dict(),
             "conjunction": self.conjunction,
-            "branch_report": (
-                None if self.branch_report is None else self.branch_report.to_json_dict()
-            ),
             "notes": list(self.notes),
         }
-
-
-def _conjunction_text(witness: Witness) -> str:
-    stage = witness.decomposition.stages[witness.stage_index]
-    direction = witness.verdict.chain_aligned_direction
-    dir_txt = (
-        "(" + ", ".join(f"{x:.6f}" for x in direction) + ")" if direction is not None else "?"
-    )
-    chain_txt = "-".join(str(v) for v in stage.chain_vertices)
-    rem_txt = ",".join(str(v) for v in stage.remainder_vertices)
-    return (
-        f"open chain {chain_txt} aligned along {dir_txt}, co-aligned with the "
-        f"critical endpoint-distance configuration of the sub-mechanism on "
-        f"vertices {{{rem_txt}}}"
-    )
 
 
 def classify_configuration(
     linkage: Linkage,
     config: Configuration,
     tols: Tolerances = Tolerances(),
-    with_branches: bool = False,
-    branch_seed: int = 0,
 ) -> ClassificationReport:
     """Classify a configuration as Smooth, GenericSingular, or Indeterminate.
 
@@ -142,16 +107,11 @@ def classify_configuration(
     check_on_constraint(linkage, config)
 
     rank = numerical_rank(constraint_jacobian(linkage, config), tols.rank)
-    branch_report = None
-    if with_branches:
-        branch_report = local_branch_count(linkage, config, seed=branch_seed, tol_rank=tols.rank)
-
     if rank == linkage.k:
         # a full-rank mechanism is its own zero-stage certificate (the search's base case)
         certificate = Decomposition((), tuple(range(linkage.n_vertices)), tuple(range(linkage.k)))
         return ClassificationReport(
-            Verdict.SMOOTH, rank, linkage.k, certificate=certificate, branch_report=branch_report,
-            notes=("full constraint rank",),
+            Verdict.SMOOTH, rank, linkage.k, certificate=certificate, notes=("full constraint rank",)
         )
 
     certificate = find_smoothness_certificate(linkage, config, tols)
@@ -160,22 +120,20 @@ def classify_configuration(
     if certificate is not None and witness is not None:
         return ClassificationReport(
             Verdict.CONFLICT, rank, linkage.k, witness=witness, certificate=certificate,
-            branch_report=branch_report,
             notes=("both a certificate and a witness were found; check tolerances",),
         )
     if certificate is not None:
         return ClassificationReport(
             Verdict.SMOOTH, rank, linkage.k, certificate=certificate,
-            branch_report=branch_report, notes=("transversality certificate",),
+            notes=("transversality certificate",),
         )
     if witness is not None:
         return ClassificationReport(
             Verdict.GENERIC_SINGULAR, rank, linkage.k, witness=witness,
-            conjunction=_conjunction_text(witness), branch_report=branch_report,
             notes=("generically non-transverse stage found",),
         )
     return ClassificationReport(
-        Verdict.INDETERMINATE, rank, linkage.k, branch_report=branch_report,
+        Verdict.INDETERMINATE, rank, linkage.k,
         notes=(f"rank deficient but no witness or certificate within depth {tols.depth}",),
     )
 
@@ -351,6 +309,5 @@ def verify_platform_singularity(
             notes.append(f"non-generic: stage degenerate ({', '.join(verdict.reasons)})")
         return ClassificationReport(Verdict.INDETERMINATE, rank, linkage.k, notes=tuple(notes))
     return ClassificationReport(
-        Verdict.GENERIC_SINGULAR, rank, linkage.k, witness=witness,
-        conjunction=_conjunction_text(witness), notes=tuple(notes),
+        Verdict.GENERIC_SINGULAR, rank, linkage.k, witness=witness, notes=tuple(notes)
     )

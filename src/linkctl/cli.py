@@ -7,9 +7,13 @@
     linkctl branches  linkage.json config.json [--radius R]
     linkctl demo      <name>
 
-Reports are JSON on stdout.  ``analyze`` exits 0 for Smooth, 10 for
-GenericSingular, 20 for Indeterminate, 30 for Conflict; all commands exit 1
-on errors.  The seed comes from --seed, falling back to LINKCTL_SEED.
+Reports are JSON on stdout.  ``analyze`` prints the classification report
+(``ClassificationReport.to_json_dict``) with a ``branch_report`` key before
+``notes``: null, or with --branches the ``local_branch_count`` report that
+``branches`` prints, taken after the classification.  ``analyze`` exits 0
+for Smooth, 10 for GenericSingular, 20 for Indeterminate, 30 for Conflict;
+all commands exit 1 on errors.  The seed comes from --seed, falling back to
+LINKCTL_SEED.
 
 A linkage document is a JSON object:
 
@@ -27,8 +31,9 @@ A linkage document is a JSON object:
       }
     }
 
-Every length is positive and finite, and the edge order fixes the order of
-the constraint rows.  Lengths are fixed: an edge with a "prismatic" key is
+Every count and id is an integer (2.0 reads as 2; 2.5, true or "2" is
+rejected), every length is positive and finite, and the edge order fixes
+the order of the constraint rows.  Lengths are fixed: an edge with a "prismatic" key is
 rejected, and a prismatic chain is analyzed one fiber at a time through
 ``linkctl.chains.prismatic_fiber``.  A configuration document is
 ``{"points": [[x, y], ...]}``, one point of ``dim`` coordinates per vertex.
@@ -100,14 +105,16 @@ def _seed(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     linkage, config = _load_pair(args.linkage, args.config)
-    report = classify_configuration(
-        linkage,
-        config,
-        tols=_tolerances(args),
-        with_branches=args.branches,
-        branch_seed=_seed(args),
-    )
-    _emit(report.to_json_dict())
+    tols = _tolerances(args)
+    report = classify_configuration(linkage, config, tols)
+    doc = report.to_json_dict()
+    notes = doc.pop("notes")
+    doc["branch_report"] = None
+    if args.branches:
+        branches = local_branch_count(linkage, config, seed=_seed(args), tol_rank=tols.rank)
+        doc["branch_report"] = branches.to_json_dict()
+    doc["notes"] = notes
+    _emit(doc)
     if args.svg:
         svg.render_linkage(linkage, [config], args.svg)
     return _EXIT_BY_VERDICT[report.verdict]

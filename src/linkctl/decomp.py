@@ -17,9 +17,10 @@ Both are found by the same depth-first walk down the decomposition tree
 which stages it descends through.  It carries the one host configuration
 its caller passed, and every sub-mechanism (``_part``) carries host ids, so
 ``_build_stage`` returns one (stage, verdict, remainder) record per removal
-with no remapping; ``_witness`` derives the stage index and the Euclidean
-factor from the stages.  ``find_witness_through`` runs the witness search
-with a forced first removal, the platform verifier's entry point.
+with no remapping; a ``Witness`` derives its stage index, signature and
+Euclidean factor from its stages and deepest verdict.
+``find_witness_through`` runs the witness search with a forced first
+removal, the platform verifier's entry point.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .chains import forward_count, is_aligned
+from .chains import chord_signature, is_aligned
 from .errors import (
     CoincidentEndpoints,
     DegenerateDirection,
@@ -285,20 +286,6 @@ def transversality_check(
     return numerical_rank(stacked, tol_rank) == d
 
 
-def _chain_chord_signature(lam: Linkage, v_k: Configuration, tols: Tolerances) -> tuple[int, int]:
-    """(positive, negative) inertia of the chord-length Hessian of an aligned
-    open chain on its reduced frame, from the forward/backward pattern:
-    with f of its k links along the chord, (d-1)*(k-f) and (d-1)*(f-1)."""
-    pts = v_k.points
-    chord = pts[-1] - pts[0]
-    rho = float(np.linalg.norm(chord))
-    if rho < 1e-12 * (1.0 + float(np.max(np.abs(pts)))):
-        raise CoincidentEndpoints("aligned chain chord vanishes")
-    f = forward_count(pts, chord / rho, tol=tols.align)
-    d = lam.ambient_dim
-    return ((d - 1) * (lam.k - f), (d - 1) * (f - 1))
-
-
 def stage_classify(
     gamma_prime: Linkage,
     lam: Linkage,
@@ -382,7 +369,7 @@ def stage_classify(
             reasons=tuple(reasons),
         )
 
-    chain_sig = _chain_chord_signature(lam, v_k, tols)
+    chain_sig = chord_signature(v_k.points, tols.align)
     signature = (rem_sig[0] + chain_sig[1], rem_sig[1] + chain_sig[0])
     return StageVerdict(
         StageVerdictKind.GENERICALLY_NON_TRANSVERSE,
@@ -404,6 +391,15 @@ class DecompositionStage(ChainRemoval):
 
     chain_aligned: bool
 
+    def to_json_dict(self) -> dict:
+        return {
+            "chain_vertices": list(self.chain_vertices),
+            "chain_edges": list(self.chain_edges),
+            "remainder_vertices": list(self.remainder_vertices),
+            "remainder_edges": list(self.remainder_edges),
+            "chain_aligned": self.chain_aligned,
+        }
+
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -413,16 +409,46 @@ class Decomposition:
     base_vertices: tuple[int, ...]
     base_edges: tuple[int, ...]
 
+    def to_json_dict(self) -> dict:
+        return {
+            "stages": [s.to_json_dict() for s in self.stages],
+            "base_vertices": list(self.base_vertices),
+            "base_edges": list(self.base_edges),
+        }
+
 
 @dataclass(frozen=True)
 class Witness:
-    """A decomposition whose final stage is generically non-transverse."""
+    """A decomposition whose final stage is generically non-transverse, with
+    that stage's verdict."""
 
     decomposition: Decomposition
-    stage_index: int
     verdict: StageVerdict
-    signature: tuple[int, int]
-    euclidean_factor: int
+
+    @property
+    def stage_index(self) -> int:
+        return len(self.decomposition.stages) - 1
+
+    @property
+    def signature(self) -> tuple[int, int]:
+        return self.verdict.signature  # type: ignore[return-value]
+
+    @property
+    def euclidean_factor(self) -> int:
+        """Every stage but the last adds (d-1)·links − d."""
+        d = self.verdict.chain_image.ambient_dim
+        return sum((d - 1) * len(s.chain_edges) - d for s in self.decomposition.stages[:-1])
+
+    def to_json_dict(self) -> dict:
+        eigs = self.verdict.hessian_eigenvalues
+        return {
+            "stages": [s.to_json_dict() for s in self.decomposition.stages],
+            "stage_index": self.stage_index,
+            "signature": list(self.signature),
+            "euclidean_factor": self.euclidean_factor,
+            "gradient_norm": self.verdict.gradient_norm,
+            "hessian_eigenvalues": None if eigs is None else [float(x) for x in eigs],
+        }
 
 
 def _build_stage(
@@ -512,18 +538,6 @@ def _decomposition(hit: _Hit) -> Decomposition:
     )
 
 
-def _witness(hit: _Hit, d: int) -> Witness:
-    """The witness of a hit: every stage but the last adds (d-1)·links − d to
-    the Euclidean factor."""
-    return Witness(
-        decomposition=_decomposition(hit),
-        stage_index=len(hit.stages) - 1,
-        verdict=hit.verdict,  # type: ignore[arg-type]
-        signature=hit.verdict.signature,  # type: ignore[union-attr]
-        euclidean_factor=sum((d - 1) * len(s.chain_edges) - d for s in hit.stages[:-1]),
-    )
-
-
 def find_nontransversive_witness(
     linkage: Linkage,
     config: Configuration,
@@ -539,7 +553,7 @@ def find_nontransversive_witness(
     """
     check_on_constraint(linkage, config)
     hit = _search(_whole(linkage), config, tols.depth, tols, False, {})
-    return None if hit is None else _witness(hit, linkage.ambient_dim)
+    return None if hit is None else Witness(_decomposition(hit), hit.verdict)  # type: ignore[arg-type]
 
 
 def find_witness_through(
@@ -565,7 +579,8 @@ def find_witness_through(
         hit = _search(remainder, config, tols.depth, tols, False, {})
     if hit is None:
         return verdict, None
-    return verdict, _witness(hit._replace(stages=(stage,) + hit.stages), linkage.ambient_dim)
+    hit = hit._replace(stages=(stage,) + hit.stages)
+    return verdict, Witness(_decomposition(hit), hit.verdict)  # type: ignore[arg-type]
 
 
 def find_smoothness_certificate(

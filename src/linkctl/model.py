@@ -12,6 +12,7 @@ d coordinates first), and constraint rows follow the edge-list order.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Container, Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -275,14 +276,26 @@ def check_on_constraint(linkage: Linkage, config: Configuration, tol: float = 1e
         raise OffConstraint(f"configuration residual {worst:.3g} too large")
 
 
+def _integer(value, what: str) -> int:
+    """A count or id from a linkage document.  An integral float such as 2.0
+    is accepted; a bool, a string or a number with a fractional part raises
+    InvalidSpec."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise InvalidSpec(f"{what} must be an integer, got {value!r}")
+
+
 def build_linkage(doc: Mapping) -> Linkage:
     """Validate a parsed linkage document (see the schema in ``linkctl.cli``) into a Linkage.
 
-    Lengths are fixed, so an edge with a ``prismatic`` key raises InvalidSpec.
+    Every count and id must be an integer (2.0 counts as 2), and lengths are
+    fixed, so an edge with a ``prismatic`` key raises InvalidSpec.
     """
     try:
-        dim = int(doc["dim"])
-        n = int(doc["vertices"])
+        dim = _integer(doc["dim"], "dim")
+        n = _integer(doc["vertices"], "vertices")
         edge_docs = list(doc["edges"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidSpec(f"malformed linkage document: {exc}") from exc
@@ -291,7 +304,7 @@ def build_linkage(doc: Mapping) -> Linkage:
     lengths = []
     for i, e in enumerate(edge_docs):
         try:
-            edges.append((int(e["u"]), int(e["v"])))
+            edges.append((_integer(e["u"], f"edge {i} u"), _integer(e["v"], f"edge {i} v")))
             lengths.append(float(e["length"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidSpec(f"malformed edge {i}: {exc}") from exc
@@ -306,20 +319,25 @@ def build_linkage(doc: Mapping) -> Linkage:
         p = doc["platform"]
         try:
             platform = PlatformSpec(
-                branches=tuple(tuple(int(i) for i in b) for b in p["branches"]),
-                fixed=tuple(int(v) for v in p["fixed"]),
-                moving=tuple(int(v) for v in p["moving"]),
+                branches=tuple(
+                    tuple(_integer(i, "platform branch edge") for i in b) for b in p["branches"]
+                ),
+                fixed=tuple(_integer(v, "platform fixed vertex") for v in p["fixed"]),
+                moving=tuple(_integer(v, "platform moving vertex") for v in p["moving"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidSpec(f"malformed platform block: {exc}") from exc
+
+    def optional(key: str) -> Optional[int]:
+        return None if doc.get(key) is None else _integer(doc[key], key)
 
     return Linkage(
         graph=MechanismType(n, tuple(edges)),
         lengths=tuple(lengths),
         ambient_dim=dim,
-        base_vertex=int(doc.get("base", 0)),
-        base_link=None if doc.get("base_link") is None else int(doc["base_link"]),
-        end_effector=None if doc.get("effector") is None else int(doc["effector"]),
+        base_vertex=_integer(doc.get("base", 0), "base"),
+        base_link=optional("base_link"),
+        end_effector=optional("effector"),
         platform=platform,
     )
 

@@ -446,9 +446,16 @@ def fd_hessian(
 ) -> np.ndarray:
     """Symmetrized central-difference Hessian of f along the frame, with
     retraction-first evaluation so curvature of the constraint set is included.
-    The step is 1e-4 * (1 + max |coordinate|) of the frame's configuration."""
-    v0 = frame.base_config.flat
-    step = _default_step(frame.base_config)
+
+    f must be translation-invariant.  The frame's configuration is first
+    translated so that its centroid is at the origin; the step,
+    1e-4 * (1 + max |coordinate|), and every retraction are taken from that
+    centered configuration, so the Hessian does not depend on where the
+    mechanism sits."""
+    points = frame.base_config.points
+    centered = Configuration(points - points.mean(axis=0))
+    v0 = centered.flat
+    step = _default_step(centered)
     m = frame.dim
     f0 = f(_retract(linkage, v0, tol_rank))
     hess = np.zeros((m, m))

@@ -7,6 +7,7 @@ from linkctl.chains import (
     aligned_morse_index,
     chain_work_image,
     chain_work_map,
+    chord_signature,
     forward_count,
     from_spherical,
     is_aligned,
@@ -16,6 +17,7 @@ from linkctl.chains import (
     workspace_interval,
 )
 from linkctl.errors import (
+    CoincidentEndpoints,
     DegenerateDirection,
     EmptyChain,
     InvalidSpec,
@@ -132,6 +134,32 @@ class TestAlignedMorseIndex:
         v = sample_cspace(spec.to_linkage(), 1, seed=0)[0]
         with pytest.raises(NotAligned):
             aligned_morse_index(spec, v)
+
+
+class TestChordSignature:
+    def test_stretched_and_folded(self):
+        assert chord_signature(np.array([[0.0, 0], [2, 0], [3, 0], [4.5, 0]])) == (0, 2)
+        # one link back along the chord: (d-1)(k-f) = 1 uphill direction
+        assert chord_signature(np.array([[0.0, 0, 0], [2, 0, 0], [1, 0, 0], [2.5, 0, 0]])) == (2, 2)
+
+    def test_matches_fd_hessian_inertia(self):
+        rng = np.random.default_rng(7)
+        for checked in range(12):
+            d = 2 if checked % 3 else 3
+            spec, pts, _ = aligned_closed_chain(rng, d=d)
+            open_spec = ChainSpec(ChainKind.OPEN, spec.lengths[:-1], d)
+            data = reduced_work_data(open_spec.to_linkage(), Configuration(pts))
+            eigs = np.linalg.eigvalsh(data.hessian)
+            thr = 1e-6 * max(np.max(np.abs(eigs)), 1e-12)
+            assert chord_signature(pts) == (int(np.sum(eigs > thr)), int(np.sum(eigs < -thr)))
+
+    def test_vanishing_chord(self):
+        with pytest.raises(CoincidentEndpoints):
+            chord_signature(np.array([[0.0, 0], [1, 0], [0, 0]]))
+
+    def test_requires_alignment(self):
+        with pytest.raises(NotAligned):
+            chord_signature(np.array([[0.0, 0], [1, 0], [1, 1]]))
 
 
 class TestWorkMap:

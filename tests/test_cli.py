@@ -123,6 +123,26 @@ class TestAnalyzeCommand:
         assert captured.out == ""
         assert "prismatic_fiber" in captured.err
 
+    @pytest.mark.parametrize("key, value", [("dim", 2.9), ("vertices", 3.5), ("effector", 2.6)])
+    def test_non_integer_id_exits_1(self, demo_files, capsys, key, value):
+        lp, cp = demo_files("four-bar-singular")
+        doc = json.loads(Path(lp).read_text())
+        doc[key] = value
+        Path(lp).write_text(json.dumps(doc))
+        code = main(["analyze", lp, cp])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {key} must be an integer")
+
+    @pytest.mark.parametrize("options", [[], ["--branches"]])
+    def test_report_keys_in_order(self, demo_files, capsys, options):
+        lp, cp = demo_files("four-bar-singular")
+        _, out = run(capsys, "analyze", lp, cp, *options)
+        assert list(json.loads(out)) == [
+            "verdict", "rank", "witness", "certificate", "conjunction", "branch_report", "notes"
+        ]
+
     def test_branch_report_matches_branches_command(self, demo_files, capsys):
         lp, cp = demo_files("egsing")
         _, out = run(capsys, "analyze", lp, cp, "--branches", "--seed", "3")

@@ -1,3 +1,4 @@
+import json
 from dataclasses import fields
 
 import numpy as np
@@ -276,6 +277,14 @@ class TestWitnessSearch:
     def test_depth_zero_finds_nothing(self, fb, fb_node):
         assert find_nontransversive_witness(fb, fb_node, tols=Tolerances(depth=1)) is not None
         assert find_nontransversive_witness(fb, fb_node, tols=Tolerances(depth=0)) is None
+
+    def test_json_dicts_hold_lists_not_tuples(self, fb, fb_node):
+        # the fingerprints compare dicts, and a tuple never equals the list
+        # that JSON reads back
+        witness = find_nontransversive_witness(fb, fb_node)
+        for doc in (witness.to_json_dict(), witness.decomposition.to_json_dict()):
+            assert doc["stages"]
+            assert json.loads(json.dumps(doc)) == doc
 
 
 class TestCertificateSearch:

@@ -1,5 +1,6 @@
 """Property tests: a verdict and its rank do not change under a proper rigid
-motion of the configuration combined with a reordering of the edges."""
+motion of the configuration combined with a reordering of the edges, nor
+under a large translation."""
 
 import numpy as np
 import pytest
@@ -58,3 +59,21 @@ def test_verdict_invariant_under_rigid_motion_and_edge_order(name, examples):
         assert (report.rank, report.k) == (expected.rank, expected.k)
 
     check()
+
+
+def _signature(report):
+    return None if report.witness is None else report.witness.signature
+
+
+# the hypothesis above draws shifts from [-3, 3]; the second-order layer must
+# not depend on where the mechanism sits, however far from the origin
+@pytest.mark.parametrize("shift", [(100.0, 100.0), (1000.0, 1000.0)])
+@pytest.mark.parametrize("name", ["egsing", "four-bar-singular", "tri-platform-b"])
+def test_verdict_invariant_under_far_translation(name, shift):
+    linkage_doc, config_doc = build_demo(name)
+    expected = classify_configuration(build_linkage(linkage_doc), Configuration(config_doc["points"]))
+    linkage, config = _moved(linkage_doc, config_doc, 0.0, shift, range(len(linkage_doc["edges"])))
+    report = classify_configuration(linkage, config)
+    assert report.verdict is expected.verdict
+    assert (report.rank, report.k) == (expected.rank, expected.k)
+    assert _signature(report) == _signature(expected)

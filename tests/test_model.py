@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -127,6 +128,42 @@ class TestPlatformChecks:
     def test_valid_platform_kept(self):
         linkage = build_linkage(build_demo("tri-platform-a")[0])
         assert linkage.platform == PlatformSpec(((6, 7), (8, 9), (10, 11)), (0, 1, 2), (3, 4, 5))
+
+
+def _set(doc: dict, path: tuple, value) -> dict:
+    """A copy of doc with the entry at path (keys and list indices) set to value."""
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+# every count and id of a linkage document, where tri-platform-a has it
+ID_PATHS = [
+    ("dim",), ("vertices",), ("edges", 0, "u"), ("edges", 0, "v"), ("base",), ("base_link",),
+    ("effector",), ("platform", "branches", 0, 0), ("platform", "fixed", 0),
+    ("platform", "moving", 0),
+]
+
+
+class TestIntegerIds:
+    # int() would truncate 2.9 to 2 and 0.5 to 0, and reads True as 1
+    @pytest.mark.parametrize("bad", [0.5, 2.9, True, "1"])
+    @pytest.mark.parametrize("path", ID_PATHS)
+    def test_non_integer_rejected(self, path, bad):
+        doc, _ = build_demo("tri-platform-a")
+        with pytest.raises(InvalidSpec, match="must be an integer"):
+            build_linkage(_set(doc, path, bad))
+
+    @pytest.mark.parametrize("path", ID_PATHS)
+    def test_integral_float_accepted(self, path):
+        doc, _ = build_demo("tri-platform-a")
+        target = doc
+        for key in path:
+            target = target[key]
+        assert build_linkage(_set(doc, path, float(target))) == build_linkage(doc)
 
 
 class TestSquaredLengthMap:
