@@ -39,6 +39,7 @@ from .errors import (
     DimensionMismatch,
     InvalidSpec,
     MismatchedEffector,
+    NoConvergence,
     OffConstraint,
 )
 from .model import (
@@ -267,8 +268,17 @@ class StageVerdict:
     hessian_eigenvalues: Optional[np.ndarray] = None
     remainder_signature: Optional[tuple[int, int]] = None
     chain_signature: Optional[tuple[int, int]] = None
-    signature: Optional[tuple[int, int]] = None
     reasons: tuple[str, ...] = ()
+
+    @property
+    def signature(self) -> Optional[tuple[int, int]]:
+        """The stage's signature: the remainder's (positive, negative) Hessian
+        counts plus the chain's chord signature with its two parts swapped;
+        None unless both are known."""
+        rem, chain = self.remainder_signature, self.chain_signature
+        if rem is None or chain is None:
+            return None
+        return (rem[0] + chain[1], rem[1] + chain[0])
 
 
 def transversality_check(
@@ -299,7 +309,9 @@ def stage_classify(
     ambient space.  Otherwise generically non-transverse when the chain is
     aligned, the remainder has full constraint rank and a nondegenerate
     critical endpoint-distance, and the shared endpoints are apart; any
-    failed condition downgrades the verdict to degenerate, with reasons.
+    failed condition downgrades the verdict to degenerate, with reasons.  A
+    finite-difference Hessian whose retraction does not converge is such a
+    failed condition ("hessian_no_convergence").
     Raises MismatchedEffector unless the two work points agree to
     1e-8 * (1 + the larger total length).
     """
@@ -346,16 +358,21 @@ def stage_classify(
     eigs = None
     rem_sig = None
     if "coincident_endpoints" not in reasons:
-        data = reduced_work_data(gamma_prime, v_prime, tol_rank=tols.rank)
-        grad_norm = float(np.linalg.norm(data.gradient))
-        eigs = np.linalg.eigvalsh(data.hessian) if data.hessian.size else np.zeros(0)
-        if grad_norm >= tols.grad_tol(gamma_prime):
-            reasons.append("remainder_gradient_nonzero")
-        cut = tols.eig_tol(gamma_prime, eigs)
-        if eigs.size == 0 or np.any(np.abs(eigs) <= cut):
-            reasons.append("degenerate_hessian")
+        try:
+            data = reduced_work_data(gamma_prime, v_prime, tol_rank=tols.rank)
+        except NoConvergence:
+            # a retraction of the finite-difference Hessian stalled
+            reasons.append("hessian_no_convergence")
         else:
-            rem_sig = (int(np.sum(eigs > cut)), int(np.sum(eigs < -cut)))
+            grad_norm = float(np.linalg.norm(data.gradient))
+            eigs = np.linalg.eigvalsh(data.hessian) if data.hessian.size else np.zeros(0)
+            if grad_norm >= tols.grad_tol(gamma_prime):
+                reasons.append("remainder_gradient_nonzero")
+            cut = tols.eig_tol(gamma_prime, eigs)
+            if eigs.size == 0 or np.any(np.abs(eigs) <= cut):
+                reasons.append("degenerate_hessian")
+            else:
+                rem_sig = (int(np.sum(eigs > cut)), int(np.sum(eigs < -cut)))
 
     if reasons:
         return StageVerdict(
@@ -369,8 +386,6 @@ def stage_classify(
             reasons=tuple(reasons),
         )
 
-    chain_sig = chord_signature(v_k.points, tols.align)
-    signature = (rem_sig[0] + chain_sig[1], rem_sig[1] + chain_sig[0])
     return StageVerdict(
         StageVerdictKind.GENERICALLY_NON_TRANSVERSE,
         img_remainder,
@@ -380,8 +395,7 @@ def stage_classify(
         gradient_norm=grad_norm,
         hessian_eigenvalues=eigs,
         remainder_signature=rem_sig,
-        chain_signature=chain_sig,
-        signature=signature,
+        chain_signature=chord_signature(v_k.points, tols.align),
     )
 
 

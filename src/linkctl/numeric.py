@@ -73,6 +73,11 @@ _PROJECT_TOL_RANK = 1e-8
 _TRACE_TOL = 1e-10
 _TRACE_MIN_COS = 0.5
 
+# The retraction that fd_hessian's evaluations and local_branch_count's sphere
+# samples take.
+_RETRACT_TOL = 1e-12
+_RETRACT_MAX_ITER = 60
+
 # Starts that sample_cspace projects together; bounds the batch's memory.
 _SAMPLE_CHUNK = 32
 
@@ -269,24 +274,19 @@ def _finite_points(x: np.ndarray, d: int) -> np.ndarray:
     return p
 
 
-def _at_base(points: np.ndarray, base: int) -> bool:
-    """True when the base vertex sits at the origin, to roundoff in the points' scale."""
-    return bool(np.linalg.norm(points[base]) < 1e-12 * (1.0 + np.max(np.abs(points))))
-
-
 def project_to_cspace(
     linkage: Linkage,
     guess: Configuration,
     tol: float = 1e-10,
     max_iter: int = _PROJECT_MAX_ITER,
     tol_rank: float = _PROJECT_TOL_RANK,
-    preserve_pointed: bool = True,
 ) -> Configuration:
     """Gauss-Newton projection of a guess onto the constraint set.
 
-    A guess already on the set is returned unchanged.  If the guess had its
-    base vertex at the origin, the result is re-pinned there (translation
-    leaves the constraints exact).
+    A guess already on the set is returned unchanged; any other guess gives
+    the Gauss-Newton point, wherever its minimal-norm steps leave it.  No
+    gauge is pinned: call pointed_normalize to put the base vertex at the
+    origin (translation leaves the constraints exact).
     """
     check_match(linkage, guess)
     r0 = _residual_points(linkage, guess.points)
@@ -294,7 +294,6 @@ def project_to_cspace(
         return guess
 
     d = linkage.ambient_dim
-    was_pointed = preserve_pointed and _at_base(guess.points, linkage.base_vertex)
 
     def res(x: np.ndarray) -> np.ndarray:
         return _residual_points(linkage, _finite_points(x, d))
@@ -303,10 +302,7 @@ def project_to_cspace(
         return _jacobian_points(linkage, x.reshape(-1, d))
 
     x = _gauss_newton(res, jac, guess.flat, tol, max_iter, tol_rank, r0)
-    out = Configuration.from_flat(x, d)
-    if was_pointed:
-        out = pointed_normalize(out, linkage.base_vertex)
-    return out
+    return Configuration.from_flat(x, d)
 
 
 def sample_cspace(linkage: Linkage, n: int, seed: int = 0, tol: float = 1e-10) -> list[Configuration]:
@@ -317,9 +313,9 @@ def sample_cspace(linkage: Linkage, n: int, seed: int = 0, tol: float = 1e-10) -
     substream keyed by (seed, i), so results are deterministic and
     schedule-independent.  The starts are projected together, in chunks of
     _SAMPLE_CHUNK, by one lockstep Gauss-Newton; each result equals
-    project_to_cspace(linkage, start, tol=tol) of its start bit for bit.
-    Only NoConvergence drops an attempt: any other error, such as
-    InvalidSpec on a non-finite iterate, propagates.
+    project_to_cspace(linkage, start, tol=tol) of its start bit for bit, so
+    no gauge is pinned.  Only NoConvergence drops an attempt: any other
+    error, such as InvalidSpec on a non-finite iterate, propagates.
     """
     if n < 1:
         raise InvalidSpec("need at least one sample attempt")
@@ -335,15 +331,7 @@ def sample_cspace(linkage: Linkage, n: int, seed: int = 0, tol: float = 1e-10) -
         )
         r0 = _residual_rows(linkage, starts)
         x, ok = _gauss_newton_rows(linkage, starts, r0, tol, _PROJECT_MAX_ITER, _PROJECT_TOL_RANK)
-        # project_to_cspace returns a start on the set as it is and re-pins the others
-        on_set = np.abs(r0).max(axis=1, initial=0.0) < tol
-        for row, start, good, as_drawn in zip(x, starts, ok, on_set):
-            if not good:
-                continue
-            config = Configuration.from_flat(row, shape[1])
-            if not as_drawn and _at_base(start.reshape(shape), linkage.base_vertex):
-                config = pointed_normalize(config, linkage.base_vertex)
-            out.append(config)
+        out.extend(Configuration.from_flat(row, shape[1]) for row in x[ok])
     if not out:
         raise NoFeasiblePoint(f"all {n} projection attempts failed")
     return out
@@ -427,10 +415,9 @@ def _retract(linkage: Linkage, flat: np.ndarray, tol_rank: float) -> Configurati
     return project_to_cspace(
         linkage,
         Configuration.from_flat(flat, linkage.ambient_dim),
-        tol=1e-12,
-        max_iter=60,
+        tol=_RETRACT_TOL,
+        max_iter=_RETRACT_MAX_ITER,
         tol_rank=tol_rank,
-        preserve_pointed=False,
     )
 
 
@@ -484,7 +471,10 @@ def reduced_work_data(linkage: Linkage, config: Configuration, tol_rank: float =
     The gradient is the analytic ambient gradient projected onto the frame;
     the Hessian is fd_hessian's retraction-corrected finite difference.
     Raises InvalidSpec when the linkage has no end effector, and
-    CoincidentEndpoints when base and effector occupy the same point.
+    CoincidentEndpoints when base and effector lie within
+    1e-9 * (1 + total length) of each other, the scale of stage_classify's
+    coincident_endpoints reason, so the test does not depend on where the
+    mechanism sits.
     """
     eff = linkage.end_effector
     if eff is None:
@@ -494,8 +484,7 @@ def reduced_work_data(linkage: Linkage, config: Configuration, tol_rank: float =
     p = config.points
     diff = p[eff] - p[base]
     dist = float(np.linalg.norm(diff))
-    scale = 1.0 + float(np.max(np.abs(p)))
-    if dist < 1e-9 * scale:
+    if dist < 1e-9 * (1.0 + linkage.length_scale):
         raise CoincidentEndpoints("effector coincides with base; reduced work data undefined")
 
     frame = tangent_frame(linkage, config, tol_rank)
@@ -594,31 +583,19 @@ def trace_curve(
             proximity = s[linkage.k - 1] / s[0]
         else:
             proximity = 0.0
-        if proximity < detect_tol:
-            points.append(w)
-            reason = "tangent_jump"
-            break
-        new_frame = _gauge_frame(w, null)
-        if new_frame.dim != 1:
-            points.append(w)
-            reason = "tangent_jump"
-            break
-        new_tangent = new_frame.basis[0]
-        cos = float(new_tangent @ tangent)
-        if cos < 0.0:
-            new_tangent = -new_tangent
-            cos = -cos
-        if cos < _TRACE_MIN_COS:
-            points.append(w)
-            reason = "tangent_jump"
-            break
-
         points.append(w)
+        new_frame = None if proximity < detect_tol else _gauge_frame(w, null)
+        cos = 0.0  # no single new tangent
+        if new_frame is not None and new_frame.dim == 1:
+            cos = float(new_frame.basis[0] @ tangent)
+        if abs(cos) < _TRACE_MIN_COS:  # a NaN cos goes on
+            reason = "tangent_jump"
+            break
         if step_idx >= 10 and float(np.linalg.norm(w.flat - points[0].flat)) < 0.5 * step:
             closed = True
             reason = "loop_closed"
             break
-        v, tangent = w, new_tangent
+        v, tangent = w, (-new_frame.basis[0] if cos < 0.0 else new_frame.basis[0])
 
     return TraceResult(points=tuple(points), stop_reason=reason, closed=closed)
 
@@ -655,6 +632,12 @@ def local_branch_count(
     tacnode with four half-branches, it reports 2 (cluster sizes 27/21,
     stable at radius 1e-2 and 1e-3).
 
+    The retained samples depend on the input points' roundoff, not on where
+    the mechanism sits, since the sphere is built around the gauge-fixed
+    center: egsing moved by (1000, 1000) keeps 45 of 48 at radius 1e-2, as
+    do its moved points centered again, while its moved lengths at the
+    original points keep 48.
+
     Where the reduced tangent space has dimension 2 or more, the count
     depends on n_samples: at the five-bar demo, whose link is one circle,
     seed 0 gives 9, 9 and 4 branches at 16, 48 and 96 samples, all stable.
@@ -684,7 +667,8 @@ def local_branch_count(
         for _ in range(8):
             if not len(flat):
                 break
-            x, ok = _gauss_newton_rows(linkage, flat, _residual_rows(linkage, flat), 1e-12, 60, tol_rank)
+            r0 = _residual_rows(linkage, flat)
+            x, ok = _gauss_newton_rows(linkage, flat, r0, _RETRACT_TOL, _RETRACT_MAX_ITER, tol_rank)
             fixed = [_gauge_fix(linkage, Configuration.from_flat(row, d)).flat for row in x[ok]]
             w = np.reshape(fixed, (-1, nd))
             offset = w - center.flat

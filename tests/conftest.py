@@ -77,6 +77,59 @@ def random_linkage(
     return linkage, Configuration(points)
 
 
+def self_stressed_linkage(
+    rng: np.random.Generator, dim: int, max_vertices: int = 7, min_link: float = 1e-2
+) -> Optional[tuple[Linkage, Configuration]]:
+    """A random linkage placed where it has a self-stress, or None.
+
+    A self-stress is a unit mu with J(x)^T mu = 0, J the constraint Jacobian.
+    Gauss-Newton runs over (x, mu) on J(x)^T mu = 0 and |mu|^2 = 1, from a
+    random_linkage placement and a random unit mu.  Its Jacobian is
+    [[2 Omega(mu), J^T], [0, 2 mu^T]], where Omega(mu) = sum_e mu_e L_e (x) I_d
+    and L_e is the Laplacian of edge e.  The lengths are read off the
+    converged points.  None when Gauss-Newton fails, when the result has full
+    rank, or when a link is shorter than min_link of the longest.
+    """
+    from linkctl.errors import NoConvergence
+    from linkctl.model import _jacobian_points, constraint_jacobian
+    from linkctl.numeric import _gauss_newton, numerical_rank
+
+    drawn, start = random_linkage(rng, max_vertices, dim)
+    n, k = drawn.n_vertices, drawn.k
+    edges = np.array(drawn.graph.edges)
+    incidence = np.zeros((k, n))  # row e is e_u - e_v, so L_e is its outer square
+    incidence[np.arange(k), edges[:, 0]] = 1.0
+    incidence[np.arange(k), edges[:, 1]] = -1.0
+    mu0 = rng.normal(size=k)
+
+    def split(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return z[: n * dim], z[n * dim :]
+
+    def residual(z: np.ndarray) -> np.ndarray:
+        x, mu = split(z)
+        return np.append(_jacobian_points(drawn, x.reshape(n, dim)).T @ mu, mu @ mu - 1.0)
+
+    def jacobian(z: np.ndarray) -> np.ndarray:
+        x, mu = split(z)
+        omega = np.kron(incidence.T @ (mu[:, None] * incidence), np.eye(dim))
+        top = np.hstack([2.0 * omega, _jacobian_points(drawn, x.reshape(n, dim)).T])
+        return np.vstack([top, np.append(np.zeros(n * dim), 2.0 * mu)])
+
+    try:
+        z = _gauss_newton(residual, jacobian, np.append(start.flat, mu0 / np.linalg.norm(mu0)), 1e-12, 100)
+    except NoConvergence:
+        return None
+    points = split(z)[0].reshape(n, dim)
+    lengths = np.linalg.norm(points[edges[:, 0]] - points[edges[:, 1]], axis=1)
+    if lengths.max() == 0.0 or lengths.min() < min_link * lengths.max():
+        return None
+    linkage = Linkage(drawn.graph, tuple(lengths), ambient_dim=dim)
+    config = Configuration(points)
+    if numerical_rank(constraint_jacobian(linkage, config)) == k:
+        return None
+    return linkage, config
+
+
 def reference_length_map(linkage: Linkage, config: Configuration) -> np.ndarray:
     """Reference squared-length map, with the edge index arrays rebuilt on every call."""
     p = config.points
@@ -201,7 +254,6 @@ def reference_local_branch_count(
             tol=1e-12,
             max_iter=60,
             tol_rank=tol_rank,
-            preserve_pointed=False,
         )
 
     def collect(rad: float) -> list[np.ndarray]:

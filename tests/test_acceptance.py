@@ -325,9 +325,7 @@ def test_criterion_8_continuation():
     node = _gauge_fix(singular, four_bar_node())
     frame = tangent_frame(singular, node)
     start_flat = node.flat + 5e-4 * frame.basis[0]
-    near = project_to_cspace(
-        singular, Configuration.from_flat(start_flat, 2), tol=1e-12, preserve_pointed=False
-    )
+    near = project_to_cspace(singular, Configuration.from_flat(start_flat, 2), tol=1e-12)
     toward_node = node.flat - near.flat
     result = trace_curve(singular, near, step=1e-4, max_steps=60, direction=toward_node)
     assert result.stop_reason in ("tangent_jump", "stalled_at_singularity")

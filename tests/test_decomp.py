@@ -1,10 +1,12 @@
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+import linkctl.decomp as decomp
 from linkctl.decomp import (
+    StageVerdict,
     StageVerdictKind,
     Tolerances,
     chain_mechanism,
@@ -22,6 +24,7 @@ from linkctl.errors import (
     DimensionMismatch,
     InvalidSpec,
     MismatchedEffector,
+    NoConvergence,
     OffConstraint,
 )
 from linkctl.model import (
@@ -42,6 +45,7 @@ from conftest import (
     four_bar_node,
     random_linkage,
     reference_enumerate_chain_removals,
+    self_stressed_linkage,
     triangle,
 )
 
@@ -161,6 +165,24 @@ class TestStageClassify:
         assert verdict.kind is StageVerdictKind.GENERICALLY_NON_TRANSVERSE
         assert verdict.signature == (1, 1)
         assert verdict.gradient_norm < 1e-10
+
+    def test_signature_derived_from_parts(self):
+        verdict = _split(four_bar(), four_bar_node(), {2, 3})
+        (rem_pos, rem_neg), (chain_pos, chain_neg) = verdict.remainder_signature, verdict.chain_signature
+        assert verdict.signature == (rem_pos + chain_neg, rem_neg + chain_pos)
+        assert replace(verdict, remainder_signature=None).signature is None
+        assert replace(verdict, chain_signature=None).signature is None
+        assert "signature" not in [f.name for f in fields(StageVerdict)]
+
+    def test_stalled_hessian_is_degenerate(self, monkeypatch):
+        def stall(*args, **kwargs):
+            raise NoConvergence("line search stalled")
+
+        monkeypatch.setattr(decomp, "reduced_work_data", stall)
+        verdict = _split(four_bar(), four_bar_node(), {2, 3})
+        assert verdict.kind is StageVerdictKind.DEGENERATE_NON_TRANSVERSE
+        assert verdict.reasons == ("hessian_no_convergence",)
+        assert verdict.gradient_norm is None and verdict.signature is None
 
     def test_four_bar_split_generic_is_transverse(self):
         v = sample_cspace(four_bar(), 1, seed=5)[0]
@@ -303,6 +325,23 @@ class TestCertificateSearch:
         # decomposition exists
         linkage, config = egsing
         assert find_smoothness_certificate(linkage, config, tols=Tolerances(depth=5)) is None
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_no_certificate_at_a_self_stress(self, dim):
+        # a transverse fiber product of regular maps is regular, so no
+        # all-transverse decomposition ends in a full-rank base where the
+        # Jacobian has a left-null vector
+        rng = np.random.default_rng(dim)
+        samples = []
+        for _ in range(400):
+            sample = self_stressed_linkage(rng, dim)
+            if sample is not None:
+                samples.append(sample)
+            if len(samples) == 20:
+                break
+        assert len(samples) == 20
+        for linkage, config in samples:
+            assert find_smoothness_certificate(linkage, config) is None
 
     def test_depth_zero_finds_only_a_full_rank_base(self, fb, fb_node):
         v = sample_cspace(fb, 1, seed=5)[0]

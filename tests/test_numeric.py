@@ -77,10 +77,12 @@ class TestProjection:
         assert out is v
 
     def test_radial_projection_single_edge(self):
+        # plain Gauss-Newton: the minimal-norm steps move both ends alike, so
+        # the midpoint stays at x = 3 and the base leaves the origin
         linkage = Linkage(MechanismType(2, ((0, 1),)), (5.0,), 2)
         out = project_to_cspace(linkage, Configuration([(0, 0), (6, 0)]))
-        assert out.points[1] == pytest.approx([5.0, 0.0])
-        assert out.points[0] == pytest.approx([0.0, 0.0])
+        assert out.points[0] == pytest.approx([0.5, 0.0])
+        assert out.points[1] == pytest.approx([5.5, 0.0])
 
     def test_triangle_from_random_guess(self):
         linkage = triangle()
@@ -527,6 +529,16 @@ class TestReducedWorkData:
         with pytest.raises(CoincidentEndpoints):
             reduced_work_data(linkage, Configuration(pts))
 
+    @pytest.mark.parametrize("shift", [(0.0, 0.0), (100.0, 100.0), (1e4, 1e4)])
+    def test_near_coincident_endpoints_at_any_translation(self, shift):
+        # endpoints 1e-6 apart are apart at the scale of the links, wherever the chain sits
+        gap = 1e-6
+        pts = np.array([[0.0, 0.0], [gap / 2, np.sqrt(1.0 - gap**2 / 4)], [gap, 0.0]]) + shift
+        lengths = tuple(np.linalg.norm(np.diff(pts, axis=0), axis=1))
+        linkage = ChainSpec(ChainKind.OPEN, lengths, 2).to_linkage()
+        data = reduced_work_data(linkage, Configuration(pts))
+        assert np.linalg.norm(data.gradient) == pytest.approx(np.sqrt(2.0), rel=1e-3)
+
     def test_gradient_matches_fd(self):
         rng = np.random.default_rng(36)
         for _ in range(8):
@@ -615,9 +627,7 @@ class TestTraceCurve:
         fixed = _gauge_fix(linkage, node)
         frame = tangent_frame(linkage, fixed)
         start_flat = fixed.flat + 5e-4 * frame.basis[0]
-        start = project_to_cspace(
-            linkage, Configuration.from_flat(start_flat, 2), tol=1e-12, preserve_pointed=False
-        )
+        start = project_to_cspace(linkage, Configuration.from_flat(start_flat, 2), tol=1e-12)
         toward = fixed.flat - start.flat
         result = trace_curve(linkage, start, step=1e-4, max_steps=60, direction=toward)
         assert result.stop_reason in ("tangent_jump", "stalled_at_singularity")
