@@ -410,10 +410,50 @@ def constraint_jacobian(linkage: Linkage, config: Configuration) -> np.ndarray:
     return _jacobian_points(linkage, config.points)
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[..., i, :] @ b[..., i, :] for every row, each the same dot product
+    that `@` takes of two vectors."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _normalized_points(p: np.ndarray, base_vertex: int, link_end: Optional[int] = None) -> np.ndarray:
+    """The gauge kernel: stacked configurations p, (..., N, d), with vertex
+    base_vertex translated to the origin and, when link_end is given, the
+    base link (base_vertex, link_end) rotated onto +e1.
+
+    Each configuration comes out as the one-configuration formula gives it,
+    bit for bit, whatever the stack.  Raises DegenerateDirection when any
+    configuration's base-link endpoints are closer than
+    1e-12 * (1 + its max |coordinate|).
+    """
+    q = p - p[..., base_vertex, None, :]
+    if link_end is None:
+        return q
+    direction = q[..., link_end, :]
+    norm = np.sqrt(_row_dots(direction, direction))  # np.linalg.norm of each
+    if (norm < 1e-12 * (1.0 + np.abs(p).max(axis=(-2, -1)))).any():
+        raise DegenerateDirection("base link endpoints coincide; no direction to pin")
+    e1 = np.zeros(p.shape[-1])
+    e1[0] = 1.0
+    rot = _rotation_taking(direction / norm[..., None], e1)
+    # a product with the transposed view, not with a contiguous copy of it:
+    # the two can round a subnormal coordinate differently
+    return q @ np.swapaxes(rot, -1, -2)
+
+
+def _gauge_points(linkage: Linkage, p: np.ndarray) -> np.ndarray:
+    """_normalized_points in the linkage's gauge: reduced when it has a base
+    link, pointed otherwise."""
+    link_end = None
+    if linkage.base_link is not None:
+        u, v = linkage.graph.edges[linkage.base_link]
+        link_end = v if u == linkage.base_vertex else u
+    return _normalized_points(p, linkage.base_vertex, link_end)
+
+
 def pointed_normalize(config: Configuration, base_vertex: int) -> Configuration:
     """Translate so the base vertex sits at the origin.  Idempotent."""
-    p = config.points
-    return Configuration(p - p[base_vertex])
+    return Configuration(_normalized_points(config.points, base_vertex))
 
 
 def reduced_normalize(linkage: Linkage, config: Configuration) -> Configuration:
@@ -429,41 +469,43 @@ def reduced_normalize(linkage: Linkage, config: Configuration) -> Configuration:
     check_match(linkage, config)
     if linkage.base_link is None:
         raise InvalidSpec("linkage has no base_link to pin the reduced gauge")
-    u, v = linkage.graph.edges[linkage.base_link]
-    other = v if u == linkage.base_vertex else u
-    p = config.points - config.points[linkage.base_vertex]
-    direction = p[other]
-    norm = float(np.linalg.norm(direction))
-    scale = 1.0 + float(np.max(np.abs(config.points)))
-    if norm < 1e-12 * scale:
-        raise DegenerateDirection("base link endpoints coincide; no direction to pin")
-    w = direction / norm
-    d = linkage.ambient_dim
-    e1 = np.zeros(d)
-    e1[0] = 1.0
-    rot = _rotation_taking(w, e1)
-    return Configuration(p @ rot.T)
+    return Configuration(_gauge_points(linkage, config.points))
 
 
 def _rotation_taking(w: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Minimal rotation matrix carrying unit vector w onto unit vector target."""
-    d = w.shape[0]
-    c = float(np.dot(w, target))
-    if d == 2:
-        s = w[0] * target[1] - w[1] * target[0]
-        return np.array([[c, -s], [s, c]])
+    """Minimal rotation matrices R, (..., d, d), with R @ w = target for the
+    unit vectors w, (..., d), and the unit vector target.
+
+    In d=3 a w whose cross product with target is below 1e-14 gets the
+    identity, or the half-turn about an axis orthogonal to w when it points
+    away from target; both cases are masks over the stack.
+    """
+    c = _row_dots(w, target)
+    if w.shape[-1] == 2:
+        s = w[..., 0] * target[1] - w[..., 1] * target[0]
+        rot = np.empty(w.shape + (2,))
+        rot[..., 0, 0] = c
+        rot[..., 0, 1] = -s
+        rot[..., 1, 0] = s
+        rot[..., 1, 1] = c
+        return rot
+    shape = w.shape[:-1]
+    w, c = w.reshape(-1, 3), c.reshape(-1)
     axis = np.cross(w, target)
-    s = float(np.linalg.norm(axis))
-    if s < 1e-14:
-        if c > 0.0:
-            return np.eye(3)
-        # antipodal: rotate by pi about any axis orthogonal to w
-        perp = np.eye(3)[np.argmin(np.abs(w))]
-        perp = perp - np.dot(perp, w) * w
-        perp /= np.linalg.norm(perp)
-        return 2.0 * np.outer(perp, perp) - np.eye(3)
-    axis = axis / s
-    kmat = np.array(
-        [[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]]
-    )
-    return np.eye(3) + s * kmat + (1.0 - c) * (kmat @ kmat)
+    s = np.sqrt(_row_dots(axis, axis))
+    rot = np.empty((len(w), 3, 3))
+    turn = s >= 1e-14
+    axis = axis[turn] / s[turn, None]
+    kmat = np.zeros((len(axis), 3, 3))
+    kmat[:, 0, 1], kmat[:, 0, 2] = -axis[:, 2], axis[:, 1]
+    kmat[:, 1, 0], kmat[:, 1, 2] = axis[:, 2], -axis[:, 0]
+    kmat[:, 2, 0], kmat[:, 2, 1] = -axis[:, 1], axis[:, 0]
+    rot[turn] = np.eye(3) + s[turn, None, None] * kmat + (1.0 - c[turn])[:, None, None] * (kmat @ kmat)
+    rot[~turn & (c > 0.0)] = np.eye(3)
+    flip = ~turn & ~(c > 0.0)
+    wf = w[flip]
+    perp = np.eye(3)[np.argmin(np.abs(wf), axis=1)]
+    perp = perp - _row_dots(perp, wf)[:, None] * wf
+    perp = perp / np.sqrt(_row_dots(perp, perp))[:, None]
+    rot[flip] = 2.0 * (perp[:, :, None] * perp[:, None, :]) - np.eye(3)
+    return rot.reshape(*shape, 3, 3)

@@ -12,6 +12,7 @@ draws from its own substream keyed by (seed, index).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
@@ -28,16 +29,16 @@ from .model import (
     Configuration,
     Linkage,
     SubspaceBasis,
+    _gauge_points,
     _jacobian_points,
     _jacobian_rows,
     _residual_points,
     _residual_rows,
+    _row_dots,
     check_finite,
     check_match,
     check_on_constraint,
     constraint_jacobian,
-    pointed_normalize,
-    reduced_normalize,
 )
 
 __all__ = [
@@ -127,6 +128,17 @@ class WorkData:
     frame: TangentFrame
 
 
+def _check_integer(value, name: str, least: int) -> int:
+    """value as an int; InvalidSpec naming it unless it is an integer >= least."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = least - 1
+    if count < least:
+        raise InvalidSpec(f"{name} must be an integer >= {least}, got {value!r}")
+    return count
+
+
 def _kept_singular_values(s: np.ndarray, tol_rank: float) -> np.ndarray:
     """Mask of the singular values (last axis, largest first) above
     max(tol_rank * s[0], ABS_FLOOR); all False when s[0] is 0."""
@@ -192,12 +204,6 @@ def _gauss_newton(
         if np.abs(r).max() < tol:
             return x
     raise NoConvergence(f"no convergence after {max_iter} iterations (|r|_inf={np.max(np.abs(r)):.3g})")
-
-
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a[..., i, :] @ b[..., i, :] for every row, each the same dot product
-    that `@` takes of two vectors."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _gauss_newton_rows(
@@ -316,9 +322,10 @@ def sample_cspace(linkage: Linkage, n: int, seed: int = 0, tol: float = 1e-10) -
     project_to_cspace(linkage, start, tol=tol) of its start bit for bit, so
     no gauge is pinned.  Only NoConvergence drops an attempt: any other
     error, such as InvalidSpec on a non-finite iterate, propagates.
+    Raises InvalidSpec unless n >= 1 and seed >= 0 are integers.
     """
-    if n < 1:
-        raise InvalidSpec("need at least one sample attempt")
+    n = _check_integer(n, "n", 1)
+    seed = _check_integer(seed, "seed", 0)
     box = linkage.length_scale or 1.0
     shape = (linkage.n_vertices, linkage.ambient_dim)
     out: list[Configuration] = []
@@ -503,9 +510,8 @@ def reduced_work_data(linkage: Linkage, config: Configuration, tol_rank: float =
 
 
 def _gauge_fix(linkage: Linkage, config: Configuration) -> Configuration:
-    if linkage.base_link is not None:
-        return reduced_normalize(linkage, config)
-    return pointed_normalize(config, linkage.base_vertex)
+    """config in the linkage's gauge: reduced with a base link, pointed without."""
+    return Configuration(_gauge_points(linkage, config.points))
 
 
 def trace_curve(
@@ -615,15 +621,18 @@ def local_branch_count(
     given radius around the (gauge-fixed) configuration, then single-linkage
     clusters the retained points at threshold cluster_factor * radius.  The
     count is computed at the radius and at half of it; ``stable`` records
-    whether the two agree.
+    whether the two agree.  The default radius is 1e-2 * min(lengths), or
+    1e-2 for a linkage without links.
 
     Sample i steps along a unit tangent direction drawn from the substream
-    keyed by (seed, i); each radius' steps are retracted together.  A step
-    that fails to converge or lands within 0.05 * radius of the center is
-    dropped; one landing over 0.1 * radius off the sphere is rescaled onto it
-    and retried, 8 rounds at most.  Raises InvalidSpec unless radius and
+    keyed by (seed, i); the directions are drawn once per call and scaled to
+    each radius.  A step that fails to converge or lands within
+    0.05 * radius of the center is dropped; one landing over 0.1 * radius
+    off the sphere is rescaled onto it and retried, 8 rounds at most.  In
+    each round one lockstep retraction and one stacked gauge fix serve all
+    of the radius' remaining steps.  Raises InvalidSpec unless radius and
     cluster_factor are positive and finite, tol_rank is finite and >= 0,
-    and n_samples >= 1.
+    n_samples >= 1 and seed >= 0 are integers.
 
     Half-branches that leave the center tangent to each other are merged:
     their separation on the sphere shrinks like radius**2, below the
@@ -644,33 +653,36 @@ def local_branch_count(
     """
     if radius is not None and not (np.isfinite(radius) and radius > 0):
         raise InvalidSpec(f"radius must be positive and finite, got {radius}")
-    if n_samples < 1:
-        raise InvalidSpec(f"need at least one sphere sample, got {n_samples}")
+    n_samples = _check_integer(n_samples, "n_samples", 1)
+    seed = _check_integer(seed, "seed", 0)
     if not (np.isfinite(cluster_factor) and cluster_factor > 0):
         raise InvalidSpec(f"cluster_factor must be positive and finite, got {cluster_factor}")
     if not (np.isfinite(tol_rank) and tol_rank >= 0):
         raise InvalidSpec(f"tol_rank must be finite and >= 0, got {tol_rank}")
-    r = radius if radius is not None else 1e-2 * min(linkage.lengths)
+    r = radius if radius is not None else 1e-2 * min(linkage.lengths, default=1.0)
     center = _gauge_fix(linkage, project_to_cspace(linkage, config, tol=1e-12))
     frame = tangent_frame(linkage, center, tol_rank)
-    d, nd = linkage.ambient_dim, center.flat.size
+    shape = center.points.shape
+    nd = center.flat.size
+    units = []  # the unit tangent directions, drawn once for both radii
+    for i in range(n_samples):
+        coeff = np.random.default_rng([seed, i]).normal(size=frame.dim)
+        nrm = np.linalg.norm(coeff)
+        if nrm >= 1e-12:
+            units.append((coeff / nrm) @ frame.basis)
+    units = np.reshape(units, (-1, nd))
 
     def collect(rad: float) -> np.ndarray:
         """The retained points on the sphere of radius rad, one flat row each."""
-        starts = []
-        for i in range(n_samples):
-            coeff = np.random.default_rng([seed, i]).normal(size=frame.dim)
-            nrm = np.linalg.norm(coeff)
-            if nrm >= 1e-12:
-                starts.append(center.flat + (coeff / nrm) @ frame.basis * rad)
-        flat, kept = np.reshape(starts, (-1, nd)), [np.zeros((0, nd))]
+        flat, kept = center.flat + units * rad, [np.zeros((0, nd))]
         for _ in range(8):
             if not len(flat):
                 break
             r0 = _residual_rows(linkage, flat)
             x, ok = _gauss_newton_rows(linkage, flat, r0, _RETRACT_TOL, _RETRACT_MAX_ITER, tol_rank)
-            fixed = [_gauge_fix(linkage, Configuration.from_flat(row, d)).flat for row in x[ok]]
-            w = np.reshape(fixed, (-1, nd))
+            x = x[ok]
+            check_finite(x)
+            w = _gauge_points(linkage, x.reshape(len(x), *shape)).reshape(len(x), nd)
             offset = w - center.flat
             dist = np.sqrt(_row_dots(offset, offset))  # np.linalg.norm of each row
             on_shell = np.abs(dist - rad) <= 0.1 * rad

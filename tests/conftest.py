@@ -216,6 +216,56 @@ def egsing():
     return egsing_linkage()
 
 
+def reference_rotation_taking(w: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Reference minimal rotation matrix carrying unit vector w onto unit
+    vector target, one vector at a time."""
+    d = w.shape[0]
+    c = float(np.dot(w, target))
+    if d == 2:
+        s = w[0] * target[1] - w[1] * target[0]
+        return np.array([[c, -s], [s, c]])
+    axis = np.cross(w, target)
+    s = float(np.linalg.norm(axis))
+    if s < 1e-14:
+        if c > 0.0:
+            return np.eye(3)
+        # antipodal: rotate by pi about any axis orthogonal to w
+        perp = np.eye(3)[np.argmin(np.abs(w))]
+        perp = perp - np.dot(perp, w) * w
+        perp /= np.linalg.norm(perp)
+        return 2.0 * np.outer(perp, perp) - np.eye(3)
+    axis = axis / s
+    kmat = np.array(
+        [[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]]
+    )
+    return np.eye(3) + s * kmat + (1.0 - c) * (kmat @ kmat)
+
+
+def reference_reduced_normalize(linkage: Linkage, config: Configuration) -> Configuration:
+    """Reference reduced gauge for one configuration: the base vertex at the
+    origin and the base link rotated onto the first axis."""
+    from linkctl.errors import DegenerateDirection
+
+    u, v = linkage.graph.edges[linkage.base_link]
+    other = v if u == linkage.base_vertex else u
+    p = config.points - config.points[linkage.base_vertex]
+    direction = p[other]
+    norm = float(np.linalg.norm(direction))
+    scale = 1.0 + float(np.max(np.abs(config.points)))
+    if norm < 1e-12 * scale:
+        raise DegenerateDirection("base link endpoints coincide; no direction to pin")
+    e1 = np.zeros(linkage.ambient_dim)
+    e1[0] = 1.0
+    return Configuration(p @ reference_rotation_taking(direction / norm, e1).T)
+
+
+def reference_gauge_fix(linkage: Linkage, config: Configuration) -> Configuration:
+    """Reference gauge: reduced with a base link, pointed without."""
+    if linkage.base_link is not None:
+        return reference_reduced_normalize(linkage, config)
+    return Configuration(config.points - config.points[linkage.base_vertex])
+
+
 def reference_local_branch_count(
     linkage: Linkage,
     config: Configuration,
@@ -235,16 +285,11 @@ def reference_local_branch_count(
     for a sample still off the sphere after 8 rounds.
     """
     from linkctl.errors import NoConvergence
-    from linkctl.numeric import (
-        BranchReport,
-        _gauge_fix,
-        project_to_cspace,
-        tangent_frame,
-    )
+    from linkctl.numeric import BranchReport, project_to_cspace, tangent_frame
 
     note = log.append if log is not None else lambda event: None
-    r = radius if radius is not None else 1e-2 * min(linkage.lengths)
-    center = _gauge_fix(linkage, project_to_cspace(linkage, config, tol=1e-12))
+    r = radius if radius is not None else 1e-2 * min(linkage.lengths, default=1.0)
+    center = reference_gauge_fix(linkage, project_to_cspace(linkage, config, tol=1e-12))
     frame = tangent_frame(linkage, center, tol_rank)
 
     def retract(flat: np.ndarray) -> Configuration:
@@ -270,7 +315,7 @@ def reference_local_branch_count(
             flat = center.flat + delta
             for _ in range(8):
                 try:
-                    w = _gauge_fix(linkage, retract(flat))
+                    w = reference_gauge_fix(linkage, retract(flat))
                 except NoConvergence:
                     note("no convergence")
                     break

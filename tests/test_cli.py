@@ -313,6 +313,16 @@ class TestBranchesCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["branches", "sample"])
+    def test_negative_seed_exits_1(self, demo_files, capsys, command):
+        lp, cp = demo_files("four-bar-singular")
+        args = [lp, cp] if command == "branches" else [lp]
+        code = main([command, *args, "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: seed must be an integer >= 0, got -1\n"
+
     def test_edgeless_linkage(self, edgeless_files, capsys):
         lp, cp = edgeless_files
         code, out = run(capsys, "branches", lp, cp, "--radius", "0.1")

@@ -12,6 +12,7 @@ from linkctl.model import (
     MechanismType,
     PlatformSpec,
     SubspaceBasis,
+    _gauge_points,
     _jacobian_rows,
     _residual_rows,
     build_linkage,
@@ -30,6 +31,7 @@ from conftest import (
     random_linkage,
     reference_jacobian,
     reference_length_map,
+    reference_reduced_normalize,
     reference_residual,
 )
 
@@ -404,6 +406,79 @@ class TestNormalization:
         lam = squared_length_map(linkage, v)
         assert squared_length_map(linkage, pointed_normalize(v, 0)) == pytest.approx(lam, abs=1e-10)
         assert squared_length_map(linkage, reduced_normalize(linkage, v)) == pytest.approx(lam, abs=1e-10)
+
+
+def star(d: int, n: int = 5, base_vertex: int = 2) -> Linkage:
+    """Vertex base_vertex joined to every other vertex; base link 0 runs to vertex 0."""
+    others = [v for v in range(n) if v != base_vertex]
+    return Linkage(
+        MechanismType(n, tuple((v, base_vertex) for v in others)),
+        (1.0,) * (n - 1),
+        d,
+        base_vertex=base_vertex,
+        base_link=0,
+    )
+
+
+class TestGaugeKernel:
+    """The stacked gauge kernel: each configuration of a stack comes out as
+    the one-configuration reference gives it, bit for bit."""
+
+    @staticmethod
+    def assert_rows_equal_reference(linkage: Linkage, stack: np.ndarray) -> None:
+        got = _gauge_points(linkage, stack)
+        assert got.shape == stack.shape
+        for row, out in zip(stack.reshape(-1, *stack.shape[-2:]), got.reshape(-1, *got.shape[-2:])):
+            want = reference_reduced_normalize(linkage, Configuration(row)).points
+            assert out.tobytes() == want.tobytes(), row
+            assert reduced_normalize(linkage, Configuration(row)).points.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_random_stack_equals_reference(self, d):
+        rng = np.random.default_rng(40 + d)
+        linkage = star(d)
+        scales = rng.choice([1e-3, 1.0, 1e3], size=(300, 1, 1))
+        self.assert_rows_equal_reference(linkage, rng.normal(size=(300, 5, d)) * scales)
+        self.assert_rows_equal_reference(linkage, rng.normal(size=(3, 7, 5, d)))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_link_along_and_against_first_axis(self, d):
+        # in d = 3 the cross product vanishes: the identity and the half-turn
+        rng = np.random.default_rng(50 + d)
+        linkage = star(d)
+        stack = rng.normal(size=(6, 5, d))
+        e1 = np.eye(d)[0]
+        for i, sign in enumerate((1.0, -1.0, 1.0, -1.0)):
+            stack[i, 0] = stack[i, 2] + sign * (i + 1) * e1
+        self.assert_rows_equal_reference(linkage, stack)
+        link = _gauge_points(linkage, stack)[:4, 0]
+        assert link == pytest.approx(np.outer([1.0, 2.0, 3.0, 4.0], e1), abs=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_coincident_link_ends_in_a_stack(self, d):
+        linkage = star(d)
+        stack = np.random.default_rng(60 + d).normal(size=(4, 5, d))
+        stack[2, 0] = stack[2, 2]
+        with pytest.raises(DegenerateDirection):
+            _gauge_points(linkage, stack)
+        with pytest.raises(DegenerateDirection):
+            reduced_normalize(linkage, Configuration(stack[2]))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("base_link", [0, None])
+    def test_empty_stack(self, d, base_link):
+        linkage = dataclasses.replace(star(d), base_link=base_link)
+        out = _gauge_points(linkage, np.zeros((0, 5, d)))
+        assert out.shape == (0, 5, d)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_pointed_stack(self, d):
+        linkage = dataclasses.replace(star(d), base_link=None)
+        stack = np.random.default_rng(70 + d).normal(size=(20, 5, d))
+        got = _gauge_points(linkage, stack)
+        for row, out in zip(stack, got):
+            assert out.tobytes() == (row - row[2]).tobytes()
+            assert pointed_normalize(Configuration(row), 2).points.tobytes() == out.tobytes()
 
 
 class TestSubspaceBasis:

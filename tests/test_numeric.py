@@ -126,6 +126,14 @@ class TestSampling:
         assert not np.array_equal(a.points, b.points)
         assert 0.0 < np.max(np.abs(a.points)) <= 1.0
 
+    @pytest.mark.parametrize(
+        "option, name", [({"seed": -1}, "seed"), ({"seed": 1.5}, "seed"), ({"n": 2.5}, "n")]
+    )
+    def test_non_integer_or_negative_counts_rejected(self, option, name):
+        kw = {"n": 3, **option}
+        with pytest.raises(InvalidSpec, match=f"^{name} must be an integer"):
+            sample_cspace(four_bar(), **kw)
+
     def test_determinism(self):
         linkage = four_bar()
         a = sample_cspace(linkage, 10, seed=42)
@@ -704,6 +712,24 @@ class TestLocalBranchCount:
         with pytest.raises(InvalidSpec):
             local_branch_count(four_bar(), four_bar_node(), **option)
 
+    @pytest.mark.parametrize(
+        "option, name",
+        [
+            ({"seed": -1}, "seed"),
+            ({"seed": 1.5}, "seed"),
+            ({"seed": "0"}, "seed"),
+            ({"n_samples": 2.5}, "n_samples"),
+        ],
+    )
+    def test_non_integer_or_negative_counts_rejected(self, option, name):
+        with pytest.raises(InvalidSpec, match=f"^{name} must be an integer"):
+            local_branch_count(four_bar(), four_bar_node(), **option)
+
+    def test_integer_like_counts_accepted(self):
+        want = local_branch_count(four_bar(), four_bar_node(), n_samples=16, seed=2)
+        got = local_branch_count(four_bar(), four_bar_node(), n_samples=np.int64(16), seed=np.int64(2))
+        assert got == want
+
     def test_edgeless_linkage(self):
         # two free points in the plane: the reduced tangent is the distance,
         # and the sphere meets it in two points
@@ -712,6 +738,34 @@ class TestLocalBranchCount:
         report = local_branch_count(linkage, v, radius=0.1)
         assert report.branch_count == 2
         assert report.stable
+
+    def test_edgeless_linkage_default_radius(self):
+        # no link scales the default radius, so it is 1e-2
+        linkage = Linkage(MechanismType(2, ()), (), ambient_dim=2)
+        v = Configuration([(0.0, 0.0), (1.0, 0.0)])
+        report = local_branch_count(linkage, v)
+        assert report.radius == 1e-2
+        assert report.sample_count == 48
+        assert report.branch_count == 2
+        assert report.stable
+
+    def test_configurations_built_do_not_grow_with_samples(self, monkeypatch):
+        # the sphere samples are retracted and gauge-fixed as stacked arrays,
+        # so no Configuration is built per sample
+        built = Counter()
+        init = Configuration.__init__
+
+        def counting_init(self, points):
+            built["n"] += 1
+            init(self, points)
+
+        monkeypatch.setattr(Configuration, "__init__", counting_init)
+        counts = []
+        for n_samples in (16, 96):
+            built.clear()
+            local_branch_count(four_bar(), four_bar_node(), radius=0.01, n_samples=n_samples)
+            counts.append(built["n"])
+        assert counts[0] == counts[1], counts
 
 
 def collinear(linkage: Linkage, config: Configuration):
@@ -724,6 +778,12 @@ def collinear(linkage: Linkage, config: Configuration):
     if min(lengths) < 1e-2:
         return None
     return Linkage(linkage.graph, lengths, ambient_dim=linkage.ambient_dim), Configuration(points)
+
+
+def based(linkage: Linkage) -> Linkage:
+    """The linkage with base vertex 0 and base link 0, the edge (1, 0) that
+    random_linkage lists first."""
+    return Linkage(linkage.graph, linkage.lengths, linkage.ambient_dim, base_vertex=0, base_link=0)
 
 
 class TestBranchCountEqualsPerSample:
@@ -742,11 +802,16 @@ class TestBranchCountEqualsPerSample:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_random_linkages(self, dim):
+        # each linkage is also counted in the reduced gauge, with its base
+        # link the edge (1, 0) at the base vertex; on the collinear copy that
+        # link lies along the first axis
         rng = np.random.default_rng(300 + dim)
         events = Counter()
         for draw in range(12):
             linkage, config = random_linkage(rng, max_vertices=6, dim=dim)
-            for pair in ((linkage, config), collinear(linkage, config)):
+            pairs = [(linkage, config), collinear(linkage, config)]
+            pairs += [(based(pair[0]), pair[1]) for pair in pairs if pair is not None]
+            for pair in pairs:
                 if pair is None:
                     continue
                 kw = {"radius": 0.2 * min(pair[0].lengths), "n_samples": 16, "seed": draw}
