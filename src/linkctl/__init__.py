@@ -4,17 +4,12 @@ singularity classification, with a JSON/SVG command-line front end."""
 from .chains import (
     ChainKind,
     ChainSpec,
-    SphericalParams,
     aligned_morse_index,
     chain_work_image,
-    chain_work_map,
     chord_signature,
     forward_count,
-    from_spherical,
     is_aligned,
     prismatic_fiber,
-    spherical_rho,
-    to_spherical,
     workspace_interval,
 )
 from .classify import (

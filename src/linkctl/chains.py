@@ -1,9 +1,9 @@
 """Open, closed, and prismatic closed chains.
 
-Covers reachable-distance intervals, alignment detection, spherical joint
-coordinates with round-trip reconstruction, endpoint work maps and their
-image subspaces, and the Morse index of the reduced endpoint-distance
-function at aligned configurations.
+Covers reachable-distance intervals, alignment detection, the chord
+signature of an aligned open chain, the image of an open chain's work map,
+and the Morse index of the reduced endpoint-distance function at aligned
+configurations.
 """
 
 from __future__ import annotations
@@ -22,24 +22,18 @@ from .errors import (
     InvalidSpec,
     NotAligned,
     OutOfRange,
-    UndefinedTheta,
 )
 from .model import Configuration, Linkage, MechanismType, SubspaceBasis, check_match
 
 __all__ = [
     "ChainKind",
     "ChainSpec",
-    "SphericalParams",
     "workspace_interval",
     "is_aligned",
     "forward_count",
     "chord_signature",
     "aligned_morse_index",
-    "chain_work_map",
     "chain_work_image",
-    "to_spherical",
-    "from_spherical",
-    "spherical_rho",
     "prismatic_fiber",
 ]
 
@@ -150,10 +144,12 @@ def is_aligned(
     """Common unit direction of link 1 if all links are collinear with it, else None.
 
     Links may point forward (+w) or backward (-w); "aligned" means collinear
-    within angular tolerance ``tol``.  Raises DegenerateDirection on a
-    zero-length link.
+    within angular tolerance ``tol``.  Raises EmptyChain on fewer than two
+    points and DegenerateDirection on a zero-length link.
     """
     points = _chain_points(config)
+    if len(points) < 2:
+        raise EmptyChain("is_aligned needs at least one link")
     vecs = _link_vectors(points, closed)
     norms = np.linalg.norm(vecs, axis=1)
     scale = 1.0 + float(np.max(np.abs(points)))
@@ -222,12 +218,6 @@ def aligned_morse_index(chain: ChainSpec, config: Configuration | np.ndarray) ->
     return chord_signature(points)[1]
 
 
-def chain_work_map(config: Configuration | np.ndarray) -> np.ndarray:
-    """Endpoint displacement x_k - x_0 (pointed convention)."""
-    points = _chain_points(config)
-    return points[-1] - points[0]
-
-
 def chain_work_image(chain: ChainSpec, config: Configuration | np.ndarray) -> SubspaceBasis:
     """Image of the work-map differential on the constraint null space, at
     work_image's default rank tolerance.
@@ -246,129 +236,6 @@ def chain_work_image(chain: ChainSpec, config: Configuration | np.ndarray) -> Su
     cfg = Configuration(points)
     check_match(linkage, cfg)
     return work_image(linkage, cfg, 0, linkage.n_vertices - 1)
-
-
-@dataclass(frozen=True)
-class SphericalParams:
-    """Spherical joint coordinates of an open chain.
-
-    ``theta`` is the unit direction of x_k - x_0 (at an aligned chain with
-    coincident endpoints, the alignment direction).  For d=2 the joint
-    angles are the signed turns between consecutive links, in (-pi, pi].
-    For d=3 each joint entry is the next link's unit direction expressed in
-    the moving frame of the previous link.
-    """
-
-    ambient_dim: int
-    theta: np.ndarray
-    joint_angles: tuple
-
-    def __post_init__(self) -> None:
-        th = np.asarray(self.theta, dtype=float)
-        if th.shape != (self.ambient_dim,):
-            raise InvalidSpec("theta must be a unit vector in the ambient dimension")
-        if abs(np.linalg.norm(th) - 1.0) > 1e-9:
-            raise InvalidSpec("theta must have unit length")
-        th.setflags(write=False)
-        object.__setattr__(self, "theta", th)
-
-
-def _principal(angle: float) -> float:
-    a = math.fmod(angle + math.pi, 2.0 * math.pi)
-    if a <= 0.0:
-        a += 2.0 * math.pi
-    return a - math.pi
-
-
-def to_spherical(config: Configuration | np.ndarray) -> SphericalParams:
-    """Extract (theta, joint data) from an open-chain configuration.
-
-    Raises UndefinedTheta when the endpoints coincide and the chain is not
-    aligned, as is_aligned decides it at its default tolerance (no preferred
-    direction exists).
-    """
-    points = _chain_points(config)
-    d = points.shape[1]
-    vecs = np.diff(points, axis=0)
-    norms = np.linalg.norm(vecs, axis=1)
-    scale = 1.0 + float(np.max(np.abs(points)))
-    if np.any(norms < 1e-12 * scale):
-        raise DegenerateDirection("chain has a zero-length link")
-    dirs = vecs / norms[:, None]
-
-    chord = points[-1] - points[0]
-    rho = float(np.linalg.norm(chord))
-    if rho > 1e-9 * scale:
-        theta = chord / rho
-    else:
-        w = is_aligned(points)
-        if w is None:
-            raise UndefinedTheta("endpoints coincide and chain is not aligned")
-        theta = w
-
-    if d == 2:
-        angles = []
-        for i in range(len(dirs) - 1):
-            a = math.atan2(dirs[i + 1][1], dirs[i + 1][0]) - math.atan2(dirs[i][1], dirs[i][0])
-            angles.append(_principal(a))
-        return SphericalParams(2, theta, tuple(angles))
-
-    from .model import _rotation_taking
-
-    e1 = np.array([1.0, 0.0, 0.0])
-    frame = _rotation_taking(e1, dirs[0])  # columns-free rotation with frame @ e1 = dirs[0]
-    joints = []
-    for i in range(len(dirs) - 1):
-        local = frame.T @ dirs[i + 1]
-        joints.append(tuple(local))
-        frame = frame @ _rotation_taking(e1, local)
-    return SphericalParams(3, theta, tuple(joints))
-
-
-def from_spherical(chain: ChainSpec, params: SphericalParams) -> Configuration:
-    """Rebuild an open-chain configuration from spherical coordinates.
-
-    The chain starts at the origin; the chord (or, if it vanishes, the first
-    link) is rotated onto theta.  Round-tripping to_spherical reproduces the
-    pointed configuration exactly in d=2 and up to the residual rotation
-    about theta in d=3.
-    """
-    if chain.kind is not ChainKind.OPEN:
-        raise InvalidSpec("from_spherical expects an open chain")
-    d = chain.ambient_dim
-    if params.ambient_dim != d:
-        raise InvalidSpec("parameter dimension does not match the chain")
-    k = len(chain.lengths)
-    if len(params.joint_angles) != k - 1:
-        raise InvalidSpec("expected one joint entry per interior vertex")
-
-    from .model import _rotation_taking
-
-    if d == 2:
-        angles = np.concatenate([[0.0], np.cumsum(np.asarray(params.joint_angles, dtype=float))])
-        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    else:
-        e1 = np.array([1.0, 0.0, 0.0])
-        dirs_list = [e1]
-        frame = np.eye(3)
-        for local in params.joint_angles:
-            loc = np.asarray(local, dtype=float)
-            dirs_list.append(frame @ loc)
-            frame = frame @ _rotation_taking(e1, loc)
-        dirs = np.stack(dirs_list, axis=0)
-
-    pts = np.vstack([np.zeros(d), np.cumsum(dirs * np.asarray(chain.lengths)[:, None], axis=0)])
-    chord = pts[-1]
-    rho = float(np.linalg.norm(chord))
-    anchor = chord / rho if rho > 1e-9 * (1.0 + float(np.sum(chain.lengths))) else dirs[0]
-    rot = _rotation_taking(anchor, np.asarray(params.theta, dtype=float))
-    return Configuration(pts @ rot.T)
-
-
-def spherical_rho(chain: ChainSpec, params: SphericalParams) -> float:
-    """Endpoint distance implied by the joint data (independent of theta)."""
-    cfg = from_spherical(chain, params)
-    return float(np.linalg.norm(chain_work_map(cfg)))
 
 
 def prismatic_fiber(chain: ChainSpec, ell: float) -> ChainSpec:

@@ -25,10 +25,6 @@ class NotAligned(LinkctlError):
     """An operation requiring an aligned chain got a non-aligned one."""
 
 
-class UndefinedTheta(LinkctlError):
-    """Spherical coordinates undefined: endpoints coincide and chain is not aligned."""
-
-
 class OutOfRange(LinkctlError):
     """A prismatic length lies outside the admissible interval."""
 

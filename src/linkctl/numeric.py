@@ -532,13 +532,12 @@ def trace_curve(
     (|cos| below 0.5 between consecutive tangents), or the rank-proximity
     ratio falling below detect_tol ("tangent_jump"), or a corrector that
     keeps failing as the step shrinks ("stalled_at_singularity").  Raises
-    InvalidSpec unless step is positive and finite, max_steps >= 0, and
-    tol_rank and detect_tol are finite and >= 0.
+    InvalidSpec unless step is positive and finite, max_steps is an integer
+    >= 0, and tol_rank and detect_tol are finite and >= 0.
     """
     if not (np.isfinite(step) and step > 0):
         raise InvalidSpec(f"step must be positive and finite, got {step}")
-    if max_steps < 0:
-        raise InvalidSpec(f"max_steps must be >= 0, got {max_steps}")
+    max_steps = _check_integer(max_steps, "max_steps", 0)
     if not (np.isfinite(tol_rank) and tol_rank >= 0):
         raise InvalidSpec(f"tol_rank must be finite and >= 0, got {tol_rank}")
     if not (np.isfinite(detect_tol) and detect_tol >= 0):
@@ -630,7 +629,8 @@ def local_branch_count(
     0.05 * radius of the center is dropped; one landing over 0.1 * radius
     off the sphere is rescaled onto it and retried, 8 rounds at most.  In
     each round one lockstep retraction and one stacked gauge fix serve all
-    of the radius' remaining steps.  Raises InvalidSpec unless radius and
+    of the radius' remaining steps; one stacked distance graph then clusters
+    the radius' retained points.  Raises InvalidSpec unless radius and
     cluster_factor are positive and finite, tol_rank is finite and >= 0,
     n_samples >= 1 and seed >= 0 are integers.
 
@@ -697,8 +697,9 @@ def local_branch_count(
         n = len(pts)
         if not n:
             return []
-        # each distance is np.linalg.norm of the difference; a point joins itself
-        near = np.array([np.sqrt(_row_dots(pts - p, pts - p)) < cluster_factor * rad for p in pts])
+        # near[i, j]: np.linalg.norm of pts[j] - pts[i]; a point joins itself
+        diff = pts[None] - pts[:, None]
+        near = np.sqrt(_row_dots(diff, diff)) < cluster_factor * rad
         label = np.arange(n)
         while True:  # every point takes the least label of its neighbours
             least = np.where(near, label, n).min(axis=1)

@@ -88,7 +88,9 @@ def self_stressed_linkage(
     [[2 Omega(mu), J^T], [0, 2 mu^T]], where Omega(mu) = sum_e mu_e L_e (x) I_d
     and L_e is the Laplacian of edge e.  The lengths are read off the
     converged points.  None when Gauss-Newton fails, when the result has full
-    rank, or when a link is shorter than min_link of the longest.
+    rank, when its longest link is shorter than min_link of the drawn
+    placement's longest (the points collapsed), or when a link is shorter
+    than min_link of the longest.
     """
     from linkctl.errors import NoConvergence
     from linkctl.model import _jacobian_points, constraint_jacobian
@@ -121,7 +123,7 @@ def self_stressed_linkage(
         return None
     points = split(z)[0].reshape(n, dim)
     lengths = np.linalg.norm(points[edges[:, 0]] - points[edges[:, 1]], axis=1)
-    if lengths.max() == 0.0 or lengths.min() < min_link * lengths.max():
+    if lengths.max() < min_link * max(drawn.lengths) or lengths.min() < min_link * lengths.max():
         return None
     linkage = Linkage(drawn.graph, tuple(lengths), ambient_dim=dim)
     config = Configuration(points)

@@ -6,14 +6,10 @@ from linkctl.chains import (
     ChainSpec,
     aligned_morse_index,
     chain_work_image,
-    chain_work_map,
     chord_signature,
     forward_count,
-    from_spherical,
     is_aligned,
     prismatic_fiber,
-    spherical_rho,
-    to_spherical,
     workspace_interval,
 )
 from linkctl.errors import (
@@ -23,7 +19,6 @@ from linkctl.errors import (
     InvalidSpec,
     NotAligned,
     OutOfRange,
-    UndefinedTheta,
 )
 from linkctl.model import Configuration
 from linkctl.numeric import reduced_work_data, sample_cspace
@@ -82,6 +77,11 @@ class TestAlignment:
     def test_degenerate_link(self):
         with pytest.raises(DegenerateDirection):
             is_aligned(np.array([[0.0, 0], [0, 0], [1, 0]]))
+
+    def test_single_point_is_not_a_chain(self):
+        # raised IndexError from the first link's direction
+        with pytest.raises(EmptyChain):
+            is_aligned(np.zeros((1, 2)))
 
     def test_forward_count_all_same(self):
         pts = np.array([[0.0, 0], [1, 0], [2, 0], [3.5, 0]])
@@ -162,17 +162,6 @@ class TestChordSignature:
             chord_signature(np.array([[0.0, 0], [1, 0], [1, 1]]))
 
 
-class TestWorkMap:
-    def test_straight_chain(self):
-        assert chain_work_map(np.array([[0.0, 0], [2, 0], [3, 0]])) == pytest.approx([3.0, 0.0])
-
-    def test_folded_chain(self):
-        assert chain_work_map(np.array([[0.0, 0], [2, 0], [1, 0]])) == pytest.approx([1.0, 0.0])
-
-    def test_returned_to_origin(self):
-        assert chain_work_map(np.array([[0.0, 0], [1, 0], [0, 0]])) == pytest.approx([0.0, 0.0])
-
-
 class TestWorkImage:
     def test_submersion_off_alignment(self):
         spec = ChainSpec(ChainKind.OPEN, (2.0, 1.0))
@@ -208,70 +197,6 @@ class TestWorkImage:
             else:
                 assert img.dim == d - 1
                 assert np.max(np.abs(img.vectors @ w)) < 1e-8
-
-
-class TestSpherical:
-    def test_straight_chain(self):
-        p = to_spherical(np.array([[0.0, 0], [2, 0], [3, 0]]))
-        assert p.theta == pytest.approx([1.0, 0.0])
-        assert p.joint_angles[0] == pytest.approx(0.0)
-
-    def test_right_angle(self):
-        p = to_spherical(np.array([[0.0, 0], [1, 0], [1, 1]]))
-        assert p.joint_angles[0] == pytest.approx(np.pi / 2)
-        assert p.theta == pytest.approx(np.array([1.0, 1.0]) / np.sqrt(2))
-
-    def test_undefined_theta(self):
-        # closed square path returns to the origin and is not aligned
-        pts = np.array([[0.0, 0], [1, 0], [1, 1], [0, 1], [0, 0]])
-        with pytest.raises(UndefinedTheta):
-            to_spherical(pts)
-
-    def test_round_trip_planar(self):
-        lengths = (2.0, 1.0, 1.5)
-        spec = ChainSpec(ChainKind.OPEN, lengths)
-        worst = 0.0
-        for i in range(10000):
-            rng = np.random.default_rng([21, i])
-            ang = rng.uniform(-np.pi, np.pi, 3)
-            dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-            pts = np.vstack([np.zeros(2), np.cumsum(dirs * np.array(lengths)[:, None], axis=0)])
-            if np.linalg.norm(pts[-1]) < 1e-6:
-                continue
-            back = from_spherical(spec, to_spherical(pts))
-            worst = max(worst, float(np.max(np.abs(back.points - pts))))
-        assert worst < 1e-9
-
-    def test_round_trip_spatial_up_to_axial_gauge(self):
-        lengths = (2.0, 1.0, 1.5)
-        spec = ChainSpec(ChainKind.OPEN, lengths, 3)
-        for i in range(200):
-            rng = np.random.default_rng([22, i])
-            dirs = rng.normal(size=(3, 3))
-            dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-            pts = np.vstack([np.zeros(3), np.cumsum(dirs * np.array(lengths)[:, None], axis=0)])
-            params = to_spherical(pts)
-            back = from_spherical(spec, params).points
-            # gauge-invariant comparison: chord along theta, all pairwise distances equal
-            assert np.linalg.norm(back[-1] - pts[-1]) < 1e-9
-            da = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-            db = np.linalg.norm(back[:, None, :] - back[None, :, :], axis=2)
-            assert np.max(np.abs(da - db)) < 1e-9
-
-    def test_rho_recomputed(self):
-        lengths = (2.0, 1.0)
-        spec = ChainSpec(ChainKind.OPEN, lengths)
-        pts = np.array([[0.0, 0], [2, 0], [2, 1]])
-        params = to_spherical(pts)
-        assert spherical_rho(spec, params) == pytest.approx(np.linalg.norm(pts[-1]))
-
-    def test_aligned_chain_with_zero_chord_uses_alignment_direction(self):
-        pts = np.array([[0.0, 0], [1, 0], [0, 0]])
-        params = to_spherical(pts)
-        assert params.theta == pytest.approx([1.0, 0.0])
-        spec = ChainSpec(ChainKind.OPEN, (1.0, 1.0))
-        back = from_spherical(spec, params)
-        assert np.max(np.abs(back.points - pts)) < 1e-12
 
 
 class TestChainLinkage:

@@ -209,7 +209,7 @@ class TestTraceCommand:
     @pytest.mark.parametrize(
         "option, message",
         [
-            (("--max-steps", "-3"), "max_steps must be >= 0"),
+            (("--max-steps", "-3"), "max_steps must be an integer >= 0"),
             (("--sing-tol", "nan"), "detect_tol must be finite and >= 0"),
             (("--sing-tol", "inf"), "detect_tol must be finite and >= 0"),
             (("--sing-tol", "-1"), "detect_tol must be finite and >= 0"),

@@ -591,9 +591,9 @@ class TestTraceCurve:
         with pytest.raises(InvalidSpec, match="tol_rank"):
             trace_curve(linkage, start, max_steps=30, tol_rank=tol_rank)
 
-    @pytest.mark.parametrize("max_steps", [-1, -3])
+    @pytest.mark.parametrize("max_steps", [-1, -3, 2.5])
     def test_max_steps_must_be_non_negative(self, max_steps):
-        # -3 gave one point and stop_reason "max_steps"
+        # -3 gave one point and stop_reason "max_steps"; 2.5 raised TypeError
         linkage = four_bar((2.0, 1.2, 1.7, 0.9))
         start = sample_cspace(linkage, 1, seed=11)[0]
         with pytest.raises(InvalidSpec, match="max_steps"):
