@@ -3,24 +3,26 @@ generically non-transverse stage detection, and one depth-limited search for
 singularity witnesses and smoothness certificates.
 
 A removal splits a mechanism into an open chain (interior vertices of degree
-two) and a connected remainder sharing the chain's two endpoints.  A stage is
-transverse when the two endpoint work images jointly span the ambient space;
-a non-transverse stage is "generically non-transverse" when the chain is
-aligned, the remainder is smooth with a nondegenerate critical endpoint
-distance, and the endpoints are apart.  A witness is a decomposition whose
-deepest stage is generically non-transverse and whose outer removed chains
-are all non-aligned; a certificate is a decomposition with every stage
-transverse over a full-rank base.
+two) and a connected remainder sharing the chain's two endpoints.  A stage
+is named by (mechanism, configuration, removal), where the removal is one
+that ``enumerate_chain_removals`` yields for the mechanism's graph;
+``stage_classify`` cuts chain and remainder from that one configuration.  A
+stage is transverse when the two endpoint work images jointly span the
+ambient space; a non-transverse stage is "generically non-transverse" when
+the chain is aligned, the remainder is smooth with a nondegenerate critical
+endpoint distance, and the endpoints are apart.  A witness is a
+decomposition whose deepest stage is generically non-transverse and whose
+outer removed chains are all non-aligned; a certificate is a decomposition
+with every stage transverse over a full-rank base.
 
 Both are found by the same depth-first walk down the decomposition tree
 (``_search``), which differs between the two only in where it stops and
 which stages it descends through.  It carries the one host configuration
-its caller passed, and every sub-mechanism (``_part``) carries host ids, so
-``_build_stage`` returns one (stage, verdict, remainder) record per removal
-with no remapping; a ``Witness`` derives its stage index, signature and
-Euclidean factor from its stages and deepest verdict.
-``find_witness_through`` runs the witness search with a forced first
-removal, the platform verifier's entry point.
+its caller passed, and every sub-mechanism it descends into (``_part``)
+carries host ids, so ``_build_stage`` records each stage in host ids; a
+``Witness`` derives its stage index, signature and Euclidean factor from its
+stages and deepest verdict.  ``find_witness_through`` runs the witness
+search with a forced first removal, the platform verifier's entry point.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .errors import (
     DegenerateDirection,
     DimensionMismatch,
     InvalidSpec,
-    MismatchedEffector,
     NoConvergence,
     OffConstraint,
 )
@@ -56,7 +57,6 @@ from .numeric import numerical_rank, reduced_work_data, work_image
 __all__ = [
     "Tolerances",
     "ChainRemoval",
-    "SubMechanism",
     "StageVerdict",
     "StageVerdictKind",
     "DecompositionStage",
@@ -68,8 +68,6 @@ __all__ = [
     "find_nontransversive_witness",
     "find_witness_through",
     "find_smoothness_certificate",
-    "remainder_mechanism",
-    "chain_mechanism",
 ]
 
 
@@ -184,28 +182,43 @@ def enumerate_chain_removals(graph: MechanismType) -> list[ChainRemoval]:
     for start in range(graph.vertex_count):
         extend([start], [])
 
-    removals = []
-    for path, chain_edges in paths:
-        chain = set(chain_edges)
-        rem_edges = tuple(i for i in range(graph.edge_count) if i not in chain)
-        if not rem_edges:
-            continue
-        interior = set(path[1:-1])
-        rem_vertices = tuple(v for v in range(graph.vertex_count) if v not in interior)
-        # an interior vertex has degree two, both its edges in the chain, so a
-        # walk that skips chain edges stays in the remainder
-        if len(graph.reachable(path[0], chain)) != len(rem_vertices):
-            continue
-        removals.append(
-            ChainRemoval(
-                chain_vertices=path,
-                chain_edges=chain_edges,
-                remainder_vertices=rem_vertices,
-                remainder_edges=rem_edges,
-            )
-        )
+    removals = [r for r in (_removal(graph, path, edges) for path, edges in paths) if r is not None]
     removals.sort(key=lambda r: r.chain_edges)
     return removals
+
+
+def _removal(
+    graph: MechanismType, path: tuple[int, ...], chain_edges: tuple[int, ...]
+) -> Optional[ChainRemoval]:
+    """The removal of a path whose interior vertices have degree two; None
+    when it leaves no edge or a disconnected remainder."""
+    chain = set(chain_edges)
+    rem_edges = tuple(i for i in range(graph.edge_count) if i not in chain)
+    if not rem_edges:
+        return None
+    interior = set(path[1:-1])
+    rem_vertices = tuple(v for v in range(graph.vertex_count) if v not in interior)
+    # an interior vertex has degree two, both its edges in the chain, so a
+    # walk that skips chain edges stays in the remainder
+    if len(graph.reachable(path[0], chain)) != len(rem_vertices):
+        return None
+    return ChainRemoval(path, chain_edges, rem_vertices, rem_edges)
+
+
+def _check_removal(graph: MechanismType, removal: ChainRemoval) -> None:
+    """Raise InvalidSpec unless enumerate_chain_removals(graph) yields
+    ``removal``; O(edges), by building that one path's removal."""
+    path, edges = tuple(removal.chain_vertices), tuple(removal.chain_edges)
+    links = zip(path, path[1:], edges)
+    valid = (
+        len(path) == len(set(path)) == len(edges) + 1 >= 2
+        and path[0] < path[-1]
+        and all(0 <= i < graph.edge_count and set(graph.edges[i]) == {u, v} for u, v, i in links)
+        and all(graph.degree(v) == 2 for v in path[1:-1])
+    )
+    want = ChainRemoval(path, edges, tuple(removal.remainder_vertices), tuple(removal.remainder_edges))
+    if not valid or _removal(graph, path, edges) != want:
+        raise InvalidSpec(f"not an open-chain removal of this mechanism: {removal}")
 
 
 def _part(
@@ -235,18 +248,6 @@ def _part(
     )
 
 
-def remainder_mechanism(host: Linkage, removal: ChainRemoval) -> SubMechanism:
-    """The remainder as a sub-linkage, based at the smaller shared endpoint."""
-    ends = removal.endpoints
-    return _part(_whole(host), removal.remainder_vertices, removal.remainder_edges, ends)
-
-
-def chain_mechanism(host: Linkage, removal: ChainRemoval) -> SubMechanism:
-    """The removed chain as an open-chain sub-linkage along its path order."""
-    ends = removal.endpoints
-    return _part(_whole(host), removal.chain_vertices, removal.chain_edges, ends)
-
-
 class StageVerdictKind(enum.Enum):
     TRANSVERSE = "transverse"
     GENERICALLY_NON_TRANSVERSE = "generically_non_transverse"
@@ -260,8 +261,6 @@ class StageVerdict:
     as aligned; the direction is the links' common one, when they have one."""
 
     kind: StageVerdictKind
-    remainder_image: SubspaceBasis
-    chain_image: SubspaceBasis
     chain_aligned: bool
     chain_aligned_direction: Optional[np.ndarray] = None
     gradient_norm: Optional[float] = None
@@ -297,13 +296,15 @@ def transversality_check(
 
 
 def stage_classify(
-    gamma_prime: Linkage,
-    lam: Linkage,
-    v_prime: Configuration,
-    v_k: Configuration,
+    linkage: Linkage,
+    config: Configuration,
+    removal: ChainRemoval,
     tols: Tolerances = Tolerances(),
 ) -> StageVerdict:
-    """Classify one pullback stage.
+    """Classify the stage that ``removal`` cuts from the mechanism at
+    ``config``: the removed open chain, based at the removal's smaller
+    endpoint with its other endpoint as effector, and the remainder, based
+    and ending at the same two vertices.
 
     Transverse when the endpoint work images of remainder and chain span the
     ambient space.  Otherwise generically non-transverse when the chain is
@@ -312,23 +313,20 @@ def stage_classify(
     failed condition downgrades the verdict to degenerate, with reasons.  A
     finite-difference Hessian whose retraction does not converge is such a
     failed condition ("hessian_no_convergence").
-    Raises MismatchedEffector unless the two work points agree to
-    1e-8 * (1 + the larger total length).
+    Raises InvalidSpec unless enumerate_chain_removals(linkage.graph) yields
+    ``removal``.
     """
-    check_match(gamma_prime, v_prime)
-    check_match(lam, v_k)
-    d = gamma_prime.ambient_dim
-    if gamma_prime.end_effector is None or lam.end_effector is None:
-        raise InvalidSpec("stage linkages need base and effector vertices")
+    check_match(linkage, config)
+    _check_removal(linkage.graph, removal)
+    d = linkage.ambient_dim
+    whole, ends = _whole(linkage), removal.endpoints
+    remainder = _remainder(whole, removal)
+    chain = _part(whole, removal.chain_vertices, removal.chain_edges, ends)
+    gamma_prime, v_prime = remainder.linkage, remainder.restrict(config)
+    lam, v_k = chain.linkage, chain.restrict(config)
 
-    psi = v_prime.points[gamma_prime.end_effector] - v_prime.points[gamma_prime.base_vertex]
-    phi = v_k.points[lam.end_effector] - v_k.points[lam.base_vertex]
+    psi = config.points[ends[1]] - config.points[ends[0]]
     scale = 1.0 + max(gamma_prime.length_scale, lam.length_scale)
-    if float(np.linalg.norm(psi - phi)) > 1e-8 * scale:
-        raise MismatchedEffector(
-            f"work points disagree by {np.linalg.norm(psi - phi):.3g}"
-        )
-
     img_remainder = work_image(
         gamma_prime, v_prime, gamma_prime.base_vertex, gamma_prime.end_effector, tols.rank
     )
@@ -343,9 +341,7 @@ def stage_classify(
     # as a non-aligned chain
     chain_aligned = reasons != ["chain_not_aligned"]
     if transversality_check(img_remainder, img_chain, d, tols.rank):
-        return StageVerdict(
-            StageVerdictKind.TRANSVERSE, img_remainder, img_chain, chain_aligned, aligned
-        )
+        return StageVerdict(StageVerdictKind.TRANSVERSE, chain_aligned, aligned)
 
     if float(np.linalg.norm(psi)) < 1e-9 * scale:
         reasons.append("coincident_endpoints")
@@ -377,8 +373,6 @@ def stage_classify(
     if reasons:
         return StageVerdict(
             StageVerdictKind.DEGENERATE_NON_TRANSVERSE,
-            img_remainder,
-            img_chain,
             chain_aligned,
             chain_aligned_direction=aligned,
             gradient_norm=grad_norm,
@@ -388,8 +382,6 @@ def stage_classify(
 
     return StageVerdict(
         StageVerdictKind.GENERICALLY_NON_TRANSVERSE,
-        img_remainder,
-        img_chain,
         chain_aligned,
         chain_aligned_direction=aligned,
         gradient_norm=grad_norm,
@@ -450,7 +442,7 @@ class Witness:
     @property
     def euclidean_factor(self) -> int:
         """Every stage but the last adds (d-1)·links − d."""
-        d = self.verdict.chain_image.ambient_dim
+        d = len(self.verdict.chain_aligned_direction)  # type: ignore[arg-type]
         return sum((d - 1) * len(s.chain_edges) - d for s in self.decomposition.stages[:-1])
 
     def to_json_dict(self) -> dict:
@@ -470,21 +462,24 @@ def _build_stage(
     config: Configuration,
     removal: ChainRemoval,
     tols: Tolerances,
-) -> tuple[DecompositionStage, StageVerdict, SubMechanism]:
+) -> tuple[DecompositionStage, StageVerdict]:
     """Classify one removal of ``sub`` at the host configuration: the stage
-    and the remainder in host ids, and the stage's verdict."""
-    remainder = _part(sub, removal.remainder_vertices, removal.remainder_edges, removal.endpoints)
-    chain = _part(sub, removal.chain_vertices, removal.chain_edges, removal.endpoints)
-    v_rem, v_chain = remainder.restrict(config), chain.restrict(config)
-    verdict = stage_classify(remainder.linkage, chain.linkage, v_rem, v_chain, tols)
+    in host ids and its verdict."""
+    verdict = stage_classify(sub.linkage, sub.restrict(config), removal, tols)
+    vertex, edge = sub.vertex_ids, sub.edge_ids
     stage = DecompositionStage(
-        chain_vertices=chain.vertex_ids,
-        chain_edges=chain.edge_ids,
-        remainder_vertices=remainder.vertex_ids,
-        remainder_edges=remainder.edge_ids,
+        chain_vertices=tuple(vertex[v] for v in removal.chain_vertices),
+        chain_edges=tuple(edge[i] for i in removal.chain_edges),
+        remainder_vertices=tuple(vertex[v] for v in removal.remainder_vertices),
+        remainder_edges=tuple(edge[i] for i in removal.remainder_edges),
         chain_aligned=verdict.chain_aligned,
     )
-    return stage, verdict, remainder
+    return stage, verdict
+
+
+def _remainder(sub: SubMechanism, removal: ChainRemoval) -> SubMechanism:
+    """The remainder of one removal of ``sub``, in host ids."""
+    return _part(sub, removal.remainder_vertices, removal.remainder_edges, removal.endpoints)
 
 
 class _Hit(NamedTuple):
@@ -526,19 +521,19 @@ def _search(
     elif depth > 0:
         for removal in enumerate_chain_removals(sub.linkage.graph):
             try:
-                stage, verdict, remainder = _build_stage(sub, config, removal, tols)
+                stage, verdict = _build_stage(sub, config, removal, tols)
             except (CoincidentEndpoints, OffConstraint):
                 continue
             if certificate:
                 descend = verdict.kind is StageVerdictKind.TRANSVERSE
             elif verdict.kind is StageVerdictKind.GENERICALLY_NON_TRANSVERSE:
-                result = _Hit((stage,), remainder, verdict)
+                result = _Hit((stage,), _remainder(sub, removal), verdict)
                 break
             else:
                 descend = not stage.chain_aligned and depth > 1
             if not descend:
                 continue
-            found = _search(remainder, config, depth - 1, tols, certificate, memo)
+            found = _search(_remainder(sub, removal), config, depth - 1, tols, certificate, memo)
             if found is not None:
                 result = found._replace(stages=(stage,) + found.stages)
                 break
@@ -582,9 +577,12 @@ def find_witness_through(
     A generically non-transverse stage is itself the witness.  A transverse
     stage is followed by the first witness inside its remainder within
     tols.depth stages, after the remainder's residual check.  A degenerate
-    stage, or a remainder without a witness, gives None.
+    stage, or a remainder without a witness, gives None.  Raises InvalidSpec
+    on a removal that stage_classify rejects.
     """
-    stage, verdict, remainder = _build_stage(_whole(linkage), config, removal, tols)
+    whole = _whole(linkage)
+    stage, verdict = _build_stage(whole, config, removal, tols)
+    remainder = _remainder(whole, removal)
     hit: Optional[_Hit] = None
     if verdict.kind is StageVerdictKind.GENERICALLY_NON_TRANSVERSE:
         hit = _Hit((), remainder, verdict)

@@ -49,10 +49,6 @@ class CoincidentEndpoints(LinkctlError):
     """Base and effector occupy the same point; the reduced work data is undefined."""
 
 
-class MismatchedEffector(LinkctlError):
-    """Paired sub-configurations disagree on the shared endpoint position."""
-
-
 class NotAPlatform(LinkctlError):
     """Linkage is not tagged as a parallel polygonal platform."""
 

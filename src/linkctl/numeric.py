@@ -12,6 +12,7 @@ draws from its own substream keyed by (seed, index).
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional
@@ -292,8 +293,16 @@ def project_to_cspace(
     A guess already on the set is returned unchanged; any other guess gives
     the Gauss-Newton point, wherever its minimal-norm steps leave it.  No
     gauge is pinned: call pointed_normalize to put the base vertex at the
-    origin (translation leaves the constraints exact).
+    origin (translation leaves the constraints exact).  Raises InvalidSpec
+    unless tol is positive and finite, max_iter is an integer >= 0, and
+    tol_rank is finite and >= 0.
     """
+    # plain float comparisons, which NaN fails: this runs once per retraction
+    if not 0.0 < tol < math.inf:
+        raise InvalidSpec(f"tol must be positive and finite, got {tol}")
+    max_iter = _check_integer(max_iter, "max_iter", 0)
+    if not 0.0 <= tol_rank < math.inf:
+        raise InvalidSpec(f"tol_rank must be finite and >= 0, got {tol_rank}")
     check_match(linkage, guess)
     r0 = _residual_points(linkage, guess.points)
     if np.abs(r0).max(initial=0.0) < tol:
@@ -411,7 +420,10 @@ def work_image(
 ) -> SubspaceBasis:
     """Image of the effector-displacement differential over the constraint null
     space.  No gauge is removed: the map sends translations, which lie in the
-    null space, to 0, so this is the image over the pointed tangent."""
+    null space, to 0, so this is the image over the pointed tangent.
+    Raises InvalidSpec unless base and effector are vertices of the linkage."""
+    if not (0 <= base < linkage.n_vertices and 0 <= effector < linkage.n_vertices):
+        raise InvalidSpec(f"base {base} and effector {effector} must be vertices of the linkage")
     d = linkage.ambient_dim
     fields = _null_space(linkage, config, tol_rank)[1].reshape(-1, linkage.n_vertices, d)
     rows = fields[:, effector, :] - fields[:, base, :]

@@ -77,6 +77,17 @@ def random_linkage(
     return linkage, Configuration(points)
 
 
+def stress_matrix(linkage: Linkage, mu: np.ndarray) -> np.ndarray:
+    """Omega(mu) = sum_e mu_e L_e (x) I_d, with L_e the graph Laplacian of
+    edge e: the Hessian of mu . g / 2, g the squared-length map."""
+    k, n = linkage.k, linkage.n_vertices
+    edges = np.array(linkage.graph.edges, dtype=int).reshape(k, 2)
+    incidence = np.zeros((k, n))  # row e is e_u - e_v, so L_e is its outer square
+    incidence[np.arange(k), edges[:, 0]] = 1.0
+    incidence[np.arange(k), edges[:, 1]] = -1.0
+    return np.kron(incidence.T @ (mu[:, None] * incidence), np.eye(linkage.ambient_dim))
+
+
 def self_stressed_linkage(
     rng: np.random.Generator, dim: int, max_vertices: int = 7, min_link: float = 1e-2
 ) -> Optional[tuple[Linkage, Configuration]]:
@@ -85,12 +96,11 @@ def self_stressed_linkage(
     A self-stress is a unit mu with J(x)^T mu = 0, J the constraint Jacobian.
     Gauss-Newton runs over (x, mu) on J(x)^T mu = 0 and |mu|^2 = 1, from a
     random_linkage placement and a random unit mu.  Its Jacobian is
-    [[2 Omega(mu), J^T], [0, 2 mu^T]], where Omega(mu) = sum_e mu_e L_e (x) I_d
-    and L_e is the Laplacian of edge e.  The lengths are read off the
-    converged points.  None when Gauss-Newton fails, when the result has full
-    rank, when its longest link is shorter than min_link of the drawn
-    placement's longest (the points collapsed), or when a link is shorter
-    than min_link of the longest.
+    [[2 Omega(mu), J^T], [0, 2 mu^T]], with Omega(mu) from stress_matrix.
+    The lengths are read off the converged points.  None when Gauss-Newton
+    fails, when the result has full rank, when its longest link is shorter
+    than min_link of the drawn placement's longest (the points collapsed), or
+    when a link is shorter than min_link of the longest.
     """
     from linkctl.errors import NoConvergence
     from linkctl.model import _jacobian_points, constraint_jacobian
@@ -99,9 +109,6 @@ def self_stressed_linkage(
     drawn, start = random_linkage(rng, max_vertices, dim)
     n, k = drawn.n_vertices, drawn.k
     edges = np.array(drawn.graph.edges)
-    incidence = np.zeros((k, n))  # row e is e_u - e_v, so L_e is its outer square
-    incidence[np.arange(k), edges[:, 0]] = 1.0
-    incidence[np.arange(k), edges[:, 1]] = -1.0
     mu0 = rng.normal(size=k)
 
     def split(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -113,8 +120,7 @@ def self_stressed_linkage(
 
     def jacobian(z: np.ndarray) -> np.ndarray:
         x, mu = split(z)
-        omega = np.kron(incidence.T @ (mu[:, None] * incidence), np.eye(dim))
-        top = np.hstack([2.0 * omega, _jacobian_points(drawn, x.reshape(n, dim)).T])
+        top = np.hstack([2.0 * stress_matrix(drawn, mu), _jacobian_points(drawn, x.reshape(n, dim)).T])
         return np.vstack([top, np.append(np.zeros(n * dim), 2.0 * mu)])
 
     try:

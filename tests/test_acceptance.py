@@ -12,6 +12,7 @@ nontransversive witness.
 """
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -46,6 +47,8 @@ from conftest import (
     random_linkage,
     random_open_chain,
     reach_oracle,
+    self_stressed_linkage,
+    stress_matrix,
 )
 
 
@@ -355,3 +358,45 @@ def test_criterion_9_determinism(tmp_path, monkeypatch, capsys):
         assert code1 == code2
         assert out1 == out2
     _report("9 cli-determinism", True)
+
+
+def test_criterion_10_generic_singularities():
+    # The paper's genericity claim, in its sharp form: at a self-stressed
+    # configuration of corank 1 whose stress form Q = B Omega(mu) B^T on the
+    # reduced tangent frame B is nondegenerate, the witness search finds a
+    # witness whose signature is Q's inertia, up to the order of its parts.
+    # A pendant vertex moves freely, so Q vanishes along its motion: every
+    # sample inside the theorem has minimum degree 2.
+    inside = {2: 0, 3: 0}
+    outside = {2: Counter(), 3: Counter()}
+    euclidean = Counter()
+    for d in (2, 3):
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            for _ in range(15):
+                sample = self_stressed_linkage(rng, d)
+                if sample is None:
+                    continue
+                linkage, config = sample
+                jac = constraint_jacobian(linkage, config)
+                if linkage.k - numerical_rank(jac) != 1:
+                    outside[d]["corank >= 2"] += 1
+                    continue
+                mu = np.linalg.svd(jac)[0][:, -1]
+                basis = tangent_frame(linkage, config).basis
+                eigs = np.linalg.eigvalsh(basis @ stress_matrix(linkage, mu) @ basis.T)
+                cut = max(1e-6 * np.max(np.abs(eigs), initial=0.0), 1e-9)
+                if not np.all(np.abs(eigs) > cut):
+                    outside[d]["degenerate Q"] += 1
+                    continue
+                inertia = (int(np.sum(eigs > cut)), int(np.sum(eigs < -cut)))
+                assert min(linkage.graph.degree(v) for v in range(linkage.n_vertices)) >= 2
+                witness = find_nontransversive_witness(linkage, config)
+                assert witness is not None, (d, seed)
+                assert witness.signature in (inertia, inertia[::-1]), (d, seed, witness.signature, inertia)
+                inside[d] += 1
+                euclidean[witness.euclidean_factor] += 1
+    assert inside[2] >= 20 and inside[3] >= 20, inside
+    print(f"criterion 10: samples inside the theorem by dimension {inside}, their Euclidean factors "
+          f"{dict(euclidean)}; outside it, d = 2: {dict(outside[2])}, d = 3: {dict(outside[3])}")
+    _report("10 generic-singularities", True)

@@ -9,21 +9,19 @@ from linkctl.decomp import (
     StageVerdict,
     StageVerdictKind,
     Tolerances,
-    chain_mechanism,
     enumerate_chain_removals,
     find_nontransversive_witness,
     find_smoothness_certificate,
-    remainder_mechanism,
+    find_witness_through,
     stage_classify,
     transversality_check,
 )
-from linkctl.chains import ChainKind, ChainSpec, is_aligned
+from linkctl.chains import is_aligned
 from linkctl.errors import (
     CoincidentEndpoints,
     DegenerateDirection,
     DimensionMismatch,
     InvalidSpec,
-    MismatchedEffector,
     NoConvergence,
     OffConstraint,
 )
@@ -148,15 +146,12 @@ class TestTransversalityCheck:
         assert not transversality_check(img_a, img_b, 2)
 
 
+def _removal_of(linkage, edge_set):
+    return next(r for r in enumerate_chain_removals(linkage.graph) if set(r.chain_edges) == edge_set)
+
+
 def _split(linkage, config, edge_set):
-    removal = next(
-        r for r in enumerate_chain_removals(linkage.graph) if set(r.chain_edges) == edge_set
-    )
-    remainder = remainder_mechanism(linkage, removal)
-    chain = chain_mechanism(linkage, removal)
-    return stage_classify(
-        remainder.linkage, chain.linkage, remainder.restrict(config), chain.restrict(config)
-    )
+    return stage_classify(linkage, config, _removal_of(linkage, edge_set))
 
 
 class TestStageClassify:
@@ -197,25 +192,34 @@ class TestStageClassify:
         assert verdict.kind is StageVerdictKind.DEGENERATE_NON_TRANSVERSE
         assert "coincident_endpoints" in verdict.reasons
 
-    def test_mismatched_effector(self):
-        linkage = four_bar()
-        removal = next(
-            r
-            for r in enumerate_chain_removals(linkage.graph)
-            if set(r.chain_edges) == {2, 3}
+    @pytest.mark.parametrize("entry", [stage_classify, find_witness_through])
+    def test_foreign_removal(self, entry):
+        # a removal of tri-platform-b is not one of the four-bar's
+        platform = build_linkage(build_demo("tri-platform-b")[0])
+        foreign = enumerate_chain_removals(platform.graph)[-1]
+        with pytest.raises(InvalidSpec, match="removal"):
+            entry(four_bar(), four_bar_node(), foreign)
+
+    @pytest.mark.parametrize("entry", [stage_classify, find_witness_through])
+    def test_reversed_removal(self, entry):
+        removal = _removal_of(four_bar(), {2, 3})
+        reversed_chain = replace(
+            removal,
+            chain_vertices=removal.chain_vertices[::-1],
+            chain_edges=removal.chain_edges[::-1],
         )
-        remainder = remainder_mechanism(linkage, removal)
-        chain = chain_mechanism(linkage, removal)
-        v = four_bar_node()
-        v_chain = Configuration(chain.restrict(v).points * 1.1)
-        with pytest.raises(MismatchedEffector):
-            stage_classify(remainder.linkage, chain.linkage, remainder.restrict(v), v_chain)
+        with pytest.raises(InvalidSpec, match="removal"):
+            entry(four_bar(), four_bar_node(), reversed_chain)
 
 
-def _open_chain(points):
-    points = np.asarray(points, dtype=float)
-    lengths = np.linalg.norm(np.diff(points, axis=0), axis=1)
-    return ChainSpec(ChainKind.OPEN, tuple(lengths)).to_linkage(), Configuration(points)
+def _host_cycle(chain_points, remainder_middle):
+    """The four-cycle of a two-link open chain 0-1-2 and a two-link remainder
+    2-3-0 through ``remainder_middle``, with the chain's removal."""
+    points = np.vstack([chain_points, [remainder_middle]])
+    edges = ((0, 1), (1, 2), (2, 3), (3, 0))
+    lengths = tuple(float(np.linalg.norm(points[u] - points[v])) for u, v in edges)
+    linkage = Linkage(MechanismType(4, edges), lengths, 2)
+    return linkage, Configuration(points), _removal_of(linkage, {0, 1})
 
 
 class TestChainAligned:
@@ -225,13 +229,9 @@ class TestChainAligned:
             linkage_doc, config_doc = build_demo(name)
             linkage, config = build_linkage(linkage_doc), Configuration(config_doc["points"])
             for removal in enumerate_chain_removals(linkage.graph):
-                remainder = remainder_mechanism(linkage, removal)
-                chain = chain_mechanism(linkage, removal)
-                v_chain = chain.restrict(config)
+                v_chain = Configuration(config.points[list(removal.chain_vertices)])
                 try:
-                    verdict = stage_classify(
-                        remainder.linkage, chain.linkage, remainder.restrict(config), v_chain
-                    )
+                    verdict = stage_classify(linkage, config, removal)
                 except (CoincidentEndpoints, OffConstraint):
                     continue
                 try:
@@ -244,22 +244,20 @@ class TestChainAligned:
         assert {(StageVerdictKind.TRANSVERSE, True), (StageVerdictKind.TRANSVERSE, False)} <= kinds
 
     def test_zero_length_link_counts_as_aligned_on_a_transverse_stage(self):
-        chain = ChainSpec(ChainKind.OPEN, (2.0, 1e-14)).to_linkage()
-        v_chain = Configuration([(0.0, 0.0), (2.0, 0.0), (2.0, 1e-14)])
-        remainder, v_rem = _open_chain([(0.0, 0.0), (1.0, 1.0), (2.0, 1e-14)])
+        chain_points = np.array([(0.0, 0.0), (2.0, 0.0), (2.0, 1e-14)])
+        linkage, config, removal = _host_cycle(chain_points, (1.0, 1.0))
         with pytest.raises(DegenerateDirection):
-            is_aligned(v_chain)
-        verdict = stage_classify(remainder, chain, v_rem, v_chain)
+            is_aligned(Configuration(chain_points))
+        verdict = stage_classify(linkage, config, removal)
         assert verdict.kind is StageVerdictKind.TRANSVERSE
         assert verdict.chain_aligned is True
 
     def test_bent_chain_not_aligned(self):
         # bent by 1e-4 rad: both endpoint images are the chord's normal at a
         # rank cutoff of 1e-3, and the chain is not aligned at 1e-6 rad
-        chain, v_chain = _open_chain([(0.0, 0.0), (1.0, 0.0), (2.0, 1e-4)])
-        remainder, v_rem = _open_chain([(0.0, 0.0), (1.0, 5e-5), (2.0, 1e-4)])
+        linkage, config, removal = _host_cycle([(0.0, 0.0), (1.0, 0.0), (2.0, 1e-4)], (1.0, 5e-5))
         tols = Tolerances(rank=1e-3, align=1e-6)
-        verdict = stage_classify(remainder, chain, v_rem, v_chain, tols)
+        verdict = stage_classify(linkage, config, removal, tols)
         assert verdict.kind is StageVerdictKind.DEGENERATE_NON_TRANSVERSE
         assert verdict.reasons == ("chain_not_aligned",)
         assert verdict.chain_aligned is False

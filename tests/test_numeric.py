@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import linkctl
+import linkctl.decomp as decomp
 import linkctl.numeric as numeric
 from linkctl.chains import ChainKind, ChainSpec, is_aligned
-from linkctl.decomp import chain_mechanism, enumerate_chain_removals, remainder_mechanism
+from linkctl.decomp import enumerate_chain_removals
 from linkctl.demos import build_demo
 from linkctl.errors import (
     CoincidentEndpoints,
@@ -104,6 +105,24 @@ class TestProjection:
         linkage = Linkage(MechanismType(2, ()), (), ambient_dim=2)
         v = Configuration([(0.0, 0.0), (1.0, 0.0)])
         assert project_to_cspace(linkage, v) is v
+
+    @pytest.mark.parametrize(
+        "option, name",
+        [
+            ({"max_iter": 2.5}, "max_iter"),
+            ({"max_iter": -1}, "max_iter"),
+            ({"tol": 0.0}, "tol"),
+            ({"tol": float("nan")}, "tol"),
+            ({"tol": float("inf")}, "tol"),
+            ({"tol_rank": float("nan")}, "tol_rank"),
+            ({"tol_rank": -1e-8}, "tol_rank"),
+        ],
+    )
+    def test_options_checked(self, option, name):
+        # unchecked, 2.5 reaches range() and a NaN tol_rank ends in
+        # NoConvergence without saying why
+        with pytest.raises(InvalidSpec, match=f"^{name} must be"):
+            project_to_cspace(triangle(), Configuration([(0, 0), (1, 0), (0, 1)]), **option)
 
 
 class TestSampling:
@@ -484,12 +503,22 @@ class TestWorkImage:
                 if chain is aligned_open_chain:
                     assert dim == d - 1
 
+    @pytest.mark.parametrize("base, effector", [(0, 9), (-1, 2), (0, -1), (4, 2)])
+    def test_vertices_must_exist(self, base, effector):
+        # unchecked, -1 would silently index the last vertex
+        with pytest.raises(InvalidSpec, match="must be vertices"):
+            work_image(four_bar(), four_bar_node(), base, effector)
+
     def test_demo_stages(self):
         # both endpoint images of every first-level stage, singular demos included
         for name in ("four-bar-singular", "egsing", "five-bar", "tri-platform-b"):
             linkage, config = demo_pair(name)
             for removal in enumerate_chain_removals(linkage.graph):
-                for part in (remainder_mechanism(linkage, removal), chain_mechanism(linkage, removal)):
+                whole, ends = decomp._whole(linkage), removal.endpoints
+                for part in (
+                    decomp._part(whole, removal.remainder_vertices, removal.remainder_edges, ends),
+                    decomp._part(whole, removal.chain_vertices, removal.chain_edges, ends),
+                ):
                     sub = part.linkage
                     self.assert_matches_reference(
                         sub, part.restrict(config), sub.base_vertex, sub.end_effector
