@@ -23,7 +23,7 @@ from .errors import (
     NotAligned,
     OutOfRange,
 )
-from .model import Configuration, Linkage, MechanismType, SubspaceBasis, check_match
+from .model import Configuration, Linkage, MechanismType, SubspaceBasis, check_real
 
 __all__ = [
     "ChainKind",
@@ -129,11 +129,12 @@ def _chain_points(config: Configuration | np.ndarray) -> np.ndarray:
     return np.asarray(config, dtype=float)
 
 
-def _link_vectors(points: np.ndarray, closed: bool) -> np.ndarray:
-    diffs = np.diff(points, axis=0)
-    if closed:
-        diffs = np.vstack([diffs, points[0] - points[-1]])
-    return diffs
+def _check_angle(tol, name: str) -> None:
+    """Raise InvalidSpec unless the angular tolerance tol is finite, >= 0 and
+    below pi/2, where every pair of directions would count as collinear."""
+    check_real(tol, name)
+    if not tol < math.pi / 2:
+        raise InvalidSpec(f"{name} must be below pi/2, got {tol}")
 
 
 def is_aligned(
@@ -145,12 +146,16 @@ def is_aligned(
 
     Links may point forward (+w) or backward (-w); "aligned" means collinear
     within angular tolerance ``tol``.  Raises EmptyChain on fewer than two
-    points and DegenerateDirection on a zero-length link.
+    points, DegenerateDirection on a zero-length link, and InvalidSpec
+    unless tol is finite, >= 0 and below pi/2.
     """
+    _check_angle(tol, "tol")
     points = _chain_points(config)
     if len(points) < 2:
         raise EmptyChain("is_aligned needs at least one link")
-    vecs = _link_vectors(points, closed)
+    vecs = np.diff(points, axis=0)
+    if closed:
+        vecs = np.vstack([vecs, points[0] - points[-1]])
     norms = np.linalg.norm(vecs, axis=1)
     scale = 1.0 + float(np.max(np.abs(points)))
     if np.any(norms < 1e-12 * scale):
@@ -163,18 +168,16 @@ def is_aligned(
     return None
 
 
-def forward_count(
-    config: Configuration | np.ndarray,
-    w: np.ndarray,
-    closed: bool = False,
-    tol: float = 1e-6,
-) -> int:
-    """Number of links whose direction has positive inner product with w."""
+def forward_count(config: Configuration | np.ndarray, w: np.ndarray, tol: float = 1e-6) -> int:
+    """Number of links whose direction has positive inner product with w.
+
+    For a closed chain, pass its points with the first repeated at the end.
+    Raises NotAligned unless the chain is aligned within ``tol``.
+    """
     points = _chain_points(config)
-    if is_aligned(points, tol=tol, closed=closed) is None:
+    if is_aligned(points, tol=tol) is None:
         raise NotAligned("forward_count requires an aligned chain")
-    vecs = _link_vectors(points, closed)
-    return int(np.sum(vecs @ np.asarray(w, dtype=float) > 0.0))
+    return int(np.sum(np.diff(points, axis=0) @ np.asarray(w, dtype=float) > 0.0))
 
 
 def chord_signature(config: Configuration | np.ndarray, tol: float = 1e-6) -> tuple[int, int]:
@@ -231,11 +234,7 @@ def chain_work_image(chain: ChainSpec, config: Configuration | np.ndarray) -> Su
 
     if chain.kind is not ChainKind.OPEN:
         raise InvalidSpec("chain_work_image expects an open chain")
-    points = _chain_points(config)
-    linkage = chain.to_linkage()
-    cfg = Configuration(points)
-    check_match(linkage, cfg)
-    return work_image(linkage, cfg, 0, linkage.n_vertices - 1)
+    return work_image(chain.to_linkage(), Configuration(_chain_points(config)))
 
 
 def prismatic_fiber(chain: ChainSpec, ell: float) -> ChainSpec:

@@ -28,13 +28,12 @@ search with a forced first removal, the platform verifier's entry point.
 from __future__ import annotations
 
 import enum
-import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .chains import chord_signature, is_aligned
+from .chains import _check_angle, chord_signature, is_aligned
 from .errors import (
     CoincidentEndpoints,
     DegenerateDirection,
@@ -48,8 +47,10 @@ from .model import (
     Linkage,
     MechanismType,
     SubspaceBasis,
+    check_integer,
     check_match,
     check_on_constraint,
+    check_real,
     constraint_jacobian,
 )
 from .numeric import numerical_rank, reduced_work_data, work_image
@@ -71,6 +72,10 @@ __all__ = [
 ]
 
 
+# Tolerances.eig_tol's absolute floor, divided by 1 + total length.
+_EIG_FLOOR = 1e-3
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical thresholds shared by the classification pipeline.
@@ -79,33 +84,26 @@ class Tolerances:
     larger of 1e-6 times the largest |eigenvalue| and an absolute floor, so
     exactly-zero Hessians are recognized as degenerate; ``depth`` bounds
     every decomposition search.  Raises InvalidSpec unless every threshold
-    is finite and >= 0 and the depth is an integer >= 0.
+    is finite and >= 0, align is below pi/2, and depth is an integer >= 0.
     """
 
     rank: float = 1e-8
     align: float = 1e-6
     grad_scale: float = 1e-6
-    eig_floor: float = 1e-3
     depth: int = 4
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name != "depth" and not (np.isfinite(value) and value >= 0):
-                raise InvalidSpec(f"tolerance {f.name} must be finite and >= 0, got {value}")
-        try:
-            valid = operator.index(self.depth) >= 0
-        except TypeError:
-            valid = False
-        if not valid:
-            raise InvalidSpec(f"search depth must be an integer >= 0, got {self.depth}")
+        check_real(self.rank, "tolerance rank")
+        _check_angle(self.align, "tolerance align")
+        check_real(self.grad_scale, "tolerance grad_scale")
+        check_integer(self.depth, "search depth", 0)
 
     def grad_tol(self, linkage: Linkage) -> float:
         return self.grad_scale * (1.0 + linkage.length_scale)
 
     def eig_tol(self, linkage: Linkage, eigs: np.ndarray) -> float:
         rel = 1e-6 * (float(np.max(np.abs(eigs))) if eigs.size else 0.0)
-        return max(rel, self.eig_floor / (1.0 + linkage.length_scale))
+        return max(rel, _EIG_FLOOR / (1.0 + linkage.length_scale))
 
 
 @dataclass(frozen=True)
@@ -286,7 +284,9 @@ def transversality_check(
     d: int,
     tol_rank: float = 1e-8,
 ) -> bool:
-    """True iff the two subspaces jointly span the ambient space."""
+    """True iff the two subspaces jointly span the ambient space.  Raises
+    InvalidSpec unless tol_rank is finite and >= 0."""
+    check_real(tol_rank, "tol_rank")
     if image_a.ambient_dim != d or image_b.ambient_dim != d:
         raise DimensionMismatch("image bases must live in the ambient dimension")
     stacked = np.vstack([image_a.vectors, image_b.vectors])
@@ -327,10 +327,8 @@ def stage_classify(
 
     psi = config.points[ends[1]] - config.points[ends[0]]
     scale = 1.0 + max(gamma_prime.length_scale, lam.length_scale)
-    img_remainder = work_image(
-        gamma_prime, v_prime, gamma_prime.base_vertex, gamma_prime.end_effector, tols.rank
-    )
-    img_chain = work_image(lam, v_k, lam.base_vertex, lam.end_effector, tols.rank)
+    img_remainder = work_image(gamma_prime, v_prime, tols.rank)
+    img_chain = work_image(lam, v_k, tols.rank)
     aligned = None
     try:
         aligned = is_aligned(v_k, tol=tols.align)
@@ -578,8 +576,10 @@ def find_witness_through(
     stage is followed by the first witness inside its remainder within
     tols.depth stages, after the remainder's residual check.  A degenerate
     stage, or a remainder without a witness, gives None.  Raises InvalidSpec
-    on a removal that stage_classify rejects.
+    on a removal that stage_classify rejects, and DimensionMismatch on a
+    configuration that does not fit the linkage.
     """
+    check_match(linkage, config)
     whole = _whole(linkage)
     stage, verdict = _build_stage(whole, config, removal, tols)
     remainder = _remainder(whole, removal)

@@ -12,7 +12,9 @@ d coordinates first), and constraint rows follow the edge-list order.
 
 from __future__ import annotations
 
+import math
 import numbers
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Container, Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -258,6 +260,25 @@ def check_finite(points: np.ndarray) -> None:
     """Raise InvalidSpec unless every coordinate is finite."""
     if not np.isfinite(points).all():
         raise InvalidSpec("configuration coordinates must be finite")
+
+
+def check_real(value, name: str, positive: bool = False) -> None:
+    """Raise InvalidSpec naming the option unless value is finite and >= 0, or
+    > 0 when ``positive``; plain float comparisons, which NaN fails, keep it cheap."""
+    if not (0.0 < value < math.inf if positive else 0.0 <= value < math.inf):
+        rule = "positive and finite" if positive else "finite and >= 0"
+        raise InvalidSpec(f"{name} must be {rule}, got {value}")
+
+
+def check_integer(value, name: str, least: int) -> int:
+    """value as an int; InvalidSpec naming the option unless it is an integer >= least."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = least - 1
+    if count < least:
+        raise InvalidSpec(f"{name} must be an integer >= {least}, got {value!r}")
+    return count
 
 
 def check_match(linkage: Linkage, config: Configuration) -> None:

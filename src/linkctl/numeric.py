@@ -7,13 +7,13 @@ null space off one SVD per configuration, taken in ``_null_space``.  Every
 tangent frame is reduced: rigid translations and rotations are projected out.
 
 All stochastic operations are pure functions of (inputs, seed): every sample
-draws from its own substream keyed by (seed, index).
+draws from its own substream keyed by (seed, index).  Every numeric option
+is checked by model.check_real or model.check_integer: a tol_rank that is not
+finite and >= 0, or any option its function's docstring names, raises InvalidSpec.
 """
 
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
@@ -37,8 +37,10 @@ from .model import (
     _residual_rows,
     _row_dots,
     check_finite,
+    check_integer,
     check_match,
     check_on_constraint,
+    check_real,
     constraint_jacobian,
 )
 
@@ -67,6 +69,7 @@ _ARMIJO_C = 1e-4
 _STEP_LADDER = tuple(0.5**j for j in range(40))  # 1, 1/2, ..., 2^-39 >= 1e-12 > 2^-40
 
 # project_to_cspace's defaults, which sample_cspace also projects with.
+_PROJECT_TOL = 1e-10
 _PROJECT_MAX_ITER = 100
 _PROJECT_TOL_RANK = 1e-8
 
@@ -129,17 +132,6 @@ class WorkData:
     frame: TangentFrame
 
 
-def _check_integer(value, name: str, least: int) -> int:
-    """value as an int; InvalidSpec naming it unless it is an integer >= least."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        count = least - 1
-    if count < least:
-        raise InvalidSpec(f"{name} must be an integer >= {least}, got {value!r}")
-    return count
-
-
 def _kept_singular_values(s: np.ndarray, tol_rank: float) -> np.ndarray:
     """Mask of the singular values (last axis, largest first) above
     max(tol_rank * s[0], ABS_FLOOR); all False when s[0] is 0."""
@@ -147,7 +139,10 @@ def _kept_singular_values(s: np.ndarray, tol_rank: float) -> np.ndarray:
 
 
 def numerical_rank(matrix: np.ndarray, tol_rank: float = 1e-8) -> int:
-    """Number of singular values above tol_rank * sigma_max (absolute floor 1e-12)."""
+    """Number of singular values above tol_rank * sigma_max (absolute floor
+    1e-12).  Raises InvalidSpec unless tol_rank and every entry are finite and
+    tol_rank >= 0."""
+    check_real(tol_rank, "tol_rank")
     m = np.asarray(matrix, dtype=float)
     if m.size == 0:
         return 0
@@ -284,7 +279,7 @@ def _finite_points(x: np.ndarray, d: int) -> np.ndarray:
 def project_to_cspace(
     linkage: Linkage,
     guess: Configuration,
-    tol: float = 1e-10,
+    tol: float = _PROJECT_TOL,
     max_iter: int = _PROJECT_MAX_ITER,
     tol_rank: float = _PROJECT_TOL_RANK,
 ) -> Configuration:
@@ -297,12 +292,9 @@ def project_to_cspace(
     unless tol is positive and finite, max_iter is an integer >= 0, and
     tol_rank is finite and >= 0.
     """
-    # plain float comparisons, which NaN fails: this runs once per retraction
-    if not 0.0 < tol < math.inf:
-        raise InvalidSpec(f"tol must be positive and finite, got {tol}")
-    max_iter = _check_integer(max_iter, "max_iter", 0)
-    if not 0.0 <= tol_rank < math.inf:
-        raise InvalidSpec(f"tol_rank must be finite and >= 0, got {tol_rank}")
+    check_real(tol, "tol", positive=True)
+    max_iter = check_integer(max_iter, "max_iter", 0)
+    check_real(tol_rank, "tol_rank")
     check_match(linkage, guess)
     r0 = _residual_points(linkage, guess.points)
     if np.abs(r0).max(initial=0.0) < tol:
@@ -320,7 +312,7 @@ def project_to_cspace(
     return Configuration.from_flat(x, d)
 
 
-def sample_cspace(linkage: Linkage, n: int, seed: int = 0, tol: float = 1e-10) -> list[Configuration]:
+def sample_cspace(linkage: Linkage, n: int, seed: int = 0) -> list[Configuration]:
     """Project n random ambient starts onto the constraint set; failures are dropped.
 
     Starts draw coordinates uniformly from a box of half-width sum(lengths),
@@ -328,13 +320,13 @@ def sample_cspace(linkage: Linkage, n: int, seed: int = 0, tol: float = 1e-10) -
     substream keyed by (seed, i), so results are deterministic and
     schedule-independent.  The starts are projected together, in chunks of
     _SAMPLE_CHUNK, by one lockstep Gauss-Newton; each result equals
-    project_to_cspace(linkage, start, tol=tol) of its start bit for bit, so
+    project_to_cspace(linkage, start) of its start bit for bit, so
     no gauge is pinned.  Only NoConvergence drops an attempt: any other
     error, such as InvalidSpec on a non-finite iterate, propagates.
     Raises InvalidSpec unless n >= 1 and seed >= 0 are integers.
     """
-    n = _check_integer(n, "n", 1)
-    seed = _check_integer(seed, "seed", 0)
+    n = check_integer(n, "n", 1)
+    seed = check_integer(seed, "seed", 0)
     box = linkage.length_scale or 1.0
     shape = (linkage.n_vertices, linkage.ambient_dim)
     out: list[Configuration] = []
@@ -346,7 +338,9 @@ def sample_cspace(linkage: Linkage, n: int, seed: int = 0, tol: float = 1e-10) -
             ]
         )
         r0 = _residual_rows(linkage, starts)
-        x, ok = _gauss_newton_rows(linkage, starts, r0, tol, _PROJECT_MAX_ITER, _PROJECT_TOL_RANK)
+        x, ok = _gauss_newton_rows(
+            linkage, starts, r0, _PROJECT_TOL, _PROJECT_MAX_ITER, _PROJECT_TOL_RANK
+        )
         out.extend(Configuration.from_flat(row, shape[1]) for row in x[ok])
     if not out:
         raise NoFeasiblePoint(f"all {n} projection attempts failed")
@@ -406,24 +400,27 @@ def _gauge_frame(config: Configuration, null: np.ndarray) -> TangentFrame:
 def tangent_frame(linkage: Linkage, config: Configuration, tol_rank: float = 1e-8) -> TangentFrame:
     """Orthonormal basis of the constraint null space minus the rigid motions.
 
-    Requires the configuration to satisfy the constraints to 1e-8.
+    Requires the configuration to satisfy the constraints to 1e-8.  Raises
+    InvalidSpec unless tol_rank is finite and >= 0.
     """
+    check_real(tol_rank, "tol_rank")
     return _gauge_frame(config, _null_space(linkage, config, tol_rank)[1])
 
 
-def work_image(
-    linkage: Linkage,
-    config: Configuration,
-    base: int,
-    effector: int,
-    tol_rank: float = 1e-8,
-) -> SubspaceBasis:
-    """Image of the effector-displacement differential over the constraint null
-    space.  No gauge is removed: the map sends translations, which lie in the
-    null space, to 0, so this is the image over the pointed tangent.
-    Raises InvalidSpec unless base and effector are vertices of the linkage."""
-    if not (0 <= base < linkage.n_vertices and 0 <= effector < linkage.n_vertices):
-        raise InvalidSpec(f"base {base} and effector {effector} must be vertices of the linkage")
+def _work_ends(linkage: Linkage) -> tuple[int, int]:
+    """The linkage's base vertex and end effector; InvalidSpec when it has no effector."""
+    if linkage.end_effector is None:
+        raise InvalidSpec("linkage has no end effector")
+    return linkage.base_vertex, linkage.end_effector
+
+
+def work_image(linkage: Linkage, config: Configuration, tol_rank: float = 1e-8) -> SubspaceBasis:
+    """Image over the constraint null space of the differential of the linkage's
+    base-to-end-effector displacement.  No gauge is removed: translations lie in
+    the null space and map to 0, so this is the image over the pointed tangent.
+    Raises InvalidSpec without an end effector or unless tol_rank is finite and >= 0."""
+    base, effector = _work_ends(linkage)
+    check_real(tol_rank, "tol_rank")
     d = linkage.ambient_dim
     fields = _null_space(linkage, config, tol_rank)[1].reshape(-1, linkage.n_vertices, d)
     rows = fields[:, effector, :] - fields[:, base, :]
@@ -457,7 +454,8 @@ def fd_hessian(
     translated so that its centroid is at the origin; the step,
     1e-4 * (1 + max |coordinate|), and every retraction are taken from that
     centered configuration, so the Hessian does not depend on where the
-    mechanism sits."""
+    mechanism sits.  Raises InvalidSpec unless tol_rank is finite and >= 0."""
+    check_real(tol_rank, "tol_rank")
     points = frame.base_config.points
     centered = Configuration(points - points.mean(axis=0))
     v0 = centered.flat
@@ -489,16 +487,14 @@ def reduced_work_data(linkage: Linkage, config: Configuration, tol_rank: float =
 
     The gradient is the analytic ambient gradient projected onto the frame;
     the Hessian is fd_hessian's retraction-corrected finite difference.
-    Raises InvalidSpec when the linkage has no end effector, and
-    CoincidentEndpoints when base and effector lie within
-    1e-9 * (1 + total length) of each other, the scale of stage_classify's
-    coincident_endpoints reason, so the test does not depend on where the
-    mechanism sits.
+    Raises InvalidSpec when the linkage has no end effector or tol_rank is
+    not finite and >= 0, and CoincidentEndpoints when base and effector lie
+    within 1e-9 * (1 + total length) of each other, the scale of
+    stage_classify's coincident_endpoints reason, so the test does not
+    depend on where the mechanism sits.
     """
-    eff = linkage.end_effector
-    if eff is None:
-        raise InvalidSpec("linkage has no end effector")
-    base = linkage.base_vertex
+    base, eff = _work_ends(linkage)
+    check_real(tol_rank, "tol_rank")
     check_match(linkage, config)
     p = config.points
     diff = p[eff] - p[base]
@@ -547,13 +543,10 @@ def trace_curve(
     InvalidSpec unless step is positive and finite, max_steps is an integer
     >= 0, and tol_rank and detect_tol are finite and >= 0.
     """
-    if not (np.isfinite(step) and step > 0):
-        raise InvalidSpec(f"step must be positive and finite, got {step}")
-    max_steps = _check_integer(max_steps, "max_steps", 0)
-    if not (np.isfinite(tol_rank) and tol_rank >= 0):
-        raise InvalidSpec(f"tol_rank must be finite and >= 0, got {tol_rank}")
-    if not (np.isfinite(detect_tol) and detect_tol >= 0):
-        raise InvalidSpec(f"detect_tol must be finite and >= 0, got {detect_tol}")
+    check_real(step, "step", positive=True)
+    max_steps = check_integer(max_steps, "max_steps", 0)
+    check_real(tol_rank, "tol_rank")
+    check_real(detect_tol, "detect_tol")
     v = _gauge_fix(linkage, project_to_cspace(linkage, start, tol=_TRACE_TOL))
     frame = tangent_frame(linkage, v, tol_rank)
     if frame.dim != 1:
@@ -663,14 +656,12 @@ def local_branch_count(
     depends on n_samples: at the five-bar demo, whose link is one circle,
     seed 0 gives 9, 9 and 4 branches at 16, 48 and 96 samples, all stable.
     """
-    if radius is not None and not (np.isfinite(radius) and radius > 0):
-        raise InvalidSpec(f"radius must be positive and finite, got {radius}")
-    n_samples = _check_integer(n_samples, "n_samples", 1)
-    seed = _check_integer(seed, "seed", 0)
-    if not (np.isfinite(cluster_factor) and cluster_factor > 0):
-        raise InvalidSpec(f"cluster_factor must be positive and finite, got {cluster_factor}")
-    if not (np.isfinite(tol_rank) and tol_rank >= 0):
-        raise InvalidSpec(f"tol_rank must be finite and >= 0, got {tol_rank}")
+    if radius is not None:
+        check_real(radius, "radius", positive=True)
+    n_samples = check_integer(n_samples, "n_samples", 1)
+    seed = check_integer(seed, "seed", 0)
+    check_real(cluster_factor, "cluster_factor", positive=True)
+    check_real(tol_rank, "tol_rank")
     r = radius if radius is not None else 1e-2 * min(linkage.lengths, default=1.0)
     center = _gauge_fix(linkage, project_to_cspace(linkage, config, tol=1e-12))
     frame = tangent_frame(linkage, center, tol_rank)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -72,7 +74,8 @@ class TestAlignment:
         pts = four_bar_node()
         w = is_aligned(pts, closed=True)
         assert w == pytest.approx([1.0, 0.0])
-        assert forward_count(pts, np.array([1.0, 0.0]), closed=True) == 2
+        loop = np.vstack([pts.points, pts.points[:1]])  # the closing link, as a fifth point
+        assert forward_count(loop, np.array([1.0, 0.0])) == 2
 
     def test_degenerate_link(self):
         with pytest.raises(DegenerateDirection):
@@ -88,10 +91,23 @@ class TestAlignment:
         assert forward_count(pts, np.array([1.0, 0.0])) == 3
 
     def test_forward_count_reversal(self):
-        pts = four_bar_node()
+        pts = four_bar_node().points
+        loop = np.vstack([pts, pts[:1]])
         w = np.array([1.0, 0.0])
-        k = forward_count(pts, w, closed=True)
-        assert forward_count(pts, -w, closed=True) == 4 - k
+        k = forward_count(loop, w)
+        assert forward_count(loop, -w) == 4 - k
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, math.pi / 2, 4.0, float("inf")])
+    def test_angular_tolerance_below_a_right_angle(self, tol):
+        # cos(4) < 0, so tol=4 counted every chain as aligned
+        bent = np.array([[0.0, 0], [1, 0], [1, 1]])
+        for check in (
+            lambda: is_aligned(bent, tol=tol),
+            lambda: forward_count(bent, np.array([1.0, 0.0]), tol=tol),
+            lambda: chord_signature(bent, tol=tol),
+        ):
+            with pytest.raises(InvalidSpec, match="^tol must be"):
+                check()
 
     def test_forward_count_requires_alignment(self):
         with pytest.raises(NotAligned):

@@ -16,7 +16,7 @@ from linkctl.errors import DegenerateDirection, InvalidSpec, NotAPlatform, OffCo
 from linkctl.model import Configuration, Linkage, MechanismType, build_linkage
 from linkctl.numeric import numerical_rank, sample_cspace
 from linkctl.model import constraint_jacobian
-from linkctl import demos
+from linkctl import decomp, demos
 from linkctl.demos import build_demo
 
 
@@ -206,11 +206,12 @@ class TestPlatform:
         assert report.witness.verdict.gradient_norm < 1e-6
         assert any("gradient" in n for n in report.notes)
 
-    def test_type_a_no_witness_in_remainder_is_indeterminate(self):
+    def test_type_a_no_witness_in_remainder_is_indeterminate(self, monkeypatch):
         # an eigenvalue floor above every Hessian eigenvalue leaves the forced
         # stage transverse and no generic stage inside its remainder
+        monkeypatch.setattr(decomp, "_EIG_FLOOR", 1e6)
         linkage, config = _demo_pair("tri-platform-a")
-        report = verify_platform_singularity(linkage, config, Tolerances(eig_floor=1e6))
+        report = verify_platform_singularity(linkage, config)
         assert report.verdict is Verdict.INDETERMINATE
         assert report.rank < report.k
         assert report.witness is None
@@ -219,9 +220,10 @@ class TestPlatform:
             "no witness found inside the remainder",
         )
 
-    def test_type_b_degenerate_stage_is_non_generic(self):
+    def test_type_b_degenerate_stage_is_non_generic(self, monkeypatch):
+        monkeypatch.setattr(decomp, "_EIG_FLOOR", 1e6)
         linkage, config = _demo_pair("tri-platform-b")
-        report = verify_platform_singularity(linkage, config, Tolerances(eig_floor=1e6))
+        report = verify_platform_singularity(linkage, config)
         assert report.verdict is Verdict.INDETERMINATE
         assert report.rank < report.k
         assert report.witness is None

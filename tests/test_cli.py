@@ -112,6 +112,15 @@ class TestAnalyzeCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and ">= 0, got" in captured.err
 
+    def test_tol_align_of_a_right_angle_or_more_exits_1(self, demo_files, capsys):
+        # cos(4) < 0: every chain counted as aligned, and the node exited 10
+        lp, cp = demo_files("four-bar-singular")
+        code = main(["analyze", lp, cp, "--tol-align", "4"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "below pi/2, got 4.0" in captured.err
+
     def test_prismatic_document_exits_1(self, demo_files, capsys):
         lp, cp = demo_files("four-bar-singular")
         doc = json.loads(Path(lp).read_text())

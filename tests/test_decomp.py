@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -211,6 +212,13 @@ class TestStageClassify:
         with pytest.raises(InvalidSpec, match="removal"):
             entry(four_bar(), four_bar_node(), reversed_chain)
 
+    @pytest.mark.parametrize("entry", [stage_classify, find_witness_through])
+    def test_configuration_too_short(self, entry):
+        # find_witness_through raised numpy's IndexError from the restriction
+        short = Configuration(four_bar_node().points[:3])
+        with pytest.raises(DimensionMismatch):
+            entry(four_bar(), short, _removal_of(four_bar(), {2, 3}))
+
 
 def _host_cycle(chain_points, remainder_middle):
     """The four-cycle of a two-link open chain 0-1-2 and a two-link remainder
@@ -369,5 +377,13 @@ class TestTolerances:
             Tolerances(depth=depth)
 
     def test_five_fields(self):
+        # four settable fields; the fifth threshold, the eigenvalue floor, is a
+        # module constant that no caller sets
         names = [f.name for f in fields(Tolerances)]
-        assert names == ["rank", "align", "grad_scale", "eig_floor", "depth"]
+        assert names == ["rank", "align", "grad_scale", "depth"]
+        assert decomp._EIG_FLOOR == 1e-3
+
+    @pytest.mark.parametrize("align", [math.pi / 2, 4.0])
+    def test_align_below_a_right_angle(self, align):
+        with pytest.raises(InvalidSpec, match="^tolerance align must be below pi/2"):
+            Tolerances(align=align)

@@ -1,5 +1,5 @@
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ import linkctl
 import linkctl.decomp as decomp
 import linkctl.numeric as numeric
 from linkctl.chains import ChainKind, ChainSpec, is_aligned
-from linkctl.decomp import enumerate_chain_removals
+from linkctl.decomp import enumerate_chain_removals, transversality_check
 from linkctl.demos import build_demo
 from linkctl.errors import (
     CoincidentEndpoints,
@@ -338,12 +338,13 @@ class TestBatchedSampling:
             if draw == 0:
                 cases.append((linkage, 2 * numeric._SAMPLE_CHUNK + 5, 1e-10))
             for lk, n, tol in cases:
-                want = per_start_samples(lk, n, draw, tol)
-                try:
-                    got = sample_cspace(lk, n, seed=draw, tol=tol)
-                except NoFeasiblePoint:
-                    got = []
-                assert as_bytes(got) == as_bytes(want), (draw, n, tol)
+                if tol == numeric._PROJECT_TOL:  # the one tolerance sample_cspace projects with
+                    want = per_start_samples(lk, n, draw, tol)
+                    try:
+                        got = sample_cspace(lk, n, seed=draw)
+                    except NoFeasiblePoint:
+                        got = []
+                    assert as_bytes(got) == as_bytes(want), (draw, n, tol)
 
                 # every row, failed ones included, stops where the per-start loop stops
                 starts = np.stack([draw_start(lk, draw, i).flat for i in range(n)])
@@ -434,7 +435,7 @@ class TestWorkDifferentialRankLaw:
             pts = random_open_chain(rng, k, d)
             lengths = tuple(np.linalg.norm(np.diff(pts, axis=0), axis=1))
             linkage = ChainSpec(ChainKind.OPEN, lengths, d).to_linkage()
-            img = work_image(linkage, Configuration(pts), 0, k)
+            img = work_image(linkage, Configuration(pts))
             assert img.dim in (d - 1, d)
             if k >= 2 and is_aligned(pts) is None:
                 assert img.dim == d
@@ -474,9 +475,9 @@ def projector(basis) -> np.ndarray:
 class TestWorkImage:
     """work_image over the plain null space equals the pointed-frame image."""
 
-    def assert_matches_reference(self, linkage, config, base, effector):
-        got = work_image(linkage, config, base, effector)
-        want = reference_work_image(linkage, config, base, effector)
+    def assert_matches_reference(self, linkage, config):
+        got = work_image(linkage, config)
+        want = reference_work_image(linkage, config, linkage.base_vertex, linkage.end_effector)
         assert got.dim == want.dim
         assert np.max(np.abs(projector(got) - projector(want)), initial=0.0) < 1e-10
         return got.dim
@@ -487,8 +488,9 @@ class TestWorkImage:
         dims = set()
         for _ in range(60):
             linkage, config = random_linkage(rng, dim=d)
-            base, effector = rng.choice(linkage.n_vertices, 2, replace=False)
-            dims.add(self.assert_matches_reference(linkage, config, base, effector))
+            base, effector = (int(v) for v in rng.choice(linkage.n_vertices, 2, replace=False))
+            linkage = replace(linkage, base_vertex=base, base_link=None, end_effector=effector)
+            dims.add(self.assert_matches_reference(linkage, config))
         assert dims == {d - 1, d}  # pairs held at a fixed distance, and free pairs
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -499,15 +501,14 @@ class TestWorkImage:
                 pts = chain(rng, k, d)
                 lengths = tuple(np.linalg.norm(np.diff(pts, axis=0), axis=1))
                 linkage = ChainSpec(ChainKind.OPEN, lengths, d).to_linkage()
-                dim = self.assert_matches_reference(linkage, Configuration(pts), 0, k)
+                dim = self.assert_matches_reference(linkage, Configuration(pts))
                 if chain is aligned_open_chain:
                     assert dim == d - 1
 
-    @pytest.mark.parametrize("base, effector", [(0, 9), (-1, 2), (0, -1), (4, 2)])
-    def test_vertices_must_exist(self, base, effector):
-        # unchecked, -1 would silently index the last vertex
-        with pytest.raises(InvalidSpec, match="must be vertices"):
-            work_image(four_bar(), four_bar_node(), base, effector)
+    def test_linkage_without_effector(self):
+        # the linkage names its work map; Linkage itself checks both vertices
+        with pytest.raises(InvalidSpec, match="no end effector"):
+            work_image(replace(four_bar(), end_effector=None), four_bar_node())
 
     def test_demo_stages(self):
         # both endpoint images of every first-level stage, singular demos included
@@ -519,10 +520,7 @@ class TestWorkImage:
                     decomp._part(whole, removal.remainder_vertices, removal.remainder_edges, ends),
                     decomp._part(whole, removal.chain_vertices, removal.chain_edges, ends),
                 ):
-                    sub = part.linkage
-                    self.assert_matches_reference(
-                        sub, part.restrict(config), sub.base_vertex, sub.end_effector
-                    )
+                    self.assert_matches_reference(part.linkage, part.restrict(config))
 
 
 class TestFiniteDifferences:
@@ -670,6 +668,20 @@ class TestTraceCurve:
         assert result.stop_reason in ("tangent_jump", "stalled_at_singularity")
         last = result.points[-1]
         assert np.linalg.norm(last.flat - fixed.flat) < 1e-3
+
+    def test_stalled_at_singularity(self, monkeypatch):
+        # every corrector try fails, so the first step gives up
+        linkage = four_bar((2.0, 1.2, 1.7, 0.9))
+        start = sample_cspace(linkage, 1, seed=11)[0]
+
+        def never_converges(*args):
+            raise NoConvergence("forced")
+
+        monkeypatch.setattr(numeric, "_gauss_newton", never_converges)
+        result = trace_curve(linkage, start)
+        assert result.stop_reason == "stalled_at_singularity"
+        assert len(result.points) == 1
+        assert result.closed is False
 
     def test_retry_starts_on_its_own_hyperplane(self, monkeypatch):
         import linkctl.numeric as numeric
@@ -850,3 +862,41 @@ class TestBranchCountEqualsPerSample:
                 events.update(log)
         for event in ("kept", "rescaled", "no convergence", "collapsed"):
             assert events[event] > 0, (event, events)
+
+
+def _tol_rank_calls():
+    """One call per public entry that takes tol_rank, at valid other arguments."""
+    fb, node = four_bar(), four_bar_node()
+    chain = ChainSpec(ChainKind.OPEN, (2.0, 1.0), 2).to_linkage()
+    bent = Configuration([(0.0, 0.0), (2.0, 0.0), (2.0, 1.0)])
+    frame = tangent_frame(fb, node)
+    image = work_image(fb, node)
+    return {
+        "numerical_rank": lambda t: numerical_rank(np.eye(2), tol_rank=t),
+        "tangent_frame": lambda t: tangent_frame(fb, node, tol_rank=t),
+        "work_image": lambda t: work_image(fb, node, tol_rank=t),
+        "fd_hessian": lambda t: fd_hessian(fb, lambda c: 0.0, frame, tol_rank=t),
+        "reduced_work_data": lambda t: reduced_work_data(chain, bent, tol_rank=t),
+        "transversality_check": lambda t: transversality_check(image, image, 2, tol_rank=t),
+    }
+
+
+_TOL_RANK_ENTRIES = (
+    "numerical_rank",
+    "tangent_frame",
+    "work_image",
+    "fd_hessian",
+    "reduced_work_data",
+    "transversality_check",
+)
+
+
+@pytest.mark.parametrize("entry", _TOL_RANK_ENTRIES)
+@pytest.mark.parametrize("tol_rank", [float("nan"), float("inf"), -1.0])
+def test_tol_rank_checked(entry, tol_rank):
+    # unchecked, a NaN tol_rank kept no singular value: tangent_frame at a
+    # four-bar configuration returned the whole 5-dimensional reduced space
+    call = _tol_rank_calls()[entry]
+    call(1e-8)  # the other arguments are valid
+    with pytest.raises(InvalidSpec, match="^tol_rank must be finite and >= 0"):
+        call(tol_rank)
