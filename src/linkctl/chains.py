@@ -137,28 +137,23 @@ def _check_angle(tol, name: str) -> None:
         raise InvalidSpec(f"{name} must be below pi/2, got {tol}")
 
 
-def is_aligned(
-    config: Configuration | np.ndarray,
-    tol: float = 1e-6,
-    closed: bool = False,
-) -> Optional[np.ndarray]:
+def is_aligned(config: Configuration | np.ndarray, tol: float = 1e-6) -> Optional[np.ndarray]:
     """Common unit direction of link 1 if all links are collinear with it, else None.
 
     Links may point forward (+w) or backward (-w); "aligned" means collinear
-    within angular tolerance ``tol``.  Raises EmptyChain on fewer than two
-    points, DegenerateDirection on a zero-length link, and InvalidSpec
-    unless tol is finite, >= 0 and below pi/2.
+    within angular tolerance ``tol``.  For a closed chain, pass its points
+    with the first repeated at the end.  Raises EmptyChain on fewer than two
+    points, DegenerateDirection on a link shorter than 1e-12 * (1 + the
+    summed link lengths), and InvalidSpec unless tol is finite, >= 0 and
+    below pi/2.
     """
     _check_angle(tol, "tol")
     points = _chain_points(config)
     if len(points) < 2:
         raise EmptyChain("is_aligned needs at least one link")
     vecs = np.diff(points, axis=0)
-    if closed:
-        vecs = np.vstack([vecs, points[0] - points[-1]])
     norms = np.linalg.norm(vecs, axis=1)
-    scale = 1.0 + float(np.max(np.abs(points)))
-    if np.any(norms < 1e-12 * scale):
+    if np.any(norms < 1e-12 * (1.0 + norms.sum())):
         raise DegenerateDirection("chain has a zero-length link")
     dirs = vecs / norms[:, None]
     w = dirs[0]
@@ -185,13 +180,14 @@ def chord_signature(config: Configuration | np.ndarray, tol: float = 1e-6) -> tu
     open chain on its reduced frame: with f of its k links pointing along the
     chord from the first vertex to the last, ((d-1)*(k-f), (d-1)*(f-1)).
 
-    Raises CoincidentEndpoints when the chord vanishes, and NotAligned
-    (from forward_count) unless the chain is aligned within ``tol``.
+    Raises CoincidentEndpoints when the chord is shorter than 1e-12 * (1 +
+    the summed link lengths), and NotAligned (from forward_count) unless the
+    chain is aligned within ``tol``.
     """
     points = _chain_points(config)
     chord = points[-1] - points[0]
     rho = float(np.linalg.norm(chord))
-    if rho < 1e-12 * (1.0 + float(np.max(np.abs(points)))):
+    if rho < 1e-12 * (1.0 + np.linalg.norm(np.diff(points, axis=0), axis=1).sum()):
         raise CoincidentEndpoints("aligned chain chord vanishes")
     f = forward_count(points, chord / rho, tol=tol)
     d = points.shape[1]
@@ -209,14 +205,14 @@ def aligned_morse_index(chain: ChainSpec, config: Configuration | np.ndarray) ->
     contributes d-1 downhill directions.  Validated against the
     finite-difference Hessian oracle; this is chord_signature's negative
     part on the n fixed links.  A zero-length variable link raises
-    DegenerateDirection from the closed alignment check.
+    DegenerateDirection from the alignment check of the closed loop.
     """
     if chain.kind is not ChainKind.CLOSED:
         raise InvalidSpec("aligned_morse_index expects a closed chain")
     points = _chain_points(config)
     if points.shape != (chain.n_vertices, chain.ambient_dim):
         raise InvalidSpec("configuration does not match the chain")
-    if is_aligned(points, closed=True) is None:
+    if is_aligned(np.vstack([points, points[:1]])) is None:
         raise NotAligned("aligned_morse_index requires an aligned configuration")
     return chord_signature(points)[1]
 

@@ -34,14 +34,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .chains import _check_angle, chord_signature, is_aligned
-from .errors import (
-    CoincidentEndpoints,
-    DegenerateDirection,
-    DimensionMismatch,
-    InvalidSpec,
-    NoConvergence,
-    OffConstraint,
-)
+from .errors import DegenerateDirection, DimensionMismatch, InvalidSpec, NoConvergence
 from .model import (
     Configuration,
     Linkage,
@@ -312,9 +305,10 @@ def stage_classify(
     critical endpoint-distance, and the shared endpoints are apart; any
     failed condition downgrades the verdict to degenerate, with reasons.  A
     finite-difference Hessian whose retraction does not converge is such a
-    failed condition ("hessian_no_convergence").
-    Raises InvalidSpec unless enumerate_chain_removals(linkage.graph) yields
-    ``removal``.
+    failed condition ("hessian_no_convergence").  Every removal that
+    enumerate_chain_removals(linkage.graph) yields gets a verdict, any other
+    raises InvalidSpec, and the parts' residual checks hold every edge, so no
+    host check is needed.
     """
     check_match(linkage, config)
     _check_removal(linkage.graph, removal)
@@ -505,6 +499,8 @@ def _search(
     transverse stages, ``depth`` counting removals.  A witness stops at a
     generically non-transverse stage and descends through non-aligned
     chains, ``depth`` counting stages.  At depth 0 neither visits a removal.
+    Every part of a ``sub`` that passes check_on_constraint passes it too, so
+    every removal gets a verdict.
     """
     key = (frozenset(sub.edge_ids), depth)
     if key in memo:
@@ -518,10 +514,7 @@ def _search(
         result = _Hit((), sub, None)
     elif depth > 0:
         for removal in enumerate_chain_removals(sub.linkage.graph):
-            try:
-                stage, verdict = _build_stage(sub, config, removal, tols)
-            except (CoincidentEndpoints, OffConstraint):
-                continue
+            stage, verdict = _build_stage(sub, config, removal, tols)
             if certificate:
                 descend = verdict.kind is StageVerdictKind.TRANSVERSE
             elif verdict.kind is StageVerdictKind.GENERICALLY_NON_TRANSVERSE:
@@ -574,10 +567,11 @@ def find_witness_through(
 
     A generically non-transverse stage is itself the witness.  A transverse
     stage is followed by the first witness inside its remainder within
-    tols.depth stages, after the remainder's residual check.  A degenerate
-    stage, or a remainder without a witness, gives None.  Raises InvalidSpec
-    on a removal that stage_classify rejects, and DimensionMismatch on a
-    configuration that does not fit the linkage.
+    tols.depth stages.  A degenerate stage, or a remainder without a
+    witness, gives None.  Raises InvalidSpec on a removal that
+    stage_classify rejects, DimensionMismatch on a configuration that does
+    not fit the linkage, and OffConstraint, from the first stage, on one off
+    the constraint set.
     """
     check_match(linkage, config)
     whole = _whole(linkage)
@@ -587,7 +581,6 @@ def find_witness_through(
     if verdict.kind is StageVerdictKind.GENERICALLY_NON_TRANSVERSE:
         hit = _Hit((), remainder, verdict)
     elif verdict.kind is StageVerdictKind.TRANSVERSE:
-        check_on_constraint(remainder.linkage, remainder.restrict(config))
         hit = _search(remainder, config, tols.depth, tols, False, {})
     if hit is None:
         return verdict, None

@@ -539,20 +539,26 @@ def trace_curve(
     or singularity indicators: a jump in tangent dimension or direction
     (|cos| below 0.5 between consecutive tangents), or the rank-proximity
     ratio falling below detect_tol ("tangent_jump"), or a corrector that
-    keeps failing as the step shrinks ("stalled_at_singularity").  Raises
-    InvalidSpec unless step is positive and finite, max_steps is an integer
-    >= 0, and tol_rank and detect_tol are finite and >= 0.
+    keeps failing as the step shrinks ("stalled_at_singularity").  A flat
+    ``direction`` orients the first tangent.  Raises InvalidSpec unless step
+    is positive and finite, max_steps is an integer >= 0, tol_rank and
+    detect_tol are finite and >= 0, and direction has N*d finite coordinates.
     """
     check_real(step, "step", positive=True)
     max_steps = check_integer(max_steps, "max_steps", 0)
     check_real(tol_rank, "tol_rank")
     check_real(detect_tol, "detect_tol")
+    if direction is not None:
+        direction = np.asarray(direction, dtype=float)
+        size = linkage.n_vertices * linkage.ambient_dim
+        if direction.shape != (size,) or not np.isfinite(direction).all():
+            raise InvalidSpec(f"direction must be {size} finite coordinates, got shape {direction.shape}")
     v = _gauge_fix(linkage, project_to_cspace(linkage, start, tol=_TRACE_TOL))
     frame = tangent_frame(linkage, v, tol_rank)
     if frame.dim != 1:
         raise NotACurve(f"reduced tangent dimension is {frame.dim}, not 1")
     tangent = frame.basis[0]
-    if direction is not None and float(tangent @ np.asarray(direction, dtype=float)) < 0.0:
+    if direction is not None and float(tangent @ direction) < 0.0:
         tangent = -tangent
 
     d = linkage.ambient_dim

@@ -7,7 +7,7 @@ import inspect
 MODULES = ("model", "chains", "numeric", "decomp", "classify")
 
 # A new option must be counted here by the change that adds it.
-SETTABLE_VALUES = 52
+SETTABLE_VALUES = 51
 
 
 def _settable_values() -> list[str]:

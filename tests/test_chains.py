@@ -72,10 +72,20 @@ class TestAlignment:
 
     def test_four_bar_node_pattern(self):
         pts = four_bar_node()
-        w = is_aligned(pts, closed=True)
-        assert w == pytest.approx([1.0, 0.0])
         loop = np.vstack([pts.points, pts.points[:1]])  # the closing link, as a fifth point
+        w = is_aligned(loop)
+        assert w == pytest.approx([1.0, 0.0])
         assert forward_count(loop, np.array([1.0, 0.0])) == 2
+
+    def test_thresholds_ignore_where_the_chain_sits(self):
+        # a link, then a chord, of 1e-9: against 1e-12 * (1 + max |coordinate|),
+        # a shift of 1e4 made them zero-length
+        short_link = np.array([[0.0, 0], [1, 0], [1 + 1e-9, 0], [2, 0]])
+        short_chord = np.array([[0.0, 0], [1, 0], [1e-9, 0]])
+        for shift in ((0.0, 0.0), (1e4, 0.0), (-3e3, 7e3)):
+            assert is_aligned(short_link + shift).tolist() == [1.0, 0.0]
+            assert chord_signature(short_link + shift) == (0, 2)
+            assert chord_signature(short_chord + shift) == (1, 0)
 
     def test_degenerate_link(self):
         with pytest.raises(DegenerateDirection):

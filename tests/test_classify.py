@@ -52,6 +52,31 @@ class TestClassify:
         with pytest.raises(OffConstraint):
             classify_configuration(fb, Configuration([(0, 0), (1, 1), (2, 2), (3, 3)]))
 
+    @staticmethod
+    def _node_moved(shift):
+        """The four-bar-singular demo, and its node with vertex 2 moved along x:
+        edge (1, 2), of length 2.5, is off by 5 * shift."""
+        linkage, node = _demo_pair("four-bar-singular")
+        points = node.points.copy()
+        points[2, 0] += shift
+        return linkage, node, Configuration(points)
+
+    def test_node_moved_within_the_residual_bound_keeps_its_witness(self):
+        linkage, node, moved = self._node_moved(5e-9)
+        report, at_node = classify_configuration(linkage, moved), classify_configuration(linkage, node)
+        assert report.verdict is Verdict.GENERIC_SINGULAR
+        assert report.witness.decomposition == at_node.witness.decomposition
+        assert report.witness.signature == at_node.witness.signature == (1, 1)
+
+    @pytest.mark.parametrize("shift", [1e-8, 1.9e-8])
+    def test_node_moved_past_an_edge_bound_is_off_constraint(self, shift):
+        # 5 * shift >= 1e-8 * (1 + 2.5).  Against the whole linkage's bound,
+        # 1e-8 * (1 + 9), 1.9e-8 passed, the search skipped the 24 stages
+        # whose parts failed it, and the verdict was an unexplained Indeterminate
+        linkage, _, moved = self._node_moved(shift)
+        with pytest.raises(OffConstraint, match="too large"):
+            classify_configuration(linkage, moved)
+
     def test_edgeless_linkage_is_smooth(self):
         linkage = Linkage(MechanismType(2, ()), (), ambient_dim=2)
         report = classify_configuration(linkage, Configuration([(0.0, 0.0), (1.0, 0.0)]))

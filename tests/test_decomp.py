@@ -19,7 +19,6 @@ from linkctl.decomp import (
 )
 from linkctl.chains import is_aligned
 from linkctl.errors import (
-    CoincidentEndpoints,
     DegenerateDirection,
     DimensionMismatch,
     InvalidSpec,
@@ -31,6 +30,7 @@ from linkctl.model import (
     Linkage,
     MechanismType,
     SubspaceBasis,
+    check_on_constraint,
     constraint_residual,
 )
 from linkctl.numeric import sample_cspace
@@ -238,10 +238,7 @@ class TestChainAligned:
             linkage, config = build_linkage(linkage_doc), Configuration(config_doc["points"])
             for removal in enumerate_chain_removals(linkage.graph):
                 v_chain = Configuration(config.points[list(removal.chain_vertices)])
-                try:
-                    verdict = stage_classify(linkage, config, removal)
-                except (CoincidentEndpoints, OffConstraint):
-                    continue
+                verdict = stage_classify(linkage, config, removal)
                 try:
                     aligned = is_aligned(v_chain) is not None
                 except DegenerateDirection:
@@ -270,6 +267,71 @@ class TestChainAligned:
         assert verdict.reasons == ("chain_not_aligned",)
         assert verdict.chain_aligned is False
         assert verdict.chain_aligned_direction is None
+
+
+def _valid_poses():
+    """(linkage, configuration) pairs that pass check_on_constraint: every
+    demo and sample_cspace poses of random_linkage draws in d = 2 and 3, each
+    also with one vertex nudged by 3e-9, 1e-8 and 3e-8, which puts the
+    residuals of its edges on either side of the check's bound."""
+    poses = []
+    for name in DEMO_NAMES:
+        linkage_doc, config_doc = build_demo(name)
+        poses.append((build_linkage(linkage_doc), Configuration(config_doc["points"])))
+    rng = np.random.default_rng(19)
+    for d in (2, 3):
+        for draw in range(12):
+            linkage = random_linkage(rng, max_vertices=6, dim=d)[0]
+            poses += [(linkage, config) for config in sample_cspace(linkage, 2, seed=draw)]
+    for linkage, config in poses:
+        vertex, unit = rng.integers(linkage.n_vertices), rng.normal(size=linkage.ambient_dim)
+        for shift in (0.0, 3e-9, 1e-8, 3e-8):
+            points = config.points.copy()
+            points[vertex] += shift * unit / np.linalg.norm(unit)
+            try:
+                check_on_constraint(linkage, Configuration(points))
+            except OffConstraint:
+                continue
+            yield linkage, Configuration(points)
+
+
+class TestHereditaryValidity:
+    def test_every_part_of_a_valid_pose_is_valid(self):
+        # the parts of the first two stages, each remainder walked once
+        parts = 0
+        for linkage, config in _valid_poses():
+            stack, seen = [(decomp._whole(linkage), 2)], set()
+            while stack:
+                sub, depth = stack.pop()
+                for removal in enumerate_chain_removals(sub.linkage.graph):
+                    chain = decomp._part(sub, removal.chain_vertices, removal.chain_edges, removal.endpoints)
+                    remainder = decomp._remainder(sub, removal)
+                    for part in (chain, remainder):
+                        check_on_constraint(part.linkage, part.restrict(config))
+                        parts += 1
+                    if depth > 1 and frozenset(remainder.edge_ids) not in seen:
+                        seen.add(frozenset(remainder.edge_ids))
+                        stack.append((remainder, depth - 1))
+        assert parts > 1000
+
+    def test_every_removal_gets_a_verdict(self):
+        # the poses above and self-stressed ones, whose stages can be non-transverse
+        rng = np.random.default_rng(19)
+        stressed = [self_stressed_linkage(rng, d) for d in (2, 3) for _ in range(20)]
+        poses = list(_valid_poses()) + [s for s in stressed if s is not None]
+        kinds = set()
+        for linkage, config in poses:
+            for removal in enumerate_chain_removals(linkage.graph):
+                kinds.add(stage_classify(linkage, config, removal).kind)
+        assert kinds == set(StageVerdictKind)
+
+    def test_witness_through_checks_the_host_through_its_parts(self):
+        # vertex 2 moved 1e-8 along x: edge (1, 2) is off by 5e-8 >= 1e-8 * (1 + 2.5)
+        points = four_bar_node().points.copy()
+        points[2, 0] += 1e-8
+        for removal in enumerate_chain_removals(four_bar().graph):
+            with pytest.raises(OffConstraint, match="too large"):
+                find_witness_through(four_bar(), Configuration(points), removal)
 
 
 class TestWitnessSearch:

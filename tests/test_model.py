@@ -213,6 +213,14 @@ class TestCheckOnConstraint:
         with pytest.raises(OffConstraint):
             check_on_constraint(four_bar(), Configuration([(0, 0), (1, 1), (2, 2), (3, 3)]))
 
+    def test_each_edge_against_its_own_length(self):
+        # vertex 2 of the four-bar node moved 1e-8 along x: edge (1, 2) is off
+        # by 5e-8, over 1e-8 * (1 + 2.5) though under 1e-8 * (1 + total length 9)
+        points = four_bar_node().points.copy()
+        points[2, 0] += 1e-8
+        with pytest.raises(OffConstraint, match="residual 5e-08 too large"):
+            check_on_constraint(four_bar(), Configuration(points))
+
     def test_edgeless_linkage_is_on_its_constraint_set(self):
         linkage = Linkage(MechanismType(2, ()), (), ambient_dim=3)
         check_on_constraint(linkage, Configuration([(1.0, 2.0, 3.0), (0.0, 0.0, 0.0)]))

@@ -634,6 +634,16 @@ class TestTraceCurve:
         with pytest.raises(InvalidSpec, match="detect_tol"):
             trace_curve(linkage, start, max_steps=30, detect_tol=detect_tol)
 
+    @pytest.mark.parametrize(
+        "direction", [np.ones(3), np.full(8, np.nan)], ids=["wrong_length", "all_nan"]
+    )
+    def test_direction_must_be_finite_coordinates(self, direction):
+        # the wrong length raised numpy's ValueError; all-NaN was ignored
+        linkage = four_bar((2.0, 1.2, 1.7, 0.9))
+        start = sample_cspace(linkage, 1, seed=11)[0]
+        with pytest.raises(InvalidSpec, match="direction"):
+            trace_curve(linkage, start, max_steps=30, direction=direction)
+
     def test_zero_max_steps_is_the_start(self):
         linkage = four_bar((2.0, 1.2, 1.7, 0.9))
         start = sample_cspace(linkage, 1, seed=11)[0]
