@@ -281,32 +281,31 @@ def verify_platform_singularity(
 ) -> ClassificationReport:
     """Classify a pose already known to satisfy a platform condition.
 
-    Removes one branch as the open chain and takes the witness from
-    ``decomp.find_witness_through`` (for type 'b' the stage itself must be
-    generically non-transverse, and the report records the reduced work
-    gradient there; for type 'a' the non-pair branch is removed and the
-    witness search continues inside the remainder).  A degenerate stage
-    yields Indeterminate, flagged as non-generic.
+    Removes one branch, the non-pair one for type 'a' and branch 2 for type
+    'b', and takes the witness from ``decomp.find_witness_through``, whose
+    forced stage obeys the witness search's rule; the notes record the
+    reduced work gradient at the remainder.  Without a witness the verdict
+    is Indeterminate and the last note says why: a non-generic degenerate
+    stage, an aligned removed branch, or no witness inside the remainder.
     """
     cond = platform_conditions(linkage, config, tols)
     if cond is None:
         raise InvalidSpec("verify_platform_singularity requires a pose satisfying a condition")
 
     rank = numerical_rank(constraint_jacobian(linkage, config), tols.rank)
-    if cond.kind == "b":
-        removed = 2
-    else:
-        removed = next(i for i in range(3) if i not in cond.branches)
+    removed = min({0, 1, 2} - set(cond.branches), default=2)
 
     verdict, witness = find_witness_through(linkage, config, _branch_removal(linkage, removed), tols)
     notes = [f"platform condition ({cond.kind}) on branches {cond.branches}"]
     if verdict.gradient_norm is not None:
         notes.append(f"reduced work gradient norm at remainder: {verdict.gradient_norm:.3e}")
     if witness is None:
-        if verdict.kind is StageVerdictKind.TRANSVERSE:
-            notes.append("no witness found inside the remainder")
-        else:
+        if verdict.kind is StageVerdictKind.DEGENERATE_NON_TRANSVERSE:
             notes.append(f"non-generic: stage degenerate ({', '.join(verdict.reasons)})")
+        elif verdict.chain_aligned:
+            notes.append(f"branch {removed} is aligned: the witness search stops at it")
+        else:
+            notes.append("no witness found inside the remainder")
         return ClassificationReport(Verdict.INDETERMINATE, rank, linkage.k, notes=tuple(notes))
     return ClassificationReport(
         Verdict.GENERIC_SINGULAR, rank, linkage.k, witness=witness, notes=tuple(notes)

@@ -16,13 +16,13 @@ outer removed chains are all non-aligned; a certificate is a decomposition
 with every stage transverse over a full-rank base.
 
 Both are found by the same depth-first walk down the decomposition tree
-(``_search``), which differs between the two only in where it stops and
-which stages it descends through.  It carries the one host configuration
-its caller passed, and every sub-mechanism it descends into (``_part``)
-carries host ids, so ``_build_stage`` records each stage in host ids; a
-``Witness`` derives its stage index, signature and Euclidean factor from its
-stages and deepest verdict.  ``find_witness_through`` runs the witness
-search with a forced first removal, the platform verifier's entry point.
+(``_search``), one stage at a time (``_step``); the two differ only in where
+they stop and which stages they descend through.  The walk carries the one
+host configuration its caller passed, and every sub-mechanism it descends
+into (``_part``) carries host ids, so ``_build_stage`` records each stage in
+host ids.  ``find_witness_through``, the platform verifier's entry point,
+takes one ``_step`` through a forced first removal, so that stage obeys the
+witness rule and counts toward the depth like any other.
 """
 
 from __future__ import annotations
@@ -282,10 +282,7 @@ def transversality_check(
     check_real(tol_rank, "tol_rank")
     if image_a.ambient_dim != d or image_b.ambient_dim != d:
         raise DimensionMismatch("image bases must live in the ambient dimension")
-    stacked = np.vstack([image_a.vectors, image_b.vectors])
-    if stacked.shape[0] == 0:
-        return d == 0
-    return numerical_rank(stacked, tol_rank) == d
+    return numerical_rank(np.vstack([image_a.vectors, image_b.vectors]), tol_rank) == d
 
 
 def stage_classify(
@@ -494,13 +491,10 @@ def _search(
     """Depth-first walk down the decomposition tree of ``sub`` at the host
     configuration ``config``.
 
-    Removals are visited in lexicographic edge order and the first hit is
-    returned.  A certificate stops at a full-rank base and descends through
-    transverse stages, ``depth`` counting removals.  A witness stops at a
-    generically non-transverse stage and descends through non-aligned
-    chains, ``depth`` counting stages.  At depth 0 neither visits a removal.
-    Every part of a ``sub`` that passes check_on_constraint passes it too, so
-    every removal gets a verdict.
+    Removals are visited in lexicographic edge order, each by ``_step``, and
+    the first hit is returned; a certificate stops at a full-rank base.  At
+    depth 0 neither search visits a removal.  Every part of a ``sub`` that
+    passes check_on_constraint passes it too, so every removal gets a verdict.
     """
     key = (frozenset(sub.edge_ids), depth)
     if key in memo:
@@ -514,22 +508,38 @@ def _search(
         result = _Hit((), sub, None)
     elif depth > 0:
         for removal in enumerate_chain_removals(sub.linkage.graph):
-            stage, verdict = _build_stage(sub, config, removal, tols)
-            if certificate:
-                descend = verdict.kind is StageVerdictKind.TRANSVERSE
-            elif verdict.kind is StageVerdictKind.GENERICALLY_NON_TRANSVERSE:
-                result = _Hit((stage,), _remainder(sub, removal), verdict)
-                break
-            else:
-                descend = not stage.chain_aligned and depth > 1
-            if not descend:
-                continue
-            found = _search(_remainder(sub, removal), config, depth - 1, tols, certificate, memo)
-            if found is not None:
-                result = found._replace(stages=(stage,) + found.stages)
+            result = _step(sub, config, removal, depth, tols, certificate, memo)[1]
+            if result is not None:
                 break
     memo[key] = result
     return result
+
+
+def _step(
+    sub: SubMechanism,
+    config: Configuration,
+    removal: ChainRemoval,
+    depth: int,
+    tols: Tolerances,
+    certificate: bool,
+    memo: dict[tuple[frozenset[int], int], Optional[_Hit]],
+) -> tuple[StageVerdict, Optional[_Hit]]:
+    """One stage of the search, counted by ``depth``: its verdict and the
+    first hit through it.  A certificate descends through a transverse
+    stage.  A witness ends at a generically non-transverse stage and descends
+    through a stage whose chain is not aligned, the one outer stage a
+    singularity lifts through; any other stage gives None."""
+    stage, verdict = _build_stage(sub, config, removal, tols)
+    if certificate:
+        descend = verdict.kind is StageVerdictKind.TRANSVERSE
+    elif verdict.kind is StageVerdictKind.GENERICALLY_NON_TRANSVERSE:
+        return verdict, _Hit((stage,), _remainder(sub, removal), verdict) if depth > 0 else None
+    else:
+        descend = not stage.chain_aligned and depth > 1
+    if not descend:
+        return verdict, None
+    found = _search(_remainder(sub, removal), config, depth - 1, tols, certificate, memo)
+    return verdict, None if found is None else found._replace(stages=(stage,) + found.stages)
 
 
 def _decomposition(hit: _Hit) -> Decomposition:
@@ -565,27 +575,18 @@ def find_witness_through(
     """Witness search whose first stage is the given removal of the whole
     mechanism; returns that stage's verdict and the witness, if any.
 
-    A generically non-transverse stage is itself the witness.  A transverse
-    stage is followed by the first witness inside its remainder within
-    tols.depth stages.  A degenerate stage, or a remainder without a
-    witness, gives None.  Raises InvalidSpec on a removal that
-    stage_classify rejects, DimensionMismatch on a configuration that does
-    not fit the linkage, and OffConstraint, from the first stage, on one off
-    the constraint set.
+    The forced stage follows the rule of every other stage of
+    find_nontransversive_witness and counts toward tols.depth: a
+    generically non-transverse stage is itself the witness, a stage whose
+    chain is not aligned is followed by the first witness inside its
+    remainder within tols.depth - 1 stages, and any other stage gives None.
+    Raises InvalidSpec on a removal that stage_classify rejects,
+    DimensionMismatch on a configuration that does not fit the linkage, and
+    OffConstraint, from the first stage, on one off the constraint set.
     """
     check_match(linkage, config)
-    whole = _whole(linkage)
-    stage, verdict = _build_stage(whole, config, removal, tols)
-    remainder = _remainder(whole, removal)
-    hit: Optional[_Hit] = None
-    if verdict.kind is StageVerdictKind.GENERICALLY_NON_TRANSVERSE:
-        hit = _Hit((), remainder, verdict)
-    elif verdict.kind is StageVerdictKind.TRANSVERSE:
-        hit = _search(remainder, config, tols.depth, tols, False, {})
-    if hit is None:
-        return verdict, None
-    hit = hit._replace(stages=(stage,) + hit.stages)
-    return verdict, Witness(_decomposition(hit), hit.verdict)  # type: ignore[arg-type]
+    verdict, hit = _step(_whole(linkage), config, removal, tols.depth, tols, False, {})
+    return verdict, None if hit is None else Witness(_decomposition(hit), hit.verdict)  # type: ignore[arg-type]
 
 
 def find_smoothness_certificate(

@@ -257,6 +257,28 @@ class TestPlatform:
         assert report.notes[1].startswith("reduced work gradient norm at remainder: ")
         assert report.notes[2] == "non-generic: stage degenerate (degenerate_hessian)"
 
+    def test_stretched_third_branch_is_indeterminate_from_both_entries(self):
+        # tri-platform-a with P3 moved onto the segment A3-B3: branch 2 is
+        # stretched too, a non-generic pose.  An aligned outer chain does not
+        # lift the singularity, so the platform verifier must not pass
+        # through it where classify_configuration would not
+        points = np.array(build_demo("tri-platform-a")[1]["points"])
+        points[8] = points[2] + 0.55 * (points[5] - points[2])
+        edges = demos._PLATFORM_EDGES
+        ldoc, cdoc = demos._docs(
+            points, edges, demos._edge_lengths(points, edges), base=0, base_link=0, effector=5,
+            platform=demos._PLATFORM_SPEC,
+        )
+        linkage, config = build_linkage(ldoc), Configuration(cdoc["points"])
+        report = verify_platform_singularity(linkage, config)
+        assert report.verdict is Verdict.INDETERMINATE
+        assert report.witness is None
+        assert report.notes == (
+            "platform condition (a) on branches (0, 1)",
+            "branch 2 is aligned: the witness search stops at it",
+        )
+        assert classify_configuration(linkage, config).verdict is Verdict.INDETERMINATE
+
     def test_platform_classify_agrees(self):
         for name in ("tri-platform-a", "tri-platform-b"):
             linkage, config = _demo_pair(name)
@@ -358,3 +380,4 @@ class TestDecompositionWellFormed:
         witness = verify_platform_singularity(linkage, config).witness
         _assert_witness_well_formed(linkage, config, witness)
         assert len(witness.decomposition.stages) == n_stages
+        assert not any(s.chain_aligned for s in witness.decomposition.stages[:-1])

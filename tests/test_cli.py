@@ -355,6 +355,28 @@ class TestDeterminism:
         run(capsys, "analyze", lp, cp, "--svg", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv, circles",
+        [
+            (("workspace", "--lengths", "2,1"), 2),  # both annulus circles
+            (("workspace", "--lengths", "1,1"), 1),  # a disc: no inner circle
+            (("workspace", "four-bar-regular.linkage.json"), None),
+            (("sample", "four-bar-regular.linkage.json", "-n", "3", "--seed", "1"), None),
+        ],
+    )
+    def test_other_svg_bytes_identical(self, demo_files, tmp_path, capsys, argv, circles):
+        demo_files("four-bar-regular")
+        a, b = tmp_path / "a.svg", tmp_path / "b.svg"
+        for path in (a, b):
+            assert run(capsys, *argv, "--svg", str(path))[0] == 0
+        text = a.read_text()
+        assert text.startswith("<?xml") and text.endswith("</svg>\n")
+        if circles is None:
+            assert text.count("<circle") > 4
+        else:
+            assert text.count("<circle") == circles
+        assert a.read_bytes() == b.read_bytes()
+
     def test_document_round_trip(self):
         linkage_doc, _ = build_demo("five-bar")
         text = json.dumps(linkage_doc)

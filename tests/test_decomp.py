@@ -180,6 +180,19 @@ class TestStageClassify:
         assert verdict.reasons == ("hessian_no_convergence",)
         assert verdict.gradient_norm is None and verdict.signature is None
 
+    def test_nonzero_remainder_gradient_is_degenerate(self, monkeypatch):
+        work_data = decomp.reduced_work_data
+
+        def tilted(*args, **kwargs):
+            data = work_data(*args, **kwargs)
+            return replace(data, gradient=data.gradient + 1.0)
+
+        monkeypatch.setattr(decomp, "reduced_work_data", tilted)
+        verdict = _split(four_bar(), four_bar_node(), {2, 3})
+        assert verdict.kind is StageVerdictKind.DEGENERATE_NON_TRANSVERSE
+        assert verdict.reasons == ("remainder_gradient_nonzero",)
+        assert verdict.gradient_norm >= 1.0 and verdict.signature is None
+
     def test_four_bar_split_generic_is_transverse(self):
         v = sample_cspace(four_bar(), 1, seed=5)[0]
         verdict = _split(four_bar(), v, {2, 3})
@@ -367,6 +380,24 @@ class TestWitnessSearch:
     def test_depth_zero_finds_nothing(self, fb, fb_node):
         assert find_nontransversive_witness(fb, fb_node, tols=Tolerances(depth=1)) is not None
         assert find_nontransversive_witness(fb, fb_node, tols=Tolerances(depth=0)) is None
+
+    @pytest.mark.parametrize("depth, n_stages", [(0, 0), (1, 0), (2, 2), (4, 2)])
+    def test_forced_stage_counts_toward_depth(self, depth, n_stages):
+        # tri-platform-a's branch 2 (edges 10 and 11) is bent and its stage
+        # transverse; the witness ends one stage inside its remainder
+        linkage_doc, config_doc = build_demo("tri-platform-a")
+        linkage, config = build_linkage(linkage_doc), Configuration(config_doc["points"])
+        removal = _removal_of(linkage, {10, 11})
+        verdict, witness = find_witness_through(linkage, config, removal, Tolerances(depth=depth))
+        assert verdict.kind is StageVerdictKind.TRANSVERSE and not verdict.chain_aligned
+        assert (0 if witness is None else len(witness.decomposition.stages)) == n_stages
+
+    @pytest.mark.parametrize("depth, n_stages", [(0, 0), (1, 1)])
+    def test_generic_forced_stage_counts_toward_depth(self, fb, fb_node, depth, n_stages):
+        removal = _removal_of(fb, {2, 3})
+        verdict, witness = find_witness_through(fb, fb_node, removal, Tolerances(depth=depth))
+        assert verdict.kind is StageVerdictKind.GENERICALLY_NON_TRANSVERSE
+        assert (0 if witness is None else len(witness.decomposition.stages)) == n_stages
 
     def test_json_dicts_hold_lists_not_tuples(self, fb, fb_node):
         # the fingerprints compare dicts, and a tuple never equals the list
