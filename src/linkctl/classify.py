@@ -266,10 +266,10 @@ def platform_conditions(
 
 
 def _branch_removal(linkage: Linkage, branch_idx: int) -> ChainRemoval:
-    branch = linkage.platform.branches[branch_idx]  # type: ignore[union-attr]
-    path = _branch_path(linkage, branch)
+    # a path's vertices follow from its edges
+    branch = set(linkage.platform.branches[branch_idx])  # type: ignore[union-attr]
     for removal in enumerate_chain_removals(linkage.graph):
-        if set(removal.chain_edges) == set(branch) and set(removal.chain_vertices) == set(path):
+        if set(removal.chain_edges) == branch:
             return removal
     raise InvalidSpec(f"branch {branch_idx} is not a removable open chain")
 

@@ -15,6 +15,12 @@ for Smooth, 10 for GenericSingular, 20 for Indeterminate, 30 for Conflict;
 all commands exit 1 on errors.  The seed comes from --seed, falling back to
 LINKCTL_SEED.
 
+``--svg`` draws planar linkages only: ``analyze`` and ``sample`` given a
+3-D linkage exit 1 before any work.  ``trace --svg`` plots flat coordinates
+--px and --py of the traced points, which have the base vertex at the
+origin and the base link along +x; they default to the x and y of the first
+vertex that is neither the base vertex nor the far end of the base link.
+
 A linkage document is a JSON object:
 
     {
@@ -83,6 +89,12 @@ def _load_pair(linkage_path: str, config_path: str) -> tuple[Linkage, Configurat
     return linkage, config
 
 
+def _check_planar_svg(args: argparse.Namespace, linkage: Linkage) -> None:
+    """Fail before any work when --svg asks to draw a non-planar linkage."""
+    if args.svg and linkage.ambient_dim != 2:
+        raise LinkctlError("SVG rendering is implemented for planar linkages")
+
+
 def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
@@ -105,6 +117,7 @@ def _seed(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     linkage, config = _load_pair(args.linkage, args.config)
+    _check_planar_svg(args, linkage)
     tols = _tolerances(args)
     report = classify_configuration(linkage, config, tols)
     doc = report.to_json_dict()
@@ -122,6 +135,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     linkage = build_linkage(_load_json(args.linkage))
+    _check_planar_svg(args, linkage)
     samples = sample_cspace(linkage, args.n, seed=_seed(args))
     _emit(
         {
@@ -137,9 +151,18 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     linkage, config = _load_pair(args.linkage, args.config)
+    # by default the x and y of the first vertex the gauge leaves free (vertex
+    # 0 when it pins them all): the traced points put the base vertex at the
+    # origin and the base link on +x
+    pinned = {linkage.base_vertex}
+    if linkage.base_link is not None:
+        pinned.update(linkage.graph.edges[linkage.base_link])
+    free = next((v for v in range(linkage.n_vertices) if v not in pinned), 0)
+    px = free * linkage.ambient_dim if args.px is None else args.px
+    py = free * linkage.ambient_dim + 1 if args.py is None else args.py
     coords = config.flat.size
-    if args.svg and not (0 <= args.px < coords and 0 <= args.py < coords):
-        raise LinkctlError(f"--px and --py must lie in [0, {coords}), got {args.px} and {args.py}")
+    if args.svg and not (0 <= px < coords and 0 <= py < coords):
+        raise LinkctlError(f"--px and --py must lie in [0, {coords}), got {px} and {py}")
     result = trace_curve(
         linkage,
         config,
@@ -157,7 +180,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     )
     if args.svg:
         flat = np.array([p.flat for p in result.points])
-        svg.render_curve(flat[:, [args.px, args.py]], args.svg, closed=result.closed)
+        svg.render_curve(flat[:, [px, py]], args.svg, closed=result.closed)
     return 0
 
 
@@ -306,8 +329,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-steps", type=int, default=2000)
     p.add_argument("--sing-tol", type=float, default=1e-4, help="singularity proximity cutoff")
     p.add_argument("--svg", help="render the traced curve to an SVG file")
-    p.add_argument("--px", type=int, default=0, help="flat coordinate for the SVG x axis")
-    p.add_argument("--py", type=int, default=1, help="flat coordinate for the SVG y axis")
+    free = "of the first vertex the gauge leaves free"
+    p.add_argument("--px", type=int, help=f"flat coordinate for the SVG x axis (default: x {free})")
+    p.add_argument("--py", type=int, help=f"flat coordinate for the SVG y axis (default: y {free})")
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("workspace", help="reachable interval or lens")

@@ -19,17 +19,20 @@ Both are found by the same depth-first walk down the decomposition tree
 (``_search``), one stage at a time (``_step``); the two differ only in where
 they stop and which stages they descend through.  The walk carries the one
 host configuration its caller passed, and every sub-mechanism it descends
-into (``_part``) carries host ids, so ``_build_stage`` records each stage in
-host ids.  ``find_witness_through``, the platform verifier's entry point,
-takes one ``_step`` through a forced first removal, so that stage obeys the
-witness rule and counts toward the depth like any other.
+into (``_part``) carries host ids, so ``_step``, which classifies a stage,
+also records it in host ids.  The walk returns the public ``Decomposition``
+it found with the verdict of its deepest stage, from which the entry points
+build their ``Witness`` or certificate.  ``find_witness_through``, the
+platform verifier's entry point, takes one ``_step`` through a forced first
+removal, so that stage obeys the witness rule and counts toward the depth
+like any other.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -359,24 +362,16 @@ def stage_classify(
             else:
                 rem_sig = (int(np.sum(eigs > cut)), int(np.sum(eigs < -cut)))
 
-    if reasons:
-        return StageVerdict(
-            StageVerdictKind.DEGENERATE_NON_TRANSVERSE,
-            chain_aligned,
-            chain_aligned_direction=aligned,
-            gradient_norm=grad_norm,
-            hessian_eigenvalues=eigs,
-            reasons=tuple(reasons),
-        )
-
+    generic = not reasons  # only a generic stage has signatures
     return StageVerdict(
-        StageVerdictKind.GENERICALLY_NON_TRANSVERSE,
+        StageVerdictKind.GENERICALLY_NON_TRANSVERSE if generic else StageVerdictKind.DEGENERATE_NON_TRANSVERSE,
         chain_aligned,
         chain_aligned_direction=aligned,
         gradient_norm=grad_norm,
         hessian_eigenvalues=eigs,
-        remainder_signature=rem_sig,
-        chain_signature=chord_signature(v_k.points, tols.align),
+        remainder_signature=rem_sig if generic else None,
+        chain_signature=chord_signature(v_k.points, tols.align) if generic else None,
+        reasons=tuple(reasons),
     )
 
 
@@ -446,38 +441,9 @@ class Witness:
         }
 
 
-def _build_stage(
-    sub: SubMechanism,
-    config: Configuration,
-    removal: ChainRemoval,
-    tols: Tolerances,
-) -> tuple[DecompositionStage, StageVerdict]:
-    """Classify one removal of ``sub`` at the host configuration: the stage
-    in host ids and its verdict."""
-    verdict = stage_classify(sub.linkage, sub.restrict(config), removal, tols)
-    vertex, edge = sub.vertex_ids, sub.edge_ids
-    stage = DecompositionStage(
-        chain_vertices=tuple(vertex[v] for v in removal.chain_vertices),
-        chain_edges=tuple(edge[i] for i in removal.chain_edges),
-        remainder_vertices=tuple(vertex[v] for v in removal.remainder_vertices),
-        remainder_edges=tuple(edge[i] for i in removal.remainder_edges),
-        chain_aligned=verdict.chain_aligned,
-    )
-    return stage, verdict
-
-
 def _remainder(sub: SubMechanism, removal: ChainRemoval) -> SubMechanism:
     """The remainder of one removal of ``sub``, in host ids."""
     return _part(sub, removal.remainder_vertices, removal.remainder_edges, removal.endpoints)
-
-
-class _Hit(NamedTuple):
-    """A search result: the stages (outermost first), the base, and the
-    deepest stage's verdict (None for a certificate)."""
-
-    stages: tuple[DecompositionStage, ...]
-    base: SubMechanism
-    verdict: Optional[StageVerdict]
 
 
 def _search(
@@ -486,10 +452,11 @@ def _search(
     depth: int,
     tols: Tolerances,
     certificate: bool,
-    memo: dict[tuple[frozenset[int], int], Optional[_Hit]],
-) -> Optional[_Hit]:
+    memo: dict[tuple[frozenset[int], int], Optional[tuple[Decomposition, Optional[StageVerdict]]]],
+) -> Optional[tuple[Decomposition, Optional[StageVerdict]]]:
     """Depth-first walk down the decomposition tree of ``sub`` at the host
-    configuration ``config``.
+    configuration ``config``: the first decomposition found, in host ids,
+    with its deepest stage's verdict (None for a zero-stage certificate).
 
     Removals are visited in lexicographic edge order, each by ``_step``, and
     the first hit is returned; a certificate stops at a full-rank base.  At
@@ -499,13 +466,13 @@ def _search(
     key = (frozenset(sub.edge_ids), depth)
     if key in memo:
         return memo[key]
-    result: Optional[_Hit] = None
+    result = None
     full_rank = certificate and (
         numerical_rank(constraint_jacobian(sub.linkage, sub.restrict(config)), tols.rank)
         == sub.linkage.k
     )
     if full_rank:
-        result = _Hit((), sub, None)
+        result = (Decomposition((), sub.vertex_ids, sub.edge_ids), None)
     elif depth > 0:
         for removal in enumerate_chain_removals(sub.linkage.graph):
             result = _step(sub, config, removal, depth, tols, certificate, memo)[1]
@@ -522,30 +489,37 @@ def _step(
     depth: int,
     tols: Tolerances,
     certificate: bool,
-    memo: dict[tuple[frozenset[int], int], Optional[_Hit]],
-) -> tuple[StageVerdict, Optional[_Hit]]:
+    memo: dict[tuple[frozenset[int], int], Optional[tuple[Decomposition, Optional[StageVerdict]]]],
+) -> tuple[StageVerdict, Optional[tuple[Decomposition, Optional[StageVerdict]]]]:
     """One stage of the search, counted by ``depth``: its verdict and the
-    first hit through it.  A certificate descends through a transverse
-    stage.  A witness ends at a generically non-transverse stage and descends
-    through a stage whose chain is not aligned, the one outer stage a
-    singularity lifts through; any other stage gives None."""
-    stage, verdict = _build_stage(sub, config, removal, tols)
+    first hit through it, whose outermost stage it records in host ids.  A
+    certificate descends through a transverse stage.  A witness ends at a
+    generically non-transverse stage and descends through a stage whose
+    chain is not aligned, the one outer stage a singularity lifts through;
+    any other stage gives None."""
+    verdict = stage_classify(sub.linkage, sub.restrict(config), removal, tols)
+    vertex, edge = sub.vertex_ids, sub.edge_ids
+    stage = DecompositionStage(
+        chain_vertices=tuple(vertex[v] for v in removal.chain_vertices),
+        chain_edges=tuple(edge[i] for i in removal.chain_edges),
+        remainder_vertices=tuple(vertex[v] for v in removal.remainder_vertices),
+        remainder_edges=tuple(edge[i] for i in removal.remainder_edges),
+        chain_aligned=verdict.chain_aligned,
+    )
     if certificate:
         descend = verdict.kind is StageVerdictKind.TRANSVERSE
     elif verdict.kind is StageVerdictKind.GENERICALLY_NON_TRANSVERSE:
-        return verdict, _Hit((stage,), _remainder(sub, removal), verdict) if depth > 0 else None
+        found = Decomposition((stage,), stage.remainder_vertices, stage.remainder_edges)
+        return verdict, (found, verdict) if depth > 0 else None
     else:
         descend = not stage.chain_aligned and depth > 1
     if not descend:
         return verdict, None
-    found = _search(_remainder(sub, removal), config, depth - 1, tols, certificate, memo)
-    return verdict, None if found is None else found._replace(stages=(stage,) + found.stages)
-
-
-def _decomposition(hit: _Hit) -> Decomposition:
-    return Decomposition(
-        stages=hit.stages, base_vertices=hit.base.vertex_ids, base_edges=hit.base.edge_ids
-    )
+    hit = _search(_remainder(sub, removal), config, depth - 1, tols, certificate, memo)
+    if hit is None:
+        return verdict, None
+    found, deepest = hit
+    return verdict, (replace(found, stages=(stage,) + found.stages), deepest)
 
 
 def find_nontransversive_witness(
@@ -563,7 +537,7 @@ def find_nontransversive_witness(
     """
     check_on_constraint(linkage, config)
     hit = _search(_whole(linkage), config, tols.depth, tols, False, {})
-    return None if hit is None else Witness(_decomposition(hit), hit.verdict)  # type: ignore[arg-type]
+    return None if hit is None else Witness(*hit)  # type: ignore[arg-type]
 
 
 def find_witness_through(
@@ -586,7 +560,7 @@ def find_witness_through(
     """
     check_match(linkage, config)
     verdict, hit = _step(_whole(linkage), config, removal, tols.depth, tols, False, {})
-    return verdict, None if hit is None else Witness(_decomposition(hit), hit.verdict)  # type: ignore[arg-type]
+    return verdict, None if hit is None else Witness(*hit)  # type: ignore[arg-type]
 
 
 def find_smoothness_certificate(
@@ -602,4 +576,4 @@ def find_smoothness_certificate(
     """
     check_on_constraint(linkage, config)
     hit = _search(_whole(linkage), config, tols.depth, tols, True, {})
-    return None if hit is None else _decomposition(hit)
+    return None if hit is None else hit[0]

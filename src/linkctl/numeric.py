@@ -160,8 +160,6 @@ def _inverse_singular_values(s: np.ndarray, tol_rank: float) -> np.ndarray:
 def _pinv_solve(jac: np.ndarray, rhs: np.ndarray, tol_rank: float) -> np.ndarray:
     """Minimal-norm least-squares solve via truncated SVD."""
     u, s, vt = np.linalg.svd(jac, full_matrices=False)
-    if s.size == 0:
-        return np.zeros(jac.shape[1])
     return vt.T @ (_inverse_singular_values(s, tol_rank) * (u.T @ rhs))
 
 

@@ -161,6 +161,17 @@ class TestAlignedMorseIndex:
         with pytest.raises(NotAligned):
             aligned_morse_index(spec, v)
 
+    @pytest.mark.parametrize(
+        "spec, points, message",
+        [
+            (ChainSpec(ChainKind.OPEN, (1.0, 1.0)), [[0.0, 0], [1, 0], [2, 0]], "expects a closed chain"),
+            (ChainSpec(ChainKind.CLOSED, (1.0, 1.0, 2.0)), [[0.0, 0], [1, 0]], "does not match the chain"),
+        ],
+    )
+    def test_closed_chain_of_matching_shape_required(self, spec, points, message):
+        with pytest.raises(InvalidSpec, match=message):
+            aligned_morse_index(spec, np.array(points))
+
 
 class TestChordSignature:
     def test_stretched_and_folded(self):
@@ -200,6 +211,11 @@ class TestWorkImage:
         assert img.dim == 1
         assert abs(img.vectors[0] @ np.array([1.0, 0.0])) < 1e-8
 
+    def test_closed_chain_rejected(self):
+        spec = ChainSpec(ChainKind.CLOSED, (1.0, 1.0, 1.0))
+        with pytest.raises(InvalidSpec, match="expects an open chain"):
+            chain_work_image(spec, np.array([[0.0, 0], [1, 0], [0.5, 0.75**0.5]]))
+
     def test_single_link_sphere_tangent(self):
         for d in (2, 3):
             spec = ChainSpec(ChainKind.OPEN, (1.5,), d)
@@ -223,6 +239,20 @@ class TestWorkImage:
             else:
                 assert img.dim == d - 1
                 assert np.max(np.abs(img.vectors @ w)) < 1e-8
+
+
+class TestChainSpec:
+    @pytest.mark.parametrize(
+        "args, error, message",
+        [
+            ((ChainKind.OPEN, ()), EmptyChain, "at least one link"),
+            ((ChainKind.OPEN, (1.0,), 4), InvalidSpec, "ambient_dim must be 2 or 3"),
+            ((ChainKind.OPEN, (1.0,), 2, (0.5, 1.0)), InvalidSpec, "only applies to prismatic"),
+        ],
+    )
+    def test_invalid_spec_rejected(self, args, error, message):
+        with pytest.raises(error, match=message):
+            ChainSpec(*args)
 
 
 class TestChainLinkage:
@@ -263,6 +293,15 @@ class TestPrismaticFiber:
         pc = ChainSpec(ChainKind.PRISMATIC_CLOSED, (2.0, 1.0))
         with pytest.raises(OutOfRange):
             prismatic_fiber(pc, 5.0)
+
+    def test_zero_length_fiber_in_range(self):
+        pc = ChainSpec(ChainKind.PRISMATIC_CLOSED, (2.0, 1.0), prismatic_range=(0.0, 3.0))
+        with pytest.raises(OutOfRange, match="fiber length must be positive"):
+            prismatic_fiber(pc, 0.0)
+
+    def test_closed_chain_has_no_fiber(self):
+        with pytest.raises(InvalidSpec, match="expects a prismatic closed chain"):
+            prismatic_fiber(ChainSpec(ChainKind.CLOSED, (1.0, 1.0, 1.0)), 1.0)
 
     def test_fiber_configurations_have_exact_chord(self):
         pc = ChainSpec(ChainKind.PRISMATIC_CLOSED, (2.0, 1.5, 1.0))

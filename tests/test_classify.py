@@ -160,6 +160,15 @@ class TestLinesConcurrent:
         ]
         assert not lines_concurrent(lines)
 
+    @pytest.mark.parametrize(
+        "directions, message",
+        [([(1.0, 0.0), (0.0, 1.0)], "exactly three lines"), ([(1.0, 0.0), (0.0, 0.0), (1.0, 1.0)], "nonzero")],
+    )
+    def test_malformed_lines_rejected(self, directions, message):
+        lines = [(np.zeros(2), np.array(w)) for w in directions]
+        with pytest.raises(InvalidSpec, match=message):
+            lines_concurrent(lines)
+
     def test_coincident_lines_pass(self):
         lines = [
             (np.array([0.0, 0.0]), np.array([1.0, 0.0])),
@@ -173,6 +182,29 @@ class TestPlatform:
     def test_untagged_linkage_rejected(self, fb, fb_node):
         with pytest.raises(NotAPlatform):
             platform_conditions(fb, fb_node)
+
+    # tri-platform-a's branches are edges (6, 7), (8, 9) and (10, 11), each
+    # from a fixed vertex 0, 1, 2 through a middle vertex to a moving one
+    @pytest.mark.parametrize(
+        "branches, error, message",
+        [
+            ([[6, 7], [8, 9]], NotAPlatform, "three branches"),
+            ([[7, 6], [8, 9], [10, 11]], InvalidSpec, "does not start at a fixed-platform vertex"),
+            ([[6, 9], [8, 9], [10, 11]], InvalidSpec, "do not form a path"),
+        ],
+    )
+    def test_malformed_branches_rejected(self, branches, error, message):
+        doc, config_doc = build_demo("tri-platform-a")
+        doc = {**doc, "platform": {**doc["platform"], "branches": branches}}
+        with pytest.raises(error, match=message):
+            platform_conditions(build_linkage(doc), Configuration(config_doc["points"]))
+
+    def test_verify_needs_a_pose_meeting_a_condition(self):
+        linkage, _ = _demo_pair("tri-platform-a")
+        pose = sample_cspace(linkage, 1, seed=3)[0]
+        assert platform_conditions(linkage, pose) is None
+        with pytest.raises(InvalidSpec, match="requires a pose satisfying a condition"):
+            verify_platform_singularity(linkage, pose)
 
     def test_type_a_detection(self):
         linkage, config = _demo_pair("tri-platform-a")

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,8 @@ import linkctl
 from linkctl.cli import _build_parser, main
 from linkctl.decomp import Tolerances
 from linkctl.demos import DEMO_NAMES, build_demo
-from linkctl.model import build_linkage
+from linkctl.model import Configuration, build_linkage
+from linkctl import svg
 
 
 def run(capsys, *argv):
@@ -43,6 +45,18 @@ def edgeless_files(tmp_path, monkeypatch):
     cpath = tmp_path / "edgeless.config.json"
     lpath.write_text(json.dumps({"dim": 2, "vertices": 2, "edges": []}))
     cpath.write_text(json.dumps({"points": [[0.0, 0.0], [1.0, 0.0]]}))
+    return str(lpath), str(cpath)
+
+
+@pytest.fixture
+def triangle_3d_files(tmp_path, monkeypatch):
+    """A unit triangle in space: smooth, and not drawable as SVG."""
+    monkeypatch.chdir(tmp_path)
+    lpath = tmp_path / "triangle3d.linkage.json"
+    cpath = tmp_path / "triangle3d.config.json"
+    edges = [{"u": u, "v": v, "length": 1.0} for u, v in ((0, 1), (1, 2), (2, 0))]
+    lpath.write_text(json.dumps({"dim": 3, "vertices": 3, "edges": edges}))
+    cpath.write_text(json.dumps({"points": [[0, 0, 0], [1, 0, 0], [0.5, 0.75**0.5, 0]]}))
     return str(lpath), str(cpath)
 
 
@@ -93,6 +107,15 @@ class TestAnalyzeCommand:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["analyze", str(bad), str(bad)]) == 1
+
+    def test_configuration_without_points_exits_1(self, demo_files, capsys):
+        lp, cp = demo_files("four-bar-singular")
+        Path(cp).write_text(json.dumps({"vertices": [[0.0, 0.0]]}))
+        code = main(["analyze", lp, cp])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: malformed configuration document: 'points'\n"
 
     def test_depth_zero_is_indeterminate(self, demo_files, capsys):
         lp, cp = demo_files("four-bar-singular")
@@ -168,6 +191,29 @@ class TestAnalyzeCommand:
         assert "<svg" in text and "</svg>" in text
 
 
+class TestPlanarSvg:
+    @pytest.mark.parametrize("command", ["analyze", "sample"])
+    def test_3d_linkage_exits_1_before_any_work(self, triangle_3d_files, tmp_path, capsys, command):
+        # the whole report was printed before the error, and the verdict's exit code lost
+        lp, cp = triangle_3d_files
+        svg_path = tmp_path / "out.svg"
+        args = [lp, cp] if command == "analyze" else [lp, "-n", "2"]
+        assert run(capsys, command, *args)[0] == 0
+        code = main([command, *args, "--svg", str(svg_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: SVG rendering is implemented for planar linkages\n"
+        assert not svg_path.exists()
+
+    def test_library_rejects_a_3d_linkage(self, tmp_path):
+        linkage = build_linkage({"dim": 3, "vertices": 2, "edges": [{"u": 0, "v": 1, "length": 1.0}]})
+        config = Configuration([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="planar linkages"):
+            svg.render_linkage(linkage, [config], str(tmp_path / "out.svg"))
+        assert not (tmp_path / "out.svg").exists()
+
+
 class TestSampleCommand:
     def test_sample_and_determinism(self, demo_files, capsys):
         lp, _ = demo_files("four-bar-regular")
@@ -196,6 +242,21 @@ class TestTraceCommand:
         assert doc["closed"] is True
         assert doc["stop_reason"] == "loop_closed"
         assert svg_path.exists()
+
+    def test_default_svg_axes_are_the_first_free_vertex(self, demo_files, tmp_path, capsys):
+        # the defaults were vertex 0's coordinates, which the gauge pins at the
+        # origin: every point of the drawing was 0.000000,0.000000
+        lp, cp = demo_files("four-bar-regular")
+        svg_path = tmp_path / "curve.svg"
+        code, out = run(capsys, "trace", lp, cp, "--svg", str(svg_path))
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["stop_reason"], doc["closed"]) == ("loop_closed", True)
+        drawn = re.search(r'<polygon points="([^"]*)"', svg_path.read_text()).group(1).split()
+        # vertex 2, the effector: neither the base vertex 0 nor vertex 1, the
+        # far end of the base link (adding 0.0 turns -0.0 into 0.0, as the SVG does)
+        assert drawn == [f"{x + 0.0:.6f},{-y + 0.0:.6f}" for x, y in (p[2] for p in doc["points"])]
+        assert len(set(drawn)) > 1
 
     @pytest.mark.parametrize("step", ["0", "-0.05"])
     def test_non_positive_step_exits_1(self, demo_files, capsys, step):
@@ -268,6 +329,26 @@ class TestWorkspaceCommand:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("error: link lengths must be positive and finite")
+
+    @pytest.mark.parametrize(
+        "drop, message",
+        [
+            ("base_link", "workspace of a linkage needs base_link and effector"),
+            ("effector", "workspace of a linkage needs base_link and effector"),
+            (None, "workspace needs --lengths or a linkage document"),
+        ],
+    )
+    def test_missing_input_exits_1(self, demo_files, capsys, drop, message):
+        lp, _ = demo_files("five-bar")
+        doc = json.loads(Path(lp).read_text())
+        if drop is not None:
+            del doc[drop]
+            Path(lp).write_text(json.dumps(doc))
+        code = main(["workspace"] if drop is None else ["workspace", lp])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_five_bar_lens(self, demo_files, capsys):
         lp, _ = demo_files("five-bar")

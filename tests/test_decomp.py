@@ -107,6 +107,10 @@ class TestEnumerateRemovals:
             graph = random_linkage(rng, max_vertices=9)[0].graph
             assert enumerate_chain_removals(graph) == reference_enumerate_chain_removals(graph)
 
+    def test_disconnected_graph_rejected(self):
+        with pytest.raises(InvalidSpec, match="requires a connected graph"):
+            enumerate_chain_removals(MechanismType(4, ((0, 1), (2, 3))))
+
     def test_adjacency_and_walk(self):
         graph = four_bar().graph  # edges (0,1), (1,2), (2,3), (3,0)
         assert graph.adjacency == (((1, 0), (3, 3)), ((0, 0), (2, 1)), ((1, 1), (3, 2)), ((2, 2), (0, 3)))

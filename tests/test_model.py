@@ -102,6 +102,45 @@ class TestBuildLinkage:
         with pytest.raises(InvalidSpec, match="prismatic_fiber"):
             build_linkage({"dim": 2, "vertices": 2, "edges": [edge]})
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"vertices": 2, "edges": []}, "malformed linkage document: 'dim'"),
+            ({"dim": 2, "vertices": 2, "edges": [{"u": 0, "v": 1}]}, "malformed edge 0: 'length'"),
+            (
+                {
+                    "dim": 2, "vertices": 2, "edges": [{"u": 0, "v": 1, "length": 1.0}],
+                    "platform": {"branches": [[0]], "moving": [1]},
+                },
+                "malformed platform block: 'fixed'",
+            ),
+        ],
+    )
+    def test_missing_key_rejected(self, doc, message):
+        with pytest.raises(InvalidSpec, match=message):
+            build_linkage(doc)
+
+    def test_vertex_count_must_be_positive(self):
+        with pytest.raises(InvalidSpec, match="vertex_count must be positive"):
+            MechanismType(0, ())
+
+    # Linkage arguments its constructor rejects, on the path 0-1-2 with unit links
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"ambient_dim": 4}, "ambient_dim must be 2 or 3"),
+            ({"lengths": (1.0,)}, "one length per edge required"),
+            ({"base_vertex": 3}, "base_vertex out of range"),
+            ({"base_link": 2}, "base_link out of range"),
+            ({"end_effector": 3}, "end_effector out of range"),
+            ({"end_effector": 0}, "end_effector must differ from base_vertex"),
+        ],
+    )
+    def test_linkage_arguments_checked(self, change, message):
+        args = {"graph": MechanismType(3, ((0, 1), (1, 2))), "lengths": (1.0, 1.0), **change}
+        with pytest.raises(InvalidSpec, match=message):
+            Linkage(**args)
+
 
 # Platform blocks with an empty branch or a missing edge or vertex.
 BAD_PLATFORMS = [
@@ -391,6 +430,10 @@ class TestNormalization:
         twice = reduced_normalize(linkage, once)
         assert np.max(np.abs(once.points - twice.points)) < 1e-12
 
+    def test_reduced_needs_a_base_link(self):
+        with pytest.raises(InvalidSpec, match="no base_link"):
+            reduced_normalize(single_edge(), Configuration([[0.0, 0.0], [5.0, 0.0]]))
+
     def test_reduced_degenerate_direction(self):
         linkage = Linkage(MechanismType(2, ((0, 1),)), (5.0,), 2, base_vertex=0, base_link=0)
         v = Configuration([(0, 0), (1e-15, 0)])
@@ -487,6 +530,18 @@ class TestGaugeKernel:
         for row, out in zip(stack, got):
             assert out.tobytes() == (row - row[2]).tobytes()
             assert pointed_normalize(Configuration(row), 2).points.tobytes() == out.tobytes()
+
+
+class TestConfiguration:
+    def test_points_must_be_a_two_dimensional_array(self):
+        with pytest.raises(InvalidSpec, match=r"configuration must be an \(N, d\) array"):
+            Configuration([1.0, 2.0])
+
+    def test_points_cannot_be_reassigned(self):
+        config = Configuration([[0.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(AttributeError, match="immutable"):
+            config.points = np.zeros((2, 2))
+        assert config.points.tolist() == [[0.0, 0.0], [1.0, 0.0]]
 
 
 class TestSubspaceBasis:

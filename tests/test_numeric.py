@@ -69,6 +69,10 @@ class TestNumericalRank:
         assert numerical_rank(m, tol_rank=1e-8) == 1
         assert numerical_rank(m, tol_rank=1e-10) == 2
 
+    def test_nan_entry_rejected(self):
+        with pytest.raises(InvalidSpec, match="matrix entries must be finite"):
+            numerical_rank(np.array([[1.0, 0.0], [0.0, np.nan]]))
+
 
 class TestProjection:
     def test_on_constraint_unchanged(self):
