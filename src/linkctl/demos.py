@@ -8,6 +8,7 @@ precision and round-trip deterministically.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -45,7 +46,7 @@ def _docs(points, edges, lengths, base, base_link, effector, platform=None):
         "effector": effector,
     }
     if platform is not None:
-        linkage["platform"] = platform
+        linkage["platform"] = copy.deepcopy(platform)
     config = {"points": [[float(x) for x in p] for p in points]}
     return linkage, config
 

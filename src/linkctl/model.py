@@ -441,28 +441,39 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+_COINCIDENT_BASE_LINK = "base link endpoints coincide; no direction to pin"
+
+
 def _normalized_points(p: np.ndarray, base_vertex: int, link_end: Optional[int] = None) -> np.ndarray:
     """The gauge kernel: stacked configurations p, (..., N, d), with vertex
     base_vertex translated to the origin and, when link_end is given, the
     base link (base_vertex, link_end) rotated onto +e1.
 
     Each configuration comes out as the one-configuration formula gives it,
-    bit for bit, whatever the stack.  Raises DegenerateDirection when any
-    configuration's base-link endpoints are closer than
-    1e-12 * (1 + its max |coordinate|).
+    bit for bit, whatever the stack.  A single configuration, (N, d), keeps
+    its norm and, in d=2, its rotation entries in Python floats, computed as
+    the stack computes them, with fewer array operations.  Raises
+    DegenerateDirection when any configuration's base-link endpoints are
+    closer than 1e-12 * (1 + its max |coordinate|).
+
+    Both paths end in a product with the rotations' transposed view, not with a
+    contiguous copy of it: the two can round a subnormal coordinate differently.
     """
     q = p - p[..., base_vertex, None, :]
     if link_end is None:
         return q
     direction = q[..., link_end, :]
-    norm = np.sqrt(_row_dots(direction, direction))  # np.linalg.norm of each
-    if (norm < 1e-12 * (1.0 + np.abs(p).max(axis=(-2, -1)))).any():
-        raise DegenerateDirection("base link endpoints coincide; no direction to pin")
     e1 = np.zeros(p.shape[-1])
     e1[0] = 1.0
+    if p.ndim == 2:
+        norm = math.sqrt(direction @ direction)
+        if norm < 1e-12 * (1.0 + np.abs(p).max()):
+            raise DegenerateDirection(_COINCIDENT_BASE_LINK)
+        return q @ _rotation_taking(direction / norm, e1).T
+    norm = np.sqrt(_row_dots(direction, direction))  # np.linalg.norm of each
+    if (norm < 1e-12 * (1.0 + np.abs(p).max(axis=(-2, -1)))).any():
+        raise DegenerateDirection(_COINCIDENT_BASE_LINK)
     rot = _rotation_taking(direction / norm[..., None], e1)
-    # a product with the transposed view, not with a contiguous copy of it:
-    # the two can round a subnormal coordinate differently
     return q @ np.swapaxes(rot, -1, -2)
 
 
@@ -505,6 +516,11 @@ def _rotation_taking(w: np.ndarray, target: np.ndarray) -> np.ndarray:
     identity, or the half-turn about an axis orthogonal to w when it points
     away from target; both cases are masks over the stack.
     """
+    if w.shape == (2,):  # one planar vector: the entries below, as Python floats
+        c = float(w @ target)
+        (w0, w1), (t0, t1) = w.tolist(), target.tolist()
+        s = w0 * t1 - w1 * t0
+        return np.array([[c, -s], [s, c]])
     c = _row_dots(w, target)
     if w.shape[-1] == 2:
         s = w[..., 0] * target[1] - w[..., 1] * target[0]

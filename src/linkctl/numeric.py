@@ -4,7 +4,9 @@ pseudo-arclength continuation, and local branch counting.
 
 Tangent frames, work images and traced points read the constraint Jacobian's
 null space off one SVD per configuration, taken in ``_null_space``.  Every
-tangent frame is reduced: rigid translations and rotations are projected out.
+tangent frame is reduced: rigid translations and rotations are projected out,
+by a second SVD in ``tangent_frame`` and in closed form (``_gauge_basis``) at
+a traced point, whose corrector takes one more SVD.
 
 All stochastic operations are pure functions of (inputs, seed): every sample
 draws from its own substream keyed by (seed, index).  Every numeric option
@@ -14,7 +16,9 @@ finite and >= 0, or any option its function's docstring names, raises InvalidSpe
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -157,10 +161,21 @@ def _inverse_singular_values(s: np.ndarray, tol_rank: float) -> np.ndarray:
     return np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
 
 
+def _truncated_svd(jac: np.ndarray, tol_rank: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, 1/s, vt) of the thin SVD of jac, 1/s from _inverse_singular_values."""
+    u, s, vt = np.linalg.svd(jac, full_matrices=False)
+    return u, _inverse_singular_values(s, tol_rank), vt
+
+
+def _svd_solve(svd: tuple[np.ndarray, np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
+    """Minimal-norm least-squares solve with a _truncated_svd."""
+    u, s_inv, vt = svd
+    return vt.T @ (s_inv * (u.T @ rhs))
+
+
 def _pinv_solve(jac: np.ndarray, rhs: np.ndarray, tol_rank: float) -> np.ndarray:
     """Minimal-norm least-squares solve via truncated SVD."""
-    u, s, vt = np.linalg.svd(jac, full_matrices=False)
-    return vt.T @ (_inverse_singular_values(s, tol_rank) * (u.T @ rhs))
+    return _svd_solve(_truncated_svd(jac, tol_rank), rhs)
 
 
 def _gauss_newton(
@@ -171,21 +186,39 @@ def _gauss_newton(
     max_iter: int,
     tol_rank: float = 1e-8,
     r0: Optional[np.ndarray] = None,
+    chord: bool = False,
 ) -> np.ndarray:
     """Damped Gauss-Newton: a truncated-SVD step, then Armijo backtracking
     along _STEP_LADDER.
 
     r0, when given, is residual_fn(x0), already computed by the caller.  An
-    empty residual (no constraint) has converged.
+    empty residual (no constraint) has converged.  With chord (trace_curve's
+    corrector), every step after the first solves with the SVD of the last
+    fresh step, without a line search, and is kept when it cuts |r|^2 at
+    least fourfold; otherwise it is dropped and a fresh step is taken from
+    the same iterate.  Either kind of step counts toward max_iter.
     """
     x = np.array(x0, dtype=float)
     r = residual_fn(x) if r0 is None else r0
     if np.abs(r).max(initial=0.0) < tol:
         return x
+    svd = None  # the last fresh step's SVD while it is reused
     for _ in range(max_iter):
-        jac = jacobian_fn(x)
-        delta = -_pinv_solve(jac, r, tol_rank)
         phi = float(r @ r)
+        if svd is not None:
+            x_new = x - _svd_solve(svd, r)
+            r_new = residual_fn(x_new)
+            if 4.0 * float(r_new @ r_new) <= phi:
+                x, r = x_new, r_new
+                if np.abs(r).max() < tol:
+                    return x
+                continue
+        jac = jacobian_fn(x)
+        if chord:
+            svd = _truncated_svd(jac, tol_rank)
+            delta = -_svd_solve(svd, r)
+        else:
+            delta = -_pinv_solve(jac, r, tol_rank)
         slope = float(2.0 * (jac.T @ r) @ delta)
         for alpha in _STEP_LADDER:
             x_new = x + alpha * delta
@@ -380,6 +413,37 @@ def _orthonormal_rows(rows: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
     return vt[: np.count_nonzero(_kept_singular_values(s, rel_tol))]
 
 
+@lru_cache(maxsize=None)
+def _translation_rows(n: int, d: int) -> np.ndarray:
+    """The d translation fields of n points over sqrt(n): orthonormal rows."""
+    rows = np.tile(np.eye(d), n) / np.sqrt(n)
+    rows.setflags(write=False)
+    return rows
+
+
+# the rotation generators of R^d, transposed and stacked: points @ it gives their fields
+_ROTATIONS_T = {d: np.stack([gen.T for gen in _rotation_generators(d)]) for d in (2, 3)}
+
+
+def _gauge_basis(points: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the rigid motions at points, in closed form:
+    the d translations over sqrt(N), then the rotation fields about the
+    centroid, each normalized, with those whose norm falls below
+    max(1e-10 * the largest row norm, ABS_FLOOR) dropped.  In d=3 the
+    rotations are taken about the eigenvectors of their 3x3 Gram matrix (the
+    principal axes), which makes them orthogonal, and their norms are summed
+    from the fields, not read off the eigenvalues, so that the rotation about
+    the line of collinear points comes out at roundoff and is dropped.  They
+    span what _orthonormal_rows(_gauge_vectors(points)) spans, without an SVD."""
+    n, d = points.shape
+    rotations = ((points - points.sum(axis=0) / n) @ _ROTATIONS_T[d]).reshape(-1, n * d)
+    if d == 3:
+        rotations = np.linalg.eigh(rotations @ rotations.T)[1].T @ rotations
+    norms = np.sqrt(_row_dots(rotations, rotations))
+    keep = norms > max(1e-10 * max(math.sqrt(n), norms.max()), ABS_FLOOR)
+    return np.concatenate([_translation_rows(n, d), rotations[keep] / norms[keep, None]])
+
+
 def _null_space(linkage: Linkage, config: Configuration, tol_rank: float) -> tuple[np.ndarray, np.ndarray]:
     """The constraint Jacobian's singular values (largest first) and orthonormal
     null rows at a configuration on the constraint set (check_on_constraint)."""
@@ -531,16 +595,26 @@ def trace_curve(
 ) -> TraceResult:
     """Pseudo-arclength continuation of a one-dimensional solution curve.
 
-    Predicts along the unit reduced tangent (orientation kept by sign
-    matching), corrects by Gauss-Newton to residual 1e-10 in the hyperplane
-    orthogonal to the predictor, and stops on loop closure, step exhaustion,
-    or singularity indicators: a jump in tangent dimension or direction
-    (|cos| below 0.5 between consecutive tangents), or the rank-proximity
-    ratio falling below detect_tol ("tangent_jump"), or a corrector that
-    keeps failing as the step shrinks ("stalled_at_singularity").  A flat
-    ``direction`` orients the first tangent.  Raises InvalidSpec unless step
-    is positive and finite, max_steps is an integer >= 0, tol_rank and
-    detect_tol are finite and >= 0, and direction has N*d finite coordinates.
+    Predicts along the unit reduced tangent, corrects by Gauss-Newton to
+    residual 1e-10 in the hyperplane orthogonal to the predictor, and stops
+    on loop closure, step exhaustion, or singularity indicators: a jump in
+    tangent dimension or direction (|cos| below 0.5 between consecutive
+    tangents), or the rank-proximity ratio falling below detect_tol
+    ("tangent_jump"), or a corrector that keeps failing as the step shrinks
+    ("stalled_at_singularity").  A flat ``direction`` orients the first
+    tangent.  Raises InvalidSpec unless step is positive and finite,
+    max_steps is an integer >= 0, tol_rank and detect_tol are finite and
+    >= 0, and direction has N*d finite coordinates.
+
+    A point costs two SVDs.  The corrector takes one for its first step, at
+    the predictor, and reuses it for every later step that cuts |r|^2 at
+    least fourfold; a step that does not is dropped for a fresh one from the
+    same iterate, whose SVD is reused in turn (60 steps at most).  The other
+    is the new point's null space: the old tangent is projected onto its
+    null rows and then off the rigid motions (_gauge_basis), which leaves
+    |cos| times the new unit tangent, already oriented along the old one.
+    The new tangent dimension is the number of null rows less the number of
+    rigid motions.
     """
     check_real(step, "step", positive=True)
     max_steps = check_integer(max_steps, "max_steps", 0)
@@ -579,7 +653,7 @@ def trace_curve(
                 return np.concatenate([_residual_points(linkage, p), [_t @ (x - _p)]])
 
             try:
-                corrected = _gauss_newton(res, jac, predictor, _TRACE_TOL, 60, tol_rank)
+                corrected = _gauss_newton(res, jac, predictor, _TRACE_TOL, 60, tol_rank, None, True)
                 break
             except NoConvergence:
                 sub_step *= 0.5
@@ -587,7 +661,7 @@ def trace_curve(
             reason = "stalled_at_singularity"
             break
 
-        w = _gauge_fix(linkage, Configuration.from_flat(corrected, d))
+        w = Configuration(_gauge_points(linkage, corrected.reshape(-1, d)))
         s, null = _null_space(linkage, w, tol_rank)
         # sigma_k / sigma_1 of the constraint Jacobian, small near a rank drop;
         # with no constraint there is no rank to lose
@@ -598,18 +672,22 @@ def trace_curve(
         else:
             proximity = 0.0
         points.append(w)
-        new_frame = None if proximity < detect_tol else _gauge_frame(w, null)
+        # the old tangent projected onto the null rows, then off the rigid
+        # motions: on a curve its norm is |cos| to the new unit tangent
+        gauge = _gauge_basis(w.points)
         cos = 0.0  # no single new tangent
-        if new_frame is not None and new_frame.dim == 1:
-            cos = float(new_frame.basis[0] @ tangent)
-        if abs(cos) < _TRACE_MIN_COS:  # a NaN cos goes on
+        if proximity >= detect_tol and null.shape[0] - gauge.shape[0] == 1:
+            along = null.T @ (null @ tangent)
+            along -= gauge.T @ (gauge @ along)
+            cos = float(np.linalg.norm(along))
+        if cos < _TRACE_MIN_COS:  # a NaN cos goes on
             reason = "tangent_jump"
             break
         if step_idx >= 10 and float(np.linalg.norm(w.flat - points[0].flat)) < 0.5 * step:
             closed = True
             reason = "loop_closed"
             break
-        v, tangent = w, (-new_frame.basis[0] if cos < 0.0 else new_frame.basis[0])
+        v, tangent = w, along / cos
 
     return TraceResult(points=tuple(points), stop_reason=reason, closed=closed)
 

@@ -82,6 +82,18 @@ class TestDemoCommand:
             linkage = build_linkage(linkage_doc)
             assert len(config_doc["points"]) == linkage.n_vertices
 
+    def test_demo_documents_share_no_state(self):
+        # both tri-platform documents held the module's one platform dict, so
+        # editing one document changed every later one
+        platform = build_demo("tri-platform-a")[0]["platform"]
+        platform["branches"][0].append(99)
+        platform["branches"].append([0])
+        assert build_demo("tri-platform-b")[0]["platform"] == {
+            "branches": [[6, 7], [8, 9], [10, 11]],
+            "fixed": [0, 1, 2],
+            "moving": [3, 4, 5],
+        }
+
 
 class TestAnalyzeCommand:
     def test_node_exit_code(self, demo_files, capsys):

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linkctl.demos import build_demo
 from linkctl.errors import DegenerateDirection, DimensionMismatch, InvalidSpec, OffConstraint
@@ -514,6 +515,26 @@ class TestGaugeKernel:
             _gauge_points(linkage, stack)
         with pytest.raises(DegenerateDirection):
             reduced_normalize(linkage, Configuration(stack[2]))
+
+    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @given(
+        d=st.sampled_from([2, 3]),
+        coords=st.lists(st.floats(-1e3, 1e3), min_size=15, max_size=15),
+        exponent=st.integers(-17, 1),
+    )
+    def test_single_configuration_equals_stack_of_one(self, d, coords, exponent):
+        # one configuration takes Python floats where a stack takes arrays; a
+        # base link shrunk by 10**exponent is short enough, at the low
+        # exponents, to raise DegenerateDirection both ways
+        p = np.reshape(coords[: 5 * d], (5, d))
+        p[0] = p[2] + (p[0] - p[2]) * 10.0**exponent
+        outcomes = []
+        for stack in (p, p[None]):
+            try:
+                outcomes.append(_gauge_points(star(d), stack).reshape(5, d).tobytes())
+            except DegenerateDirection:
+                outcomes.append("degenerate")
+        assert outcomes[0] == outcomes[1]
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("base_link", [0, None])

@@ -172,23 +172,38 @@ def demo_pair(name):
 
 
 def reference_gauss_newton(
-    residual_fn, jacobian_fn, x0, tol, max_iter, tol_rank=1e-8, r0=None, log=None
+    residual_fn, jacobian_fn, x0, tol, max_iter, tol_rank=1e-8, r0=None, chord=False, log=None
 ):
     """numeric._gauss_newton as a loop of its own that evaluates the start residual itself.
 
+    With chord, every step after the first first tries the solve of the last
+    Jacobian a full step was taken with, its SVD taken afresh, and keeps it
+    when it cuts |r|^2 at least fourfold.
     log, when given, gets an (event, iterate) pair for each iteration,
-    ("full step" or "shorter step", the new iterate), and for a failure,
-    ("line search stalled" or "max_iter", the iterate it stopped at).
+    ("full step", "shorter step" or "chord step", the new iterate), and for a
+    failure, ("line search stalled" or "max_iter", the iterate it stopped at).
     """
     note = log.append if log is not None else lambda event: None
     x = np.array(x0, dtype=float)
     r = residual_fn(x)
     if np.max(np.abs(r)) < tol:
         return x
+    last_jac = None
     for _ in range(max_iter):
-        jac = jacobian_fn(x)
-        delta = -numeric._pinv_solve(jac, r, tol_rank)
         phi = float(r @ r)
+        if last_jac is not None:
+            x_new = x - numeric._pinv_solve(last_jac, r, tol_rank)
+            r_new = residual_fn(x_new)
+            if float(r_new @ r_new) <= phi / 4.0:
+                x, r = x_new, r_new
+                note(("chord step", x))
+                if np.max(np.abs(r)) < tol:
+                    return x
+                continue
+        jac = jacobian_fn(x)
+        if chord:
+            last_jac = jac
+        delta = -numeric._pinv_solve(jac, r, tol_rank)
         slope = float(2.0 * (jac.T @ r) @ delta)
         alpha = 1.0
         while True:
@@ -718,6 +733,118 @@ class TestTraceCurve:
         assert len(arclength_rows) == 3  # failed try, its retry, the next step
         assert arclength_rows[1] == pytest.approx(0.0, abs=1e-12)
         assert len(result.points) == 3
+
+
+def hinge() -> tuple[Linkage, Configuration]:
+    """Two triangles in R^3 hinged on their shared edge 0-1: the reduced
+    configuration space is a circle, the dihedral angle."""
+    points = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.7, 1.1, 0.2], [1.3, -0.4, 0.9]])
+    edges = ((0, 1), (1, 2), (2, 0), (0, 3), (1, 3))
+    lengths = tuple(float(np.linalg.norm(points[u] - points[v])) for u, v in edges)
+    return Linkage(MechanismType(4, edges), lengths, 3, base_link=0), Configuration(points)
+
+
+def record_corrector(monkeypatch, linkage):
+    """Patch numeric._gauss_newton to record each of trace_curve's corrector
+    calls as (tangent, events): the tangent it corrects against (the last row
+    of its Jacobian) and its evaluations in order, ("res" or "jac", x)."""
+    real = numeric._gauss_newton
+    calls = []
+
+    def recording(res, jac, x0, *args):
+        if len(res(x0)) != linkage.k + 1:  # a plain projection, not the corrector
+            return real(res, jac, x0, *args)
+        events = []
+        calls.append((jac(x0)[-1], events))
+
+        def res_logged(x):
+            events.append(("res", np.array(x)))
+            return res(x)
+
+        def jac_logged(x):
+            events.append(("jac", np.array(x)))
+            return jac(x)
+
+        return real(res_logged, jac_logged, x0, *args)
+
+    monkeypatch.setattr(numeric, "_gauss_newton", recording)
+    return calls
+
+
+class TestTraceTangent:
+    """The trace reads each new tangent off the point's own null rows, and its
+    corrector reuses the SVD of its last fresh step while that converges."""
+
+    @pytest.mark.parametrize("curve", ["four-bar", "hinge"])
+    def test_steps_along_the_tangent_frame(self, monkeypatch, curve):
+        if curve == "four-bar":
+            linkage = four_bar((2.0, 1.2, 1.7, 0.9))
+            start, max_steps = sample_cspace(linkage, 1, seed=11)[0], 1500
+        else:
+            (linkage, start), max_steps = hinge(), 150
+        calls = record_corrector(monkeypatch, linkage)
+        result = trace_curve(linkage, start, step=0.05, max_steps=max_steps)
+        assert result.stop_reason == ("loop_closed" if curve == "four-bar" else "max_steps")
+        # one corrector call steps from each point but the last
+        assert len(calls) == len(result.points) - 1
+        for (tangent, _), point in zip(calls, result.points):
+            frame = tangent_frame(linkage, point)
+            assert frame.dim == 1
+            sign = 1.0 if float(tangent @ frame.basis[0]) > 0.0 else -1.0
+            assert np.abs(tangent - sign * frame.basis[0]).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            np.random.default_rng(0).normal(size=(5, 2)),
+            np.random.default_rng(1).normal(size=(6, 3)),
+            # collinear in R^3: the rotation about the line moves nothing
+            np.array([1.0, -2.0, 0.5]) + np.outer([0.0, 0.3, 1.1, 2.0], [0.6, 0.0, -0.8]),
+            np.tile([[1.5, -0.5]], (4, 1)),  # coincident points: translations only
+            np.tile([[0.2, 3.0, -1.0]], (3, 1)),
+        ],
+        ids=["planar", "spatial", "collinear", "coincident-2d", "coincident-3d"],
+    )
+    def test_gauge_basis_spans_the_rigid_motions(self, points):
+        basis = numeric._gauge_basis(points)
+        reference = numeric._orthonormal_rows(numeric._gauge_vectors(points))
+        assert basis.shape == reference.shape
+        assert np.abs(basis @ basis.T - np.eye(len(basis))).max() <= 1e-12
+        assert np.abs(basis.T @ basis - reference.T @ reference).max() <= 1e-12
+
+    def test_two_svds_a_step(self, monkeypatch):
+        # three for the start's tangent_frame, then one for the corrector's
+        # fresh step and one for the new point's null space; five before
+        linkage = four_bar((2.0, 1.2, 1.7, 0.9))
+        start = sample_cspace(linkage, 1, seed=11)[0]
+        real, calls = np.linalg.svd, []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        result = trace_curve(linkage, start, step=0.05, max_steps=1500)
+        assert result.stop_reason == "loop_closed"
+        assert len(calls) <= 3 + 2 * (len(result.points) - 1)
+
+    def test_refused_reuse_takes_a_fresh_step(self, monkeypatch):
+        # approaching egsing's tacnode, reused steps stall near the tolerance;
+        # the four-bar node converges in one or two steps and never refuses
+        linkage, _ = demo_pair("egsing")
+        start = sample_cspace(linkage, 4, seed=9)[0]
+        calls = record_corrector(monkeypatch, linkage)
+        result = trace_curve(linkage, start, step=0.05, max_steps=2000)
+        assert result.stop_reason in ("tangent_jump", "stalled_at_singularity")
+        refused = 0
+        for _, events in calls:
+            for (kind, x), (_, before) in zip(events[2:], events[1:]):
+                # a later fresh step starts from an earlier iterate than the
+                # last one evaluated: the reused step to it was dropped
+                if kind == "jac":
+                    assert not np.array_equal(x, before)
+                    refused += 1
+        assert refused >= 1
 
 
 class TestLocalBranchCount:
