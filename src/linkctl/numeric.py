@@ -173,11 +173,6 @@ def _svd_solve(svd: tuple[np.ndarray, np.ndarray, np.ndarray], rhs: np.ndarray) 
     return vt.T @ (s_inv * (u.T @ rhs))
 
 
-def _pinv_solve(jac: np.ndarray, rhs: np.ndarray, tol_rank: float) -> np.ndarray:
-    """Minimal-norm least-squares solve via truncated SVD."""
-    return _svd_solve(_truncated_svd(jac, tol_rank), rhs)
-
-
 def _gauss_newton(
     residual_fn: Callable[[np.ndarray], np.ndarray],
     jacobian_fn: Callable[[np.ndarray], np.ndarray],
@@ -188,21 +183,21 @@ def _gauss_newton(
     r0: Optional[np.ndarray] = None,
     chord: bool = False,
 ) -> np.ndarray:
-    """Damped Gauss-Newton: a truncated-SVD step, then Armijo backtracking
-    along _STEP_LADDER.
+    """Damped Gauss-Newton: a fresh step solves with one _truncated_svd of
+    the Jacobian, then backtracks along _STEP_LADDER until Armijo passes.
 
     r0, when given, is residual_fn(x0), already computed by the caller.  An
     empty residual (no constraint) has converged.  With chord (trace_curve's
-    corrector), every step after the first solves with the SVD of the last
-    fresh step, without a line search, and is kept when it cuts |r|^2 at
-    least fourfold; otherwise it is dropped and a fresh step is taken from
-    the same iterate.  Either kind of step counts toward max_iter.
+    corrector), the fresh step's SVD is kept: every later step first solves
+    with it, without a line search, and is kept when it cuts |r|^2 at least
+    fourfold; otherwise it is dropped and a fresh step is taken from the same
+    iterate.  Either kind of step counts toward max_iter.
     """
     x = np.array(x0, dtype=float)
     r = residual_fn(x) if r0 is None else r0
     if np.abs(r).max(initial=0.0) < tol:
         return x
-    svd = None  # the last fresh step's SVD while it is reused
+    svd = None  # under chord, the last fresh step's SVD
     for _ in range(max_iter):
         phi = float(r @ r)
         if svd is not None:
@@ -214,11 +209,10 @@ def _gauss_newton(
                     return x
                 continue
         jac = jacobian_fn(x)
+        fresh = _truncated_svd(jac, tol_rank)
+        delta = -_svd_solve(fresh, r)
         if chord:
-            svd = _truncated_svd(jac, tol_rank)
-            delta = -_svd_solve(svd, r)
-        else:
-            delta = -_pinv_solve(jac, r, tol_rank)
+            svd = fresh
         slope = float(2.0 * (jac.T @ r) @ delta)
         for alpha in _STEP_LADDER:
             x_new = x + alpha * delta
@@ -236,29 +230,27 @@ def _gauss_newton(
 def _gauss_newton_rows(
     linkage: Linkage,
     x0: np.ndarray,
-    r0: np.ndarray,
     tol: float,
     max_iter: int,
     tol_rank: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """_gauss_newton on the constraint residual of every row of x0, in lockstep.
 
-    x0 is (B, N*d), one flat start a row, and r0 its residuals.  Returns
-    (x, ok): where ok[i], x[i] is what _gauss_newton returns from row i, bit
-    for bit; elsewhere it raises NoConvergence, and x[i] is the iterate it
-    stopped at (the line search stalled there, or max_iter ran out).  An iteration
-    takes one stacked SVD and tries the full step on every live row.  The
-    rows that reject it try the next four steps of _STEP_LADDER, where most
-    pass, and the rest every shorter step; each row takes the first step
-    that passes Armijo, or stalls when none does.
+    x0 is (B, N*d), one flat start a row.  Returns (x, ok): where ok[i], x[i]
+    is what _gauss_newton returns from row i, bit for bit; elsewhere it raises
+    NoConvergence, and x[i] is the iterate it stopped at (the line search
+    stalled there, or max_iter ran out).  An iteration takes one stacked SVD
+    and tries the full step on every live row.  The rows that reject it try
+    every shorter step of _STEP_LADDER in one stacked pass; each row takes
+    the first step that passes Armijo, or stalls when none does.
     Only the full steps are checked finite: a shorter step lies between x
     and the full step, so it is finite when both are.
     """
     x = np.array(x0, dtype=float)
-    r = np.array(r0, dtype=float)
+    r = _residual_rows(linkage, x)
     ok = np.abs(r).max(axis=1, initial=0.0) < tol
     live = np.flatnonzero(~ok)
-    shorter = (np.array(_STEP_LADDER[1:5]), np.array(_STEP_LADDER[5:]))
+    shorter = np.array(_STEP_LADDER[1:])
     for _ in range(max_iter):
         if live.size == 0:
             break
@@ -272,21 +264,17 @@ def _gauss_newton_rows(
         x_new = xl + delta  # the full step, t = 1
         check_finite(x_new)
         r_new = _residual_rows(linkage, x_new)
-        rejected = np.flatnonzero(~(_row_dots(r_new, r_new) <= phi + _ARMIJO_C * slope))
-        moved = np.ones(live.size, dtype=bool)
-        for steps in shorter:
-            if not rejected.size:
-                break
-            xs = xl[rejected, None, :] + steps[:, None] * delta[rejected, None, :]
+        moved = _row_dots(r_new, r_new) <= phi + _ARMIJO_C * slope
+        rejected = np.flatnonzero(~moved)
+        if rejected.size:
+            xs = xl[rejected, None, :] + shorter[:, None] * delta[rejected, None, :]
             rs = _residual_rows(linkage, xs.reshape(-1, xs.shape[-1])).reshape(*xs.shape[:2], -1)
-            bound = phi[rejected, None] + _ARMIJO_C * steps * slope[rejected, None]
+            bound = phi[rejected, None] + _ARMIJO_C * shorter * slope[rejected, None]
             passed = _row_dots(rs, rs) <= bound
-            hit = np.flatnonzero(passed.any(axis=1))
-            first = passed[hit].argmax(axis=1)
-            x_new[rejected[hit]] = xs[hit, first]
-            r_new[rejected[hit]] = rs[hit, first]
-            rejected = np.delete(rejected, hit)
-        moved[rejected] = False  # no step passes: "line search stalled"
+            hit = passed.any(axis=1)  # the other rows stall: "line search stalled"
+            rows, first = rejected[hit], passed[hit].argmax(axis=1)
+            x_new[rows], r_new[rows] = xs[hit, first], rs[hit, first]
+            moved[rows] = True
         stepped = live[moved]
         x[stepped], r[stepped] = x_new[moved], r_new[moved]
         done = moved & (np.abs(r_new).max(axis=1) < tol)
@@ -368,41 +356,32 @@ def sample_cspace(linkage: Linkage, n: int, seed: int = 0) -> list[Configuration
                 for i in range(lo, min(n, lo + _SAMPLE_CHUNK))
             ]
         )
-        r0 = _residual_rows(linkage, starts)
-        x, ok = _gauss_newton_rows(
-            linkage, starts, r0, _PROJECT_TOL, _PROJECT_MAX_ITER, _PROJECT_TOL_RANK
-        )
+        x, ok = _gauss_newton_rows(linkage, starts, _PROJECT_TOL, _PROJECT_MAX_ITER, _PROJECT_TOL_RANK)
         out.extend(Configuration.from_flat(row, shape[1]) for row in x[ok])
     if not out:
         raise NoFeasiblePoint(f"all {n} projection attempts failed")
     return out
 
 
-def _rotation_generators(d: int) -> list[np.ndarray]:
-    if d == 2:
-        return [np.array([[0.0, -1.0], [1.0, 0.0]])]
-    gens = []
-    for a in range(3):
-        k = np.zeros((3, 3))
-        b, c = (a + 1) % 3, (a + 2) % 3
-        k[b, c] = -1.0
-        k[c, b] = 1.0
-        gens.append(k)
-    return gens
+# The transposed rotation generators of R^d, stacked: points @ _ROTATIONS_T[d]
+# gives their fields.  In d=3 they are the rotations about the axes, in order.
+_ROTATIONS_T = {
+    2: np.array([[[0.0, 1.0], [-1.0, 0.0]]]),
+    3: np.array(
+        [
+            [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]],
+            [[0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+            [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+        ]
+    ),
+}
 
 
 def _gauge_vectors(points: np.ndarray) -> np.ndarray:
     """Rigid-motion generator fields to be projected out of the null space:
     the d translations, then the rotations."""
     n, d = points.shape
-    vecs: list[np.ndarray] = []
-    for j in range(d):
-        t = np.zeros((n, d))
-        t[:, j] = 1.0
-        vecs.append(t.reshape(-1))
-    for gen in _rotation_generators(d):
-        vecs.append((points @ gen.T).reshape(-1))
-    return np.stack(vecs, axis=0)
+    return np.concatenate([np.tile(np.eye(d), n), (points @ _ROTATIONS_T[d]).reshape(-1, n * d)])
 
 
 def _orthonormal_rows(rows: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
@@ -419,10 +398,6 @@ def _translation_rows(n: int, d: int) -> np.ndarray:
     rows = np.tile(np.eye(d), n) / np.sqrt(n)
     rows.setflags(write=False)
     return rows
-
-
-# the rotation generators of R^d, transposed and stacked: points @ it gives their fields
-_ROTATIONS_T = {d: np.stack([gen.T for gen in _rotation_generators(d)]) for d in (2, 3)}
 
 
 def _gauge_basis(points: np.ndarray) -> np.ndarray:
@@ -584,6 +559,22 @@ def _gauge_fix(linkage: Linkage, config: Configuration) -> Configuration:
     return Configuration(_gauge_points(linkage, config.points))
 
 
+def _closure_gap(linkage: Linkage, w: np.ndarray, start: np.ndarray) -> float:
+    """|w - start| over the flat coordinates of two (N, d) point sets in the
+    linkage's gauge, after the proper rotation of w that best matches start
+    among those the gauge leaves free: none in d=2 with a base link, those
+    about e1 (on coordinates 1 onward) in d=3 with one, and all of them
+    (about the base vertex, at the origin) without one."""
+    free = w.shape[1] - (linkage.base_link is not None)
+    if free > 1:
+        a, b = w[:, -free:], start[:, -free:]
+        u, _, vt = np.linalg.svd(a.T @ b)  # orthogonal Procrustes, made proper
+        if np.linalg.det(u @ vt) < 0.0:
+            u[:, -1] = -u[:, -1]
+        w = np.concatenate([w[:, :-free], a @ (u @ vt)], axis=1)
+    return float(np.linalg.norm((w - start).reshape(-1)))
+
+
 def trace_curve(
     linkage: Linkage,
     start: Configuration,
@@ -606,15 +597,23 @@ def trace_curve(
     max_steps is an integer >= 0, tol_rank and detect_tol are finite and
     >= 0, and direction has N*d finite coordinates.
 
-    A point costs two SVDs.  The corrector takes one for its first step, at
-    the predictor, and reuses it for every later step that cuts |r|^2 at
-    least fourfold; a step that does not is dropped for a fresh one from the
-    same iterate, whose SVD is reused in turn (60 steps at most).  The other
-    is the new point's null space: the old tangent is projected onto its
-    null rows and then off the rigid motions (_gauge_basis), which leaves
-    |cos| times the new unit tangent, already oriented along the old one.
-    The new tangent dimension is the number of null rows less the number of
-    rigid motions.
+    The loop closes at a point after the tenth step that lies within step/2
+    of the start once the rotation its gauge leaves free is taken out
+    (_closure_gap): none in d=2 with a base link, the best proper rotation
+    about e1 in d=3 with one, and the best proper rotation about the base
+    vertex without one.  The rigid motions are projected out of every
+    tangent, but a loop can still come back turned by such a rotation.
+
+    A point costs two SVDs, and one of a 2x2 or 3x3 matrix for the closure
+    test where a rotation is free.  The corrector takes one for its first
+    step, at the predictor, and reuses it for every later step that cuts
+    |r|^2 at least fourfold; a step that does not is dropped for a fresh one
+    from the same iterate, whose SVD is reused in turn (60 steps at most).
+    The other is the new point's null space: the old tangent is projected
+    onto its null rows and then off the rigid motions (_gauge_basis), which
+    leaves |cos| times the new unit tangent, already oriented along the old
+    one.  The new tangent dimension is the number of null rows less the
+    number of rigid motions.
     """
     check_real(step, "step", positive=True)
     max_steps = check_integer(max_steps, "max_steps", 0)
@@ -683,7 +682,7 @@ def trace_curve(
         if cos < _TRACE_MIN_COS:  # a NaN cos goes on
             reason = "tangent_jump"
             break
-        if step_idx >= 10 and float(np.linalg.norm(w.flat - points[0].flat)) < 0.5 * step:
+        if step_idx >= 10 and _closure_gap(linkage, w.points, points[0].points) < 0.5 * step:
             closed = True
             reason = "loop_closed"
             break
@@ -745,7 +744,7 @@ def local_branch_count(
     check_real(cluster_factor, "cluster_factor", positive=True)
     check_real(tol_rank, "tol_rank")
     r = radius if radius is not None else 1e-2 * min(linkage.lengths, default=1.0)
-    center = _gauge_fix(linkage, project_to_cspace(linkage, config, tol=1e-12))
+    center = _gauge_fix(linkage, project_to_cspace(linkage, config, tol=_RETRACT_TOL))
     frame = tangent_frame(linkage, center, tol_rank)
     shape = center.points.shape
     nd = center.flat.size
@@ -763,8 +762,7 @@ def local_branch_count(
         for _ in range(8):
             if not len(flat):
                 break
-            r0 = _residual_rows(linkage, flat)
-            x, ok = _gauss_newton_rows(linkage, flat, r0, _RETRACT_TOL, _RETRACT_MAX_ITER, tol_rank)
+            x, ok = _gauss_newton_rows(linkage, flat, _RETRACT_TOL, _RETRACT_MAX_ITER, tol_rank)
             x = x[ok]
             check_finite(x)
             w = _gauge_points(linkage, x.reshape(len(x), *shape)).reshape(len(x), nd)

@@ -249,6 +249,34 @@ def reference_rotation_taking(w: np.ndarray, target: np.ndarray) -> np.ndarray:
     return np.eye(3) + s * kmat + (1.0 - c) * (kmat @ kmat)
 
 
+# The infinitesimal rotations of R^d as skew matrices: in d=2 the quarter
+# turn, in d=3 the rotations about e1, e2 and e3 (the one about e_a maps x
+# to the cross product e_a x x).
+REFERENCE_ROTATION_GENERATORS = {
+    2: [np.array([[0.0, -1.0], [1.0, 0.0]])],
+    3: [
+        np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]),
+        np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
+        np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+    ],
+}
+
+
+def reference_gauge_vectors(points: np.ndarray) -> np.ndarray:
+    """Reference rigid-motion fields at the (N, d) points, one flat row each:
+    the d unit translations, then for each rotation generator K the field
+    K @ p, built one point at a time."""
+    n, d = points.shape
+    rows = []
+    for j in range(d):
+        t = np.zeros((n, d))
+        t[:, j] = 1.0
+        rows.append(t.reshape(-1))
+    for k in REFERENCE_ROTATION_GENERATORS[d]:
+        rows.append(np.concatenate([k @ p for p in points]))
+    return np.stack(rows)
+
+
 def reference_reduced_normalize(linkage: Linkage, config: Configuration) -> Configuration:
     """Reference reduced gauge for one configuration: the base vertex at the
     origin and the base link rotated onto the first axis."""

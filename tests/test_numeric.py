@@ -46,6 +46,7 @@ from conftest import (
     pointed_frame,
     random_linkage,
     random_open_chain,
+    reference_gauge_vectors,
     reference_jacobian,
     reference_local_branch_count,
     reference_residual,
@@ -192,7 +193,7 @@ def reference_gauss_newton(
     for _ in range(max_iter):
         phi = float(r @ r)
         if last_jac is not None:
-            x_new = x - numeric._pinv_solve(last_jac, r, tol_rank)
+            x_new = x - numeric._svd_solve(numeric._truncated_svd(last_jac, tol_rank), r)
             r_new = residual_fn(x_new)
             if float(r_new @ r_new) <= phi / 4.0:
                 x, r = x_new, r_new
@@ -203,7 +204,7 @@ def reference_gauss_newton(
         jac = jacobian_fn(x)
         if chord:
             last_jac = jac
-        delta = -numeric._pinv_solve(jac, r, tol_rank)
+        delta = -numeric._svd_solve(numeric._truncated_svd(jac, tol_rank), r)
         slope = float(2.0 * (jac.T @ r) @ delta)
         alpha = 1.0
         while True:
@@ -294,7 +295,7 @@ class TestReferencePathEquivalence:
         linkage, config = demo_pair("four-bar-regular")
         guess = Configuration(config.points * 1.05)
         monkeypatch.setattr(
-            numeric, "_pinv_solve", lambda jac, rhs, tol_rank: np.full(jac.shape[1], np.inf)
+            numeric, "_svd_solve", lambda svd, rhs: np.full(svd[2].shape[1], np.inf)
         )
         with np.errstate(invalid="ignore"), pytest.raises(
             InvalidSpec, match="configuration coordinates must be finite"
@@ -367,8 +368,7 @@ class TestBatchedSampling:
 
                 # every row, failed ones included, stops where the per-start loop stops
                 starts = np.stack([draw_start(lk, draw, i).flat for i in range(n)])
-                r0 = numeric._residual_rows(lk, starts)
-                x, ok = numeric._gauss_newton_rows(lk, starts, r0, tol, 100, 1e-8)
+                x, ok = numeric._gauss_newton_rows(lk, starts, tol, 100, 1e-8)
                 for i in range(n):
                     ref_x, ref_ok, seen = reference_row(lk, starts[i], tol)
                     assert (ok[i], x[i].tobytes()) == (ref_ok, ref_x.tobytes()), (draw, n, tol, i)
@@ -712,6 +712,22 @@ class TestTraceCurve:
         assert len(result.points) == 1
         assert result.closed is False
 
+    @pytest.mark.parametrize("curve", ["hinge", "four-bar-without-base-link"])
+    def test_loop_closes_modulo_the_free_rotation(self, curve):
+        # the gauge leaves a rotation free: about e1 for the 3-D hinge, about
+        # the base vertex without a base link; the loop comes back turned by it
+        if curve == "hinge":
+            linkage, start = hinge()
+        else:
+            linkage_doc, config_doc = build_demo("four-bar-regular")
+            del linkage_doc["base_link"]
+            linkage, start = build_linkage(linkage_doc), Configuration(config_doc["points"])
+        result = trace_curve(linkage, start, step=0.05, max_steps=2000)
+        assert (result.stop_reason, result.closed) == ("loop_closed", True)
+        assert len(result.points) < 300
+        # the raw coordinates do not come back: the closure is modulo the rotation
+        assert np.linalg.norm(result.points[-1].flat - result.points[0].flat) > 0.5
+
     def test_retry_starts_on_its_own_hyperplane(self, monkeypatch):
         import linkctl.numeric as numeric
 
@@ -784,7 +800,7 @@ class TestTraceTangent:
             (linkage, start), max_steps = hinge(), 150
         calls = record_corrector(monkeypatch, linkage)
         result = trace_curve(linkage, start, step=0.05, max_steps=max_steps)
-        assert result.stop_reason == ("loop_closed" if curve == "four-bar" else "max_steps")
+        assert result.stop_reason == "loop_closed"
         # one corrector call steps from each point but the last
         assert len(calls) == len(result.points) - 1
         for (tangent, _), point in zip(calls, result.points):
@@ -811,6 +827,20 @@ class TestTraceTangent:
         assert basis.shape == reference.shape
         assert np.abs(basis @ basis.T - np.eye(len(basis))).max() <= 1e-12
         assert np.abs(basis.T @ basis - reference.T @ reference).max() <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_gauge_vectors_equal_the_reference_loop(self, d):
+        rng = np.random.default_rng(d)
+        cases = [np.zeros((1, d)), np.zeros((3, d))]
+        for n in range(1, 8):
+            cases += [
+                rng.normal(size=(n, d)),
+                rng.integers(-3, 4, size=(n, d)).astype(float),  # zeros and signs
+                rng.normal(size=d) + np.outer(rng.normal(size=n), rng.normal(size=d)),  # collinear
+                np.tile(rng.normal(size=(1, d)), (n, 1)),  # coincident
+            ]
+        for points in cases:
+            assert numeric._gauge_vectors(points).tobytes() == reference_gauge_vectors(points).tobytes()
 
     def test_two_svds_a_step(self, monkeypatch):
         # three for the start's tangent_frame, then one for the corrector's
