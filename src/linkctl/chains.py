@@ -15,14 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    CoincidentEndpoints,
-    DegenerateDirection,
-    EmptyChain,
-    InvalidSpec,
-    NotAligned,
-    OutOfRange,
-)
+from .errors import DegenerateDirection, InvalidSpec
 from .model import Configuration, Linkage, MechanismType, SubspaceBasis, check_real
 
 __all__ = [
@@ -63,7 +56,7 @@ class ChainSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "lengths", tuple(float(x) for x in self.lengths))
         if not self.lengths:
-            raise EmptyChain("chain needs at least one link")
+            raise InvalidSpec("chain needs at least one link")
         if not all(math.isfinite(x) and x > 0 for x in self.lengths):
             raise InvalidSpec("link lengths must be positive and finite")
         if self.ambient_dim not in (2, 3):
@@ -111,11 +104,11 @@ def workspace_interval(lengths: Sequence[float]) -> tuple[float, float]:
 
     M is the total length; m is 2*max(l) - M clamped at zero (the longest
     link against everything else folded back).  Raises InvalidSpec unless
-    every length is positive and finite.
+    there is a length and every length is positive and finite.
     """
     ls = [float(x) for x in lengths]
     if not ls:
-        raise EmptyChain("workspace_interval needs at least one link")
+        raise InvalidSpec("workspace_interval needs at least one link")
     if not all(math.isfinite(x) and x > 0 for x in ls):
         raise InvalidSpec("link lengths must be positive and finite")
     total = sum(ls)
@@ -142,15 +135,14 @@ def is_aligned(config: Configuration | np.ndarray, tol: float = 1e-6) -> Optiona
 
     Links may point forward (+w) or backward (-w); "aligned" means collinear
     within angular tolerance ``tol``.  For a closed chain, pass its points
-    with the first repeated at the end.  Raises EmptyChain on fewer than two
-    points, DegenerateDirection on a link shorter than 1e-12 * (1 + the
-    summed link lengths), and InvalidSpec unless tol is finite, >= 0 and
-    below pi/2.
+    with the first repeated at the end.  Raises DegenerateDirection on a link
+    shorter than 1e-12 * (1 + the summed link lengths), and InvalidSpec on
+    fewer than two points or unless tol is finite, >= 0 and below pi/2.
     """
     _check_angle(tol, "tol")
     points = _chain_points(config)
     if len(points) < 2:
-        raise EmptyChain("is_aligned needs at least one link")
+        raise InvalidSpec("is_aligned needs at least one link")
     vecs = np.diff(points, axis=0)
     norms = np.linalg.norm(vecs, axis=1)
     if np.any(norms < 1e-12 * (1.0 + norms.sum())):
@@ -167,11 +159,11 @@ def forward_count(config: Configuration | np.ndarray, w: np.ndarray, tol: float 
     """Number of links whose direction has positive inner product with w.
 
     For a closed chain, pass its points with the first repeated at the end.
-    Raises NotAligned unless the chain is aligned within ``tol``.
+    Raises InvalidSpec unless the chain is aligned within ``tol``.
     """
     points = _chain_points(config)
     if is_aligned(points, tol=tol) is None:
-        raise NotAligned("forward_count requires an aligned chain")
+        raise InvalidSpec("forward_count requires an aligned chain")
     return int(np.sum(np.diff(points, axis=0) @ np.asarray(w, dtype=float) > 0.0))
 
 
@@ -180,15 +172,15 @@ def chord_signature(config: Configuration | np.ndarray, tol: float = 1e-6) -> tu
     open chain on its reduced frame: with f of its k links pointing along the
     chord from the first vertex to the last, ((d-1)*(k-f), (d-1)*(f-1)).
 
-    Raises CoincidentEndpoints when the chord is shorter than 1e-12 * (1 +
-    the summed link lengths), and NotAligned (from forward_count) unless the
+    Raises DegenerateDirection when the chord is shorter than 1e-12 * (1 +
+    the summed link lengths), and InvalidSpec (from forward_count) unless the
     chain is aligned within ``tol``.
     """
     points = _chain_points(config)
     chord = points[-1] - points[0]
     rho = float(np.linalg.norm(chord))
     if rho < 1e-12 * (1.0 + np.linalg.norm(np.diff(points, axis=0), axis=1).sum()):
-        raise CoincidentEndpoints("aligned chain chord vanishes")
+        raise DegenerateDirection("aligned chain chord vanishes")
     f = forward_count(points, chord / rho, tol=tol)
     d = points.shape[1]
     return ((d - 1) * (len(points) - 1 - f), (d - 1) * (f - 1))
@@ -213,7 +205,7 @@ def aligned_morse_index(chain: ChainSpec, config: Configuration | np.ndarray) ->
     if points.shape != (chain.n_vertices, chain.ambient_dim):
         raise InvalidSpec("configuration does not match the chain")
     if is_aligned(np.vstack([points, points[:1]])) is None:
-        raise NotAligned("aligned_morse_index requires an aligned configuration")
+        raise InvalidSpec("aligned_morse_index requires an aligned configuration")
     return chord_signature(points)[1]
 
 
@@ -239,7 +231,7 @@ def prismatic_fiber(chain: ChainSpec, ell: float) -> ChainSpec:
         raise InvalidSpec("prismatic_fiber expects a prismatic closed chain")
     lo, hi = chain.prismatic_range  # type: ignore[misc]
     if not (lo - 1e-12 <= ell <= hi + 1e-12):
-        raise OutOfRange(f"length {ell} outside prismatic range [{lo}, {hi}]")
+        raise InvalidSpec(f"length {ell} outside prismatic range [{lo}, {hi}]")
     if ell <= 0.0:
-        raise OutOfRange("fiber length must be positive")
+        raise InvalidSpec("fiber length must be positive")
     return ChainSpec(ChainKind.CLOSED, chain.lengths + (float(ell),), chain.ambient_dim)

@@ -28,7 +28,7 @@ from .decomp import (
     find_smoothness_certificate,
     find_witness_through,
 )
-from .errors import DegenerateDirection, InvalidSpec, NotAPlatform
+from .errors import DegenerateDirection, InvalidSpec
 from .model import Configuration, Linkage, check_match, check_on_constraint, constraint_jacobian
 from .numeric import numerical_rank
 
@@ -230,9 +230,9 @@ def platform_conditions(
     """
     check_match(linkage, config)
     if linkage.platform is None or linkage.ambient_dim != 2:
-        raise NotAPlatform("linkage is not tagged as a planar platform")
+        raise InvalidSpec("linkage is not tagged as a planar platform")
     if len(linkage.platform.branches) != 3:
-        raise NotAPlatform("platform conditions are implemented for three branches")
+        raise InvalidSpec("platform conditions are implemented for three branches")
 
     p = config.points
     aligned_lines: dict[int, tuple[np.ndarray, np.ndarray]] = {}

@@ -12,8 +12,9 @@ Reports are JSON on stdout.  ``analyze`` prints the classification report
 ``notes``: null, or with --branches the ``local_branch_count`` report that
 ``branches`` prints, taken after the classification.  ``analyze`` exits 0
 for Smooth, 10 for GenericSingular, 20 for Indeterminate, 30 for Conflict;
-all commands exit 1 on errors.  The seed comes from --seed, falling back to
-LINKCTL_SEED.
+all commands exit 1 on errors, with the message on stderr.  A bad input
+raises InvalidSpec; any LinkctlError, OSError or ValueError is reported.
+The seed comes from --seed, falling back to LINKCTL_SEED (an integer).
 
 ``--svg`` draws planar linkages only: ``analyze`` and ``sample`` given a
 3-D linkage exit 1 before any work.  ``trace --svg`` plots flat coordinates
@@ -59,7 +60,7 @@ import numpy as np
 from .classify import Verdict, classify_configuration
 from .decomp import Tolerances
 from .demos import DEMO_NAMES, build_demo
-from .errors import LinkctlError
+from .errors import InvalidSpec, LinkctlError
 from .model import Configuration, Linkage, build_linkage, check_match
 from .chains import workspace_interval
 from .numeric import local_branch_count, sample_cspace, trace_curve
@@ -84,7 +85,7 @@ def _load_pair(linkage_path: str, config_path: str) -> tuple[Linkage, Configurat
     try:
         config = Configuration(doc["points"])
     except (KeyError, TypeError) as exc:
-        raise LinkctlError(f"malformed configuration document: {exc}") from exc
+        raise InvalidSpec(f"malformed configuration document: {exc}") from exc
     check_match(linkage, config)
     return linkage, config
 
@@ -92,7 +93,7 @@ def _load_pair(linkage_path: str, config_path: str) -> tuple[Linkage, Configurat
 def _check_planar_svg(args: argparse.Namespace, linkage: Linkage) -> None:
     """Fail before any work when --svg asks to draw a non-planar linkage."""
     if args.svg and linkage.ambient_dim != 2:
-        raise LinkctlError("SVG rendering is implemented for planar linkages")
+        raise InvalidSpec("SVG rendering is implemented for planar linkages")
 
 
 def _emit(obj) -> None:
@@ -112,7 +113,10 @@ def _seed(args: argparse.Namespace) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("LINKCTL_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise InvalidSpec(f"LINKCTL_SEED must be an integer, got {env!r}") from None
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -162,7 +166,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     py = free * linkage.ambient_dim + 1 if args.py is None else args.py
     coords = config.flat.size
     if args.svg and not (0 <= px < coords and 0 <= py < coords):
-        raise LinkctlError(f"--px and --py must lie in [0, {coords}), got {px} and {py}")
+        raise InvalidSpec(f"--px and --py must lie in [0, {coords}), got {px} and {py}")
     result = trace_curve(
         linkage,
         config,
@@ -187,10 +191,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _two_anchor_chains(linkage: Linkage) -> tuple[np.ndarray, list[float], np.ndarray, list[float]]:
     """Split a cycle with a ground edge into the two anchor-to-effector chains."""
     if linkage.base_link is None or linkage.end_effector is None:
-        raise LinkctlError("workspace of a linkage needs base_link and effector")
+        raise InvalidSpec("workspace of a linkage needs base_link and effector")
     graph = linkage.graph
     if not graph.is_connected() or any(graph.degree(v) != 2 for v in range(linkage.n_vertices)):
-        raise LinkctlError("lens workspace is implemented for cycle mechanisms")
+        raise InvalidSpec("lens workspace is implemented for cycle mechanisms")
     u, v = linkage.graph.edges[linkage.base_link]
     ground = linkage.lengths[linkage.base_link]
 
@@ -221,7 +225,7 @@ def _cmd_workspace(args: argparse.Namespace) -> int:
             svg.render_workspace([(np.zeros(2), m, big)], None, args.svg)
         return 0
     if not args.linkage:
-        raise LinkctlError("workspace needs --lengths or a linkage document")
+        raise InvalidSpec("workspace needs --lengths or a linkage document")
     linkage = build_linkage(_load_json(args.linkage))
     ca, chain_a, cb, chain_b = _two_anchor_chains(linkage)
     ma, fa = workspace_interval(chain_a)
@@ -360,10 +364,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except LinkctlError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (LinkctlError, OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

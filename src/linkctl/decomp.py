@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .chains import _check_angle, chord_signature, is_aligned
-from .errors import DegenerateDirection, DimensionMismatch, InvalidSpec, NoConvergence
+from .errors import DegenerateDirection, InvalidSpec, NoConvergence
 from .model import (
     Configuration,
     Linkage,
@@ -284,7 +284,7 @@ def transversality_check(
     InvalidSpec unless tol_rank is finite and >= 0."""
     check_real(tol_rank, "tol_rank")
     if image_a.ambient_dim != d or image_b.ambient_dim != d:
-        raise DimensionMismatch("image bases must live in the ambient dimension")
+        raise InvalidSpec("image bases must live in the ambient dimension")
     return numerical_rank(np.vstack([image_a.vectors, image_b.vectors]), tol_rank) == d
 
 
@@ -554,9 +554,9 @@ def find_witness_through(
     generically non-transverse stage is itself the witness, a stage whose
     chain is not aligned is followed by the first witness inside its
     remainder within tols.depth - 1 stages, and any other stage gives None.
-    Raises InvalidSpec on a removal that stage_classify rejects,
-    DimensionMismatch on a configuration that does not fit the linkage, and
-    OffConstraint, from the first stage, on one off the constraint set.
+    Raises InvalidSpec on a removal that stage_classify rejects or a
+    configuration that does not fit the linkage, and OffConstraint, from the
+    first stage, on one off the constraint set.
     """
     check_match(linkage, config)
     verdict, hit = _step(_whole(linkage), config, removal, tols.depth, tols, False, {})

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import UnknownDemo
+from .errors import InvalidSpec
 
 __all__ = ["DEMO_NAMES", "build_demo"]
 
@@ -183,5 +183,5 @@ def build_demo(name: str) -> tuple[dict, dict]:
     try:
         builder = _DEMOS[name]
     except KeyError:
-        raise UnknownDemo(f"unknown demo {name!r}; choose from {', '.join(DEMO_NAMES)}") from None
+        raise InvalidSpec(f"unknown demo {name!r}; choose from {', '.join(DEMO_NAMES)}") from None
     return builder()

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A failure keeps a class of its own only where some code catches it apart
+from the others; every other bad input raises InvalidSpec, and the command
+line catches the base class.
+"""
 
 
 class LinkctlError(Exception):
@@ -6,31 +11,18 @@ class LinkctlError(Exception):
 
 
 class InvalidSpec(LinkctlError):
-    """A linkage or chain description violates a structural invariant."""
-
-
-class DimensionMismatch(LinkctlError):
-    """Configuration shape does not match the linkage it is paired with."""
+    """An input breaks a documented rule: a structural invariant, a shape
+    that does not fit, an option out of range or an unknown name."""
 
 
 class DegenerateDirection(LinkctlError):
-    """An operation needed a link direction but the endpoints coincide."""
-
-
-class EmptyChain(LinkctlError):
-    """A chain operation was given no links."""
-
-
-class NotAligned(LinkctlError):
-    """An operation requiring an aligned chain got a non-aligned one."""
-
-
-class OutOfRange(LinkctlError):
-    """A prismatic length lies outside the admissible interval."""
+    """An operation needed a direction but its endpoints coincide;
+    stage_classify and platform_conditions turn it into a reason."""
 
 
 class NoConvergence(LinkctlError):
-    """Iterative projection failed to reach the requested tolerance."""
+    """Iterative projection failed to reach the requested tolerance;
+    stage_classify turns it into a reason and trace_curve into a shorter step."""
 
 
 class NoFeasiblePoint(LinkctlError):
@@ -39,19 +31,3 @@ class NoFeasiblePoint(LinkctlError):
 
 class OffConstraint(LinkctlError):
     """A configuration expected on the constraint set is too far from it."""
-
-
-class NotACurve(LinkctlError):
-    """Continuation started at a point whose local solution set is not a curve."""
-
-
-class CoincidentEndpoints(LinkctlError):
-    """Base and effector occupy the same point; the reduced work data is undefined."""
-
-
-class NotAPlatform(LinkctlError):
-    """Linkage is not tagged as a parallel polygonal platform."""
-
-
-class UnknownDemo(LinkctlError):
-    """Demo name not in the registry."""

@@ -21,7 +21,7 @@ from typing import Container, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateDirection, DimensionMismatch, InvalidSpec, OffConstraint
+from .errors import DegenerateDirection, InvalidSpec, OffConstraint
 
 __all__ = [
     "MechanismType",
@@ -284,9 +284,9 @@ def check_integer(value, name: str, least: int) -> int:
 
 
 def check_match(linkage: Linkage, config: Configuration) -> None:
-    """Raise DimensionMismatch unless config fits the linkage."""
+    """Raise InvalidSpec unless config fits the linkage."""
     if config.n_vertices != linkage.n_vertices or config.dim != linkage.ambient_dim:
-        raise DimensionMismatch(
+        raise InvalidSpec(
             f"configuration shape ({config.n_vertices},{config.dim}) does not match "
             f"linkage ({linkage.n_vertices},{linkage.ambient_dim})"
         )

@@ -23,13 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    CoincidentEndpoints,
-    InvalidSpec,
-    NoConvergence,
-    NoFeasiblePoint,
-    NotACurve,
-)
+from .errors import DegenerateDirection, InvalidSpec, NoConvergence, NoFeasiblePoint
 from .model import (
     Configuration,
     Linkage,
@@ -525,7 +519,7 @@ def reduced_work_data(linkage: Linkage, config: Configuration, tol_rank: float =
     The gradient is the analytic ambient gradient projected onto the frame;
     the Hessian is fd_hessian's retraction-corrected finite difference.
     Raises InvalidSpec when the linkage has no end effector or tol_rank is
-    not finite and >= 0, and CoincidentEndpoints when base and effector lie
+    not finite and >= 0, and DegenerateDirection when base and effector lie
     within 1e-9 * (1 + total length) of each other, the scale of
     stage_classify's coincident_endpoints reason, so the test does not
     depend on where the mechanism sits.
@@ -537,7 +531,7 @@ def reduced_work_data(linkage: Linkage, config: Configuration, tol_rank: float =
     diff = p[eff] - p[base]
     dist = float(np.linalg.norm(diff))
     if dist < 1e-9 * (1.0 + linkage.length_scale):
-        raise CoincidentEndpoints("effector coincides with base; reduced work data undefined")
+        raise DegenerateDirection("effector coincides with base; reduced work data undefined")
 
     frame = tangent_frame(linkage, config, tol_rank)
     unit = diff / dist
@@ -595,7 +589,8 @@ def trace_curve(
     ("stalled_at_singularity").  A flat ``direction`` orients the first
     tangent.  Raises InvalidSpec unless step is positive and finite,
     max_steps is an integer >= 0, tol_rank and detect_tol are finite and
-    >= 0, and direction has N*d finite coordinates.
+    >= 0, direction has N*d finite coordinates, and the reduced tangent
+    space at the projected start is a line.
 
     The loop closes at a point after the tenth step that lies within step/2
     of the start once the rotation its gauge leaves free is taken out
@@ -627,7 +622,7 @@ def trace_curve(
     v = _gauge_fix(linkage, project_to_cspace(linkage, start, tol=_TRACE_TOL))
     frame = tangent_frame(linkage, v, tol_rank)
     if frame.dim != 1:
-        raise NotACurve(f"reduced tangent dimension is {frame.dim}, not 1")
+        raise InvalidSpec(f"reduced tangent dimension is {frame.dim}, not 1")
     tangent = frame.basis[0]
     if direction is not None and float(tangent @ direction) < 0.0:
         tangent = -tangent

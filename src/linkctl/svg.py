@@ -10,6 +10,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .errors import InvalidSpec
 from .model import Configuration, Linkage
 
 __all__ = ["render_linkage", "render_curve", "render_workspace"]
@@ -70,7 +71,7 @@ def render_linkage(
     overlays.
     """
     if linkage.ambient_dim != 2:
-        raise ValueError("SVG rendering is implemented for planar linkages")
+        raise InvalidSpec("SVG rendering is implemented for planar linkages")
     allpts = np.vstack([c.points for c in configs])
     lines, stroke = _open_svg(allpts[:, 0], allpts[:, 1])
     for idx in range(len(configs) - 1, -1, -1):

@@ -1,8 +1,11 @@
-"""The public API's size: every value a caller can leave at its default."""
+"""The public API's size: every value a caller can leave at its default,
+and the error classes every raise names."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
+import pathlib
 
 MODULES = ("model", "chains", "numeric", "decomp", "classify")
 
@@ -36,3 +39,40 @@ def _settable_values() -> list[str]:
 def test_settable_values():
     names = _settable_values()
     assert len(names) == SETTABLE_VALUES, "\n".join(names)
+
+
+# One class per way code handles a failure; a new class is added here by the
+# change that adds it, naming its handler.
+ERROR_CLASSES = {
+    "LinkctlError",  # caught by cli.main
+    "InvalidSpec",  # every bad input
+    "DegenerateDirection",  # caught by decomp.stage_classify and classify.platform_conditions
+    "NoConvergence",  # caught by decomp.stage_classify and numeric.trace_curve
+    "NoFeasiblePoint",  # caught by the benchmark's sample workload
+    "OffConstraint",  # caught by tests/test_decomp.py's _valid_poses filter
+}
+
+
+def test_error_classes():
+    errors = importlib.import_module("linkctl.errors")
+    classes = inspect.getmembers(errors, inspect.isclass)
+    defined = {name: obj for name, obj in classes if obj.__module__ == errors.__name__}
+    assert set(defined) == ERROR_CLASSES
+    assert all(issubclass(obj, errors.LinkctlError) for obj in defined.values())
+
+
+def test_every_raise_names_a_concrete_error_class():
+    """No module raises the base class, a builtin or a bare re-raise; the one
+    exception is Configuration's immutability guard."""
+    allowed = ERROR_CLASSES - {"LinkctlError"}
+    package = pathlib.Path(importlib.import_module("linkctl").__file__).parent
+    stray = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = exc.id if isinstance(exc, ast.Name) else ast.unparse(exc) if exc else "raise"
+                if name not in allowed:
+                    stray.append(f"{path.name}:{node.lineno} {name}")
+    assert [entry.split()[1] for entry in stray] == ["AttributeError"], stray
+    assert stray[0].startswith("model.py:")

@@ -12,7 +12,7 @@ from linkctl.classify import (
 )
 from linkctl.chains import is_aligned
 from linkctl.decomp import StageVerdictKind, Tolerances, find_nontransversive_witness
-from linkctl.errors import DegenerateDirection, InvalidSpec, NotAPlatform, OffConstraint
+from linkctl.errors import DegenerateDirection, InvalidSpec, OffConstraint
 from linkctl.model import Configuration, Linkage, MechanismType, build_linkage
 from linkctl.numeric import numerical_rank, sample_cspace
 from linkctl.model import constraint_jacobian
@@ -180,7 +180,7 @@ class TestLinesConcurrent:
 
 class TestPlatform:
     def test_untagged_linkage_rejected(self, fb, fb_node):
-        with pytest.raises(NotAPlatform):
+        with pytest.raises(InvalidSpec, match="not tagged as a planar platform"):
             platform_conditions(fb, fb_node)
 
     # tri-platform-a's branches are edges (6, 7), (8, 9) and (10, 11), each
@@ -188,7 +188,7 @@ class TestPlatform:
     @pytest.mark.parametrize(
         "branches, error, message",
         [
-            ([[6, 7], [8, 9]], NotAPlatform, "three branches"),
+            ([[6, 7], [8, 9]], InvalidSpec, "three branches"),
             ([[7, 6], [8, 9], [10, 11]], InvalidSpec, "does not start at a fixed-platform vertex"),
             ([[6, 9], [8, 9], [10, 11]], InvalidSpec, "do not form a path"),
         ],

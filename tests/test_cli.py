@@ -12,6 +12,7 @@ import linkctl
 from linkctl.cli import _build_parser, main
 from linkctl.decomp import Tolerances
 from linkctl.demos import DEMO_NAMES, build_demo
+from linkctl.errors import InvalidSpec
 from linkctl.model import Configuration, build_linkage
 from linkctl import svg
 
@@ -75,6 +76,7 @@ class TestDemoCommand:
     def test_unknown_demo(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(["demo", "nope"]) == 1
+        assert capsys.readouterr().err.startswith("error: unknown demo 'nope'; choose from egsing, ")
 
     def test_all_demos_build(self):
         for name in DEMO_NAMES:
@@ -128,6 +130,15 @@ class TestAnalyzeCommand:
         assert code == 1
         assert captured.out == ""
         assert captured.err == "error: malformed configuration document: 'points'\n"
+
+    def test_configuration_of_the_wrong_shape_exits_1(self, demo_files, capsys):
+        lp, cp = demo_files("four-bar-singular")
+        Path(cp).write_text(json.dumps({"points": [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]}))
+        code = main(["analyze", lp, cp])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: configuration shape (3,2) does not match linkage (4,2)\n"
 
     def test_depth_zero_is_indeterminate(self, demo_files, capsys):
         lp, cp = demo_files("four-bar-singular")
@@ -221,7 +232,7 @@ class TestPlanarSvg:
     def test_library_rejects_a_3d_linkage(self, tmp_path):
         linkage = build_linkage({"dim": 3, "vertices": 2, "edges": [{"u": 0, "v": 1, "length": 1.0}]})
         config = Configuration([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        with pytest.raises(ValueError, match="planar linkages"):
+        with pytest.raises(InvalidSpec, match="SVG rendering is implemented for planar linkages"):
             svg.render_linkage(linkage, [config], str(tmp_path / "out.svg"))
         assert not (tmp_path / "out.svg").exists()
 
@@ -424,6 +435,17 @@ class TestBranchesCommand:
         assert code == 1
         assert captured.out == ""
         assert captured.err == "error: seed must be an integer >= 0, got -1\n"
+
+    @pytest.mark.parametrize("command", ["branches", "sample"])
+    def test_non_integer_seed_variable_exits_1(self, demo_files, capsys, monkeypatch, command):
+        # the message was int()'s, which does not name the variable
+        lp, cp = demo_files("four-bar-singular")
+        monkeypatch.setenv("LINKCTL_SEED", "abc")
+        code = main([command, *([lp, cp] if command == "branches" else [lp])])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: LINKCTL_SEED must be an integer, got 'abc'\n"
 
     def test_edgeless_linkage(self, edgeless_files, capsys):
         lp, cp = edgeless_files

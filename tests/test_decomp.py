@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
@@ -20,7 +21,6 @@ from linkctl.decomp import (
 from linkctl.chains import is_aligned
 from linkctl.errors import (
     DegenerateDirection,
-    DimensionMismatch,
     InvalidSpec,
     NoConvergence,
     OffConstraint,
@@ -138,7 +138,7 @@ class TestTransversalityCheck:
     def test_dimension_mismatch(self):
         a = SubspaceBasis(2, np.array([[1.0, 0.0]]))
         b = SubspaceBasis(3, np.array([[1.0, 0.0, 0.0]]))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidSpec, match="image bases must live in the ambient dimension"):
             transversality_check(a, b, 2)
 
     def test_two_aligned_chains_share_an_image(self):
@@ -233,7 +233,7 @@ class TestStageClassify:
     def test_configuration_too_short(self, entry):
         # find_witness_through raised numpy's IndexError from the restriction
         short = Configuration(four_bar_node().points[:3])
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidSpec, match="does not match linkage"):
             entry(four_bar(), short, _removal_of(four_bar(), {2, 3}))
 
 
@@ -410,6 +410,33 @@ class TestWitnessSearch:
         for doc in (witness.to_json_dict(), witness.decomposition.to_json_dict()):
             assert doc["stages"]
             assert json.loads(json.dumps(doc)) == doc
+
+    # stage_classify and reduced_work_data calls of one search at each demo's
+    # configuration with the default tolerances; a change to the search's
+    # order or pruning moves them
+    @pytest.mark.parametrize(
+        "name, stages, work_data",
+        [
+            ("egsing", 10, 5),
+            ("five-bar", 20, 0),
+            ("four-bar-regular", 12, 0),
+            ("four-bar-singular", 1, 1),
+            ("tri-platform-a", 1, 1),
+            ("tri-platform-b", 1, 1),
+        ],
+    )
+    def test_stage_and_work_data_counts(self, monkeypatch, name, stages, work_data):
+        counts = Counter()
+        for fn in ("stage_classify", "reduced_work_data"):
+
+            def counted(*args, _fn=getattr(decomp, fn), _name=fn, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(decomp, fn, counted)
+        linkage_doc, config_doc = build_demo(name)
+        find_nontransversive_witness(build_linkage(linkage_doc), Configuration(config_doc["points"]))
+        assert (counts["stage_classify"], counts["reduced_work_data"]) == (stages, work_data)
 
 
 class TestCertificateSearch:
