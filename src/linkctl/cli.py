@@ -13,7 +13,9 @@ Reports are JSON on stdout.  ``analyze`` prints the classification report
 ``branches`` prints, taken after the classification.  ``analyze`` exits 0
 for Smooth, 10 for GenericSingular, 20 for Indeterminate, 30 for Conflict;
 all commands exit 1 on errors, with the message on stderr.  A bad input
-raises InvalidSpec; any LinkctlError, OSError or ValueError is reported.
+raises InvalidSpec, and only LinkctlError and OSError are reported: a file
+that is not JSON, ragged or non-numeric points and a non-numeric --lengths
+entry each raise InvalidSpec naming the file or the option.
 The seed comes from --seed, falling back to LINKCTL_SEED (an integer).
 
 ``--svg`` draws planar linkages only: ``analyze`` and ``sample`` given a
@@ -76,7 +78,10 @@ _EXIT_BY_VERDICT = {
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise InvalidSpec(f"{path} is not a JSON document: {exc}") from None
 
 
 def _load_pair(linkage_path: str, config_path: str) -> tuple[Linkage, Configuration]:
@@ -86,6 +91,8 @@ def _load_pair(linkage_path: str, config_path: str) -> tuple[Linkage, Configurat
         config = Configuration(doc["points"])
     except (KeyError, TypeError) as exc:
         raise InvalidSpec(f"malformed configuration document: {exc}") from exc
+    except ValueError as exc:  # ragged or non-numeric points
+        raise InvalidSpec(f"{config_path}: points must be an (N, d) array of numbers ({exc})") from None
     check_match(linkage, config)
     return linkage, config
 
@@ -218,7 +225,10 @@ def _two_anchor_chains(linkage: Linkage) -> tuple[np.ndarray, list[float], np.nd
 
 def _cmd_workspace(args: argparse.Namespace) -> int:
     if args.lengths:
-        lengths = [float(x) for x in args.lengths.split(",") if x]
+        try:
+            lengths = [float(x) for x in args.lengths.split(",") if x]
+        except ValueError:
+            raise InvalidSpec(f"--lengths must be comma-separated numbers, got {args.lengths!r}") from None
         m, big = workspace_interval(lengths)
         _emit({"m": m, "M": big})
         if args.svg:
@@ -364,7 +374,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (LinkctlError, OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+    except (LinkctlError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

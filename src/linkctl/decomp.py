@@ -49,7 +49,7 @@ from .model import (
     check_real,
     constraint_jacobian,
 )
-from .numeric import numerical_rank, reduced_work_data, work_image
+from .numeric import _gauge_frame, _null_space, _work_image, numerical_rank, reduced_work_data, work_image
 
 __all__ = [
     "Tolerances",
@@ -321,7 +321,9 @@ def stage_classify(
 
     psi = config.points[ends[1]] - config.points[ends[0]]
     scale = 1.0 + max(gamma_prime.length_scale, lam.length_scale)
-    img_remainder = work_image(gamma_prime, v_prime, tols.rank)
+    # the remainder's work image, rank and reduced frame all come from this one SVD
+    null_rem = _null_space(gamma_prime, v_prime, tols.rank)[1]
+    img_remainder = _work_image(gamma_prime, null_rem, tols.rank)
     img_chain = work_image(lam, v_k, tols.rank)
     aligned = None
     try:
@@ -338,8 +340,7 @@ def stage_classify(
     if float(np.linalg.norm(psi)) < 1e-9 * scale:
         reasons.append("coincident_endpoints")
 
-    rank_rem = numerical_rank(constraint_jacobian(gamma_prime, v_prime), tols.rank)
-    if rank_rem < gamma_prime.k:
+    if gamma_prime.n_vertices * d - len(null_rem) < gamma_prime.k:
         reasons.append("remainder_rank_deficient")
 
     grad_norm = None
@@ -347,7 +348,7 @@ def stage_classify(
     rem_sig = None
     if "coincident_endpoints" not in reasons:
         try:
-            data = reduced_work_data(gamma_prime, v_prime, tol_rank=tols.rank)
+            data = reduced_work_data(gamma_prime, _gauge_frame(v_prime, null_rem), tol_rank=tols.rank)
         except NoConvergence:
             # a retraction of the finite-difference Hessian stalled
             reasons.append("hessian_no_convergence")

@@ -3,10 +3,11 @@ sampling, tangent frames, a finite-difference Hessian, reduced work data,
 pseudo-arclength continuation, and local branch counting.
 
 Tangent frames, work images and traced points read the constraint Jacobian's
-null space off one SVD per configuration, taken in ``_null_space``.  Every
-tangent frame is reduced: rigid translations and rotations are projected out,
-by a second SVD in ``tangent_frame`` and in closed form (``_gauge_basis``) at
-a traced point, whose corrector takes one more SVD.
+null space off one SVD per configuration, taken in ``_null_space``; a stage
+reads its remainder's rank, work image and frame off one.  Every tangent
+frame is reduced: rigid translations and rotations are projected out, by
+``_gauge_frame``'s smaller SVDs, and in closed form (``_gauge_basis``) at a
+traced point, whose corrector takes one more SVD.
 
 All stochastic operations are pure functions of (inputs, seed): every sample
 draws from its own substream keyed by (seed, index).  Every numeric option
@@ -445,17 +446,24 @@ def _work_ends(linkage: Linkage) -> tuple[int, int]:
     return linkage.base_vertex, linkage.end_effector
 
 
+def _work_image(linkage: Linkage, null: np.ndarray, tol_rank: float) -> SubspaceBasis:
+    """work_image read off the null rows that _null_space gives at the configuration."""
+    base, effector = _work_ends(linkage)
+    d = linkage.ambient_dim
+    fields = null.reshape(-1, linkage.n_vertices, d)
+    rows = fields[:, effector, :] - fields[:, base, :]
+    return SubspaceBasis(d, _orthonormal_rows(rows, rel_tol=max(tol_rank, 1e-9)))
+
+
 def work_image(linkage: Linkage, config: Configuration, tol_rank: float = 1e-8) -> SubspaceBasis:
     """Image over the constraint null space of the differential of the linkage's
     base-to-end-effector displacement.  No gauge is removed: translations lie in
     the null space and map to 0, so this is the image over the pointed tangent.
-    Raises InvalidSpec without an end effector or unless tol_rank is finite and >= 0."""
-    base, effector = _work_ends(linkage)
+    It takes one _null_space SVD.  Raises InvalidSpec without an end effector
+    or unless tol_rank is finite and >= 0."""
+    _work_ends(linkage)
     check_real(tol_rank, "tol_rank")
-    d = linkage.ambient_dim
-    fields = _null_space(linkage, config, tol_rank)[1].reshape(-1, linkage.n_vertices, d)
-    rows = fields[:, effector, :] - fields[:, base, :]
-    return SubspaceBasis(d, _orthonormal_rows(rows, rel_tol=max(tol_rank, 1e-9)))
+    return _work_image(linkage, _null_space(linkage, config, tol_rank)[1], tol_rank)
 
 
 def _retract(linkage: Linkage, flat: np.ndarray, tol_rank: float) -> Configuration:
@@ -512,28 +520,28 @@ def fd_hessian(
     return hess
 
 
-def reduced_work_data(linkage: Linkage, config: Configuration, tol_rank: float = 1e-8) -> WorkData:
+def reduced_work_data(linkage: Linkage, frame: TangentFrame, tol_rank: float = 1e-8) -> WorkData:
     """Gradient and Hessian of the distance from the linkage's base vertex to
-    its end effector, on the reduced frame.
+    its end effector, on a tangent frame of the linkage at its configuration.
 
     The gradient is the analytic ambient gradient projected onto the frame;
     the Hessian is fd_hessian's retraction-corrected finite difference.
-    Raises InvalidSpec when the linkage has no end effector or tol_rank is
-    not finite and >= 0, and DegenerateDirection when base and effector lie
-    within 1e-9 * (1 + total length) of each other, the scale of
-    stage_classify's coincident_endpoints reason, so the test does not
-    depend on where the mechanism sits.
+    Raises InvalidSpec when the linkage has no end effector, tol_rank is not
+    finite and >= 0 or the frame's configuration does not fit the linkage,
+    and DegenerateDirection when base and effector lie within
+    1e-9 * (1 + total length) of each other, the scale of stage_classify's
+    coincident_endpoints reason, so the test does not depend on where the
+    mechanism sits.
     """
     base, eff = _work_ends(linkage)
     check_real(tol_rank, "tol_rank")
-    check_match(linkage, config)
-    p = config.points
+    check_match(linkage, frame.base_config)
+    p = frame.base_config.points
     diff = p[eff] - p[base]
     dist = float(np.linalg.norm(diff))
     if dist < 1e-9 * (1.0 + linkage.length_scale):
         raise DegenerateDirection("effector coincides with base; reduced work data undefined")
 
-    frame = tangent_frame(linkage, config, tol_rank)
     unit = diff / dist
     amb = np.zeros_like(p)
     amb[eff] += unit

@@ -124,7 +124,8 @@ def test_criterion_3_morse_index_oracle():
         spec, pts, _ = aligned_closed_chain(rng, d=d)
         combinatorial = aligned_morse_index(spec, pts)
         open_spec = ChainSpec(ChainKind.OPEN, spec.lengths[:-1], d)
-        data = reduced_work_data(open_spec.to_linkage(), Configuration(pts))
+        linkage = open_spec.to_linkage()
+        data = reduced_work_data(linkage, tangent_frame(linkage, Configuration(pts)))
         eigs = np.linalg.eigvalsh(data.hessian)
         threshold = 1e-6 * max(np.max(np.abs(eigs)), 1e-12)
         negatives = int(np.sum(eigs < -threshold))

@@ -16,7 +16,7 @@ from linkctl.chains import (
 )
 from linkctl.errors import DegenerateDirection, InvalidSpec
 from linkctl.model import Configuration
-from linkctl.numeric import reduced_work_data, sample_cspace
+from linkctl.numeric import reduced_work_data, sample_cspace, tangent_frame
 
 from conftest import aligned_closed_chain, four_bar_node, random_open_chain, reach_oracle
 
@@ -130,7 +130,8 @@ class TestAlignedMorseIndex:
         pts = np.array([[0.0, 0], [2, 0], [3, 0], [4.5, 0]])
         assert aligned_morse_index(spec, pts) == 2
         open_spec = ChainSpec(ChainKind.OPEN, lengths)
-        data = reduced_work_data(open_spec.to_linkage(), Configuration(pts))
+        linkage = open_spec.to_linkage()
+        data = reduced_work_data(linkage, tangent_frame(linkage, Configuration(pts)))
         eigs = np.linalg.eigvalsh(data.hessian)
         assert np.all(eigs < -1e-6)
 
@@ -142,7 +143,8 @@ class TestAlignedMorseIndex:
             spec, pts, _ = aligned_closed_chain(rng, d=d)
             combinatorial = aligned_morse_index(spec, pts)
             open_spec = ChainSpec(ChainKind.OPEN, spec.lengths[:-1], d)
-            data = reduced_work_data(open_spec.to_linkage(), Configuration(pts))
+            linkage = open_spec.to_linkage()
+            data = reduced_work_data(linkage, tangent_frame(linkage, Configuration(pts)))
             eigs = np.linalg.eigvalsh(data.hessian)
             thr = 1e-6 * max(np.max(np.abs(eigs)), 1e-12)
             assert combinatorial == int(np.sum(eigs < -thr))
@@ -178,7 +180,8 @@ class TestChordSignature:
             d = 2 if checked % 3 else 3
             spec, pts, _ = aligned_closed_chain(rng, d=d)
             open_spec = ChainSpec(ChainKind.OPEN, spec.lengths[:-1], d)
-            data = reduced_work_data(open_spec.to_linkage(), Configuration(pts))
+            linkage = open_spec.to_linkage()
+            data = reduced_work_data(linkage, tangent_frame(linkage, Configuration(pts)))
             eigs = np.linalg.eigvalsh(data.hessian)
             thr = 1e-6 * max(np.max(np.abs(eigs)), 1e-12)
             assert chord_signature(pts) == (int(np.sum(eigs > thr)), int(np.sum(eigs < -thr)))

@@ -140,6 +140,38 @@ class TestAnalyzeCommand:
         assert captured.out == ""
         assert captured.err == "error: configuration shape (3,2) does not match linkage (4,2)\n"
 
+    @pytest.mark.parametrize(
+        "points, cause",
+        [
+            ([[0.0, 0.0], ["a", 0.0], [1.0, 1.0], [0.0, 1.0]], "could not convert string to float"),
+            ([[0.0, 0.0], [1.0], [1.0, 1.0], [0.0, 1.0]], "inhomogeneous"),
+        ],
+        ids=["string", "ragged"],
+    )
+    def test_points_that_are_not_numbers_exit_1(self, demo_files, capsys, points, cause):
+        lp, cp = demo_files("four-bar-singular")
+        Path(cp).write_text(json.dumps({"points": points}))
+        code = main(["analyze", lp, cp])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {cp}: points must be an (N, d) array of numbers (")
+        assert cause in captured.err
+
+    @pytest.mark.parametrize(
+        "content, cause",
+        [(b"{not json", "Expecting property name"), (b"\xff{}", "'utf-8' codec can't decode")],
+        ids=["syntax", "not-utf-8"],
+    )
+    def test_configuration_that_is_not_json_exits_1(self, demo_files, capsys, content, cause):
+        lp, cp = demo_files("four-bar-singular")
+        Path(cp).write_bytes(content)
+        code = main(["analyze", lp, cp])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {cp} is not a JSON document: {cause}")
+
     def test_depth_zero_is_indeterminate(self, demo_files, capsys):
         lp, cp = demo_files("four-bar-singular")
         code, out = run(capsys, "analyze", lp, cp, "--depth", "0")
@@ -352,6 +384,14 @@ class TestWorkspaceCommand:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("error: link lengths must be positive and finite")
+
+    def test_non_numeric_length_exits_1(self, capsys):
+        # float()'s own message named neither the option nor the bad entry's place
+        code = main(["workspace", "--lengths", "2,a"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: --lengths must be comma-separated numbers, got '2,a'\n"
 
     @pytest.mark.parametrize(
         "drop, message",

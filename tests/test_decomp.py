@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import linkctl.decomp as decomp
+import linkctl.numeric as numeric
 from linkctl.decomp import (
     StageVerdict,
     StageVerdictKind,
@@ -411,32 +412,45 @@ class TestWitnessSearch:
             assert doc["stages"]
             assert json.loads(json.dumps(doc)) == doc
 
-    # stage_classify and reduced_work_data calls of one search at each demo's
-    # configuration with the default tolerances; a change to the search's
-    # order or pruning moves them
-    @pytest.mark.parametrize(
-        "name, stages, work_data",
-        [
-            ("egsing", 10, 5),
-            ("five-bar", 20, 0),
-            ("four-bar-regular", 12, 0),
-            ("four-bar-singular", 1, 1),
-            ("tri-platform-a", 1, 1),
-            ("tri-platform-b", 1, 1),
-        ],
-    )
-    def test_stage_and_work_data_counts(self, monkeypatch, name, stages, work_data):
-        counts = Counter()
-        for fn in ("stage_classify", "reduced_work_data"):
+    # stage_classify, reduced_work_data, _null_space and numerical_rank calls
+    # of one search at each demo's configuration with the default tolerances;
+    # a change to the search's order or pruning moves them.  A stage takes two
+    # null spaces (remainder and chain) and one rank (transversality): its
+    # remainder's rank and reduced frame come from the remainder's null space.
+    _SEARCH_COUNTS = [
+        ("egsing", 10, 5, 20, 10),
+        ("five-bar", 20, 0, 40, 20),
+        ("four-bar-regular", 12, 0, 24, 12),
+        ("four-bar-singular", 1, 1, 2, 1),
+        ("tri-platform-a", 1, 1, 2, 1),
+        ("tri-platform-b", 1, 1, 2, 1),
+    ]
 
-            def counted(*args, _fn=getattr(decomp, fn), _name=fn, **kwargs):
+    @pytest.mark.parametrize(
+        "name, stages, work_data, null_spaces, ranks",
+        _SEARCH_COUNTS,
+        ids=[f"{name}-{stages}-{work_data}" for name, stages, work_data, _, _ in _SEARCH_COUNTS],
+    )
+    def test_stage_and_work_data_counts(self, monkeypatch, name, stages, work_data, null_spaces, ranks):
+        counts = Counter()
+        for module, fn in (
+            (decomp, "stage_classify"),
+            (decomp, "reduced_work_data"),
+            (decomp, "numerical_rank"),
+            (decomp, "_null_space"),
+            (numeric, "_null_space"),
+        ):
+
+            def counted(*args, _fn=getattr(module, fn), _name=fn, **kwargs):
                 counts[_name] += 1
                 return _fn(*args, **kwargs)
 
-            monkeypatch.setattr(decomp, fn, counted)
+            monkeypatch.setattr(module, fn, counted)
         linkage_doc, config_doc = build_demo(name)
         find_nontransversive_witness(build_linkage(linkage_doc), Configuration(config_doc["points"]))
-        assert (counts["stage_classify"], counts["reduced_work_data"]) == (stages, work_data)
+        assert (
+            counts["stage_classify"], counts["reduced_work_data"], counts["_null_space"], counts["numerical_rank"]
+        ) == (stages, work_data, null_spaces, ranks)
 
 
 class TestCertificateSearch:

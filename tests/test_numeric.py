@@ -567,20 +567,29 @@ class TestReducedWorkData:
     def test_nonzero_gradient_off_alignment(self):
         pts = np.array([[0.0, 0], [2, 0], [2, 1]])
         linkage = ChainSpec(ChainKind.OPEN, (2.0, 1.0), 2).to_linkage()
-        data = reduced_work_data(linkage, Configuration(pts))
+        frame = tangent_frame(linkage, Configuration(pts))
+        data = reduced_work_data(linkage, frame)
+        assert data.frame is frame
         assert np.linalg.norm(data.gradient) > 1e-3
 
     def test_zero_gradient_when_aligned(self):
         pts = np.array([[0.0, 0], [2, 0], [3, 0]])
         linkage = ChainSpec(ChainKind.OPEN, (2.0, 1.0), 2).to_linkage()
-        data = reduced_work_data(linkage, Configuration(pts))
+        data = reduced_work_data(linkage, tangent_frame(linkage, Configuration(pts)))
         assert np.linalg.norm(data.gradient) < 1e-6
+
+    def test_frame_of_another_linkage_rejected(self):
+        linkage = ChainSpec(ChainKind.OPEN, (2.0, 1.0), 2).to_linkage()
+        single = ChainSpec(ChainKind.OPEN, (2.0,), 2).to_linkage()
+        frame = tangent_frame(single, Configuration([(0.0, 0.0), (2.0, 0.0)]))
+        with pytest.raises(InvalidSpec, match="does not match linkage"):
+            reduced_work_data(linkage, frame)
 
     def test_coincident_endpoints(self):
         pts = np.array([[0.0, 0], [1, 0], [0, 0]])
         linkage = ChainSpec(ChainKind.OPEN, (1.0, 1.0), 2).to_linkage()
         with pytest.raises(DegenerateDirection, match="effector coincides with base"):
-            reduced_work_data(linkage, Configuration(pts))
+            reduced_work_data(linkage, tangent_frame(linkage, Configuration(pts)))
 
     @pytest.mark.parametrize("shift", [(0.0, 0.0), (100.0, 100.0), (1e4, 1e4)])
     def test_near_coincident_endpoints_at_any_translation(self, shift):
@@ -589,7 +598,7 @@ class TestReducedWorkData:
         pts = np.array([[0.0, 0.0], [gap / 2, np.sqrt(1.0 - gap**2 / 4)], [gap, 0.0]]) + shift
         lengths = tuple(np.linalg.norm(np.diff(pts, axis=0), axis=1))
         linkage = ChainSpec(ChainKind.OPEN, lengths, 2).to_linkage()
-        data = reduced_work_data(linkage, Configuration(pts))
+        data = reduced_work_data(linkage, tangent_frame(linkage, Configuration(pts)))
         assert np.linalg.norm(data.gradient) == pytest.approx(np.sqrt(2.0), rel=1e-3)
 
     def test_gradient_matches_fd(self):
@@ -599,7 +608,7 @@ class TestReducedWorkData:
             lengths = tuple(np.linalg.norm(np.diff(pts, axis=0), axis=1))
             linkage = ChainSpec(ChainKind.OPEN, lengths, 2).to_linkage()
             cfg = Configuration(pts)
-            data = reduced_work_data(linkage, cfg)
+            data = reduced_work_data(linkage, tangent_frame(linkage, cfg))
 
             def f(c):
                 return float(np.linalg.norm(c.points[-1] - c.points[0]))
@@ -1046,7 +1055,7 @@ def _tol_rank_calls():
         "tangent_frame": lambda t: tangent_frame(fb, node, tol_rank=t),
         "work_image": lambda t: work_image(fb, node, tol_rank=t),
         "fd_hessian": lambda t: fd_hessian(fb, lambda c: 0.0, frame, tol_rank=t),
-        "reduced_work_data": lambda t: reduced_work_data(chain, bent, tol_rank=t),
+        "reduced_work_data": lambda t: reduced_work_data(chain, tangent_frame(chain, bent), tol_rank=t),
         "transversality_check": lambda t: transversality_check(image, image, 2, tol_rank=t),
     }
 
