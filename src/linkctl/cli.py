@@ -15,7 +15,9 @@ for Smooth, 10 for GenericSingular, 20 for Indeterminate, 30 for Conflict;
 all commands exit 1 on errors, with the message on stderr.  A bad input
 raises InvalidSpec, and only LinkctlError and OSError are reported: a file
 that is not JSON, ragged or non-numeric points and a non-numeric --lengths
-entry each raise InvalidSpec naming the file or the option.
+entry each raise InvalidSpec naming the file or the option, and a JSON
+integer too large for a float raises it naming the file (as a coordinate)
+or the edge (as a length).
 The seed comes from --seed, falling back to LINKCTL_SEED (an integer).
 
 ``--svg`` draws planar linkages only: ``analyze`` and ``sample`` given a
@@ -91,7 +93,7 @@ def _load_pair(linkage_path: str, config_path: str) -> tuple[Linkage, Configurat
         config = Configuration(doc["points"])
     except (KeyError, TypeError) as exc:
         raise InvalidSpec(f"malformed configuration document: {exc}") from exc
-    except ValueError as exc:  # ragged or non-numeric points
+    except (ValueError, OverflowError) as exc:  # ragged, non-numeric or too large points
         raise InvalidSpec(f"{config_path}: points must be an (N, d) array of numbers ({exc})") from None
     check_match(linkage, config)
     return linkage, config

@@ -330,8 +330,8 @@ def build_linkage(doc: Mapping) -> Linkage:
     for i, e in enumerate(edge_docs):
         try:
             edges.append((_integer(e["u"], f"edge {i} u"), _integer(e["v"], f"edge {i} v")))
-            lengths.append(float(e["length"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            lengths.append(float(e["length"]))  # OverflowError for an int too large for a float
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidSpec(f"malformed edge {i}: {exc}") from exc
         if "prismatic" in e:
             raise InvalidSpec(

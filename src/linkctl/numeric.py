@@ -2,6 +2,11 @@
 sampling, tangent frames, a finite-difference Hessian, reduced work data,
 pseudo-arclength continuation, and local branch counting.
 
+Gauss-Newton's Armijo line search takes the full step's residual and tests
+every shorter step on the residual's exact quadratic along the step
+(``_shorter_step``), so it builds no trial iterate; the residual is then
+evaluated once, directly, at the step taken.
+
 Tangent frames, work images and traced points read the constraint Jacobian's
 null space off one SVD per configuration, taken in ``_null_space``; a stage
 reads its remainder's rank, work image and frame off one.  Every tangent
@@ -63,9 +68,11 @@ ABS_FLOOR = 1e-12
 
 # Armijo backtracking of the damped Gauss-Newton step: a step t is accepted
 # when |r(x + t*delta)|^2 <= |r(x)|^2 + _ARMIJO_C * t * slope; the search tries
-# the steps of _STEP_LADDER, longest first, and stalls when none passes.
+# the steps of _STEP_LADDER, longest first, and stalls when none passes.  The
+# full step is tested on its residual, the shorter ones by _shorter_step.
 _ARMIJO_C = 1e-4
 _STEP_LADDER = tuple(0.5**j for j in range(40))  # 1, 1/2, ..., 2^-39 >= 1e-12 > 2^-40
+_SHORTER_STEPS = np.array(_STEP_LADDER[1:])
 
 # project_to_cspace's defaults, which sample_cspace also projects with.
 _PROJECT_TOL = 1e-10
@@ -168,6 +175,22 @@ def _svd_solve(svd: tuple[np.ndarray, np.ndarray, np.ndarray], rhs: np.ndarray) 
     return vt.T @ (s_inv * (u.T @ rhs))
 
 
+def _shorter_step(r: np.ndarray, b: np.ndarray, c: np.ndarray, phi: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """Index into _STEP_LADDER[1:] of the first step t at which
+    |r + t*b + t**2*c|^2 passes Armijo, for each row of r, b and c, (B, k),
+    with phi and slope, (B,); -1 where none passes (the line search stalls).
+
+    The constraint residual is quadratic in the points, so along a step delta
+    it is r(x + t*delta) = r + t*b + t**2*c exactly, with b = J delta and
+    c = r(x + delta) - r - b: this tests every shorter step on k-vectors, up
+    to roundoff, without building its iterate.
+    """
+    t = _SHORTER_STEPS[:, None]
+    model = r[:, None, :] + t * b[:, None, :] + (t * t) * c[:, None, :]
+    passed = _row_dots(model, model) <= phi[:, None] + _ARMIJO_C * _SHORTER_STEPS * slope[:, None]
+    return np.where(passed.any(axis=1), passed.argmax(axis=1), -1)
+
+
 def _gauss_newton(
     residual_fn: Callable[[np.ndarray], np.ndarray],
     jacobian_fn: Callable[[np.ndarray], np.ndarray],
@@ -180,6 +203,11 @@ def _gauss_newton(
 ) -> np.ndarray:
     """Damped Gauss-Newton: a fresh step solves with one _truncated_svd of
     the Jacobian, then backtracks along _STEP_LADDER until Armijo passes.
+    The full step is tested on its residual; when it fails, one _shorter_step
+    pass picks the first shorter step that passes on the residual's quadratic
+    along the step (the line search stalls when none does), and the residual
+    is evaluated once more, at that step.  So every iterate is x + t*delta,
+    with its residual computed from it.
 
     r0, when given, is residual_fn(x0), already computed by the caller.  An
     empty residual (no constraint) has converged.  With chord (trace_curve's
@@ -209,13 +237,15 @@ def _gauss_newton(
         if chord:
             svd = fresh
         slope = float(2.0 * (jac.T @ r) @ delta)
-        for alpha in _STEP_LADDER:
-            x_new = x + alpha * delta
+        x_new = x + delta  # the full step, t = 1
+        r_new = residual_fn(x_new)
+        if not float(r_new @ r_new) <= phi + _ARMIJO_C * slope:
+            b = jac @ delta
+            j = _shorter_step(r[None], b[None], (r_new - r - b)[None], np.array([phi]), np.array([slope]))[0]
+            if j < 0:
+                raise NoConvergence("line search stalled")
+            x_new = x + _SHORTER_STEPS[j] * delta
             r_new = residual_fn(x_new)
-            if float(r_new @ r_new) <= phi + _ARMIJO_C * alpha * slope:
-                break
-        else:
-            raise NoConvergence("line search stalled")
         x, r = x_new, r_new
         if np.abs(r).max() < tol:
             return x
@@ -235,17 +265,18 @@ def _gauss_newton_rows(
     is what _gauss_newton returns from row i, bit for bit; elsewhere it raises
     NoConvergence, and x[i] is the iterate it stopped at (the line search
     stalled there, or max_iter ran out).  An iteration takes one stacked SVD
-    and tries the full step on every live row.  The rows that reject it try
-    every shorter step of _STEP_LADDER in one stacked pass; each row takes
-    the first step that passes Armijo, or stalls when none does.
-    Only the full steps are checked finite: a shorter step lies between x
-    and the full step, so it is finite when both are.
+    and tries the full step on every live row.  The rows that reject it pick
+    their shorter step in one _shorter_step pass, on (rows, 39, k) values of
+    the residual's quadratic; each row takes the first step that passes
+    Armijo, or stalls when none does, and one _residual_rows call evaluates
+    the rows that moved at their steps.  Only the full steps are checked
+    finite: a shorter step lies between x and the full step, so it is finite
+    when both are.
     """
     x = np.array(x0, dtype=float)
     r = _residual_rows(linkage, x)
     ok = np.abs(r).max(axis=1, initial=0.0) < tol
     live = np.flatnonzero(~ok)
-    shorter = np.array(_STEP_LADDER[1:])
     for _ in range(max_iter):
         if live.size == 0:
             break
@@ -262,14 +293,15 @@ def _gauss_newton_rows(
         moved = _row_dots(r_new, r_new) <= phi + _ARMIJO_C * slope
         rejected = np.flatnonzero(~moved)
         if rejected.size:
-            xs = xl[rejected, None, :] + shorter[:, None] * delta[rejected, None, :]
-            rs = _residual_rows(linkage, xs.reshape(-1, xs.shape[-1])).reshape(*xs.shape[:2], -1)
-            bound = phi[rejected, None] + _ARMIJO_C * shorter * slope[rejected, None]
-            passed = _row_dots(rs, rs) <= bound
-            hit = passed.any(axis=1)  # the other rows stall: "line search stalled"
-            rows, first = rejected[hit], passed[hit].argmax(axis=1)
-            x_new[rows], r_new[rows] = xs[hit, first], rs[hit, first]
-            moved[rows] = True
+            rr = rl[rejected]
+            b = (jac[rejected] @ delta[rejected, :, None])[..., 0]
+            first = _shorter_step(rr, b, r_new[rejected] - rr - b, phi[rejected], slope[rejected])
+            hit = first >= 0  # the other rows stall: "line search stalled"
+            rows = rejected[hit]
+            if rows.size:
+                xs = xl[rows] + _SHORTER_STEPS[first[hit], None] * delta[rows]
+                x_new[rows], r_new[rows] = xs, _residual_rows(linkage, xs)
+                moved[rows] = True
         stepped = live[moved]
         x[stepped], r[stepped] = x_new[moved], r_new[moved]
         done = moved & (np.abs(r_new).max(axis=1) < tol)
@@ -333,7 +365,9 @@ def sample_cspace(linkage: Linkage, n: int, seed: int = 0) -> list[Configuration
     or 1 when that sum is 0 (a linkage without edges); attempt i uses the
     substream keyed by (seed, i), so results are deterministic and
     schedule-independent.  The starts are projected together, in chunks of
-    _SAMPLE_CHUNK, by one lockstep Gauss-Newton; each result equals
+    _SAMPLE_CHUNK, by one lockstep Gauss-Newton, whose rows that reject a
+    full step pick the shorter one on k-vectors (_shorter_step), as
+    project_to_cspace does; each result equals
     project_to_cspace(linkage, start) of its start bit for bit, so
     no gauge is pinned.  Only NoConvergence drops an attempt: any other
     error, such as InvalidSpec on a non-finite iterate, propagates.

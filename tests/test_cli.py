@@ -145,8 +145,10 @@ class TestAnalyzeCommand:
         [
             ([[0.0, 0.0], ["a", 0.0], [1.0, 1.0], [0.0, 1.0]], "could not convert string to float"),
             ([[0.0, 0.0], [1.0], [1.0, 1.0], [0.0, 1.0]], "inhomogeneous"),
+            # an integer that json writes out in full and float() cannot hold
+            ([[0.0, 0.0], [10**400, 0.0], [1.0, 1.0], [0.0, 1.0]], "int too large to convert to float"),
         ],
-        ids=["string", "ragged"],
+        ids=["string", "ragged", "too-large"],
     )
     def test_points_that_are_not_numbers_exit_1(self, demo_files, capsys, points, cause):
         lp, cp = demo_files("four-bar-singular")
@@ -157,6 +159,17 @@ class TestAnalyzeCommand:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {cp}: points must be an (N, d) array of numbers (")
         assert cause in captured.err
+
+    def test_length_too_large_for_a_float_exits_1(self, demo_files, capsys):
+        lp, cp = demo_files("four-bar-singular")
+        doc = json.loads(Path(lp).read_text())
+        doc["edges"][1]["length"] = 10**400
+        Path(lp).write_text(json.dumps(doc))
+        code = main(["analyze", lp, cp])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: malformed edge 1: int too large to convert to float\n"
 
     @pytest.mark.parametrize(
         "content, cause",

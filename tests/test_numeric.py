@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -179,6 +180,9 @@ def reference_gauss_newton(
     With chord, every step after the first first tries the solve of the last
     Jacobian a full step was taken with, its SVD taken afresh, and keeps it
     when it cuts |r|^2 at least fourfold.
+    A rejected full step chooses the shorter one on the residual's exact
+    quadratic along the step, r + t*b + t*t*c with b = J delta and
+    c = r(x + delta) - r - b, then evaluates the residual at the step taken.
     log, when given, gets an (event, iterate) pair for each iteration,
     ("full step", "shorter step" or "chord step", the new iterate), and for a
     failure, ("line search stalled" or "max_iter", the iterate it stopped at).
@@ -206,15 +210,21 @@ def reference_gauss_newton(
         delta = -numeric._svd_solve(numeric._truncated_svd(jac, tol_rank), r)
         slope = float(2.0 * (jac.T @ r) @ delta)
         alpha = 1.0
-        while True:
+        x_new = x + delta
+        r_new = residual_fn(x_new)
+        if not float(r_new @ r_new) <= phi + 1e-4 * slope:
+            b = jac @ delta
+            c = r_new - r - b
+            while True:
+                alpha *= 0.5
+                if alpha < 1e-12:
+                    note(("line search stalled", x))
+                    raise NoConvergence("line search stalled")
+                model = r + alpha * b + alpha * alpha * c
+                if float(model @ model) <= phi + 1e-4 * alpha * slope:
+                    break
             x_new = x + alpha * delta
             r_new = residual_fn(x_new)
-            if float(r_new @ r_new) <= phi + 1e-4 * alpha * slope:
-                break
-            alpha *= 0.5
-            if alpha < 1e-12:
-                note(("line search stalled", x))
-                raise NoConvergence("line search stalled")
         x, r = x_new, r_new
         note(("full step" if alpha == 1.0 else "shorter step", x))
         if np.max(np.abs(r)) < tol:
@@ -338,40 +348,72 @@ def reference_row(linkage, start, tol):
     return x, ok, events
 
 
+def solver_row(linkage, start, tol):
+    """numeric._gauss_newton itself on the constraint residual from one flat
+    start, with project_to_cspace's defaults: (x, ok, events) as reference_row
+    gives them.  A stalled line search stops at the iterate of the last
+    Jacobian; max_iter at the last residual, the step it last took."""
+    d = linkage.ambient_dim
+    seen = []  # ("res" or "jac", iterate), in order
+
+    def res(y):
+        seen.append(("res", np.array(y)))
+        return numeric._residual_points(linkage, y.reshape(-1, d))
+
+    def jac(y):
+        seen.append(("jac", np.array(y)))
+        return numeric._jacobian_points(linkage, y.reshape(-1, d))
+
+    events, stalled = [], False
+    try:
+        x, ok = numeric._gauss_newton(res, jac, start, tol, 100, 1e-8), True
+    except NoConvergence as exc:
+        stalled = "stalled" in str(exc)
+        x, ok = [y for kind, y in seen if kind == ("jac" if stalled else "res")][-1], False
+        events.append("line search stalled" if stalled else "max_iter")
+    # the residuals of each iteration: the full step, then the shorter one taken
+    steps = "".join(kind[0] for kind, _ in seen).split("j")[1:]
+    events += ["shorter step" if step == "rr" else "full step" for step in steps[: len(steps) - stalled]]
+    return x, ok, events
+
+
+def batch_cases(dim):
+    """(draw, linkage, n, tol) of the lockstep tests: four random_linkage
+    draws, each from tight and loose starts and overstretched."""
+    rng = np.random.default_rng(40 + dim)
+    for draw in range(4):
+        linkage, _ = random_linkage(rng, max_vertices=6, dim=dim)
+        box = linkage.length_scale
+        yield draw, linkage, 12, 1e-10
+        yield draw, linkage, 12, 0.5 * box**2  # loose enough for some starts as drawn
+        yield draw, overstretched(linkage), 16, 1e-10
+        if draw == 0:
+            yield draw, linkage, 2 * numeric._SAMPLE_CHUNK + 5, 1e-10
+
+
 class TestBatchedSampling:
     """sample_cspace projects its starts in lockstep chunks; each result must
     equal project_to_cspace of its own start bit for bit."""
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_batch_equals_per_start(self, dim):
-        rng = np.random.default_rng(40 + dim)
         events = Counter()
-        for draw in range(4):
-            linkage, _ = random_linkage(rng, max_vertices=6, dim=dim)
-            box = linkage.length_scale
-            cases = [
-                (linkage, 12, 1e-10),
-                (linkage, 12, 0.5 * box**2),  # loose enough for some starts as drawn
-                (overstretched(linkage), 16, 1e-10),
-            ]
-            if draw == 0:
-                cases.append((linkage, 2 * numeric._SAMPLE_CHUNK + 5, 1e-10))
-            for lk, n, tol in cases:
-                if tol == numeric._PROJECT_TOL:  # the one tolerance sample_cspace projects with
-                    want = per_start_samples(lk, n, draw, tol)
-                    try:
-                        got = sample_cspace(lk, n, seed=draw)
-                    except NoFeasiblePoint:
-                        got = []
-                    assert as_bytes(got) == as_bytes(want), (draw, n, tol)
+        for draw, lk, n, tol in batch_cases(dim):
+            if tol == numeric._PROJECT_TOL:  # the one tolerance sample_cspace projects with
+                want = per_start_samples(lk, n, draw, tol)
+                try:
+                    got = sample_cspace(lk, n, seed=draw)
+                except NoFeasiblePoint:
+                    got = []
+                assert as_bytes(got) == as_bytes(want), (draw, n, tol)
 
-                # every row, failed ones included, stops where the per-start loop stops
-                starts = np.stack([draw_start(lk, draw, i).flat for i in range(n)])
-                x, ok = numeric._gauss_newton_rows(lk, starts, tol, 100, 1e-8)
-                for i in range(n):
-                    ref_x, ref_ok, seen = reference_row(lk, starts[i], tol)
-                    assert (ok[i], x[i].tobytes()) == (ref_ok, ref_x.tobytes()), (draw, n, tol, i)
-                    events.update(seen)
+            # every row, failed ones included, stops where the per-start loop stops
+            starts = np.stack([draw_start(lk, draw, i).flat for i in range(n)])
+            x, ok = numeric._gauss_newton_rows(lk, starts, tol, 100, 1e-8)
+            for i in range(n):
+                ref_x, ref_ok, seen = reference_row(lk, starts[i], tol)
+                assert (ok[i], x[i].tobytes()) == (ref_ok, ref_x.tobytes()), (draw, n, tol, i)
+                events.update(seen)
         for event in (
             "converged at the start",
             "full step",
@@ -380,6 +422,41 @@ class TestBatchedSampling:
             "max_iter",
         ):
             assert events[event] > 0, (event, events)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_rows_equal_the_scalar_solver(self, dim):
+        # the docstring contract against numeric._gauss_newton itself, stalled
+        # and shorter-step rows included
+        events = Counter()
+        for draw, lk, n, tol in batch_cases(dim):
+            starts = np.stack([draw_start(lk, draw, i).flat for i in range(n)])
+            x, ok = numeric._gauss_newton_rows(lk, starts, tol, 100, 1e-8)
+            for i in range(n):
+                want_x, want_ok, seen = solver_row(lk, starts[i], tol)
+                assert (ok[i], x[i].tobytes()) == (want_ok, want_x.tobytes()), (draw, n, tol, i)
+                events.update(seen)
+        for event in ("full step", "shorter step", "line search stalled", "max_iter"):
+            assert events[event] > 0, (event, events)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_residual_is_quadratic_along_a_step(self, dim):
+        # |r + t*b + t**2*c|^2, which picks the shorter step, is |r(x + t*delta)|^2
+        rng = np.random.default_rng(60 + dim)
+        for draw in range(6):
+            linkage, _ = random_linkage(rng, max_vertices=6, dim=dim)
+            for lk in (linkage, overstretched(linkage)):
+                x = draw_start(lk, draw, 0).flat
+                d = lk.ambient_dim
+                r = numeric._residual_points(lk, x.reshape(-1, d))
+                jac = numeric._jacobian_points(lk, x.reshape(-1, d))
+                delta = -numeric._svd_solve(numeric._truncated_svd(jac, 1e-8), r)
+                b = jac @ delta
+                c = numeric._residual_points(lk, (x + delta).reshape(-1, d)) - r - b
+                phi = float(r @ r)
+                for t in numeric._STEP_LADDER:
+                    model = r + t * b + t * t * c
+                    direct = numeric._residual_points(lk, (x + t * delta).reshape(-1, d))
+                    assert abs(float(model @ model) - float(direct @ direct)) <= 1e-10 * phi, (draw, t)
 
     def test_non_finite_iterate_is_invalid_spec(self):
         # squared lengths overflow: the first full step is not finite
@@ -986,6 +1063,19 @@ class TestLocalBranchCount:
             local_branch_count(four_bar(), four_bar_node(), radius=0.01, n_samples=n_samples)
             counts.append(built["n"])
         assert counts[0] == counts[1], counts
+
+    def test_peak_memory(self):
+        # the line search tests shorter steps on k-vectors; trying them as
+        # (rows x 39 x N*d) iterates took 1.42 MB here
+        linkage, config = demo_pair("tri-platform-b")
+        local_branch_count(linkage, config)  # warm
+        tracemalloc.start()
+        try:
+            local_branch_count(linkage, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.0e6, peak
 
 
 def collinear(linkage: Linkage, config: Configuration):
