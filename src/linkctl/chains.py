@@ -122,12 +122,13 @@ def _chain_points(config: Configuration | np.ndarray) -> np.ndarray:
     return np.asarray(config, dtype=float)
 
 
-def _check_angle(tol, name: str) -> None:
-    """Raise InvalidSpec unless the angular tolerance tol is finite, >= 0 and
-    below pi/2, where every pair of directions would count as collinear."""
-    check_real(tol, name)
+def _check_angle(tol, name: str) -> float:
+    """tol as a float; InvalidSpec unless the angular tolerance is finite, >= 0
+    and below pi/2, where every pair of directions would count as collinear."""
+    tol = check_real(tol, name)
     if not tol < math.pi / 2:
         raise InvalidSpec(f"{name} must be below pi/2, got {tol}")
+    return tol
 
 
 def is_aligned(config: Configuration | np.ndarray, tol: float = 1e-6) -> Optional[np.ndarray]:

@@ -23,7 +23,6 @@ from .decomp import (
     StageVerdictKind,
     Tolerances,
     Witness,
-    enumerate_chain_removals,
     find_nontransversive_witness,
     find_smoothness_certificate,
     find_witness_through,
@@ -68,10 +67,9 @@ class ClassificationReport:
         if self.witness is None:
             return None
         stage = self.witness.decomposition.stages[self.witness.stage_index]
+        # a witness's deepest stage is generic, so its chain has a direction
         direction = self.witness.verdict.chain_aligned_direction
-        dir_txt = (
-            "(" + ", ".join(f"{x:.6f}" for x in direction) + ")" if direction is not None else "?"
-        )
+        dir_txt = "(" + ", ".join(f"{x:.6f}" for x in direction) + ")"  # type: ignore[union-attr]
         chain_txt = "-".join(str(v) for v in stage.chain_vertices)
         rem_txt = ",".join(str(v) for v in stage.remainder_vertices)
         return (
@@ -266,12 +264,13 @@ def platform_conditions(
 
 
 def _branch_removal(linkage: Linkage, branch_idx: int) -> ChainRemoval:
-    # a path's vertices follow from its edges
-    branch = set(linkage.platform.branches[branch_idx])  # type: ignore[union-attr]
-    for removal in enumerate_chain_removals(linkage.graph):
-        if set(removal.chain_edges) == branch:
-            return removal
-    raise InvalidSpec(f"branch {branch_idx} is not a removable open chain")
+    # a branch runs from its anchor, a removal from its smaller endpoint
+    branch = tuple(linkage.platform.branches[branch_idx])  # type: ignore[union-attr]
+    removals = linkage.graph.chain_removals
+    removal = removals.get(branch) or removals.get(branch[::-1])
+    if removal is None:
+        raise InvalidSpec(f"branch {branch_idx} is not a removable open chain")
+    return removal
 
 
 def verify_platform_singularity(

@@ -14,10 +14,9 @@ Reports are JSON on stdout.  ``analyze`` prints the classification report
 for Smooth, 10 for GenericSingular, 20 for Indeterminate, 30 for Conflict;
 all commands exit 1 on errors, with the message on stderr.  A bad input
 raises InvalidSpec, and only LinkctlError and OSError are reported: a file
-that is not JSON, ragged or non-numeric points and a non-numeric --lengths
-entry each raise InvalidSpec naming the file or the option, and a JSON
-integer too large for a float raises it naming the file (as a coordinate)
-or the edge (as a length).
+that is not JSON, ragged points, a coordinate that is not a JSON number or
+is too large for a float, and a non-numeric --lengths entry each raise
+InvalidSpec naming the file or the option, and such a length names the edge.
 The seed comes from --seed, falling back to LINKCTL_SEED (an integer).
 
 ``--svg`` draws planar linkages only: ``analyze`` and ``sample`` given a
@@ -43,6 +42,7 @@ A linkage document is a JSON object:
     }
 
 Every count and id is an integer (2.0 reads as 2; 2.5, true or "2" is
+rejected), every length and coordinate is a JSON number (true or "3.0" is
 rejected), every length is positive and finite, and the edge order fixes
 the order of the constraint rows.  Lengths are fixed: an edge with a "prismatic" key is
 rejected, and a prismatic chain is analyzed one fiber at a time through
@@ -95,6 +95,10 @@ def _load_pair(linkage_path: str, config_path: str) -> tuple[Linkage, Configurat
         raise InvalidSpec(f"malformed configuration document: {exc}") from exc
     except (ValueError, OverflowError) as exc:  # ragged, non-numeric or too large points
         raise InvalidSpec(f"{config_path}: points must be an (N, d) array of numbers ({exc})") from None
+    # numpy reads true and "1" as numbers; a document may give only JSON numbers
+    bad = [x for row in doc["points"] for x in row if type(x) not in (int, float)]
+    if bad:
+        raise InvalidSpec(f"{config_path}: points must be an (N, d) array of numbers (got {bad[0]!r})")
     check_match(linkage, config)
     return linkage, config
 

@@ -31,7 +31,7 @@ like any other.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -39,6 +39,7 @@ import numpy as np
 from .chains import _check_angle, chord_signature, is_aligned
 from .errors import DegenerateDirection, InvalidSpec, NoConvergence
 from .model import (
+    ChainRemoval,
     Configuration,
     Linkage,
     MechanismType,
@@ -89,10 +90,10 @@ class Tolerances:
     depth: int = 4
 
     def __post_init__(self) -> None:
-        check_real(self.rank, "tolerance rank")
-        _check_angle(self.align, "tolerance align")
-        check_real(self.grad_scale, "tolerance grad_scale")
-        check_integer(self.depth, "search depth", 0)
+        object.__setattr__(self, "rank", check_real(self.rank, "tolerance rank"))
+        object.__setattr__(self, "align", _check_angle(self.align, "tolerance align"))
+        object.__setattr__(self, "grad_scale", check_real(self.grad_scale, "tolerance grad_scale"))
+        object.__setattr__(self, "depth", check_integer(self.depth, "search depth", 0))
 
     def grad_tol(self, linkage: Linkage) -> float:
         return self.grad_scale * (1.0 + linkage.length_scale)
@@ -100,29 +101,6 @@ class Tolerances:
     def eig_tol(self, linkage: Linkage, eigs: np.ndarray) -> float:
         rel = 1e-6 * (float(np.max(np.abs(eigs))) if eigs.size else 0.0)
         return max(rel, _EIG_FLOOR / (1.0 + linkage.length_scale))
-
-
-@dataclass(frozen=True)
-class ChainRemoval:
-    """An open chain inside a mechanism, plus the remainder left by deleting it.
-
-    Vertices are a simple path whose interior vertices have degree exactly
-    two in the host graph; removal deletes the path's edges and interior
-    vertices.  Paths are stored with the smaller endpoint first.
-    """
-
-    chain_vertices: tuple[int, ...]
-    chain_edges: tuple[int, ...]
-    remainder_vertices: tuple[int, ...]
-    remainder_edges: tuple[int, ...]
-
-    @property
-    def endpoints(self) -> tuple[int, int]:
-        return (self.chain_vertices[0], self.chain_vertices[-1])
-
-    @property
-    def interior(self) -> tuple[int, ...]:
-        return self.chain_vertices[1:-1]
 
 
 @dataclass(frozen=True)
@@ -147,71 +125,15 @@ def _whole(linkage: Linkage) -> SubMechanism:
 
 
 def enumerate_chain_removals(graph: MechanismType) -> list[ChainRemoval]:
-    """All open-chain removals of a connected graph, in lexicographic edge order.
-
-    Includes non-maximal paths.  A path qualifies when its interior vertices
-    have degree exactly two and deleting its edges and interior vertices
-    leaves a connected remainder containing both endpoints.
-    """
-    if not graph.is_connected():
-        raise InvalidSpec("chain removal enumeration requires a connected graph")
-
-    paths: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-
-    def extend(path: list[int], edges: list[int]) -> None:
-        if edges and path[0] < path[-1]:
-            paths.append((tuple(path), tuple(edges)))
-        tail = path[-1]
-        if edges and graph.degree(tail) != 2:
-            return  # tail would become an interior vertex of degree != 2
-        for nxt, i in graph.adjacency[tail]:
-            if nxt in path:
-                continue
-            path.append(nxt)
-            edges.append(i)
-            extend(path, edges)
-            path.pop()
-            edges.pop()
-
-    for start in range(graph.vertex_count):
-        extend([start], [])
-
-    removals = [r for r in (_removal(graph, path, edges) for path, edges in paths) if r is not None]
-    removals.sort(key=lambda r: r.chain_edges)
-    return removals
-
-
-def _removal(
-    graph: MechanismType, path: tuple[int, ...], chain_edges: tuple[int, ...]
-) -> Optional[ChainRemoval]:
-    """The removal of a path whose interior vertices have degree two; None
-    when it leaves no edge or a disconnected remainder."""
-    chain = set(chain_edges)
-    rem_edges = tuple(i for i in range(graph.edge_count) if i not in chain)
-    if not rem_edges:
-        return None
-    interior = set(path[1:-1])
-    rem_vertices = tuple(v for v in range(graph.vertex_count) if v not in interior)
-    # an interior vertex has degree two, both its edges in the chain, so a
-    # walk that skips chain edges stays in the remainder
-    if len(graph.reachable(path[0], chain)) != len(rem_vertices):
-        return None
-    return ChainRemoval(path, chain_edges, rem_vertices, rem_edges)
+    """All open-chain removals of a connected graph, in lexicographic edge
+    order: ``graph.chain_removals``, which each graph enumerates once."""
+    return list(graph.chain_removals.values())
 
 
 def _check_removal(graph: MechanismType, removal: ChainRemoval) -> None:
-    """Raise InvalidSpec unless enumerate_chain_removals(graph) yields
-    ``removal``; O(edges), by building that one path's removal."""
-    path, edges = tuple(removal.chain_vertices), tuple(removal.chain_edges)
-    links = zip(path, path[1:], edges)
-    valid = (
-        len(path) == len(set(path)) == len(edges) + 1 >= 2
-        and path[0] < path[-1]
-        and all(0 <= i < graph.edge_count and set(graph.edges[i]) == {u, v} for u, v, i in links)
-        and all(graph.degree(v) == 2 for v in path[1:-1])
-    )
-    want = ChainRemoval(path, edges, tuple(removal.remainder_vertices), tuple(removal.remainder_edges))
-    if not valid or _removal(graph, path, edges) != want:
+    """Raise InvalidSpec unless enumerate_chain_removals(graph) yields ``removal``, read as tuples."""
+    parts = (removal.chain_vertices, removal.chain_edges, removal.remainder_vertices, removal.remainder_edges)
+    if ChainRemoval(*map(tuple, parts)) != graph.chain_removals.get(tuple(removal.chain_edges)):
         raise InvalidSpec(f"not an open-chain removal of this mechanism: {removal}")
 
 
@@ -383,13 +305,7 @@ class DecompositionStage(ChainRemoval):
     chain_aligned: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "chain_vertices": list(self.chain_vertices),
-            "chain_edges": list(self.chain_edges),
-            "remainder_vertices": list(self.remainder_vertices),
-            "remainder_edges": list(self.remainder_edges),
-            "chain_aligned": self.chain_aligned,
-        }
+        return {name: list(v) if isinstance(v, tuple) else v for name, v in asdict(self).items()}
 
 
 @dataclass(frozen=True)
@@ -438,7 +354,7 @@ class Witness:
             "signature": list(self.signature),
             "euclidean_factor": self.euclidean_factor,
             "gradient_norm": self.verdict.gradient_norm,
-            "hessian_eigenvalues": None if eigs is None else [float(x) for x in eigs],
+            "hessian_eigenvalues": [float(x) for x in eigs],  # type: ignore[union-attr]
         }
 
 

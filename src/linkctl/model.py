@@ -1,5 +1,5 @@
-"""Core data model: mechanism graphs, linkages, configurations, and the
-squared-length constraint map with its analytic Jacobian.
+"""Core data model: mechanism graphs with their open-chain removals, linkages,
+configurations, and the squared-length constraint map with its Jacobian.
 
 A linkage is an undirected graph with a fixed length per edge.  A
 configuration places every vertex in R^d.  The constraint map sends a
@@ -17,6 +17,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Container, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -93,6 +94,80 @@ class MechanismType:
 
     def is_connected(self) -> bool:
         return len(self.reachable(0)) == self.vertex_count
+
+    @cached_property
+    def chain_removals(self) -> Mapping[tuple[int, ...], "ChainRemoval"]:
+        """Every open-chain removal of this connected graph, keyed by its chain
+        edges, in lexicographic edge order; InvalidSpec when it is not connected.
+
+        Includes non-maximal paths.  A path qualifies when its interior vertices
+        have degree exactly two and deleting its edges and interior vertices
+        leaves a connected remainder containing both endpoints.
+        """
+        if not self.is_connected():
+            raise InvalidSpec("chain removal enumeration requires a connected graph")
+        removals: list[Optional[ChainRemoval]] = []
+
+        def extend(path: list[int], edges: list[int]) -> None:
+            if edges and path[0] < path[-1]:
+                removals.append(_removal(self, tuple(path), tuple(edges)))
+            tail = path[-1]
+            if edges and self.degree(tail) != 2:
+                return  # tail would become an interior vertex of degree != 2
+            for nxt, i in self.adjacency[tail]:
+                if nxt in path:
+                    continue
+                path.append(nxt)
+                edges.append(i)
+                extend(path, edges)
+                path.pop()
+                edges.pop()
+
+        for start in range(self.vertex_count):
+            extend([start], [])
+        kept = sorted((r for r in removals if r is not None), key=lambda r: r.chain_edges)
+        return MappingProxyType({r.chain_edges: r for r in kept})
+
+
+@dataclass(frozen=True)
+class ChainRemoval:
+    """An open chain inside a mechanism, plus the remainder left by deleting it.
+
+    Vertices are a simple path whose interior vertices have degree exactly
+    two in the host graph; removal deletes the path's edges and interior
+    vertices.  Paths are stored with the smaller endpoint first.
+    """
+
+    chain_vertices: tuple[int, ...]
+    chain_edges: tuple[int, ...]
+    remainder_vertices: tuple[int, ...]
+    remainder_edges: tuple[int, ...]
+
+    @property
+    def endpoints(self) -> tuple[int, int]:
+        return (self.chain_vertices[0], self.chain_vertices[-1])
+
+    @property
+    def interior(self) -> tuple[int, ...]:
+        return self.chain_vertices[1:-1]
+
+
+def _removal(
+    graph: MechanismType, path: tuple[int, ...], chain_edges: tuple[int, ...]
+) -> Optional[ChainRemoval]:
+    """The removal of a path whose interior vertices have degree two; None
+    when it leaves no edge or a disconnected remainder."""
+    chain = set(chain_edges)
+    rem_edges = tuple(i for i in range(graph.edge_count) if i not in chain)
+    if not rem_edges:
+        return None
+    interior = set(path[1:-1])
+    rem_vertices = tuple(v for v in range(graph.vertex_count) if v not in interior)
+    # an interior vertex has degree two, both its edges in the chain, so a
+    # walk that skips chain edges stays in the remainder
+    if len(graph.reachable(path[0], chain)) != len(rem_vertices):
+        return None
+    return ChainRemoval(path, chain_edges, rem_vertices, rem_edges)
 
 
 @dataclass(frozen=True)
@@ -264,18 +339,26 @@ def check_finite(points: np.ndarray) -> None:
         raise InvalidSpec("configuration coordinates must be finite")
 
 
-def check_real(value, name: str, positive: bool = False) -> None:
-    """Raise InvalidSpec naming the option unless value is finite and >= 0, or
-    > 0 when ``positive``; plain float comparisons, which NaN fails, keep it cheap."""
-    if not (0.0 < value < math.inf if positive else 0.0 <= value < math.inf):
+def check_real(value, name: str, positive: bool = False) -> float:
+    """value as a float; InvalidSpec naming the option unless it is a number,
+    not a bool, that is finite and >= 0, or > 0 when ``positive``.  Plain
+    float comparisons keep it cheap: NaN fails them, a string raises TypeError."""
+    try:
+        ok = 0.0 < value < math.inf if positive else 0.0 <= value < math.inf
+    except (TypeError, ValueError):
+        ok = False
+    if ok and value.__class__ is float:  # the common case, at about the cost of the comparisons
+        return value
+    if not ok or isinstance(value, (bool, np.bool_)):
         rule = "positive and finite" if positive else "finite and >= 0"
         raise InvalidSpec(f"{name} must be {rule}, got {value}")
+    return float(value)
 
 
 def check_integer(value, name: str, least: int) -> int:
-    """value as an int; InvalidSpec naming the option unless it is an integer >= least."""
+    """value as an int; InvalidSpec naming the option unless it is an integer >= least, not a bool."""
     try:
-        count = operator.index(value)
+        count = least - 1 if isinstance(value, bool) else operator.index(value)
     except TypeError:
         count = least - 1
     if count < least:
@@ -312,11 +395,18 @@ def _integer(value, what: str) -> int:
     raise InvalidSpec(f"{what} must be an integer, got {value!r}")
 
 
+def _number(value, what: str) -> float:
+    """A length from a linkage document; a bool or a string raises InvalidSpec."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)  # OverflowError for an int too large for a float
+    raise InvalidSpec(f"{what} must be a number, got {value!r}")
+
+
 def build_linkage(doc: Mapping) -> Linkage:
     """Validate a parsed linkage document (see the schema in ``linkctl.cli``) into a Linkage.
 
-    Every count and id must be an integer (2.0 counts as 2), and lengths are
-    fixed, so an edge with a ``prismatic`` key raises InvalidSpec.
+    Every count and id must be an integer (2.0 counts as 2) and every length
+    a number; lengths are fixed, so a ``prismatic`` edge raises InvalidSpec.
     """
     try:
         dim = _integer(doc["dim"], "dim")
@@ -330,7 +420,7 @@ def build_linkage(doc: Mapping) -> Linkage:
     for i, e in enumerate(edge_docs):
         try:
             edges.append((_integer(e["u"], f"edge {i} u"), _integer(e["v"], f"edge {i} v")))
-            lengths.append(float(e["length"]))  # OverflowError for an int too large for a float
+            lengths.append(_number(e["length"], f"edge {i} length"))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidSpec(f"malformed edge {i}: {exc}") from exc
         if "prismatic" in e:
@@ -463,17 +553,15 @@ def _normalized_points(p: np.ndarray, base_vertex: int, link_end: Optional[int] 
     if link_end is None:
         return q
     direction = q[..., link_end, :]
-    e1 = np.zeros(p.shape[-1])
-    e1[0] = 1.0
     if p.ndim == 2:
         norm = math.sqrt(direction @ direction)
         if norm < 1e-12 * (1.0 + np.abs(p).max()):
             raise DegenerateDirection(_COINCIDENT_BASE_LINK)
-        return q @ _rotation_taking(direction / norm, e1).T
+        return q @ _rotation_to_e1(direction / norm).T
     norm = np.sqrt(_row_dots(direction, direction))  # np.linalg.norm of each
     if (norm < 1e-12 * (1.0 + np.abs(p).max(axis=(-2, -1)))).any():
         raise DegenerateDirection(_COINCIDENT_BASE_LINK)
-    rot = _rotation_taking(direction / norm[..., None], e1)
+    rot = _rotation_to_e1(direction / norm[..., None])
     return q @ np.swapaxes(rot, -1, -2)
 
 
@@ -508,31 +596,23 @@ def reduced_normalize(linkage: Linkage, config: Configuration) -> Configuration:
     return Configuration(_gauge_points(linkage, config.points))
 
 
-def _rotation_taking(w: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Minimal rotation matrices R, (..., d, d), with R @ w = target for the
-    unit vectors w, (..., d), and the unit vector target.
+def _rotation_to_e1(w: np.ndarray) -> np.ndarray:
+    """Minimal rotation matrices R, (..., d, d), with R @ w = e1 for the unit
+    vectors w, (..., d): in d=2 the rows w and (-w1, w0).
 
-    In d=3 a w whose cross product with target is below 1e-14 gets the
-    identity, or the half-turn about an axis orthogonal to w when it points
-    away from target; both cases are masks over the stack.
+    In d=3 a w whose cross product with e1 is below 1e-14 gets the identity,
+    or the half-turn about an axis orthogonal to w when it points away from
+    e1; both cases are masks over the stack.
     """
     if w.shape == (2,):  # one planar vector: the entries below, as Python floats
-        c = float(w @ target)
-        (w0, w1), (t0, t1) = w.tolist(), target.tolist()
-        s = w0 * t1 - w1 * t0
-        return np.array([[c, -s], [s, c]])
-    c = _row_dots(w, target)
+        w0, w1 = w.tolist()
+        return np.array([[w0, w1], [-w1, w0]])
     if w.shape[-1] == 2:
-        s = w[..., 0] * target[1] - w[..., 1] * target[0]
-        rot = np.empty(w.shape + (2,))
-        rot[..., 0, 0] = c
-        rot[..., 0, 1] = -s
-        rot[..., 1, 0] = s
-        rot[..., 1, 1] = c
-        return rot
+        return np.stack([w, w[..., ::-1] * (-1.0, 1.0)], axis=-2)
     shape = w.shape[:-1]
-    w, c = w.reshape(-1, 3), c.reshape(-1)
-    axis = np.cross(w, target)
+    w = w.reshape(-1, 3)
+    c = w[:, 0]  # w @ e1, up to the sign of a zero, which no use below reads
+    axis = np.cross(w, np.eye(3)[0])
     s = np.sqrt(_row_dots(axis, axis))
     rot = np.empty((len(w), 3, 3))
     turn = s >= 1e-14

@@ -126,7 +126,10 @@ class BranchReport:
 class TraceResult:
     points: tuple[Configuration, ...]
     stop_reason: str
-    closed: bool
+
+    @property
+    def closed(self) -> bool:
+        return self.stop_reason == "loop_closed"
 
 
 @dataclass(frozen=True)
@@ -135,7 +138,6 @@ class WorkData:
 
     gradient: np.ndarray
     hessian: np.ndarray
-    frame: TangentFrame
 
 
 def _kept_singular_values(s: np.ndarray, tol_rank: float) -> np.ndarray:
@@ -415,8 +417,6 @@ def _gauge_vectors(points: np.ndarray) -> np.ndarray:
 
 def _orthonormal_rows(rows: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
     """Orthonormal basis of the row space, dropping near-dependent directions."""
-    if rows.shape[0] == 0:
-        return rows
     _, s, vt = np.linalg.svd(rows, full_matrices=False)
     return vt[: np.count_nonzero(_kept_singular_values(s, rel_tol))]
 
@@ -587,7 +587,7 @@ def reduced_work_data(linkage: Linkage, frame: TangentFrame, tol_rank: float = 1
         return float(np.linalg.norm(q[eff] - q[base]))
 
     hess = fd_hessian(linkage, dist_fn, frame, tol_rank)
-    return WorkData(gradient=grad, hessian=hess, frame=frame)
+    return WorkData(gradient=grad, hessian=hess)
 
 
 def _gauge_fix(linkage: Linkage, config: Configuration) -> Configuration:
@@ -671,7 +671,6 @@ def trace_curve(
 
     d = linkage.ambient_dim
     points: list[Configuration] = [v]
-    closed = False
     reason = "max_steps"
 
     for step_idx in range(max_steps):
@@ -720,12 +719,11 @@ def trace_curve(
             reason = "tangent_jump"
             break
         if step_idx >= 10 and _closure_gap(linkage, w.points, points[0].points) < 0.5 * step:
-            closed = True
             reason = "loop_closed"
             break
         v, tangent = w, along / cos
 
-    return TraceResult(points=tuple(points), stop_reason=reason, closed=closed)
+    return TraceResult(points=tuple(points), stop_reason=reason)
 
 
 def local_branch_count(

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -13,10 +14,10 @@ from linkctl.classify import (
 from linkctl.chains import is_aligned
 from linkctl.decomp import StageVerdictKind, Tolerances, find_nontransversive_witness
 from linkctl.errors import DegenerateDirection, InvalidSpec, OffConstraint
-from linkctl.model import Configuration, Linkage, MechanismType, build_linkage
+from linkctl.model import Configuration, Linkage, MechanismType, PlatformSpec, build_linkage
 from linkctl.numeric import numerical_rank, sample_cspace
 from linkctl.model import constraint_jacobian
-from linkctl import decomp, demos
+from linkctl import classify, decomp, demos
 from linkctl.demos import build_demo
 
 
@@ -310,6 +311,39 @@ class TestPlatform:
             "branch 2 is aligned: the witness search stops at it",
         )
         assert classify_configuration(linkage, config).verdict is Verdict.INDETERMINATE
+
+    def test_branch_with_coincident_joints_is_not_aligned(self):
+        # P3 on A3: branch 2 has a zero-length link, so it has no line and
+        # the three-branch condition (b) no longer holds
+        doc, config_doc = build_demo("tri-platform-b")
+        linkage, points = build_linkage(doc), np.array(config_doc["points"])
+        points[8] = points[2]
+        assert platform_conditions(linkage, Configuration(points)) is None
+
+    def test_branch_removal_is_looked_up_from_either_end(self):
+        linkage, _ = _demo_pair("tri-platform-a")
+        reversed_branches = PlatformSpec(
+            tuple(b[::-1] for b in linkage.platform.branches), linkage.platform.fixed, linkage.platform.moving
+        )
+        flipped = dataclasses.replace(linkage, platform=reversed_branches)
+        for i, branch in enumerate(linkage.platform.branches):
+            removal = linkage.graph.chain_removals[branch]
+            assert classify._branch_removal(linkage, i) is removal
+            assert classify._branch_removal(flipped, i) == removal
+
+    def test_branch_that_is_not_an_open_chain_rejected(self):
+        # an extra edge at P3, branch 2's middle joint, gives it degree three
+        doc, config_doc = build_demo("tri-platform-a")
+        points = np.array(config_doc["points"])
+        edges = demos._PLATFORM_EDGES + [(8, 0)]
+        ldoc, cdoc = demos._docs(
+            points, edges, demos._edge_lengths(points, edges), base=0, base_link=0, effector=5,
+            platform=demos._PLATFORM_SPEC,
+        )
+        linkage, config = build_linkage(ldoc), Configuration(cdoc["points"])
+        assert platform_conditions(linkage, config).branches == (0, 1)
+        with pytest.raises(InvalidSpec, match="^branch 2 is not a removable open chain$"):
+            verify_platform_singularity(linkage, config)
 
     def test_platform_classify_agrees(self):
         for name in ("tri-platform-a", "tri-platform-b"):

@@ -160,6 +160,31 @@ class TestAnalyzeCommand:
         assert captured.err.startswith(f"error: {cp}: points must be an (N, d) array of numbers (")
         assert cause in captured.err
 
+    @pytest.mark.parametrize("coordinate", [True, False, "1"])
+    def test_points_that_are_not_json_numbers_exit_1(self, demo_files, capsys, coordinate):
+        # numpy read true as 1.0 and "1" as a number
+        lp, cp = demo_files("four-bar-singular")
+        doc = json.loads(Path(cp).read_text())
+        doc["points"][1][0] = coordinate
+        Path(cp).write_text(json.dumps(doc))
+        code = main(["analyze", lp, cp])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {cp}: points must be an (N, d) array of numbers (")
+
+    @pytest.mark.parametrize("length", [True, "3.0"])
+    def test_length_that_is_not_a_json_number_exits_1(self, demo_files, capsys, length):
+        lp, cp = demo_files("four-bar-singular")
+        doc = json.loads(Path(lp).read_text())
+        doc["edges"][0]["length"] = length
+        Path(lp).write_text(json.dumps(doc))
+        code = main(["analyze", lp, cp])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: edge 0 length must be a number, got {length!r}\n"
+
     def test_length_too_large_for_a_float_exits_1(self, demo_files, capsys):
         lp, cp = demo_files("four-bar-singular")
         doc = json.loads(Path(lp).read_text())
@@ -435,6 +460,32 @@ class TestWorkspaceCommand:
         assert doc["annuli"][0]["m"] == pytest.approx(1.0)
         assert doc["annuli"][0]["M"] == pytest.approx(4.0)
         assert len(doc["boundary"]) > 100
+
+    def test_linkage_that_is_not_a_cycle_exits_1(self, demo_files, capsys):
+        lp, _ = demo_files("tri-platform-a")
+        code = main(["workspace", lp])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: lens workspace is implemented for cycle mechanisms\n"
+
+    def test_anchor_chains_with_inner_radius_zero(self, tmp_path, capsys):
+        # the five-cycle 0-3-2-4-1 with ground link 0-1 and effector 2: each
+        # anchor chain has two unit links and reaches a disc, whose inner
+        # circle of radius 0 would put the anchor itself on the boundary
+        edges = [(0, 1, 1.5), (0, 3, 1.0), (3, 2, 1.0), (2, 4, 1.0), (4, 1, 1.0)]
+        doc = {
+            "dim": 2, "vertices": 5, "base": 0, "base_link": 0, "effector": 2,
+            "edges": [{"u": u, "v": v, "length": ell} for u, v, ell in edges],
+        }
+        path = tmp_path / "two-discs.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "workspace", str(path))
+        assert code == 0
+        lens = json.loads(out)
+        assert [(a["m"], a["M"]) for a in lens["annuli"]] == [(0.0, 2.0), (0.0, 2.0)]
+        assert len(lens["boundary"]) > 100
+        assert [0.0, 0.0] not in lens["boundary"] and [1.5, 0.0] not in lens["boundary"]
 
     def test_disconnected_cycles_exit_1(self, tmp_path):
         # two disjoint triangles: every degree is 2, but no cycle joins base and effector

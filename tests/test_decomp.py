@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import linkctl.decomp as decomp
+import linkctl.model as model
 import linkctl.numeric as numeric
 from linkctl.decomp import (
     StageVerdict,
@@ -111,6 +112,24 @@ class TestEnumerateRemovals:
     def test_disconnected_graph_rejected(self):
         with pytest.raises(InvalidSpec, match="requires a connected graph"):
             enumerate_chain_removals(MechanismType(4, ((0, 1), (2, 3))))
+
+    def test_each_graph_enumerates_once(self, monkeypatch):
+        # stage_classify looks its removal up on the graph instead of walking
+        # or rebuilding it; an equal graph of its own walks again, so no cache
+        # outlives the graph that holds it
+        built = []
+        removal = model._removal
+        monkeypatch.setattr(model, "_removal", lambda *args: built.append(args) or removal(*args))
+        linkage, config = four_bar(), four_bar_node()
+        removals = enumerate_chain_removals(linkage.graph)
+        paths = len(built)
+        assert paths >= len(removals) == 12
+        for r in removals:
+            stage_classify(linkage, config, r)
+        assert enumerate_chain_removals(linkage.graph) == removals
+        assert len(built) == paths
+        assert enumerate_chain_removals(MechanismType(4, linkage.graph.edges)) == removals
+        assert len(built) == 2 * paths
 
     def test_adjacency_and_walk(self):
         graph = four_bar().graph  # edges (0,1), (1,2), (2,3), (3,0)
@@ -496,10 +515,17 @@ class TestCertificateSearch:
 
 class TestTolerances:
     @pytest.mark.parametrize("name", [f.name for f in fields(Tolerances) if f.name != "depth"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, True, False, "1e-8"])
     def test_thresholds_must_be_finite_and_non_negative(self, name, value):
-        with pytest.raises(InvalidSpec, match=name):
+        # rank=True read as 1.0 and called a smooth four-bar Indeterminate;
+        # a string raised TypeError
+        with pytest.raises(InvalidSpec, match=f"^tolerance {name} must be finite and >= 0"):
             Tolerances(**{name: value})
+
+    def test_checked_values_are_stored(self):
+        tols = Tolerances(rank=np.float64(1e-6), align=np.float32(0.5), grad_scale=1, depth=np.int64(3))
+        assert [type(getattr(tols, f.name)) for f in fields(Tolerances)] == [float, float, float, int]
+        assert (tols.rank, tols.align, tols.grad_scale, tols.depth) == (1e-6, float(np.float32(0.5)), 1.0, 3)
 
     def test_zero_thresholds_and_depth_allowed(self):
         Tolerances(**{f.name: 0 for f in fields(Tolerances)})
@@ -508,9 +534,9 @@ class TestTolerances:
         with pytest.raises(InvalidSpec, match="depth"):
             Tolerances(depth=-1)
 
-    @pytest.mark.parametrize("depth", [float("nan"), 1.5, 2.0])
+    @pytest.mark.parametrize("depth", [float("nan"), 1.5, 2.0, True, False, "2"])
     def test_depth_must_be_an_integer(self, depth):
-        # nan searched nothing and 1.5 searched two levels
+        # nan searched nothing, 1.5 searched two levels and True was kept as True
         with pytest.raises(InvalidSpec, match="depth"):
             Tolerances(depth=depth)
 

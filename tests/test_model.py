@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -74,6 +75,13 @@ class TestBuildLinkage:
     def test_zero_length_rejected(self):
         doc = {"dim": 2, "vertices": 2, "edges": [{"u": 0, "v": 1, "length": 0.0}]}
         with pytest.raises(InvalidSpec, match="edge lengths must be positive"):
+            build_linkage(doc)
+
+    @pytest.mark.parametrize("length", [True, "3.0", " 2 ", None, [1.0]])
+    def test_length_must_be_a_number(self, length):
+        # float() read true as 1.0 and "3.0" or " 2 " as numbers
+        doc = {"dim": 2, "vertices": 2, "edges": [{"u": 0, "v": 1, "length": length}]}
+        with pytest.raises(InvalidSpec, match=f"^edge 0 length must be a number, got {re.escape(repr(length))}$"):
             build_linkage(doc)
 
     def test_self_loop_rejected(self):

@@ -151,7 +151,14 @@ class TestSampling:
         assert 0.0 < np.max(np.abs(a.points)) <= 1.0
 
     @pytest.mark.parametrize(
-        "option, name", [({"seed": -1}, "seed"), ({"seed": 1.5}, "seed"), ({"n": 2.5}, "n")]
+        "option, name",
+        [
+            ({"seed": -1}, "seed"),
+            ({"seed": 1.5}, "seed"),
+            ({"n": 2.5}, "n"),
+            ({"n": True}, "n"),  # it made one attempt
+            ({"seed": False}, "seed"),
+        ],
     )
     def test_non_integer_or_negative_counts_rejected(self, option, name):
         kw = {"n": 3, **option}
@@ -646,7 +653,7 @@ class TestReducedWorkData:
         linkage = ChainSpec(ChainKind.OPEN, (2.0, 1.0), 2).to_linkage()
         frame = tangent_frame(linkage, Configuration(pts))
         data = reduced_work_data(linkage, frame)
-        assert data.frame is frame
+        assert data.gradient.shape == (frame.dim,) and data.hessian.shape == (frame.dim, frame.dim)
         assert np.linalg.norm(data.gradient) > 1e-3
 
     def test_zero_gradient_when_aligned(self):
@@ -685,12 +692,13 @@ class TestReducedWorkData:
             lengths = tuple(np.linalg.norm(np.diff(pts, axis=0), axis=1))
             linkage = ChainSpec(ChainKind.OPEN, lengths, 2).to_linkage()
             cfg = Configuration(pts)
-            data = reduced_work_data(linkage, tangent_frame(linkage, cfg))
+            frame = tangent_frame(linkage, cfg)
+            data = reduced_work_data(linkage, frame)
 
             def f(c):
                 return float(np.linalg.norm(c.points[-1] - c.points[0]))
 
-            fd = fd_gradient(linkage, f, cfg, data.frame.basis)
+            fd = fd_gradient(linkage, f, cfg, frame.basis)
             assert np.linalg.norm(fd - data.gradient) < 1e-6 * (1 + np.linalg.norm(fd))
 
 
@@ -1016,6 +1024,8 @@ class TestLocalBranchCount:
             ({"seed": 1.5}, "seed"),
             ({"seed": "0"}, "seed"),
             ({"n_samples": 2.5}, "n_samples"),
+            ({"seed": True}, "seed"),
+            ({"n_samples": True}, "n_samples"),
         ],
     )
     def test_non_integer_or_negative_counts_rejected(self, option, name):
@@ -1161,7 +1171,7 @@ _TOL_RANK_ENTRIES = (
 
 
 @pytest.mark.parametrize("entry", _TOL_RANK_ENTRIES)
-@pytest.mark.parametrize("tol_rank", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("tol_rank", [float("nan"), float("inf"), -1.0, True, False, "1e-8"])
 def test_tol_rank_checked(entry, tol_rank):
     # unchecked, a NaN tol_rank kept no singular value: tangent_frame at a
     # four-bar configuration returned the whole 5-dimensional reduced space
