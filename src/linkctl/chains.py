@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DegenerateDirection, InvalidSpec
 from .model import Configuration, Linkage, MechanismType, SubspaceBasis, check_real
+from .numeric import work_image
 
 __all__ = [
     "ChainKind",
@@ -219,8 +220,6 @@ def chain_work_image(chain: ChainSpec, config: Configuration | np.ndarray) -> Su
     Dimension d off alignment (for k >= 2); dimension d-1 and orthogonal to
     the alignment direction when aligned.
     """
-    from .numeric import work_image  # local import: numeric depends on model only
-
     if chain.kind is not ChainKind.OPEN:
         raise InvalidSpec("chain_work_image expects an open chain")
     return work_image(chain.to_linkage(), Configuration(_chain_points(config)))

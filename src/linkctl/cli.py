@@ -14,10 +14,11 @@ Reports are JSON on stdout.  ``analyze`` prints the classification report
 for Smooth, 10 for GenericSingular, 20 for Indeterminate, 30 for Conflict;
 all commands exit 1 on errors, with the message on stderr.  A bad input
 raises InvalidSpec, and only LinkctlError and OSError are reported: a file
-that is not JSON, ragged points, a coordinate that is not a JSON number or
-is too large for a float, and a non-numeric --lengths entry each raise
-InvalidSpec naming the file or the option, and such a length names the edge.
-The seed comes from --seed, falling back to LINKCTL_SEED (an integer).
+that is not JSON, ragged points, a coordinate that is not a finite JSON
+number or is too large for a float, and a non-numeric --lengths entry each
+raise InvalidSpec naming the file or the option, and such a length names
+the edge.  The seed comes from --seed, falling back to LINKCTL_SEED (an
+integer).
 
 ``--svg`` draws planar linkages only: ``analyze`` and ``sample`` given a
 3-D linkage exit 1 before any work.  ``trace --svg`` plots flat coordinates
@@ -43,8 +44,9 @@ A linkage document is a JSON object:
 
 Every count and id is an integer (2.0 reads as 2; 2.5, true or "2" is
 rejected), every length and coordinate is a JSON number (true or "3.0" is
-rejected), every length is positive and finite, and the edge order fixes
-the order of the constraint rows.  Lengths are fixed: an edge with a "prismatic" key is
+rejected), every length is positive and finite, every coordinate is finite
+(null, NaN or Infinity is rejected), and the edge order fixes the order of
+the constraint rows.  Lengths are fixed: an edge with a "prismatic" key is
 rejected, and a prismatic chain is analyzed one fiber at a time through
 ``linkctl.chains.prismatic_fiber``.  A configuration document is
 ``{"points": [[x, y], ...]}``, one point of ``dim`` coordinates per vertex.
@@ -55,6 +57,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from typing import Optional
@@ -89,16 +92,22 @@ def _load_json(path: str):
 def _load_pair(linkage_path: str, config_path: str) -> tuple[Linkage, Configuration]:
     linkage = build_linkage(_load_json(linkage_path))
     doc = _load_json(config_path)
+    not_numbers = f"{config_path}: points must be an (N, d) array of numbers"
     try:
-        config = Configuration(doc["points"])
+        points = doc["points"]
+        # numpy reads null as NaN and true or "1" as numbers; a document may give
+        # only finite JSON numbers, found in one pass before numpy reads them
+        coordinates = (x for row in points if type(row) is list for x in row)
+        bad = [x for x in coordinates if type(x) not in (int, float) or not -math.inf < x < math.inf]
+        if bad and (bad[0] is None or type(bad[0]) is float):  # NaN or infinite once numpy reads it
+            raise InvalidSpec(f"{not_numbers} (got {bad[0]!r})")
+        config = Configuration(points)
     except (KeyError, TypeError) as exc:
         raise InvalidSpec(f"malformed configuration document: {exc}") from exc
     except (ValueError, OverflowError) as exc:  # ragged, non-numeric or too large points
-        raise InvalidSpec(f"{config_path}: points must be an (N, d) array of numbers ({exc})") from None
-    # numpy reads true and "1" as numbers; a document may give only JSON numbers
-    bad = [x for row in doc["points"] for x in row if type(x) not in (int, float)]
+        raise InvalidSpec(f"{not_numbers} ({exc})") from None
     if bad:
-        raise InvalidSpec(f"{config_path}: points must be an (N, d) array of numbers (got {bad[0]!r})")
+        raise InvalidSpec(f"{not_numbers} (got {bad[0]!r})")
     check_match(linkage, config)
     return linkage, config
 

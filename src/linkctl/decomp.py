@@ -18,14 +18,15 @@ with every stage transverse over a full-rank base.
 Both are found by the same depth-first walk down the decomposition tree
 (``_search``), one stage at a time (``_step``); the two differ only in where
 they stop and which stages they descend through.  The walk carries the one
-host configuration its caller passed, and every sub-mechanism it descends
-into (``_part``) carries host ids, so ``_step``, which classifies a stage,
-also records it in host ids.  The walk returns the public ``Decomposition``
-it found with the verdict of its deepest stage, from which the entry points
-build their ``Witness`` or certificate.  ``find_witness_through``, the
-platform verifier's entry point, takes one ``_step`` through a forced first
-removal, so that stage obeys the witness rule and counts toward the depth
-like any other.
+host configuration its caller passed.  A stage's parts are cut (``_cut``) in
+the removal's own ids, and ``_step``'s stage record is the one place that
+maps them to host ids: the sub-mechanism it descends into pairs the cut
+remainder with that record's host ids.  The walk returns the public
+``Decomposition`` it found with the verdict of its deepest stage, from which
+the entry points build their ``Witness`` or certificate.
+``find_witness_through``, the platform verifier's entry point, takes one
+``_step`` through a forced first removal, so that stage obeys the witness
+rule and counts toward the depth like any other.
 """
 
 from __future__ import annotations
@@ -137,30 +138,23 @@ def _check_removal(graph: MechanismType, removal: ChainRemoval) -> None:
         raise InvalidSpec(f"not an open-chain removal of this mechanism: {removal}")
 
 
-def _part(
-    sub: SubMechanism,
+def _cut(
+    linkage: Linkage,
     vertices: tuple[int, ...],
     edges: tuple[int, ...],
     ends: tuple[int, int],
-) -> SubMechanism:
-    """The part of ``sub`` on the given vertices and edges (in ``sub``'s ids),
-    based at ends[0] with effector ends[1], its id maps composed with
-    ``sub``'s so that they give host ids."""
-    host = sub.linkage
+) -> Linkage:
+    """The part of ``linkage`` on the given vertices and edges, renumbered in
+    their order, based at ends[0] with effector ends[1] and no base link."""
     index = {v: i for i, v in enumerate(vertices)}
-    sub_edges = tuple((index[host.graph.edges[i][0]], index[host.graph.edges[i][1]]) for i in edges)
-    linkage = Linkage(
-        graph=MechanismType(len(vertices), sub_edges),
-        lengths=tuple(host.lengths[i] for i in edges),
-        ambient_dim=host.ambient_dim,
+    part_edges = tuple((index[linkage.graph.edges[i][0]], index[linkage.graph.edges[i][1]]) for i in edges)
+    return Linkage(
+        graph=MechanismType(len(vertices), part_edges),
+        lengths=tuple(linkage.lengths[i] for i in edges),
+        ambient_dim=linkage.ambient_dim,
         base_vertex=index[ends[0]],
         base_link=None,
         end_effector=index[ends[1]],
-    )
-    return SubMechanism(
-        linkage=linkage,
-        vertex_ids=tuple(sub.vertex_ids[v] for v in vertices),
-        edge_ids=tuple(sub.edge_ids[i] for i in edges),
     )
 
 
@@ -234,12 +228,11 @@ def stage_classify(
     """
     check_match(linkage, config)
     _check_removal(linkage.graph, removal)
-    d = linkage.ambient_dim
-    whole, ends = _whole(linkage), removal.endpoints
-    remainder = _remainder(whole, removal)
-    chain = _part(whole, removal.chain_vertices, removal.chain_edges, ends)
-    gamma_prime, v_prime = remainder.linkage, remainder.restrict(config)
-    lam, v_k = chain.linkage, chain.restrict(config)
+    d, ends = linkage.ambient_dim, removal.endpoints
+    gamma_prime = _cut(linkage, removal.remainder_vertices, removal.remainder_edges, ends)
+    lam = _cut(linkage, removal.chain_vertices, removal.chain_edges, ends)
+    v_prime = Configuration(config.points[list(removal.remainder_vertices)])
+    v_k = Configuration(config.points[list(removal.chain_vertices)])
 
     psi = config.points[ends[1]] - config.points[ends[0]]
     scale = 1.0 + max(gamma_prime.length_scale, lam.length_scale)
@@ -358,11 +351,6 @@ class Witness:
         }
 
 
-def _remainder(sub: SubMechanism, removal: ChainRemoval) -> SubMechanism:
-    """The remainder of one removal of ``sub``, in host ids."""
-    return _part(sub, removal.remainder_vertices, removal.remainder_edges, removal.endpoints)
-
-
 def _search(
     sub: SubMechanism,
     config: Configuration,
@@ -432,7 +420,9 @@ def _step(
         descend = not stage.chain_aligned and depth > 1
     if not descend:
         return verdict, None
-    hit = _search(_remainder(sub, removal), config, depth - 1, tols, certificate, memo)
+    remainder = _cut(sub.linkage, removal.remainder_vertices, removal.remainder_edges, removal.endpoints)
+    part = SubMechanism(remainder, stage.remainder_vertices, stage.remainder_edges)
+    hit = _search(part, config, depth - 1, tols, certificate, memo)
     if hit is None:
         return verdict, None
     found, deepest = hit

@@ -351,7 +351,8 @@ def check_real(value, name: str, positive: bool = False) -> float:
         return value
     if not ok or isinstance(value, (bool, np.bool_)):
         rule = "positive and finite" if positive else "finite and >= 0"
-        raise InvalidSpec(f"{name} must be {rule}, got {value}")
+        shown = value if isinstance(value, (numbers.Number, np.bool_)) else repr(value)
+        raise InvalidSpec(f"{name} must be {rule}, got {shown}")
     return float(value)
 
 

@@ -160,9 +160,11 @@ class TestAnalyzeCommand:
         assert captured.err.startswith(f"error: {cp}: points must be an (N, d) array of numbers (")
         assert cause in captured.err
 
-    @pytest.mark.parametrize("coordinate", [True, False, "1"])
+    @pytest.mark.parametrize("coordinate", [True, False, "1", None, float("nan"), float("inf")])
     def test_points_that_are_not_json_numbers_exit_1(self, demo_files, capsys, coordinate):
-        # numpy read true as 1.0 and "1" as a number
+        # numpy read true as 1.0 and "1" as a number, and null, NaN and
+        # Infinity as non-finite numbers that Configuration rejected without
+        # naming the file
         lp, cp = demo_files("four-bar-singular")
         doc = json.loads(Path(cp).read_text())
         doc["points"][1][0] = coordinate
@@ -171,7 +173,7 @@ class TestAnalyzeCommand:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {cp}: points must be an (N, d) array of numbers (")
+        assert captured.err == f"error: {cp}: points must be an (N, d) array of numbers (got {coordinate!r})\n"
 
     @pytest.mark.parametrize("length", [True, "3.0"])
     def test_length_that_is_not_a_json_number_exits_1(self, demo_files, capsys, length):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -49,6 +50,7 @@ from conftest import (
     self_stressed_linkage,
     triangle,
 )
+from test_classify import _braced_node
 
 
 class TestEnumerateRemovals:
@@ -334,22 +336,57 @@ def _valid_poses():
 
 class TestHereditaryValidity:
     def test_every_part_of_a_valid_pose_is_valid(self):
-        # the parts of the first two stages, each remainder walked once
+        # the parts of the first two stages, each remainder walked once; a
+        # part is cut in its parent's ids and keyed by its host edges
         parts = 0
         for linkage, config in _valid_poses():
-            stack, seen = [(decomp._whole(linkage), 2)], set()
+            stack, seen = [(linkage, config, tuple(range(linkage.k)), 2)], set()
             while stack:
-                sub, depth = stack.pop()
-                for removal in enumerate_chain_removals(sub.linkage.graph):
-                    chain = decomp._part(sub, removal.chain_vertices, removal.chain_edges, removal.endpoints)
-                    remainder = decomp._remainder(sub, removal)
-                    for part in (chain, remainder):
-                        check_on_constraint(part.linkage, part.restrict(config))
+                sub, sub_config, host_edges, depth = stack.pop()
+                for removal in enumerate_chain_removals(sub.graph):
+                    chain = decomp._cut(sub, removal.chain_vertices, removal.chain_edges, removal.endpoints)
+                    remainder = decomp._cut(sub, removal.remainder_vertices, removal.remainder_edges, removal.endpoints)
+                    chain_config = Configuration(sub_config.points[list(removal.chain_vertices)])
+                    remainder_config = Configuration(sub_config.points[list(removal.remainder_vertices)])
+                    for part, part_config in ((chain, chain_config), (remainder, remainder_config)):
+                        check_on_constraint(part, part_config)
                         parts += 1
-                    if depth > 1 and frozenset(remainder.edge_ids) not in seen:
-                        seen.add(frozenset(remainder.edge_ids))
-                        stack.append((remainder, depth - 1))
+                    remainder_edges = tuple(host_edges[i] for i in removal.remainder_edges)
+                    if depth > 1 and frozenset(remainder_edges) not in seen:
+                        seen.add(frozenset(remainder_edges))
+                        stack.append((remainder, remainder_config, remainder_edges, depth - 1))
         assert parts > 1000
+
+    def test_every_searched_part_is_the_host_cut_by_its_ids(self, monkeypatch):
+        # the search descends into a remainder cut in its parent's ids and
+        # labelled with the stage record's host ids; the two must agree with a
+        # cut of the host itself.  The braced nodes' remainder ids differ from
+        # their host ids.
+        searched = []
+
+        def search(sub, *args):
+            searched.append(sub)
+            return original(sub, *args)
+
+        original = decomp._search
+        monkeypatch.setattr(decomp, "_search", search)
+        rng = np.random.default_rng(23)
+        stressed = [self_stressed_linkage(rng, d) for d in (2, 3) for _ in range(10)]
+        poses = [(build_linkage(doc), Configuration(config["points"])) for doc, config in map(build_demo, DEMO_NAMES)]
+        poses += [_braced_node(brace) for brace in ([(0.25, 1.0)], [(0.2, 1.0), (0.6, 1.2)])]
+        poses += [s for s in stressed if s is not None]
+        below = 0
+        for linkage, config in poses:
+            searched.clear()
+            find_nontransversive_witness(linkage, config)
+            find_smoothness_certificate(linkage, config)
+            for sub in searched:
+                if sub.linkage is linkage:
+                    continue
+                ends = (sub.vertex_ids[sub.linkage.base_vertex], sub.vertex_ids[sub.linkage.end_effector])
+                assert sub.linkage == decomp._cut(linkage, sub.vertex_ids, sub.edge_ids, ends)
+                below += 1
+        assert below > 100
 
     def test_every_removal_gets_a_verdict(self):
         # the poses above and self-stressed ones, whose stages can be non-transverse
@@ -518,8 +555,9 @@ class TestTolerances:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, True, False, "1e-8"])
     def test_thresholds_must_be_finite_and_non_negative(self, name, value):
         # rank=True read as 1.0 and called a smooth four-bar Indeterminate;
-        # a string raised TypeError
-        with pytest.raises(InvalidSpec, match=f"^tolerance {name} must be finite and >= 0"):
+        # a string raised TypeError, and then printed unquoted like a number
+        shown = repr(value) if isinstance(value, str) else str(value)
+        with pytest.raises(InvalidSpec, match=f"^tolerance {name} must be finite and >= 0, got {re.escape(shown)}$"):
             Tolerances(**{name: value})
 
     def test_checked_values_are_stored(self):

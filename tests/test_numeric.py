@@ -617,12 +617,12 @@ class TestWorkImage:
         for name in ("four-bar-singular", "egsing", "five-bar", "tri-platform-b"):
             linkage, config = demo_pair(name)
             for removal in enumerate_chain_removals(linkage.graph):
-                whole, ends = decomp._whole(linkage), removal.endpoints
-                for part in (
-                    decomp._part(whole, removal.remainder_vertices, removal.remainder_edges, ends),
-                    decomp._part(whole, removal.chain_vertices, removal.chain_edges, ends),
+                for vertices, edges in (
+                    (removal.remainder_vertices, removal.remainder_edges),
+                    (removal.chain_vertices, removal.chain_edges),
                 ):
-                    self.assert_matches_reference(part.linkage, part.restrict(config))
+                    part = decomp._cut(linkage, vertices, edges, removal.endpoints)
+                    self.assert_matches_reference(part, Configuration(config.points[list(vertices)]))
 
 
 class TestFiniteDifferences:
