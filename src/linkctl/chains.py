@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateDirection, InvalidSpec
-from .model import Configuration, Linkage, MechanismType, SubspaceBasis, check_real
+from .model import Configuration, Linkage, MechanismType, SubspaceBasis, _ChainLinks, check_real
 from .numeric import work_image
 
 __all__ = [
@@ -132,6 +132,37 @@ def _check_angle(tol, name: str) -> float:
     return tol
 
 
+_TINY = np.finfo(float).tiny
+
+
+def _aligned_chains(
+    points: np.ndarray, links: _ChainLinks, cos_tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The alignment test of every chain in ``links`` at once: each chain's
+    first-link unit direction, (m, d), whether the chain is aligned and
+    whether it has a zero-length link, both (m,).
+
+    A link is zero-length when shorter than 1e-12 * (1 + its chain's summed
+    link lengths).  A chain is aligned when it has no such link and every
+    link's |cos| with its first link is at least ``cos_tol``.
+    """
+    vecs = points[links.head] - points[links.tail]
+    norms = np.sqrt(np.add.reduce(vecs * vecs, axis=1))  # np.linalg.norm of each link
+    degenerate = np.minimum.reduceat(norms, links.first) < 1e-12 * (
+        1.0 + np.add.reduceat(norms, links.first)
+    )
+    # a link of length 0 is divided by the least normal float, never by 0
+    dirs = vecs / np.maximum(norms, _TINY)[:, None]
+    w = dirs[links.first]
+    # every link against every chain's first link; each chain keeps its own column
+    cos = np.minimum.reduceat(np.abs(dirs @ w.T), links.first).diagonal()
+    return w, (cos >= cos_tol) & ~degenerate, degenerate
+
+
+# a point sequence as one chain: link i runs from point i to point i + 1
+_ONE_CHAIN = _ChainLinks(tail=slice(None, -1), head=slice(1, None), first=np.zeros(1, dtype=np.intp))
+
+
 def is_aligned(config: Configuration | np.ndarray, tol: float = 1e-6) -> Optional[np.ndarray]:
     """Common unit direction of link 1 if all links are collinear with it, else None.
 
@@ -140,21 +171,18 @@ def is_aligned(config: Configuration | np.ndarray, tol: float = 1e-6) -> Optiona
     with the first repeated at the end.  Raises DegenerateDirection on a link
     shorter than 1e-12 * (1 + the summed link lengths), and InvalidSpec on
     fewer than two points or unless tol is finite, >= 0 and below pi/2.
+    One kernel decides alignment for one chain or for a stack of chains:
+    this is its one-chain case, and ``classify.platform_conditions`` runs it
+    on a platform's three branches at once.
     """
-    _check_angle(tol, "tol")
+    cos_tol = math.cos(_check_angle(tol, "tol"))
     points = _chain_points(config)
     if len(points) < 2:
         raise InvalidSpec("is_aligned needs at least one link")
-    vecs = np.diff(points, axis=0)
-    norms = np.linalg.norm(vecs, axis=1)
-    if np.any(norms < 1e-12 * (1.0 + norms.sum())):
+    w, aligned, degenerate = _aligned_chains(points, _ONE_CHAIN, cos_tol)
+    if degenerate[0]:
         raise DegenerateDirection("chain has a zero-length link")
-    dirs = vecs / norms[:, None]
-    w = dirs[0]
-    cos_tol = math.cos(tol)
-    if np.all(np.abs(dirs @ w) >= cos_tol):
-        return w
-    return None
+    return w[0] if aligned[0] else None
 
 
 def forward_count(config: Configuration | np.ndarray, w: np.ndarray, tol: float = 1e-6) -> int:

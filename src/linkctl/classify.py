@@ -11,12 +11,13 @@ and drive the classifier through the branch-removal decomposition.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .chains import is_aligned
+from .chains import _aligned_chains
 from .decomp import (
     ChainRemoval,
     Decomposition,
@@ -27,7 +28,7 @@ from .decomp import (
     find_smoothness_certificate,
     find_witness_through,
 )
-from .errors import DegenerateDirection, InvalidSpec
+from .errors import InvalidSpec
 from .model import Configuration, Linkage, check_match, check_on_constraint, constraint_jacobian
 from .numeric import numerical_rank
 
@@ -196,24 +197,6 @@ class PlatformCondition:
     point: Optional[np.ndarray] = None
 
 
-def _branch_path(linkage: Linkage, branch_edges: Sequence[int]) -> list[int]:
-    """Vertex path of a branch, starting at its fixed-platform anchor."""
-    plat = linkage.platform
-    assert plat is not None
-    edges = [linkage.graph.edges[i] for i in branch_edges]
-    first = edges[0]
-    anchor = first[0] if first[0] in plat.fixed else first[1]
-    if anchor not in plat.fixed:
-        raise InvalidSpec("branch does not start at a fixed-platform vertex")
-    path = [anchor]
-    for u, v in edges:
-        nxt = v if u == path[-1] else u
-        if path[-1] not in (u, v):
-            raise InvalidSpec("branch edges do not form a path")
-        path.append(nxt)
-    return path
-
-
 def platform_conditions(
     linkage: Linkage,
     config: Configuration,
@@ -224,7 +207,11 @@ def platform_conditions(
     Type 'a': two aligned branches whose direction lines coincide (angular
     tolerance plus perpendicular offset).  Type 'b': all three branches
     aligned with direction lines meeting in one point.  'a' wins when both
-    hold.  Returns None when neither does.
+    hold.  Returns None when neither does.  One kernel decides alignment for
+    all three branches at once, the one ``chains.is_aligned`` runs on a
+    single chain; a branch with a zero-length link is not aligned.  The
+    branches' vertex paths are walked once per linkage, and a branch that is
+    not a path from a fixed vertex raises InvalidSpec on every call.
     """
     check_match(linkage, config)
     if linkage.platform is None or linkage.ambient_dim != 2:
@@ -233,16 +220,10 @@ def platform_conditions(
         raise InvalidSpec("platform conditions are implemented for three branches")
 
     p = config.points
-    aligned_lines: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for idx, branch in enumerate(linkage.platform.branches):
-        path = _branch_path(linkage, branch)
-        pts = p[path]
-        try:
-            w = is_aligned(pts, tol=tols.align)
-        except DegenerateDirection:
-            w = None
-        if w is not None:
-            aligned_lines[idx] = (pts[0], w)
+    links = linkage._platform_links
+    w, aligned, _ = _aligned_chains(p, links, math.cos(tols.align))
+    anchors = p[links.tail[links.first]]  # each branch's fixed vertex
+    aligned_lines = {idx: (anchors[idx], w[idx]) for idx in range(3) if aligned[idx]}
 
     offset_tol = 1e-8 * (1.0 + linkage.length_scale)
     cos_tol = np.cos(tols.align)

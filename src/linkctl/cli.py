@@ -14,11 +14,12 @@ Reports are JSON on stdout.  ``analyze`` prints the classification report
 for Smooth, 10 for GenericSingular, 20 for Indeterminate, 30 for Conflict;
 all commands exit 1 on errors, with the message on stderr.  A bad input
 raises InvalidSpec, and only LinkctlError and OSError are reported: a file
-that is not JSON, ragged points, a coordinate that is not a finite JSON
-number or is too large for a float, and a non-numeric --lengths entry each
-raise InvalidSpec naming the file or the option, and such a length names
-the edge.  The seed comes from --seed, falling back to LINKCTL_SEED (an
-integer).
+that is not JSON, points that are not a nonempty list of rows of equal
+length (``[]``, ``5``, a string, a flat or a deeper list, ragged rows), a
+coordinate that is not a finite JSON number or is too large for a float,
+and a non-numeric --lengths entry each raise InvalidSpec naming the file or
+the option, and such a length names the edge.  The seed comes from --seed,
+falling back to LINKCTL_SEED (an integer).
 
 ``--svg`` draws planar linkages only: ``analyze`` and ``sample`` given a
 3-D linkage exit 1 before any work.  ``trace --svg`` plots flat coordinates
@@ -89,21 +90,36 @@ def _load_json(path: str):
             raise InvalidSpec(f"{path} is not a JSON document: {exc}") from None
 
 
+def _bad_coordinates(points, not_numbers: str) -> list:
+    """The coordinates of ``points`` that are not finite JSON numbers, in
+    document order.  Raises InvalidSpec, quoting the entry, when ``points`` is
+    not a nonempty list or one of its rows is not a list."""
+    if type(points) is not list or not points:
+        raise InvalidSpec(f"{not_numbers} (got {points!r})")
+    bad = []
+    for row in points:
+        if type(row) is not list:
+            raise InvalidSpec(f"{not_numbers} (got {row!r})")
+        bad += [x for x in row if type(x) not in (int, float) or not -math.inf < x < math.inf]
+    return bad
+
+
 def _load_pair(linkage_path: str, config_path: str) -> tuple[Linkage, Configuration]:
     linkage = build_linkage(_load_json(linkage_path))
     doc = _load_json(config_path)
-    not_numbers = f"{config_path}: points must be an (N, d) array of numbers"
     try:
         points = doc["points"]
-        # numpy reads null as NaN and true or "1" as numbers; a document may give
-        # only finite JSON numbers, found in one pass before numpy reads them
-        coordinates = (x for row in points if type(row) is list for x in row)
-        bad = [x for x in coordinates if type(x) not in (int, float) or not -math.inf < x < math.inf]
-        if bad and (bad[0] is None or type(bad[0]) is float):  # NaN or infinite once numpy reads it
-            raise InvalidSpec(f"{not_numbers} (got {bad[0]!r})")
-        config = Configuration(points)
     except (KeyError, TypeError) as exc:
         raise InvalidSpec(f"malformed configuration document: {exc}") from exc
+    not_numbers = f"{config_path}: points must be an (N, d) array of numbers"
+    # numpy reads null as NaN, true or "1" as numbers and a string, flat or
+    # deeper list as an array of another shape; only a string coordinate is
+    # left to numpy, whose message quotes one it cannot read
+    bad = _bad_coordinates(points, not_numbers)
+    if bad and type(bad[0]) is not str:
+        raise InvalidSpec(f"{not_numbers} (got {bad[0]!r})")
+    try:
+        config = Configuration(points)
     except (ValueError, OverflowError) as exc:  # ragged, non-numeric or too large points
         raise InvalidSpec(f"{not_numbers} ({exc})") from None
     if bad:

@@ -17,7 +17,7 @@ class InvalidSpec(LinkctlError):
 
 class DegenerateDirection(LinkctlError):
     """An operation needed a direction but its endpoints coincide;
-    stage_classify and platform_conditions turn it into a reason."""
+    stage_classify turns it into a reason."""
 
 
 class NoConvergence(LinkctlError):

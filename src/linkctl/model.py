@@ -195,6 +195,15 @@ class _EdgeKernel(NamedTuple):
     v_at: np.ndarray  # (k, d) the same for vertex v's block
 
 
+class _ChainLinks(NamedTuple):
+    """Chains as one flat list of links, each chain's links consecutive, for
+    the alignment kernel ``chains._aligned_chains``."""
+
+    tail: np.ndarray | slice  # (L,) vertex each link starts at, or a slice of a point sequence
+    head: np.ndarray | slice  # (L,) vertex it ends at
+    first: np.ndarray  # (m,) position of each chain's first link, increasing
+
+
 @dataclass(frozen=True)
 class Linkage:
     """A mechanism graph with one positive length per edge.
@@ -274,6 +283,37 @@ class Linkage:
             u_at=row_start + edges[:, :1] * d,
             v_at=row_start + edges[:, 1:] * d,
         )
+
+    @cached_property
+    def _platform_links(self) -> _ChainLinks:
+        # Each platform branch walked once, from its fixed anchor.  A branch
+        # that is no such path raises InvalidSpec and caches nothing, so
+        # every use raises again.
+        assert self.platform is not None
+        paths = [_branch_path(self, branch) for branch in self.platform.branches]
+        return _ChainLinks(
+            tail=np.array([v for path in paths for v in path[:-1]]),
+            head=np.array([v for path in paths for v in path[1:]]),
+            first=np.cumsum([0] + [len(path) - 1 for path in paths[:-1]]),
+        )
+
+
+def _branch_path(linkage: Linkage, branch_edges: Sequence[int]) -> list[int]:
+    """Vertex path of a platform branch, starting at its fixed-platform anchor."""
+    plat = linkage.platform
+    assert plat is not None
+    edges = [linkage.graph.edges[i] for i in branch_edges]
+    first = edges[0]
+    anchor = first[0] if first[0] in plat.fixed else first[1]
+    if anchor not in plat.fixed:
+        raise InvalidSpec("branch does not start at a fixed-platform vertex")
+    path = [anchor]
+    for u, v in edges:
+        nxt = v if u == path[-1] else u
+        if path[-1] not in (u, v):
+            raise InvalidSpec("branch edges do not form a path")
+        path.append(nxt)
+    return path
 
 
 class Configuration:

@@ -1,10 +1,14 @@
+import math
 from typing import Callable, Optional
 
 import numpy as np
 import pytest
 
-from linkctl.decomp import ChainRemoval
-from linkctl.model import Configuration, Linkage, MechanismType, SubspaceBasis
+from linkctl.chains import _check_angle
+from linkctl.classify import PlatformCondition, _meeting_point
+from linkctl.decomp import ChainRemoval, Tolerances
+from linkctl.errors import DegenerateDirection, InvalidSpec
+from linkctl.model import Configuration, Linkage, MechanismType, SubspaceBasis, _branch_path
 
 
 def four_bar(lengths=(3.0, 2.5, 1.5, 2.0)) -> Linkage:
@@ -462,6 +466,60 @@ def reference_enumerate_chain_removals(graph: MechanismType) -> list[ChainRemova
         removals.append(ChainRemoval(path, chain_edges, rem_vertices, rem_edges))
     removals.sort(key=lambda r: r.chain_edges)
     return removals
+
+
+def reference_is_aligned(points: np.ndarray, tol: float = 1e-6) -> Optional[np.ndarray]:
+    """Reference alignment test of one chain of points: np.diff links, each
+    divided by its np.linalg.norm, against the first link's direction."""
+    _check_angle(tol, "tol")
+    points = np.asarray(points, dtype=float)
+    if len(points) < 2:
+        raise InvalidSpec("is_aligned needs at least one link")
+    vecs = np.diff(points, axis=0)
+    norms = np.linalg.norm(vecs, axis=1)
+    if np.any(norms < 1e-12 * (1.0 + norms.sum())):
+        raise DegenerateDirection("chain has a zero-length link")
+    dirs = vecs / norms[:, None]
+    w = dirs[0]
+    if np.all(np.abs(dirs @ w) >= math.cos(tol)):
+        return w
+    return None
+
+
+def reference_platform_conditions(
+    linkage: Linkage, config: Configuration, tols: Tolerances = Tolerances()
+) -> Optional[PlatformCondition]:
+    """Reference platform test: each branch's path walked and its alignment
+    tested on its own, then the pair test and the meeting point."""
+    assert linkage.platform is not None and len(linkage.platform.branches) == 3
+    p = config.points
+    aligned_lines = {}
+    for idx, branch in enumerate(linkage.platform.branches):
+        pts = p[_branch_path(linkage, branch)]
+        try:
+            w = reference_is_aligned(pts, tol=tols.align)
+        except DegenerateDirection:
+            w = None
+        if w is not None:
+            aligned_lines[idx] = (pts[0], w)
+
+    offset_tol = 1e-8 * (1.0 + linkage.length_scale)
+    cos_tol = np.cos(tols.align)
+    for i in range(3):
+        for j in range(i + 1, 3):
+            if i in aligned_lines and j in aligned_lines:
+                (pi, wi), (pj, wj) = aligned_lines[i], aligned_lines[j]
+                if abs(float(wi @ wj)) >= cos_tol:
+                    perp = float(abs((pj - pi)[0] * wi[1] - (pj - pi)[1] * wi[0]))
+                    if perp < offset_tol:
+                        return PlatformCondition("a", (i, j))
+
+    if len(aligned_lines) == 3:
+        lines = [aligned_lines[i] for i in range(3)]
+        meet = _meeting_point(lines, 1e-6 * (1.0 + linkage.length_scale))
+        if meet is not None:
+            return PlatformCondition("b", (0, 1, 2), point=meet)
+    return None
 
 
 def pointed_frame(linkage: Linkage, config: Configuration, tol_rank: float = 1e-8) -> np.ndarray:

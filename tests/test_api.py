@@ -46,7 +46,7 @@ def test_settable_values():
 ERROR_CLASSES = {
     "LinkctlError",  # caught by cli.main
     "InvalidSpec",  # every bad input
-    "DegenerateDirection",  # caught by decomp.stage_classify and classify.platform_conditions
+    "DegenerateDirection",  # caught by decomp.stage_classify
     "NoConvergence",  # caught by decomp.stage_classify and numeric.trace_curve
     "NoFeasiblePoint",  # caught by the benchmark's sample workload
     "OffConstraint",  # caught by tests/test_decomp.py's _valid_poses filter

@@ -18,7 +18,13 @@ from linkctl.errors import DegenerateDirection, InvalidSpec
 from linkctl.model import Configuration
 from linkctl.numeric import reduced_work_data, sample_cspace, tangent_frame
 
-from conftest import aligned_closed_chain, four_bar_node, random_open_chain, reach_oracle
+from conftest import (
+    aligned_closed_chain,
+    four_bar_node,
+    random_open_chain,
+    reach_oracle,
+    reference_is_aligned,
+)
 
 
 class TestWorkspaceInterval:
@@ -88,6 +94,45 @@ class TestAlignment:
         # raised IndexError from the first link's direction
         with pytest.raises(InvalidSpec, match="is_aligned needs at least one link"):
             is_aligned(np.zeros((1, 2)))
+
+    @staticmethod
+    def outcome(test, points, tol):
+        try:
+            w = test(points, tol=tol)
+        except DegenerateDirection:
+            return "zero-length link"
+        return None if w is None else w.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_equals_reference(self, d):
+        # the stacked kernel's one-chain case against np.diff, np.linalg.norm
+        # and a matmul: the same verdict and the same direction, bit for bit.
+        # Chains of 1 to 12 links, bent, aligned to within tilts around the
+        # angular tolerance, with a repeated point or shrunk by 1e-13, and
+        # closed loops
+        rng = np.random.default_rng(90 + d)
+        seen = {}
+        for trial in range(600):
+            k = int(rng.integers(1, 13))
+            kind = trial % 4
+            if kind == 0:
+                pts = random_open_chain(rng, k, d) * 10.0 ** rng.uniform(-3, 3)
+            elif kind in (1, 2):
+                w = rng.normal(size=d)
+                steps = rng.choice([-1.0, 1.0], k)[:, None] * rng.uniform(0.5, 2.0, (k, 1)) * w
+                steps += rng.normal(size=(k, d)) * 10.0 ** rng.uniform(-9, -5) * np.linalg.norm(steps[:1])
+                pts = np.vstack([np.zeros(d), np.cumsum(steps, axis=0)]) + rng.normal(size=d)
+                if kind == 2:
+                    i = int(rng.integers(0, k + 1))
+                    pts = np.insert(pts, i, pts[i] + rng.choice([0.0, 1e-13]) * w, axis=0)
+            else:
+                pts = aligned_closed_chain(rng, d)[1]
+            tol = float(rng.choice([0.0, 1e-6, 1e-3]))
+            got = self.outcome(is_aligned, pts, tol)
+            assert got == self.outcome(reference_is_aligned, pts, tol), (pts, tol)
+            key = got if got in (None, "zero-length link") else "aligned"
+            seen[key] = seen.get(key, 0) + 1
+        assert min(seen.values()) >= 60, seen
 
     def test_forward_count_all_same(self):
         pts = np.array([[0.0, 0], [1, 0], [2, 0], [3.5, 0]])

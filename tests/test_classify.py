@@ -17,9 +17,11 @@ from linkctl.errors import DegenerateDirection, InvalidSpec, OffConstraint
 from linkctl.model import Configuration, Linkage, MechanismType, PlatformSpec, build_linkage
 from linkctl.numeric import numerical_rank, sample_cspace
 from linkctl.model import constraint_jacobian
-from linkctl import classify, decomp, demos
+from linkctl import classify, decomp, demos, model
 from linkctl.demos import build_demo
 
+from conftest import reference_platform_conditions
+from test_invariance import _moved
 
 
 def _demo_pair(name):
@@ -179,6 +181,48 @@ class TestLinesConcurrent:
         assert lines_concurrent(lines)
 
 
+def _platform_pair(points, edges=demos._PLATFORM_EDGES, platform=demos._PLATFORM_SPEC):
+    """A platform linkage with the lengths of ``points``, and that pose."""
+    ldoc, cdoc = demos._docs(
+        points, edges, demos._edge_lengths(points, edges), base=0, base_link=0, effector=5,
+        platform=platform,
+    )
+    return build_linkage(ldoc), Configuration(cdoc["points"])
+
+
+# lines 0 and 1 lie 1e-6 apart: too far apart for type (a), but one line to
+# the concurrency test of type (b)
+_NEAR_COINCIDENT = np.array(
+    [(-3, 0), (3, 1e-6), (1, -3), (-1, 0), (1.5, 1e-6), (1, -1), (-2, 0), (2, 1e-6), (1, -2)], dtype=float
+)
+
+
+def _stretched_tri_platform_a() -> np.ndarray:
+    """tri-platform-a with P3 moved onto the segment A3-B3: branch 2 is
+    stretched too, a non-generic pose."""
+    points = np.array(build_demo("tri-platform-a")[1]["points"])
+    points[8] = points[2] + 0.55 * (points[5] - points[2])
+    return points
+
+
+def _ragged_platform_pose(bent: bool) -> tuple[Linkage, Configuration]:
+    """tri-platform-b's triangles joined by branches of 1, 2 and 3 links.
+    Straight, the three lines meet at the origin; bent, the third branch
+    leaves its line at its first joint."""
+    s = np.sqrt(0.5)
+    a1, a2, a3 = np.array([0.0, -2.0]), np.array([3.0, 0.0]), np.array([-3.0 * s, 3.0 * s])
+    b1, b2, b3 = np.array([0.0, 0.8]), np.array([-1.1, 0.0]), np.array([-0.9 * s, 0.9 * s])
+    p2 = np.array([0.7, 0.0])
+    # the third branch runs past its attachment and folds back onto it
+    q1, q2 = a3 + 1.4 * np.array([s, -s]), a3 + 2.6 * np.array([s, -s])
+    if bent:
+        q1 = q1 + np.array([0.3, 0.3])
+    points = np.array([a1, a2, a3, b1, b2, b3, p2, q1, q2])
+    edges = demos._PLATFORM_EDGES[:6] + [(0, 3), (1, 6), (6, 4), (2, 7), (7, 8), (8, 5)]
+    platform = {"branches": [[6], [7, 8], [9, 10, 11]], "fixed": [0, 1, 2], "moving": [3, 4, 5]}
+    return _platform_pair(points, edges, platform)
+
+
 class TestPlatform:
     def test_untagged_linkage_rejected(self, fb, fb_node):
         with pytest.raises(InvalidSpec, match="not tagged as a planar platform"):
@@ -220,19 +264,9 @@ class TestPlatform:
         assert cond.point == pytest.approx([0.0, 0.0], abs=1e-8)
 
     def test_type_b_point_with_near_coincident_lines(self):
-        # lines 0 and 1 lie 1e-6 apart: too far apart for type (a), but one
-        # line to the concurrency test, so the point must come from lines
-        # that cross
-        points = np.array(
-            [(-3, 0), (3, 1e-6), (1, -3), (-1, 0), (1.5, 1e-6), (1, -1), (-2, 0), (2, 1e-6), (1, -2)],
-            dtype=float,
-        )
-        edges = demos._PLATFORM_EDGES
-        ldoc, cdoc = demos._docs(
-            points, edges, demos._edge_lengths(points, edges), base=0, base_link=0, effector=5,
-            platform=demos._PLATFORM_SPEC,
-        )
-        linkage, config = build_linkage(ldoc), Configuration(cdoc["points"])
+        # the point must come from lines that cross
+        points = _NEAR_COINCIDENT
+        linkage, config = _platform_pair(points)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cond = platform_conditions(linkage, config)
@@ -291,18 +325,10 @@ class TestPlatform:
         assert report.notes[2] == "non-generic: stage degenerate (degenerate_hessian)"
 
     def test_stretched_third_branch_is_indeterminate_from_both_entries(self):
-        # tri-platform-a with P3 moved onto the segment A3-B3: branch 2 is
-        # stretched too, a non-generic pose.  An aligned outer chain does not
-        # lift the singularity, so the platform verifier must not pass
-        # through it where classify_configuration would not
-        points = np.array(build_demo("tri-platform-a")[1]["points"])
-        points[8] = points[2] + 0.55 * (points[5] - points[2])
-        edges = demos._PLATFORM_EDGES
-        ldoc, cdoc = demos._docs(
-            points, edges, demos._edge_lengths(points, edges), base=0, base_link=0, effector=5,
-            platform=demos._PLATFORM_SPEC,
-        )
-        linkage, config = build_linkage(ldoc), Configuration(cdoc["points"])
+        # an aligned outer chain does not lift the singularity, so the
+        # platform verifier must not pass through it where
+        # classify_configuration would not
+        linkage, config = _platform_pair(_stretched_tri_platform_a())
         report = verify_platform_singularity(linkage, config)
         assert report.verdict is Verdict.INDETERMINATE
         assert report.witness is None
@@ -333,14 +359,8 @@ class TestPlatform:
 
     def test_branch_that_is_not_an_open_chain_rejected(self):
         # an extra edge at P3, branch 2's middle joint, gives it degree three
-        doc, config_doc = build_demo("tri-platform-a")
-        points = np.array(config_doc["points"])
-        edges = demos._PLATFORM_EDGES + [(8, 0)]
-        ldoc, cdoc = demos._docs(
-            points, edges, demos._edge_lengths(points, edges), base=0, base_link=0, effector=5,
-            platform=demos._PLATFORM_SPEC,
-        )
-        linkage, config = build_linkage(ldoc), Configuration(cdoc["points"])
+        points = np.array(build_demo("tri-platform-a")[1]["points"])
+        linkage, config = _platform_pair(points, demos._PLATFORM_EDGES + [(8, 0)])
         assert platform_conditions(linkage, config).branches == (0, 1)
         with pytest.raises(InvalidSpec, match="^branch 2 is not a removable open chain$"):
             verify_platform_singularity(linkage, config)
@@ -350,6 +370,97 @@ class TestPlatform:
             linkage, config = _demo_pair(name)
             report = classify_configuration(linkage, config)
             assert report.verdict is Verdict.GENERIC_SINGULAR
+
+
+def _assert_conditions_equal_reference(linkage, config):
+    got = platform_conditions(linkage, config)
+    want = reference_platform_conditions(linkage, config)
+    if want is None:
+        assert got is None
+        return None
+    assert (got.kind, got.branches) == (want.kind, want.branches)
+    if want.point is None:
+        assert got.point is None
+    else:
+        assert got.point.tobytes() == want.point.tobytes()
+    return got.kind
+
+
+class TestPlatformKernel:
+    """platform_conditions decides all three branches in one stacked pass;
+    the reference walks each branch and tests it on its own.  Kind, branches
+    and meeting point must agree bit for bit."""
+
+    @pytest.mark.parametrize("name", ["tri-platform-a", "tri-platform-b"])
+    def test_demos_and_moved_demos(self, name):
+        linkage_doc, config_doc = build_demo(name)
+        rng = np.random.default_rng(7)
+        k = len(linkage_doc["edges"])
+        cases = [_demo_pair(name)]
+        for angle, shift in ((0.0, (0.0, 0.0)), (0.7, (1.5, -2.0)), (2.9, (100.0, -40.0)), (4.4, (-3.0, 3.0))):
+            for perm in (range(k), range(k)[::-1], rng.permutation(k).tolist()):
+                cases.append(_moved(linkage_doc, config_doc, angle, shift, perm))
+        kinds = [_assert_conditions_equal_reference(linkage, config) for linkage, config in cases]
+        assert kinds[0] == name[-1]
+
+    def test_sampled_full_rank_poses(self):
+        linkage, _ = _demo_pair("tri-platform-a")
+        poses = [
+            v for v in sample_cspace(linkage, 200, seed=0)
+            if numerical_rank(constraint_jacobian(linkage, v)) == linkage.k
+        ]
+        assert len(poses) > 100
+        for pose in poses:
+            _assert_conditions_equal_reference(linkage, pose)
+
+    def test_crafted_poses(self):
+        # P3 on A3, or 1e-13 from it along branch 2's line: a zero-length
+        # link, which no edge length allows, so branch 2 has no line
+        linkage_b, config_b = _demo_pair("tri-platform-b")
+        kinds = [
+            _assert_conditions_equal_reference(*_platform_pair(points))
+            for points in (_NEAR_COINCIDENT, _stretched_tri_platform_a())
+        ]
+        for shift in (0.0, 1e-13):
+            points = config_b.points.copy()
+            points[8] = points[2] + shift * (points[5] - points[2])
+            kinds.append(_assert_conditions_equal_reference(linkage_b, Configuration(points)))
+        assert kinds == ["b", "a", None, None]
+
+    @pytest.mark.parametrize("bent, kind", [(False, "b"), (True, None)])
+    def test_ragged_platform(self, bent, kind):
+        # branches of 1, 2 and 3 links go through the same kernel
+        linkage, config = _ragged_platform_pose(bent)
+        assert _assert_conditions_equal_reference(linkage, config) == kind
+        if kind == "b":
+            assert platform_conditions(linkage, config).point == pytest.approx([0.0, 0.0], abs=1e-12)
+
+    def test_branch_paths_are_walked_once_per_linkage(self, monkeypatch):
+        calls = []
+        walk = model._branch_path
+        monkeypatch.setattr(model, "_branch_path", lambda *args: calls.append(args[1]) or walk(*args))
+        linkage, config = _demo_pair("tri-platform-a")
+        poses = [config] + sample_cspace(linkage, 5, seed=1)
+        for pose in poses:
+            platform_conditions(linkage, pose)
+        assert calls == list(linkage.platform.branches)
+        platform_conditions(_demo_pair("tri-platform-a")[0], config)
+        assert len(calls) == 6
+
+    @pytest.mark.parametrize(
+        "branches, message",
+        [
+            ([[7, 6], [8, 9], [10, 11]], "does not start at a fixed-platform vertex"),
+            ([[6, 9], [8, 9], [10, 11]], "do not form a path"),
+        ],
+    )
+    def test_malformed_branch_raises_on_every_call(self, branches, message):
+        doc, config_doc = build_demo("tri-platform-a")
+        doc = {**doc, "platform": {**doc["platform"], "branches": branches}}
+        linkage, config = build_linkage(doc), Configuration(config_doc["points"])
+        for _ in range(2):
+            with pytest.raises(InvalidSpec, match=message):
+                platform_conditions(linkage, config)
 
 
 def _braced_node(brace):

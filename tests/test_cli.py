@@ -147,8 +147,20 @@ class TestAnalyzeCommand:
             ([[0.0, 0.0], [1.0], [1.0, 1.0], [0.0, 1.0]], "inhomogeneous"),
             # an integer that json writes out in full and float() cannot hold
             ([[0.0, 0.0], [10**400, 0.0], [1.0, 1.0], [0.0, 1.0]], "int too large to convert to float"),
+            # not a list of rows: Configuration or iteration raised without the file
+            ([], "(got [])"),
+            ([0.0, 1.0, 2.0, 3.0], "(got 0.0)"),
+            ([[[0.0, 0.0], [1.0, 0.0]], [[1.0, 1.0], [0.0, 1.0]]], "(got [0.0, 0.0])"),
+            (5, "(got 5)"),
+            ([[0.0, 0.0], {"a": 1}, [1.0, 1.0], [0.0, 1.0]], "(got {'a': 1})"),
+            # numpy read a numeric string as a 0-d array and string rows as a flat one
+            ("12", "(got '12')"),
+            (["1", "2", "3", "4"], "(got '1')"),
         ],
-        ids=["string", "ragged", "too-large"],
+        ids=[
+            "string", "ragged", "too-large", "empty", "flat", "three-deep", "scalar", "object-row",
+            "string-points", "string-rows",
+        ],
     )
     def test_points_that_are_not_numbers_exit_1(self, demo_files, capsys, points, cause):
         lp, cp = demo_files("four-bar-singular")
