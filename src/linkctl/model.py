@@ -355,16 +355,20 @@ class Configuration:
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Orthonormal basis of a subspace of the ambient space (possibly empty)."""
+    """Orthonormal basis of a subspace of the ambient space (possibly empty).
+    Raises InvalidSpec unless vectors is an (m, ambient_dim) array whose Gram
+    matrix G has |G - I| <= 1e-10 in every entry."""
 
     ambient_dim: int
     vectors: np.ndarray  # (m, ambient_dim), orthonormal rows
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.vectors, dtype=float).reshape(-1, self.ambient_dim)
-        gram = arr @ arr.T
-        if arr.shape[0] and not np.allclose(gram, np.eye(arr.shape[0]), atol=1e-10):
+        arr = np.asarray(self.vectors, dtype=float)
+        if arr.ndim != 2 or arr.shape[1] != self.ambient_dim:
+            raise InvalidSpec(f"basis vectors must be an (m, {self.ambient_dim}) array, got shape {arr.shape}")
+        if not np.all(np.abs(arr @ arr.T - np.eye(len(arr))) <= 1e-10):  # NaN fails too
             raise InvalidSpec("basis vectors must be orthonormal")
+        arr = arr.view()  # read-only without freezing the caller's array
         arr.setflags(write=False)
         object.__setattr__(self, "vectors", arr)
 

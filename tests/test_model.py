@@ -581,3 +581,33 @@ class TestSubspaceBasis:
     def test_empty_is_fine(self):
         basis = SubspaceBasis(3, np.zeros((0, 3)))
         assert basis.dim == 0
+
+    @pytest.mark.parametrize("vectors", [[[1.0, 0.0, 0.0, 1.0]], [1.0, 0.0], [[1.0], [0.0]], np.eye(2)[None]])
+    def test_shape_required(self, vectors):
+        # [[1, 0, 0, 1]] was reshaped into the 2-D identity basis
+        with pytest.raises(InvalidSpec, match=r"must be an \(m, 2\) array"):
+            SubspaceBasis(2, vectors)
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [
+            [[1.0 + 1e-6, 0.0], [0.0, 1.0]],  # passed numpy's default rtol of 1e-5
+            [[1.0, 0.0], [0.0, 1.0 + 2e-10]],
+            [[1.0, 0.0], [0.0, np.nan]],
+        ],
+    )
+    def test_gram_bound_is_entrywise(self, vectors):
+        with pytest.raises(InvalidSpec, match="orthonormal"):
+            SubspaceBasis(2, vectors)
+
+    def test_gram_bound_admits_roundoff(self):
+        # an off-diagonal Gram entry of 1e-11 is within the bound of 1e-10
+        c = 1e-11
+        basis = SubspaceBasis(2, [[1.0, 0.0], [c, np.sqrt(1.0 - c * c)]])
+        assert basis.dim == 2
+
+    def test_caller_array_stays_writeable(self):
+        vectors = np.eye(2)
+        basis = SubspaceBasis(2, vectors)
+        assert vectors.flags.writeable
+        assert not basis.vectors.flags.writeable

@@ -74,6 +74,20 @@ class TestNumericalRank:
         with pytest.raises(InvalidSpec, match="matrix entries must be finite"):
             numerical_rank(np.array([[1.0, 0.0], [0.0, np.nan]]))
 
+    def test_stack_rejected(self):
+        # two stacked 2x2 identities summed their ranks to 4
+        with pytest.raises(InvalidSpec, match=r"matrix must be 2-D, got shape \(2, 2, 2\)"):
+            numerical_rank(np.stack([np.eye(2), np.eye(2)]))
+
+    @pytest.mark.parametrize("matrix", [np.ones(3), np.zeros(0), 1.0])
+    def test_vector_or_scalar_rejected(self, matrix):
+        # a 1-D array raised numpy's LinAlgError
+        with pytest.raises(InvalidSpec, match="matrix must be 2-D"):
+            numerical_rank(matrix)
+
+    def test_empty_matrix_has_rank_zero(self):
+        assert numerical_rank(np.zeros((0, 4))) == 0
+
 
 class TestProjection:
     def test_on_constraint_unchanged(self):
@@ -1073,6 +1087,24 @@ class TestLocalBranchCount:
             local_branch_count(four_bar(), four_bar_node(), radius=0.01, n_samples=n_samples)
             counts.append(built["n"])
         assert counts[0] == counts[1], counts
+
+    def test_both_radii_share_one_lockstep_a_round(self, monkeypatch):
+        # every unit direction is retracted at r and at r/2 in the same
+        # _gauss_newton_rows call: four-bar-singular takes two rounds, so two
+        # calls, where one call per radius and round took four
+        rows = []
+        lockstep = numeric._gauss_newton_rows
+
+        def counting(linkage, x0, *args):
+            rows.append(len(x0))
+            return lockstep(linkage, x0, *args)
+
+        monkeypatch.setattr(numeric, "_gauss_newton_rows", counting)
+        linkage, config = demo_pair("four-bar-singular")
+        report = local_branch_count(linkage, config, seed=0)
+        assert report.branch_count == 4
+        assert len(rows) == 2, rows
+        assert rows[0] == 2 * 48
 
     def test_peak_memory(self):
         # the line search tests shorter steps on k-vectors; trying them as
