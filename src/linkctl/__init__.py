@@ -1,17 +1,7 @@
 """Linkage configuration spaces: constraint analysis, continuation, and
 singularity classification, with a JSON/SVG command-line front end."""
 
-from .chains import (
-    ChainKind,
-    ChainSpec,
-    aligned_morse_index,
-    chain_work_image,
-    chord_signature,
-    forward_count,
-    is_aligned,
-    prismatic_fiber,
-    workspace_interval,
-)
+from .chains import chord_signature, is_aligned, workspace_interval
 from .classify import (
     ClassificationReport,
     Verdict,

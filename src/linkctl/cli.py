@@ -48,8 +48,9 @@ rejected), every length and coordinate is a JSON number (true or "3.0" is
 rejected), every length is positive and finite, every coordinate is finite
 (null, NaN or Infinity is rejected), and the edge order fixes the order of
 the constraint rows.  Lengths are fixed: an edge with a "prismatic" key is
-rejected, and a prismatic chain is analyzed one fiber at a time through
-``linkctl.chains.prismatic_fiber``.  A configuration document is
+rejected, and a prismatic chain is analyzed one fiber at a time, each fiber
+a linkage document with the variable link's length fixed.  A configuration
+document is
 ``{"points": [[x, y], ...]}``, one point of ``dim`` coordinates per vertex.
 """
 

@@ -70,7 +70,7 @@ __all__ = [
 ]
 
 
-# Tolerances.eig_tol's absolute floor, divided by 1 + total length.
+# Tolerances.eig_tol's floor is _EIG_FLOOR / (1 + total length).
 _EIG_FLOOR = 1e-3
 
 
@@ -78,11 +78,13 @@ _EIG_FLOOR = 1e-3
 class Tolerances:
     """Numerical thresholds shared by the classification pipeline.
 
-    tol_grad scales with the total length; the eigenvalue cutoff is the
-    larger of 1e-6 times the largest |eigenvalue| and an absolute floor, so
-    exactly-zero Hessians are recognized as degenerate; ``depth`` bounds
-    every decomposition search.  Raises InvalidSpec unless every threshold
-    is finite and >= 0, align is below pi/2, and depth is an integer >= 0.
+    Both stage thresholds take the linkage they judge, a stage's remainder,
+    with L its total length: ``grad_tol`` is grad_scale * (1 + L), and the
+    eigenvalue cutoff ``eig_tol`` is the larger of 1e-6 times the largest
+    |eigenvalue| and the floor _EIG_FLOOR / (1 + L), so exactly-zero
+    Hessians are recognized as degenerate.  ``depth`` bounds every
+    decomposition search.  Raises InvalidSpec unless every threshold is
+    finite and >= 0, align is below pi/2, and depth is an integer >= 0.
     """
 
     rank: float = 1e-8

@@ -470,8 +470,8 @@ def build_linkage(doc: Mapping) -> Linkage:
             raise InvalidSpec(f"malformed edge {i}: {exc}") from exc
         if "prismatic" in e:
             raise InvalidSpec(
-                f"edge {i} has a prismatic range; edges have fixed lengths, so freeze "
-                "the variable link with chains.prismatic_fiber(chain, ell)"
+                f"edge {i} has a prismatic range; edges have fixed lengths, so analyze "
+                "each fiber as a linkage with the variable link's length fixed"
             )
 
     platform = None

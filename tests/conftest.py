@@ -176,10 +176,25 @@ def random_open_chain(rng: np.random.Generator, k: int, d: int) -> np.ndarray:
     return np.vstack([np.zeros(d), np.cumsum(dirs * lengths[:, None], axis=0)])
 
 
-def aligned_closed_chain(rng: np.random.Generator, d: int = 2):
-    """Random aligned closed chain: (spec, aligned configuration, sign pattern)."""
-    from linkctl.chains import ChainKind, ChainSpec
+def chain_linkage(lengths, dim: int = 2) -> Linkage:
+    """Open chain of the given link lengths: a path on len(lengths)+1
+    vertices, with base 0, base link 0 and the effector at the far end."""
+    n = len(lengths) + 1
+    return Linkage(
+        MechanismType(n, tuple((i, i + 1) for i in range(n - 1))),
+        lengths,
+        ambient_dim=dim,
+        base_vertex=0,
+        base_link=0,
+        end_effector=n - 1,
+    )
 
+
+def aligned_closed_chain(rng: np.random.Generator, d: int = 2):
+    """Random aligned closed chain: (lengths, aligned configuration, sign
+    pattern).  The n fixed links run from point i to point i + 1 of the n + 1
+    points, and the last length, the variable link, closes the loop from
+    point n back to point 0."""
     while True:
         n = int(rng.integers(2, 7))
         lengths = rng.uniform(0.5, 2.0, n)
@@ -194,8 +209,7 @@ def aligned_closed_chain(rng: np.random.Generator, d: int = 2):
     pts = np.zeros((n + 1, d))
     for i in range(n):
         pts[i + 1] = pts[i] + signs[i] * lengths[i] * w
-    spec = ChainSpec(ChainKind.CLOSED, tuple(lengths) + (total,), d)
-    return spec, pts, signs
+    return tuple(float(x) for x in lengths) + (total,), pts, signs
 
 
 def reach_oracle(lengths, d: int, n_samples: int = 20000, seed: int = 0):

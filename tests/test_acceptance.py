@@ -17,7 +17,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from linkctl.chains import ChainKind, ChainSpec, chain_work_image, is_aligned
+from linkctl.chains import chord_signature, is_aligned, workspace_interval
 from linkctl.classify import Verdict, classify_configuration, platform_conditions
 from linkctl.cli import main
 from linkctl.decomp import Tolerances, find_nontransversive_witness
@@ -34,13 +34,14 @@ from linkctl.numeric import (
     sample_cspace,
     tangent_frame,
     trace_curve,
+    work_image,
 )
 from linkctl.classify import verify_platform_singularity
-from linkctl.chains import aligned_morse_index, workspace_interval
 from linkctl.demos import build_demo
 
 from conftest import (
     aligned_closed_chain,
+    chain_linkage,
     egsing_linkage,
     four_bar,
     four_bar_node,
@@ -101,8 +102,7 @@ def test_criterion_2_work_image_dichotomy():
         else:
             pts = random_open_chain(rng, k, d)
         lengths = tuple(np.linalg.norm(np.diff(pts, axis=0), axis=1))
-        spec = ChainSpec(ChainKind.OPEN, lengths, d)
-        image = chain_work_image(spec, pts)
+        image = work_image(chain_linkage(lengths, d), Configuration(pts))
         w_dir = is_aligned(pts)
         if w_dir is None:
             assert k >= 2
@@ -121,15 +121,15 @@ def test_criterion_3_morse_index_oracle():
     agreements = 0
     for trial in range(100):
         d = 2 if trial % 3 else 3
-        spec, pts, _ = aligned_closed_chain(rng, d=d)
-        combinatorial = aligned_morse_index(spec, pts)
-        open_spec = ChainSpec(ChainKind.OPEN, spec.lengths[:-1], d)
-        linkage = open_spec.to_linkage()
+        lengths, pts, _ = aligned_closed_chain(rng, d=d)
+        # the Morse index at the closed chain: the negative part on its fixed links
+        combinatorial = chord_signature(pts)[1]
+        linkage = chain_linkage(lengths[:-1], d)
         data = reduced_work_data(linkage, tangent_frame(linkage, Configuration(pts)))
         eigs = np.linalg.eigvalsh(data.hessian)
         threshold = 1e-6 * max(np.max(np.abs(eigs)), 1e-12)
         negatives = int(np.sum(eigs < -threshold))
-        assert combinatorial == negatives, (spec.lengths, eigs)
+        assert combinatorial == negatives, (lengths, eigs)
         agreements += 1
     assert agreements == 100
     _report("3 morse-index-vs-fd-hessian", True)

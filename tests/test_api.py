@@ -10,7 +10,7 @@ import pathlib
 MODULES = ("model", "chains", "numeric", "decomp", "classify")
 
 # A new option must be counted here by the change that adds it.
-SETTABLE_VALUES = 51
+SETTABLE_VALUES = 48
 
 
 def _settable_values() -> list[str]:

@@ -3,27 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from linkctl.chains import (
-    ChainKind,
-    ChainSpec,
-    aligned_morse_index,
-    chain_work_image,
-    chord_signature,
-    forward_count,
-    is_aligned,
-    prismatic_fiber,
-    workspace_interval,
-)
+from linkctl.chains import chord_signature, is_aligned, workspace_interval
 from linkctl.errors import DegenerateDirection, InvalidSpec
-from linkctl.model import Configuration
-from linkctl.numeric import reduced_work_data, sample_cspace, tangent_frame
+from linkctl.model import Configuration, build_linkage
+from linkctl.numeric import reduced_work_data, sample_cspace, tangent_frame, work_image
 
 from conftest import (
     aligned_closed_chain,
+    chain_linkage,
     four_bar_node,
     random_open_chain,
     reach_oracle,
     reference_is_aligned,
+    triangle,
 )
 
 
@@ -42,9 +34,6 @@ class TestWorkspaceInterval:
         # nan gave (0.0, nan) and inf gave (0.0, inf)
         with pytest.raises(InvalidSpec, match="positive and finite"):
             workspace_interval((bad, 1.0))
-        for kind in ChainKind:
-            with pytest.raises(InvalidSpec, match="positive and finite"):
-                ChainSpec(kind, (bad, 1.0, 1.0))
 
     def test_against_sampling_oracle(self):
         rng = np.random.default_rng(11)
@@ -74,7 +63,8 @@ class TestAlignment:
         loop = np.vstack([pts.points, pts.points[:1]])  # the closing link, as a fifth point
         w = is_aligned(loop)
         assert w == pytest.approx([1.0, 0.0])
-        assert forward_count(loop, np.array([1.0, 0.0])) == 2
+        # the fixed links +3, -2.5, +1.5 along the chord +2: two forward
+        assert chord_signature(pts) == (1, 1)
 
     def test_thresholds_ignore_where_the_chain_sits(self):
         # a link, then a chord, of 1e-9: against 1e-12 * (1 + max |coordinate|),
@@ -135,15 +125,19 @@ class TestAlignment:
         assert min(seen.values()) >= 60, seen
 
     def test_forward_count_all_same(self):
+        # chord_signature counts the links along the chord: all 3 of them
         pts = np.array([[0.0, 0], [1, 0], [2, 0], [3.5, 0]])
-        assert forward_count(pts, np.array([1.0, 0.0])) == 3
+        assert chord_signature(pts) == (0, 2)
 
     def test_forward_count_reversal(self):
+        # walking a chain backwards reverses every link and the chord
+        # together, so the forward count and the signature stay
         pts = four_bar_node().points
-        loop = np.vstack([pts, pts[:1]])
-        w = np.array([1.0, 0.0])
-        k = forward_count(loop, w)
-        assert forward_count(loop, -w) == 4 - k
+        assert chord_signature(pts[::-1]) == chord_signature(pts) == (1, 1)
+        rng = np.random.default_rng(14)
+        for d in (2, 3, 2, 3):
+            pts = aligned_closed_chain(rng, d)[1]
+            assert chord_signature(pts[::-1]) == chord_signature(pts)
 
     @pytest.mark.parametrize("tol", [float("nan"), -1.0, math.pi / 2, 4.0, float("inf")])
     def test_angular_tolerance_below_a_right_angle(self, tol):
@@ -151,31 +145,33 @@ class TestAlignment:
         bent = np.array([[0.0, 0], [1, 0], [1, 1]])
         for check in (
             lambda: is_aligned(bent, tol=tol),
-            lambda: forward_count(bent, np.array([1.0, 0.0]), tol=tol),
             lambda: chord_signature(bent, tol=tol),
         ):
             with pytest.raises(InvalidSpec, match="^tol must be"):
                 check()
 
     def test_forward_count_requires_alignment(self):
-        with pytest.raises(InvalidSpec, match="forward_count requires an aligned chain"):
-            forward_count(np.array([[0.0, 0], [1, 0], [1, 1]]), np.array([1.0, 0.0]))
+        # the second link tilted by about 1e-4: aligned within 1e-3, not 1e-6
+        tilted = np.array([[0.0, 0], [1, 0], [2, 1e-4]])
+        assert chord_signature(tilted, tol=1e-3) == (0, 1)
+        with pytest.raises(InvalidSpec, match="chord_signature requires an aligned chain"):
+            chord_signature(tilted, tol=1e-6)
 
 
 class TestAlignedMorseIndex:
+    """The Morse index of the reduced endpoint-distance function at an aligned
+    closed chain is chord_signature's negative part on its fixed links."""
+
     def test_four_bar_index_one(self):
-        spec = ChainSpec(ChainKind.CLOSED, (3.0, 2.5, 1.5, 2.0))
-        assert aligned_morse_index(spec, four_bar_node()) == 1
+        assert chord_signature(four_bar_node())[1] == 1
 
     def test_stretched_chain_is_a_maximum(self):
         # all fixed links forward: the chord length sits at its global
         # maximum, so every reduced direction is downhill
         lengths = (2.0, 1.0, 1.5)
-        spec = ChainSpec(ChainKind.CLOSED, lengths + (4.5,))
         pts = np.array([[0.0, 0], [2, 0], [3, 0], [4.5, 0]])
-        assert aligned_morse_index(spec, pts) == 2
-        open_spec = ChainSpec(ChainKind.OPEN, lengths)
-        linkage = open_spec.to_linkage()
+        assert chord_signature(pts)[1] == 2
+        linkage = chain_linkage(lengths)
         data = reduced_work_data(linkage, tangent_frame(linkage, Configuration(pts)))
         eigs = np.linalg.eigvalsh(data.hessian)
         assert np.all(eigs < -1e-6)
@@ -185,10 +181,9 @@ class TestAlignedMorseIndex:
         checked = 0
         while checked < 25:
             d = 2 if checked % 3 else 3
-            spec, pts, _ = aligned_closed_chain(rng, d=d)
-            combinatorial = aligned_morse_index(spec, pts)
-            open_spec = ChainSpec(ChainKind.OPEN, spec.lengths[:-1], d)
-            linkage = open_spec.to_linkage()
+            lengths, pts, _ = aligned_closed_chain(rng, d=d)
+            combinatorial = chord_signature(pts)[1]
+            linkage = chain_linkage(lengths[:-1], d)
             data = reduced_work_data(linkage, tangent_frame(linkage, Configuration(pts)))
             eigs = np.linalg.eigvalsh(data.hessian)
             thr = 1e-6 * max(np.max(np.abs(eigs)), 1e-12)
@@ -196,21 +191,9 @@ class TestAlignedMorseIndex:
             checked += 1
 
     def test_requires_alignment(self):
-        spec = ChainSpec(ChainKind.CLOSED, (2.0, 1.5, 1.2))
-        v = sample_cspace(spec.to_linkage(), 1, seed=0)[0]
-        with pytest.raises(InvalidSpec, match="requires an aligned configuration"):
-            aligned_morse_index(spec, v)
-
-    @pytest.mark.parametrize(
-        "spec, points, message",
-        [
-            (ChainSpec(ChainKind.OPEN, (1.0, 1.0)), [[0.0, 0], [1, 0], [2, 0]], "expects a closed chain"),
-            (ChainSpec(ChainKind.CLOSED, (1.0, 1.0, 2.0)), [[0.0, 0], [1, 0]], "does not match the chain"),
-        ],
-    )
-    def test_closed_chain_of_matching_shape_required(self, spec, points, message):
-        with pytest.raises(InvalidSpec, match=message):
-            aligned_morse_index(spec, np.array(points))
+        v = sample_cspace(triangle((2.0, 1.5, 1.2)), 1, seed=0)[0]
+        with pytest.raises(InvalidSpec, match="requires an aligned chain"):
+            chord_signature(v)
 
 
 class TestChordSignature:
@@ -223,9 +206,8 @@ class TestChordSignature:
         rng = np.random.default_rng(7)
         for checked in range(12):
             d = 2 if checked % 3 else 3
-            spec, pts, _ = aligned_closed_chain(rng, d=d)
-            open_spec = ChainSpec(ChainKind.OPEN, spec.lengths[:-1], d)
-            linkage = open_spec.to_linkage()
+            lengths, pts, _ = aligned_closed_chain(rng, d=d)
+            linkage = chain_linkage(lengths[:-1], d)
             data = reduced_work_data(linkage, tangent_frame(linkage, Configuration(pts)))
             eigs = np.linalg.eigvalsh(data.hessian)
             thr = 1e-6 * max(np.max(np.abs(eigs)), 1e-12)
@@ -236,33 +218,29 @@ class TestChordSignature:
             chord_signature(np.array([[0.0, 0], [1, 0], [0, 0]]))
 
     def test_requires_alignment(self):
-        with pytest.raises(InvalidSpec, match="forward_count requires an aligned chain"):
+        with pytest.raises(InvalidSpec, match="chord_signature requires an aligned chain"):
             chord_signature(np.array([[0.0, 0], [1, 0], [1, 1]]))
 
 
 class TestWorkImage:
+    """An open chain's work image, over its pointed tangent space:
+    dimension d off alignment (for k >= 2), d - 1 and orthogonal to the
+    alignment direction when aligned."""
+
     def test_submersion_off_alignment(self):
-        spec = ChainSpec(ChainKind.OPEN, (2.0, 1.0))
-        img = chain_work_image(spec, np.array([[0.0, 0], [2, 0], [2, 1]]))
+        img = work_image(chain_linkage((2.0, 1.0)), Configuration([[0.0, 0], [2, 0], [2, 1]]))
         assert img.dim == 2
 
     def test_aligned_image_orthogonal(self):
-        spec = ChainSpec(ChainKind.OPEN, (2.0, 1.0))
-        img = chain_work_image(spec, np.array([[0.0, 0], [2, 0], [3, 0]]))
+        img = work_image(chain_linkage((2.0, 1.0)), Configuration([[0.0, 0], [2, 0], [3, 0]]))
         assert img.dim == 1
         assert abs(img.vectors[0] @ np.array([1.0, 0.0])) < 1e-8
 
-    def test_closed_chain_rejected(self):
-        spec = ChainSpec(ChainKind.CLOSED, (1.0, 1.0, 1.0))
-        with pytest.raises(InvalidSpec, match="expects an open chain"):
-            chain_work_image(spec, np.array([[0.0, 0], [1, 0], [0.5, 0.75**0.5]]))
-
     def test_single_link_sphere_tangent(self):
         for d in (2, 3):
-            spec = ChainSpec(ChainKind.OPEN, (1.5,), d)
             pts = np.zeros((2, d))
             pts[1, 0] = 1.5
-            img = chain_work_image(spec, pts)
+            img = work_image(chain_linkage((1.5,), d), Configuration(pts))
             assert img.dim == d - 1
 
     def test_dichotomy_on_random_chains(self):
@@ -272,8 +250,7 @@ class TestWorkImage:
             d = int(rng.choice([2, 3]))
             pts = random_open_chain(rng, k, d)
             lengths = tuple(np.linalg.norm(np.diff(pts, axis=0), axis=1))
-            spec = ChainSpec(ChainKind.OPEN, lengths, d)
-            img = chain_work_image(spec, pts)
+            img = work_image(chain_linkage(lengths, d), Configuration(pts))
             w = is_aligned(pts)
             if w is None:
                 assert img.dim == d
@@ -282,77 +259,31 @@ class TestWorkImage:
                 assert np.max(np.abs(img.vectors @ w)) < 1e-8
 
 
-class TestChainSpec:
-    @pytest.mark.parametrize(
-        "args, error, message",
-        [
-            ((ChainKind.OPEN, ()), InvalidSpec, "chain needs at least one link"),
-            ((ChainKind.OPEN, (1.0,), 4), InvalidSpec, "ambient_dim must be 2 or 3"),
-            ((ChainKind.OPEN, (1.0,), 2, (0.5, 1.0)), InvalidSpec, "only applies to prismatic"),
-        ],
-    )
-    def test_invalid_spec_rejected(self, args, error, message):
-        with pytest.raises(error, match=message):
-            ChainSpec(*args)
-
-
 class TestChainLinkage:
-    def test_open_and_closed_edge_lists(self):
-        assert ChainSpec(ChainKind.OPEN, (1.0, 1.0, 1.0)).to_linkage().graph.edges == (
-            (0, 1), (1, 2), (2, 3)
-        )
-        assert ChainSpec(ChainKind.CLOSED, (1.0, 1.0, 1.0)).to_linkage().graph.edges == (
-            (0, 1), (1, 2), (2, 0)
-        )
+    def test_path_with_base_and_far_effector(self):
+        linkage = chain_linkage((1.0, 2.0, 1.5), 3)
+        assert linkage.graph.edges == ((0, 1), (1, 2), (2, 3))
+        assert linkage.lengths == (1.0, 2.0, 1.5)
+        assert linkage.ambient_dim == 3
+        assert (linkage.base_vertex, linkage.base_link, linkage.end_effector) == (0, 0, 3)
 
     def test_prismatic_chain_points_to_fiber(self):
-        pc = ChainSpec(ChainKind.PRISMATIC_CLOSED, (1.0, 2.0, 1.5))
-        with pytest.raises(InvalidSpec, match="prismatic_fiber"):
-            pc.to_linkage()
-
-    @pytest.mark.parametrize(
-        "bad", [(0.5, float("nan")), (float("nan"), 2.0), (0.5, float("inf")), (float("inf"),) * 2]
-    )
-    def test_prismatic_range_must_be_finite(self, bad):
-        with pytest.raises(InvalidSpec, match="prismatic range"):
-            ChainSpec(ChainKind.PRISMATIC_CLOSED, (1.0, 2.0), prismatic_range=bad)
+        # a closed chain whose last link is variable is no linkage; the
+        # rejection names the edge and says to fix its length per fiber
+        edges = [{"u": i, "v": (i + 1) % 4, "length": x} for i, x in enumerate((1.0, 2.0, 1.5, 2.0))]
+        edges[3]["prismatic"] = {"min": 0.5, "max": 4.5}
+        with pytest.raises(InvalidSpec, match="^edge 3 has a prismatic range.*length fixed$"):
+            build_linkage({"dim": 2, "vertices": 4, "edges": edges})
 
 
 class TestPrismaticFiber:
-    def test_degenerate_triangle_fiber(self):
-        pc = ChainSpec(ChainKind.PRISMATIC_CLOSED, (2.0, 1.0))
-        fiber = prismatic_fiber(pc, 3.0)
-        assert fiber.kind is ChainKind.CLOSED
-        assert fiber.lengths == (2.0, 1.0, 3.0)
-
-    def test_interior_fiber(self):
-        pc = ChainSpec(ChainKind.PRISMATIC_CLOSED, (2.0, 1.0))
-        fiber = prismatic_fiber(pc, 1.0)
-        assert fiber.lengths == (2.0, 1.0, 1.0)
-
-    def test_out_of_range(self):
-        pc = ChainSpec(ChainKind.PRISMATIC_CLOSED, (2.0, 1.0))
-        with pytest.raises(InvalidSpec, match=r"length 5.0 outside prismatic range \[1.0, 3.0\]"):
-            prismatic_fiber(pc, 5.0)
-
-    def test_zero_length_fiber_in_range(self):
-        pc = ChainSpec(ChainKind.PRISMATIC_CLOSED, (2.0, 1.0), prismatic_range=(0.0, 3.0))
-        with pytest.raises(InvalidSpec, match="fiber length must be positive"):
-            prismatic_fiber(pc, 0.0)
-
-    def test_closed_chain_has_no_fiber(self):
-        with pytest.raises(InvalidSpec, match="expects a prismatic closed chain"):
-            prismatic_fiber(ChainSpec(ChainKind.CLOSED, (1.0, 1.0, 1.0)), 1.0)
-
     def test_fiber_configurations_have_exact_chord(self):
-        pc = ChainSpec(ChainKind.PRISMATIC_CLOSED, (2.0, 1.5, 1.0))
+        # a fiber of the prismatic closed chain (2.0, 1.5, 1.0) is the linkage
+        # document with the variable link's length fixed, as build_linkage's
+        # rejection of a prismatic edge says
         ell = 2.2
-        fiber = prismatic_fiber(pc, ell)
-        linkage = fiber.to_linkage()
+        edges = [{"u": i, "v": (i + 1) % 4, "length": x} for i, x in enumerate((2.0, 1.5, 1.0, ell))]
+        linkage = build_linkage({"dim": 2, "vertices": 4, "edges": edges, "base_link": 0, "effector": 3})
         for v in sample_cspace(linkage, 5, seed=3):
             chord = np.linalg.norm(v.points[-1] - v.points[0])
             assert chord == pytest.approx(ell, abs=1e-9)
-
-    def test_closed_chain_feasibility_enforced(self):
-        with pytest.raises(InvalidSpec, match="closed chain infeasible"):
-            ChainSpec(ChainKind.CLOSED, (1.0, 5.0, 1.0))

@@ -15,12 +15,12 @@ from linkctl.chains import is_aligned
 from linkctl.decomp import StageVerdictKind, Tolerances, find_nontransversive_witness
 from linkctl.errors import DegenerateDirection, InvalidSpec, OffConstraint
 from linkctl.model import Configuration, Linkage, MechanismType, PlatformSpec, build_linkage
-from linkctl.numeric import numerical_rank, sample_cspace
+from linkctl.numeric import numerical_rank, sample_cspace, tangent_frame
 from linkctl.model import constraint_jacobian
 from linkctl import classify, decomp, demos, model
 from linkctl.demos import build_demo
 
-from conftest import reference_platform_conditions
+from conftest import reference_platform_conditions, self_stressed_linkage, stress_matrix
 from test_invariance import _moved
 
 
@@ -136,6 +136,51 @@ class TestClassify:
         assert d["rank"] == [3, 4]
         assert d["witness"]["signature"] == [1, 1]
         assert d["certificate"] is None
+
+
+def _spatial_self_stress_draw(seed: int, call: int) -> tuple[Linkage, Configuration, np.ndarray]:
+    """The call-th self_stressed_linkage(rng, 3) from a fresh default_rng(seed),
+    counting the calls that return None, as criterion 10 draws; with the
+    eigenvalues of its stress form Q = B Omega(mu) B^T on the reduced frame B."""
+    rng = np.random.default_rng(seed)
+    for _ in range(call):
+        sample = self_stressed_linkage(rng, 3)
+    linkage, config = sample
+    mu = np.linalg.svd(constraint_jacobian(linkage, config))[0][:, -1]
+    basis = tangent_frame(linkage, config).basis
+    return linkage, config, np.linalg.eigvalsh(basis @ stress_matrix(linkage, mu) @ basis.T)
+
+
+class TestSpatialSelfStressSamples:
+    """Two d = 3 corank-1 samples of criterion 10's draws, pinned at their
+    current verdicts, so that a change to the second-order test shows on
+    them."""
+
+    def test_witness_one_more_than_the_nullity_of_q(self):
+        # Q is nondegenerate, and the witness's Euclidean factor is 1: the
+        # case where the witness has one dimension more than Q's nullity
+        linkage, config, eigs = _spatial_self_stress_draw(10, 5)
+        assert eigs == pytest.approx([0.125, 2.0], abs=1e-3)
+        report = classify_configuration(linkage, config)
+        assert report.verdict is Verdict.GENERIC_SINGULAR
+        assert (report.rank, report.k) == (4, 5)
+        assert report.witness.signature == (0, 2)
+        assert report.witness.euclidean_factor == 1
+
+    def test_pendant_vertices_leave_it_indeterminate(self):
+        # pendant vertices 3 and 4 hang off cut vertices 2 and 0, and Q
+        # vanishes along their free motion
+        linkage, config, eigs = _spatial_self_stress_draw(35, 14)
+        graph = linkage.graph
+        assert [graph.degree(v) for v in range(linkage.n_vertices)] == [3, 3, 4, 1, 1, 2]
+        neighbours = {p: [u if v == p else v for u, v in graph.edges if p in (u, v)] for p in (3, 4)}
+        assert neighbours == {3: [2], 4: [0]}
+        assert eigs[:2] == pytest.approx([-1.93, -1.12], abs=5e-3)
+        assert np.max(np.abs(eigs[2:])) < 1e-12
+        report = classify_configuration(linkage, config)
+        assert report.verdict is Verdict.INDETERMINATE
+        assert (report.rank, report.k) == (6, 7)
+        assert report.witness is None and report.certificate is None
 
 
 class TestLinesConcurrent:

@@ -260,7 +260,7 @@ class TestAnalyzeCommand:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert "prismatic_fiber" in captured.err
+        assert "edge 2" in captured.err and "length fixed" in captured.err
 
     @pytest.mark.parametrize("key, value", [("dim", 2.9), ("vertices", 3.5), ("effector", 2.6)])
     def test_non_integer_id_exits_1(self, demo_files, capsys, key, value):

@@ -36,12 +36,13 @@ from linkctl.model import (
     check_on_constraint,
     constraint_residual,
 )
-from linkctl.numeric import sample_cspace
+from linkctl.numeric import sample_cspace, work_image
 
 from linkctl.demos import DEMO_NAMES, build_demo
 from linkctl.model import build_linkage
 
 from conftest import (
+    chain_linkage,
     egsing_linkage,
     four_bar,
     four_bar_node,
@@ -165,11 +166,9 @@ class TestTransversalityCheck:
 
     def test_two_aligned_chains_share_an_image(self):
         # both chains aligned along e1: each image is the vertical line
-        from linkctl.chains import ChainKind, ChainSpec, chain_work_image
-
-        spec = ChainSpec(ChainKind.OPEN, (2.0, 1.5))
-        img_a = chain_work_image(spec, np.array([[0.0, 0], [2, 0], [3.5, 0]]))
-        img_b = chain_work_image(spec, np.array([[0.0, 0], [2, 0], [0.5, 0]]))
+        chain = chain_linkage((2.0, 1.5))
+        img_a = work_image(chain, Configuration([[0.0, 0], [2, 0], [3.5, 0]]))
+        img_b = work_image(chain, Configuration([[0.0, 0], [2, 0], [0.5, 0]]))
         assert not transversality_check(img_a, img_b, 2)
 
 

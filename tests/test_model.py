@@ -108,7 +108,7 @@ class TestBuildLinkage:
     @pytest.mark.parametrize("prismatic", [{"min": 0.5, "max": 2.0}, None])
     def test_prismatic_key_rejected(self, prismatic):
         edge = {"u": 0, "v": 1, "length": 1.0, "prismatic": prismatic}
-        with pytest.raises(InvalidSpec, match="prismatic_fiber"):
+        with pytest.raises(InvalidSpec, match="^edge 0 has a prismatic range.*length fixed$"):
             build_linkage({"dim": 2, "vertices": 2, "edges": [edge]})
 
     @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import pytest
 import linkctl
 import linkctl.decomp as decomp
 import linkctl.numeric as numeric
-from linkctl.chains import ChainKind, ChainSpec, is_aligned
+from linkctl.chains import is_aligned
 from linkctl.decomp import enumerate_chain_removals, transversality_check
 from linkctl.demos import build_demo
 from linkctl.errors import (
@@ -40,6 +40,7 @@ from linkctl.numeric import (
 )
 
 from conftest import (
+    chain_linkage,
     fd_gradient,
     four_bar,
     four_bar_node,
@@ -550,7 +551,7 @@ class TestWorkDifferentialRankLaw:
             d = int(rng.choice([2, 3]))
             pts = random_open_chain(rng, k, d)
             lengths = tuple(np.linalg.norm(np.diff(pts, axis=0), axis=1))
-            linkage = ChainSpec(ChainKind.OPEN, lengths, d).to_linkage()
+            linkage = chain_linkage(lengths, d)
             img = work_image(linkage, Configuration(pts))
             assert img.dim in (d - 1, d)
             if k >= 2 and is_aligned(pts) is None:
@@ -562,7 +563,7 @@ class TestWorkDifferentialRankLaw:
             k = int(rng.integers(2, 6))
             pts = random_open_chain(rng, k, 2)
             lengths = tuple(np.linalg.norm(np.diff(pts, axis=0), axis=1))
-            linkage = ChainSpec(ChainKind.OPEN, lengths, 2).to_linkage()
+            linkage = chain_linkage(lengths)
             cfg = Configuration(pts)
             basis = pointed_frame(linkage, cfg)
             fields = basis.reshape(len(basis), k + 1, 2)
@@ -616,7 +617,7 @@ class TestWorkImage:
             for k in range(1, 7):
                 pts = chain(rng, k, d)
                 lengths = tuple(np.linalg.norm(np.diff(pts, axis=0), axis=1))
-                linkage = ChainSpec(ChainKind.OPEN, lengths, d).to_linkage()
+                linkage = chain_linkage(lengths, d)
                 dim = self.assert_matches_reference(linkage, Configuration(pts))
                 if chain is aligned_open_chain:
                     assert dim == d - 1
@@ -650,7 +651,7 @@ class TestFiniteDifferences:
         assert np.max(np.abs(hess)) < 1e-6
 
     def test_single_link_distance_constant(self):
-        linkage = ChainSpec(ChainKind.OPEN, (1.5,), 2).to_linkage()
+        linkage = chain_linkage((1.5,))
         v = Configuration([(0, 0), (1.5, 0)])
         frame = tangent_frame(linkage, v)
 
@@ -664,7 +665,7 @@ class TestFiniteDifferences:
 class TestReducedWorkData:
     def test_nonzero_gradient_off_alignment(self):
         pts = np.array([[0.0, 0], [2, 0], [2, 1]])
-        linkage = ChainSpec(ChainKind.OPEN, (2.0, 1.0), 2).to_linkage()
+        linkage = chain_linkage((2.0, 1.0))
         frame = tangent_frame(linkage, Configuration(pts))
         data = reduced_work_data(linkage, frame)
         assert data.gradient.shape == (frame.dim,) and data.hessian.shape == (frame.dim, frame.dim)
@@ -672,20 +673,20 @@ class TestReducedWorkData:
 
     def test_zero_gradient_when_aligned(self):
         pts = np.array([[0.0, 0], [2, 0], [3, 0]])
-        linkage = ChainSpec(ChainKind.OPEN, (2.0, 1.0), 2).to_linkage()
+        linkage = chain_linkage((2.0, 1.0))
         data = reduced_work_data(linkage, tangent_frame(linkage, Configuration(pts)))
         assert np.linalg.norm(data.gradient) < 1e-6
 
     def test_frame_of_another_linkage_rejected(self):
-        linkage = ChainSpec(ChainKind.OPEN, (2.0, 1.0), 2).to_linkage()
-        single = ChainSpec(ChainKind.OPEN, (2.0,), 2).to_linkage()
+        linkage = chain_linkage((2.0, 1.0))
+        single = chain_linkage((2.0,))
         frame = tangent_frame(single, Configuration([(0.0, 0.0), (2.0, 0.0)]))
         with pytest.raises(InvalidSpec, match="does not match linkage"):
             reduced_work_data(linkage, frame)
 
     def test_coincident_endpoints(self):
         pts = np.array([[0.0, 0], [1, 0], [0, 0]])
-        linkage = ChainSpec(ChainKind.OPEN, (1.0, 1.0), 2).to_linkage()
+        linkage = chain_linkage((1.0, 1.0))
         with pytest.raises(DegenerateDirection, match="effector coincides with base"):
             reduced_work_data(linkage, tangent_frame(linkage, Configuration(pts)))
 
@@ -695,7 +696,7 @@ class TestReducedWorkData:
         gap = 1e-6
         pts = np.array([[0.0, 0.0], [gap / 2, np.sqrt(1.0 - gap**2 / 4)], [gap, 0.0]]) + shift
         lengths = tuple(np.linalg.norm(np.diff(pts, axis=0), axis=1))
-        linkage = ChainSpec(ChainKind.OPEN, lengths, 2).to_linkage()
+        linkage = chain_linkage(lengths)
         data = reduced_work_data(linkage, tangent_frame(linkage, Configuration(pts)))
         assert np.linalg.norm(data.gradient) == pytest.approx(np.sqrt(2.0), rel=1e-3)
 
@@ -704,7 +705,7 @@ class TestReducedWorkData:
         for _ in range(8):
             pts = random_open_chain(rng, 4, 2)
             lengths = tuple(np.linalg.norm(np.diff(pts, axis=0), axis=1))
-            linkage = ChainSpec(ChainKind.OPEN, lengths, 2).to_linkage()
+            linkage = chain_linkage(lengths)
             cfg = Configuration(pts)
             frame = tangent_frame(linkage, cfg)
             data = reduced_work_data(linkage, frame)
@@ -1178,7 +1179,7 @@ class TestBranchCountEqualsPerSample:
 def _tol_rank_calls():
     """One call per public entry that takes tol_rank, at valid other arguments."""
     fb, node = four_bar(), four_bar_node()
-    chain = ChainSpec(ChainKind.OPEN, (2.0, 1.0), 2).to_linkage()
+    chain = chain_linkage((2.0, 1.0))
     bent = Configuration([(0.0, 0.0), (2.0, 0.0), (2.0, 1.0)])
     frame = tangent_frame(fb, node)
     image = work_image(fb, node)
