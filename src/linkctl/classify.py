@@ -19,7 +19,6 @@ import numpy as np
 
 from .chains import _aligned_chains
 from .decomp import (
-    ChainRemoval,
     Decomposition,
     StageVerdictKind,
     Tolerances,
@@ -141,7 +140,9 @@ def lines_concurrent(lines: Sequence[tuple[np.ndarray, np.ndarray]]) -> bool:
     """True iff three planar lines (point, direction) meet in a single point.
 
     Parallel pairs fail unless all three lines coincide; otherwise the three
-    pairwise intersections must lie within 1e-6 of each other.
+    pairwise intersections must lie within 1e-6 of each other.  Raises
+    InvalidSpec unless there are three lines, each point and direction a
+    finite 2-vector and each direction nonzero.
     """
     return _meeting_point(lines, 1e-6) is not None
 
@@ -157,9 +158,13 @@ def _meeting_point(
         raise InvalidSpec("lines_concurrent expects exactly three lines")
     pts = []
     dirs = []
-    for p, v in lines:
-        p = np.asarray(p, dtype=float)
-        v = np.asarray(v, dtype=float)
+    for line in lines:
+        try:
+            p, v = pv = np.array(line, dtype=float)
+        except (TypeError, ValueError):  # not numbers, or not a pair of equal length
+            pv = None
+        if pv is None or pv.shape != (2, 2) or not np.isfinite(pv).all():
+            raise InvalidSpec(f"each line must be a finite 2-vector point and direction, got {line!r}")
         n = float(np.linalg.norm(v))
         if n < 1e-14:
             raise InvalidSpec("line direction must be nonzero")
@@ -210,15 +215,11 @@ def platform_conditions(
     hold.  Returns None when neither does.  One kernel decides alignment for
     all three branches at once, the one ``chains.is_aligned`` runs on a
     single chain; a branch with a zero-length link is not aligned.  The
-    branches' vertex paths are walked once per linkage, and a branch that is
-    not a path from a fixed vertex raises InvalidSpec on every call.
+    platform is planar with three branches, each an open chain listed from
+    its fixed anchor, resolved once per linkage as the verifier reads them;
+    any other raises InvalidSpec on every call.
     """
     check_match(linkage, config)
-    if linkage.platform is None or linkage.ambient_dim != 2:
-        raise InvalidSpec("linkage is not tagged as a planar platform")
-    if len(linkage.platform.branches) != 3:
-        raise InvalidSpec("platform conditions are implemented for three branches")
-
     p = config.points
     links = linkage._platform_links
     w, aligned, _ = _aligned_chains(p, links, math.cos(tols.align))
@@ -244,16 +245,6 @@ def platform_conditions(
     return None
 
 
-def _branch_removal(linkage: Linkage, branch_idx: int) -> ChainRemoval:
-    # a branch runs from its anchor, a removal from its smaller endpoint
-    branch = tuple(linkage.platform.branches[branch_idx])  # type: ignore[union-attr]
-    removals = linkage.graph.chain_removals
-    removal = removals.get(branch) or removals.get(branch[::-1])
-    if removal is None:
-        raise InvalidSpec(f"branch {branch_idx} is not a removable open chain")
-    return removal
-
-
 def verify_platform_singularity(
     linkage: Linkage,
     config: Configuration,
@@ -262,11 +253,14 @@ def verify_platform_singularity(
     """Classify a pose already known to satisfy a platform condition.
 
     Removes one branch, the non-pair one for type 'a' and branch 2 for type
-    'b', and takes the witness from ``decomp.find_witness_through``, whose
-    forced stage obeys the witness search's rule; the notes record the
-    reduced work gradient at the remainder.  Without a witness the verdict
-    is Indeterminate and the last note says why: a non-generic degenerate
-    stage, an aligned removed branch, or no witness inside the remainder.
+    'b'.  A branch is an open chain listed from its fixed anchor, removed as
+    the chain ``platform_conditions`` read its path from, so a pose the
+    screen accepts can always be verified.  The witness comes from
+    ``decomp.find_witness_through``, whose forced stage obeys the witness
+    search's rule; the notes record the reduced work gradient at the
+    remainder.  Without a witness the verdict is Indeterminate and the last
+    note says why: a non-generic degenerate stage, an aligned removed
+    branch, or no witness inside the remainder.
     """
     cond = platform_conditions(linkage, config, tols)
     if cond is None:
@@ -275,7 +269,8 @@ def verify_platform_singularity(
     rank = numerical_rank(constraint_jacobian(linkage, config), tols.rank)
     removed = min({0, 1, 2} - set(cond.branches), default=2)
 
-    verdict, witness = find_witness_through(linkage, config, _branch_removal(linkage, removed), tols)
+    removal, _ = linkage._platform_branches[removed]
+    verdict, witness = find_witness_through(linkage, config, removal, tols)
     notes = [f"platform condition ({cond.kind}) on branches {cond.branches}"]
     if verdict.gradient_norm is not None:
         notes.append(f"reduced work gradient norm at remainder: {verdict.gradient_norm:.3e}")

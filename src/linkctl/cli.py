@@ -17,9 +17,9 @@ raises InvalidSpec, and only LinkctlError and OSError are reported: a file
 that is not JSON, points that are not a nonempty list of rows of equal
 length (``[]``, ``5``, a string, a flat or a deeper list, ragged rows), a
 coordinate that is not a finite JSON number or is too large for a float,
-and a non-numeric --lengths entry each raise InvalidSpec naming the file or
-the option, and such a length names the edge.  The seed comes from --seed,
-falling back to LINKCTL_SEED (an integer).
+and a non-numeric or empty --lengths entry each raise InvalidSpec naming the
+file or the option, and such a length names the edge.  The seed comes from
+--seed, falling back to LINKCTL_SEED (an integer >= 0, named when it is not).
 
 ``--svg`` draws planar linkages only: ``analyze`` and ``sample`` given a
 3-D linkage exit 1 before any work.  ``trace --svg`` plots flat coordinates
@@ -70,7 +70,7 @@ from .classify import Verdict, classify_configuration
 from .decomp import Tolerances
 from .demos import DEMO_NAMES, build_demo
 from .errors import InvalidSpec, LinkctlError
-from .model import Configuration, Linkage, build_linkage, check_match
+from .model import Configuration, Linkage, build_linkage, check_integer, check_match
 from .chains import workspace_interval
 from .numeric import local_branch_count, sample_cspace, trace_curve
 from . import svg
@@ -153,9 +153,10 @@ def _seed(args: argparse.Namespace) -> int:
         return args.seed
     env = os.environ.get("LINKCTL_SEED")
     try:
-        return int(env) if env else 0
+        seed = int(env) if env else 0
     except ValueError:
         raise InvalidSpec(f"LINKCTL_SEED must be an integer, got {env!r}") from None
+    return check_integer(seed, "LINKCTL_SEED", 0)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -252,13 +253,15 @@ def _two_anchor_chains(linkage: Linkage) -> tuple[np.ndarray, list[float], np.nd
     anchor_b = np.array([ground, 0.0])
     base = linkage.base_vertex
     other = v if u == base else u
+    if linkage.end_effector == other:
+        raise InvalidSpec(f"lens workspace needs an effector off the base link, not its far end {other}")
     return anchor_a, walk(base), anchor_b, walk(other)
 
 
 def _cmd_workspace(args: argparse.Namespace) -> int:
     if args.lengths:
         try:
-            lengths = [float(x) for x in args.lengths.split(",") if x]
+            lengths = [float(x) for x in args.lengths.split(",")]
         except ValueError:
             raise InvalidSpec(f"--lengths must be comma-separated numbers, got {args.lengths!r}") from None
         m, big = workspace_interval(lengths)
@@ -273,20 +276,15 @@ def _cmd_workspace(args: argparse.Namespace) -> int:
     ma, fa = workspace_interval(chain_a)
     mb, fb = workspace_interval(chain_b)
 
+    # each circle at the angles 2*pi*i/720, kept where it lies in the other annulus
+    ang = 2.0 * np.pi * np.arange(720) / 720
+    unit = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     boundary = []
-    for center, lo, hi, other_c, other_lo, other_hi in (
-        (ca, ma, fa, cb, mb, fb),
-        (cb, mb, fb, ca, ma, fa),
-    ):
-        for radius in (lo, hi):
-            if radius <= 0:
-                continue
-            for idx in range(720):
-                ang = 2.0 * np.pi * idx / 720
-                q = center + radius * np.array([np.cos(ang), np.sin(ang)])
-                dist = float(np.linalg.norm(q - other_c))
-                if other_lo - 1e-9 <= dist <= other_hi + 1e-9:
-                    boundary.append([float(q[0]), float(q[1])])
+    pairs = ((ca, (ma, fa), cb, mb, fb), (cb, (mb, fb), ca, ma, fa))
+    for center, radii, other_c, other_lo, other_hi in pairs:
+        for q in (center + radius * unit for radius in radii if radius > 0):
+            dist = np.sqrt(np.add.reduce((q - other_c) ** 2, axis=1))  # np.linalg.norm of each
+            boundary += q[(other_lo - 1e-9 <= dist) & (dist <= other_hi + 1e-9)].tolist()
     _emit(
         {
             "annuli": [

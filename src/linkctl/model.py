@@ -176,7 +176,9 @@ class PlatformSpec:
 
     ``branches`` lists, per branch, the edge indices from the fixed anchor to
     the moving attachment, in path order.  ``fixed``/``moving`` list the
-    vertices of the two rigid triangles.
+    vertices of the two rigid triangles.  The one rule for a branch: it is an
+    open chain listed from its fixed anchor, an entry of
+    ``MechanismType.chain_removals`` read from a vertex in ``fixed``.
     """
 
     branches: tuple[tuple[int, ...], ...]
@@ -285,35 +287,39 @@ class Linkage:
         )
 
     @cached_property
+    def _platform_branches(self) -> tuple[tuple[ChainRemoval, tuple[int, ...]], ...]:
+        # Each branch of a planar three-branch platform as its open-chain
+        # removal, found from its edges in either direction, and its vertex
+        # path in listing order, which must start on the fixed triangle.  Any
+        # other platform raises InvalidSpec and caches nothing.
+        plat = self.platform
+        if plat is None or self.ambient_dim != 2:
+            raise InvalidSpec("linkage is not tagged as a planar platform")
+        if len(plat.branches) != 3:
+            raise InvalidSpec("platform conditions are implemented for three branches")
+        removals = self.graph.chain_removals
+        resolved = []
+        for idx, branch in enumerate(map(tuple, plat.branches)):
+            removal = removals.get(branch) or removals.get(branch[::-1])
+            if removal is None:
+                raise InvalidSpec(f"platform branch {idx}'s edges do not form a removable open chain")
+            cv, ce = removal.chain_vertices, removal.chain_edges
+            # a one-edge branch reads the same both ways; its anchor picks the way
+            paths = [p for p, e in ((cv, ce), (cv[::-1], ce[::-1])) if e == branch and p[0] in plat.fixed]
+            if not paths:
+                raise InvalidSpec(f"platform branch {idx} does not start at a fixed-platform vertex")
+            resolved.append((removal, paths[0]))
+        return tuple(resolved)
+
+    @cached_property
     def _platform_links(self) -> _ChainLinks:
-        # Each platform branch walked once, from its fixed anchor.  A branch
-        # that is no such path raises InvalidSpec and caches nothing, so
-        # every use raises again.
-        assert self.platform is not None
-        paths = [_branch_path(self, branch) for branch in self.platform.branches]
+        # the alignment kernel's links, each branch's from its fixed anchor
+        paths = [path for _, path in self._platform_branches]
         return _ChainLinks(
             tail=np.array([v for path in paths for v in path[:-1]]),
             head=np.array([v for path in paths for v in path[1:]]),
             first=np.cumsum([0] + [len(path) - 1 for path in paths[:-1]]),
         )
-
-
-def _branch_path(linkage: Linkage, branch_edges: Sequence[int]) -> list[int]:
-    """Vertex path of a platform branch, starting at its fixed-platform anchor."""
-    plat = linkage.platform
-    assert plat is not None
-    edges = [linkage.graph.edges[i] for i in branch_edges]
-    first = edges[0]
-    anchor = first[0] if first[0] in plat.fixed else first[1]
-    if anchor not in plat.fixed:
-        raise InvalidSpec("branch does not start at a fixed-platform vertex")
-    path = [anchor]
-    for u, v in edges:
-        nxt = v if u == path[-1] else u
-        if path[-1] not in (u, v):
-            raise InvalidSpec("branch edges do not form a path")
-        path.append(nxt)
-    return path
 
 
 class Configuration:

@@ -8,7 +8,7 @@ from linkctl.chains import _check_angle
 from linkctl.classify import PlatformCondition, _meeting_point
 from linkctl.decomp import ChainRemoval, Tolerances
 from linkctl.errors import DegenerateDirection, InvalidSpec
-from linkctl.model import Configuration, Linkage, MechanismType, SubspaceBasis, _branch_path
+from linkctl.model import Configuration, Linkage, MechanismType, SubspaceBasis
 
 
 def four_bar(lengths=(3.0, 2.5, 1.5, 2.0)) -> Linkage:
@@ -500,6 +500,18 @@ def reference_is_aligned(points: np.ndarray, tol: float = 1e-6) -> Optional[np.n
     return None
 
 
+def reference_branch_path(linkage: Linkage, branch) -> list[int]:
+    """A platform branch's vertex path, walked edge by edge from the end of
+    its first edge that is a fixed vertex."""
+    edges = [linkage.graph.edges[i] for i in branch]
+    u, v = edges[0]
+    path = [u if u in linkage.platform.fixed else v]
+    for u, v in edges:
+        assert path[-1] in (u, v), "branch edges do not form a path"
+        path.append(v if u == path[-1] else u)
+    return path
+
+
 def reference_platform_conditions(
     linkage: Linkage, config: Configuration, tols: Tolerances = Tolerances()
 ) -> Optional[PlatformCondition]:
@@ -509,7 +521,7 @@ def reference_platform_conditions(
     p = config.points
     aligned_lines = {}
     for idx, branch in enumerate(linkage.platform.branches):
-        pts = p[_branch_path(linkage, branch)]
+        pts = p[reference_branch_path(linkage, branch)]
         try:
             w = reference_is_aligned(pts, tol=tols.align)
         except DegenerateDirection:

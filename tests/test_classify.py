@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import re
 import warnings
 
 import numpy as np
@@ -17,7 +19,7 @@ from linkctl.errors import DegenerateDirection, InvalidSpec, OffConstraint
 from linkctl.model import Configuration, Linkage, MechanismType, PlatformSpec, build_linkage
 from linkctl.numeric import numerical_rank, sample_cspace, tangent_frame
 from linkctl.model import constraint_jacobian
-from linkctl import classify, decomp, demos, model
+from linkctl import decomp, demos, model
 from linkctl.demos import build_demo
 
 from conftest import reference_platform_conditions, self_stressed_linkage, stress_matrix
@@ -217,6 +219,21 @@ class TestLinesConcurrent:
         with pytest.raises(InvalidSpec, match=message):
             lines_concurrent(lines)
 
+    @pytest.mark.parametrize("slot", [0, 1], ids=["point", "direction"])
+    @pytest.mark.parametrize(
+        "value",
+        [[1.0, 0.0, 0.0], [1.0], [np.nan, 1.0], "ab"],
+        ids=["3-d", "1-element", "nan", "string"],
+    )
+    def test_point_or_direction_not_a_finite_2_vector_rejected(self, slot, value):
+        # a 3-D line was compared partly in 3-D, a 1-element one raised IndexError
+        # and a NaN direction met every line
+        lines = [(np.zeros(2), np.array([1.0, 0.0])), (np.zeros(2), np.array([0.0, 1.0]))]
+        line = [np.zeros(2), np.array([1.0, 1.0])]
+        line[slot] = value
+        with pytest.raises(InvalidSpec, match="^each line must be a finite 2-vector point and direction, got "):
+            lines_concurrent(lines + [tuple(line)])
+
     def test_coincident_lines_pass(self):
         lines = [
             (np.array([0.0, 0.0]), np.array([1.0, 0.0])),
@@ -280,7 +297,7 @@ class TestPlatform:
         [
             ([[6, 7], [8, 9]], InvalidSpec, "three branches"),
             ([[7, 6], [8, 9], [10, 11]], InvalidSpec, "does not start at a fixed-platform vertex"),
-            ([[6, 9], [8, 9], [10, 11]], InvalidSpec, "do not form a path"),
+            ([[6, 9], [8, 9], [10, 11]], InvalidSpec, "do not form a removable open chain"),
         ],
     )
     def test_malformed_branches_rejected(self, branches, error, message):
@@ -392,23 +409,46 @@ class TestPlatform:
         assert platform_conditions(linkage, Configuration(points)) is None
 
     def test_branch_removal_is_looked_up_from_either_end(self):
+        # a removal is keyed from its smaller endpoint; with the triangles'
+        # roles swapped each branch is listed from its larger one
         linkage, _ = _demo_pair("tri-platform-a")
-        reversed_branches = PlatformSpec(
-            tuple(b[::-1] for b in linkage.platform.branches), linkage.platform.fixed, linkage.platform.moving
-        )
-        flipped = dataclasses.replace(linkage, platform=reversed_branches)
-        for i, branch in enumerate(linkage.platform.branches):
+        plat = linkage.platform
+        swapped = PlatformSpec(tuple(b[::-1] for b in plat.branches), plat.moving, plat.fixed)
+        flipped = dataclasses.replace(linkage, platform=swapped)
+        for i, branch in enumerate(plat.branches):
             removal = linkage.graph.chain_removals[branch]
-            assert classify._branch_removal(linkage, i) is removal
-            assert classify._branch_removal(flipped, i) == removal
+            found, path = linkage._platform_branches[i]
+            assert found is removal and path == removal.chain_vertices
+            assert flipped._platform_branches[i] == (removal, removal.chain_vertices[::-1])
 
     def test_branch_that_is_not_an_open_chain_rejected(self):
-        # an extra edge at P3, branch 2's middle joint, gives it degree three
+        # an extra edge at P3, branch 2's middle joint, gives it degree
+        # three: the screen rejects it as the verifier does
         points = np.array(build_demo("tri-platform-a")[1]["points"])
         linkage, config = _platform_pair(points, demos._PLATFORM_EDGES + [(8, 0)])
-        assert platform_conditions(linkage, config).branches == (0, 1)
-        with pytest.raises(InvalidSpec, match="^branch 2 is not a removable open chain$"):
-            verify_platform_singularity(linkage, config)
+        message = "^platform branch 2's edges do not form a removable open chain$"
+        for entry in (platform_conditions, verify_platform_singularity):
+            with pytest.raises(InvalidSpec, match=message):
+                entry(linkage, config)
+
+    @pytest.mark.parametrize(
+        "extra_edges, branches, message",
+        [
+            ([], [[6, 7], [9, 8], [10, 11]], "platform branch 1 does not start at a fixed-platform vertex"),
+            ([], [[6, 7], [8, 9], [10, 7]], "platform branch 2's edges do not form a removable open chain"),
+            ([(8, 0)], [[6, 7], [8, 9], [10, 11]], "platform branch 2's edges do not form a removable open chain"),
+        ],
+        ids=["listed-from-moving-end", "not-a-path", "extra-edge-at-middle-joint"],
+    )
+    def test_screen_and_verifier_share_one_gate(self, extra_edges, branches, message):
+        # tri-platform-a's pose meets condition (a) once its branches are well formed
+        points = np.array(build_demo("tri-platform-a")[1]["points"])
+        platform = {**demos._PLATFORM_SPEC, "branches": branches}
+        linkage, config = _platform_pair(points, demos._PLATFORM_EDGES + extra_edges, platform)
+        for _ in range(2):
+            for entry in (platform_conditions, verify_platform_singularity):
+                with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
+                    entry(linkage, config)
 
     def test_platform_classify_agrees(self):
         for name in ("tri-platform-a", "tri-platform-b"):
@@ -481,22 +521,25 @@ class TestPlatformKernel:
             assert platform_conditions(linkage, config).point == pytest.approx([0.0, 0.0], abs=1e-12)
 
     def test_branch_paths_are_walked_once_per_linkage(self, monkeypatch):
+        # the branches are resolved once per linkage, for the screen and the verifier
         calls = []
-        walk = model._branch_path
-        monkeypatch.setattr(model, "_branch_path", lambda *args: calls.append(args[1]) or walk(*args))
+        resolve = model.Linkage._platform_branches.func
+        counted = functools.cached_property(lambda linkage: calls.append(linkage) or resolve(linkage))
+        counted.__set_name__(model.Linkage, "_platform_branches")
+        monkeypatch.setattr(model.Linkage, "_platform_branches", counted)
         linkage, config = _demo_pair("tri-platform-a")
-        poses = [config] + sample_cspace(linkage, 5, seed=1)
-        for pose in poses:
+        for pose in [config] + sample_cspace(linkage, 5, seed=1):
             platform_conditions(linkage, pose)
-        assert calls == list(linkage.platform.branches)
+        verify_platform_singularity(linkage, config)
+        assert calls == [linkage]
         platform_conditions(_demo_pair("tri-platform-a")[0], config)
-        assert len(calls) == 6
+        assert len(calls) == 2
 
     @pytest.mark.parametrize(
         "branches, message",
         [
             ([[7, 6], [8, 9], [10, 11]], "does not start at a fixed-platform vertex"),
-            ([[6, 9], [8, 9], [10, 11]], "do not form a path"),
+            ([[6, 9], [8, 9], [10, 11]], "do not form a removable open chain"),
         ],
     )
     def test_malformed_branch_raises_on_every_call(self, branches, message):

@@ -445,6 +445,27 @@ class TestWorkspaceCommand:
         assert captured.out == ""
         assert captured.err == "error: --lengths must be comma-separated numbers, got '2,a'\n"
 
+    @pytest.mark.parametrize("lengths", ["1,,2", "2,1,"])
+    def test_empty_length_entry_exits_1(self, capsys, lengths):
+        # an empty entry was skipped, so both read as a two-link chain
+        code = main(["workspace", "--lengths", lengths])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: --lengths must be comma-separated numbers, got {lengths!r}\n"
+
+    def test_effector_at_the_far_end_of_the_base_link_exits_1(self, demo_files, capsys):
+        # the second anchor chain would have no link
+        lp, _ = demo_files("four-bar-regular")
+        doc = json.loads(Path(lp).read_text())
+        doc["effector"] = 1
+        Path(lp).write_text(json.dumps(doc))
+        code = main(["workspace", lp])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: lens workspace needs an effector off the base link, not its far end 1\n"
+
     @pytest.mark.parametrize(
         "drop, message",
         [
@@ -564,6 +585,17 @@ class TestBranchesCommand:
         assert code == 1
         assert captured.out == ""
         assert captured.err == "error: LINKCTL_SEED must be an integer, got 'abc'\n"
+
+    @pytest.mark.parametrize("command", ["branches", "sample"])
+    def test_negative_seed_variable_exits_1(self, demo_files, capsys, monkeypatch, command):
+        # the message was sample_cspace's, which names the seed but not where it came from
+        lp, cp = demo_files("four-bar-singular")
+        monkeypatch.setenv("LINKCTL_SEED", "-1")
+        code = main([command, *([lp, cp] if command == "branches" else [lp])])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: LINKCTL_SEED must be an integer >= 0, got -1\n"
 
     def test_edgeless_linkage(self, edgeless_files, capsys):
         lp, cp = edgeless_files
