@@ -216,30 +216,25 @@ def platform_conditions(
     all three branches at once, the one ``chains.is_aligned`` runs on a
     single chain; a branch with a zero-length link is not aligned.  The
     platform is planar with three branches, each an open chain listed from
-    its fixed anchor, resolved once per linkage as the verifier reads them;
-    any other raises InvalidSpec on every call.
+    its fixed anchor to a moving vertex, resolved once per linkage as the
+    verifier reads them; any other raises InvalidSpec on every call.
     """
     check_match(linkage, config)
     p = config.points
     links = linkage._platform_links
-    w, aligned, _ = _aligned_chains(p, links, math.cos(tols.align))
+    cos_tol = math.cos(tols.align)
+    w, aligned, _ = _aligned_chains(p, links, cos_tol)
     anchors = p[links.tail[links.first]]  # each branch's fixed vertex
-    aligned_lines = {idx: (anchors[idx], w[idx]) for idx in range(3) if aligned[idx]}
 
     offset_tol = 1e-8 * (1.0 + linkage.length_scale)
-    cos_tol = np.cos(tols.align)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if i in aligned_lines and j in aligned_lines:
-                (pi, wi), (pj, wj) = aligned_lines[i], aligned_lines[j]
-                if abs(float(wi @ wj)) >= cos_tol:
-                    perp = float(abs((pj - pi)[0] * wi[1] - (pj - pi)[1] * wi[0]))
-                    if perp < offset_tol:
-                        return PlatformCondition("a", (i, j))
+    for i, j in [(0, 1), (0, 2), (1, 2)]:
+        if aligned[i] and aligned[j] and abs(float(w[i] @ w[j])) >= cos_tol:
+            gap = anchors[j] - anchors[i]
+            if float(abs(gap[0] * w[i][1] - gap[1] * w[i][0])) < offset_tol:
+                return PlatformCondition("a", (i, j))
 
-    if len(aligned_lines) == 3:
-        lines = [aligned_lines[i] for i in range(3)]
-        meet = _meeting_point(lines, 1e-6 * (1.0 + linkage.length_scale))
+    if aligned.all():
+        meet = _meeting_point(list(zip(anchors, w)), 1e-6 * (1.0 + linkage.length_scale))
         if meet is not None:
             return PlatformCondition("b", (0, 1, 2), point=meet)
     return None

@@ -19,7 +19,8 @@ length (``[]``, ``5``, a string, a flat or a deeper list, ragged rows), a
 coordinate that is not a finite JSON number or is too large for a float,
 and a non-numeric or empty --lengths entry each raise InvalidSpec naming the
 file or the option, and such a length names the edge.  The seed comes from
---seed, falling back to LINKCTL_SEED (an integer >= 0, named when it is not).
+--seed, falling back to LINKCTL_SEED (an integer >= 0, either named when it
+is not).  ``workspace`` given both --lengths and a linkage document exits 1.
 
 ``--svg`` draws planar linkages only: ``analyze`` and ``sample`` given a
 3-D linkage exit 1 before any work.  ``trace --svg`` plots flat coordinates
@@ -150,7 +151,7 @@ def _tolerances(args: argparse.Namespace) -> Tolerances:
 
 def _seed(args: argparse.Namespace) -> int:
     if args.seed is not None:
-        return args.seed
+        return check_integer(args.seed, "--seed", 0)
     env = os.environ.get("LINKCTL_SEED")
     try:
         seed = int(env) if env else 0
@@ -259,6 +260,8 @@ def _two_anchor_chains(linkage: Linkage) -> tuple[np.ndarray, list[float], np.nd
 
 
 def _cmd_workspace(args: argparse.Namespace) -> int:
+    if args.lengths is not None and args.linkage:
+        raise InvalidSpec(f"workspace takes --lengths {args.lengths!r} or {args.linkage}, not both")
     if args.lengths:
         try:
             lengths = [float(x) for x in args.lengths.split(",")]

@@ -1,9 +1,10 @@
 """Registry of demonstration mechanisms with distinguished configurations.
 
 Each entry builds a (linkage document, configuration document) pair in the
-JSON schema given in ``linkctl.cli``.  Configurations are constructed exactly (lengths derived
-from placed points), so the documents satisfy their constraints to machine
-precision and round-trip deterministically.
+JSON schema given in ``linkctl.cli``.  A demo is its placed points and its
+edges: ``_docs`` derives every length from the points' distances, so the
+documents satisfy their constraints to machine precision and round-trip
+deterministically.
 """
 
 from __future__ import annotations
@@ -30,18 +31,16 @@ def _circle_intersection(c1, r1, c2, r2, sign=1.0):
     return c1 + a * axis + sign * h * perp
 
 
-def _edge_lengths(points, edges):
-    return [float(np.linalg.norm(points[u] - points[v])) for u, v in edges]
-
-
-def _docs(points, edges, lengths, base, base_link, effector, platform=None):
+def _docs(points, edges, base_link, effector, platform=None):
+    """The documents of a planar demo with base vertex 0, each edge as long
+    as its points lie apart."""
     linkage = {
         "dim": 2,
         "vertices": len(points),
         "edges": [
-            {"u": u, "v": v, "length": lengths[i]} for i, (u, v) in enumerate(edges)
+            {"u": u, "v": v, "length": float(np.linalg.norm(points[u] - points[v]))} for u, v in edges
         ],
-        "base": base,
+        "base": 0,
         "base_link": base_link,
         "effector": effector,
     }
@@ -51,26 +50,22 @@ def _docs(points, edges, lengths, base, base_link, effector, platform=None):
     return linkage, config
 
 
-def _four_bar(lengths, points):
-    edges = [(0, 1), (1, 2), (2, 3), (3, 0)]
-    return _docs(points, edges, list(lengths), base=0, base_link=0, effector=2)
+def _four_bar(points):
+    return _docs(points, [(0, 1), (1, 2), (2, 3), (3, 0)], base_link=0, effector=2)
 
 
 def _demo_four_bar_singular():
-    # node of the four-bar with l1 + l3 = l2 + l4: fully aligned (+,-,+,-)
-    lengths = (3.0, 2.5, 1.5, 2.0)
-    points = np.array([[0.0, 0.0], [3.0, 0.0], [0.5, 0.0], [2.0, 0.0]])
-    return _four_bar(lengths, points)
+    # node of the four-bar with lengths (3, 2.5, 1.5, 2), l1 + l3 = l2 + l4:
+    # fully aligned (+,-,+,-)
+    return _four_bar(np.array([[0.0, 0.0], [3.0, 0.0], [0.5, 0.0], [2.0, 0.0]]))
 
 
 def _demo_four_bar_regular():
-    lengths = (2.0, 1.2, 1.7, 0.9)
     x0 = np.array([0.0, 0.0])
     x1 = np.array([2.0, 0.0])
     x3 = 0.9 * np.array([math.cos(1.9), math.sin(1.9)])
     x2 = _circle_intersection(x1, 1.2, x3, 1.7, sign=1.0)
-    points = np.array([x0, x1, x2, x3])
-    return _docs(points, [(0, 1), (1, 2), (2, 3), (3, 0)], _edge_lengths(points, [(0, 1), (1, 2), (2, 3), (3, 0)]), 0, 0, 2)
+    return _four_bar(np.array([x0, x1, x2, x3]))
 
 
 def _demo_five_bar():
@@ -83,7 +78,7 @@ def _demo_five_bar():
     x3 = _circle_intersection(x4, 2.0, x2, 1.2, sign=1.0)
     points = np.array([x0, x1, x2, x3, x4])
     edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
-    return _docs(points, edges, _edge_lengths(points, edges), base=0, base_link=4, effector=2)
+    return _docs(points, edges, base_link=4, effector=2)
 
 
 def _demo_egsing():
@@ -104,7 +99,7 @@ def _demo_egsing():
         ]
     )
     edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (3, 4), (4, 5), (5, 1)]
-    return _docs(pts, edges, _edge_lengths(pts, edges), base=0, base_link=0, effector=2)
+    return _docs(pts, edges, base_link=0, effector=2)
 
 
 _PLATFORM_EDGES = [
@@ -129,15 +124,7 @@ def _demo_tri_platform_a():
     m = np.array([2.1, -0.9])
     p3 = _circle_intersection(a3, 1.1, m, 0.9, sign=1.0)
     points = np.array([a1, a2, a3, b1, b2, m, p1, p2, p3])
-    return _docs(
-        points,
-        _PLATFORM_EDGES,
-        _edge_lengths(points, _PLATFORM_EDGES),
-        base=0,
-        base_link=0,
-        effector=5,
-        platform=_PLATFORM_SPEC,
-    )
+    return _docs(points, _PLATFORM_EDGES, base_link=0, effector=5, platform=_PLATFORM_SPEC)
 
 
 def _demo_tri_platform_b():
@@ -155,15 +142,7 @@ def _demo_tri_platform_b():
     p2 = a2 + 2.3 * np.array([-1.0, 0.0])
     p3 = a3 + 1.0 * np.array([s, -s])
     points = np.array([a1, a2, a3, b1, b2, b3, p1, p2, p3])
-    return _docs(
-        points,
-        _PLATFORM_EDGES,
-        _edge_lengths(points, _PLATFORM_EDGES),
-        base=0,
-        base_link=0,
-        effector=5,
-        platform=_PLATFORM_SPEC,
-    )
+    return _docs(points, _PLATFORM_EDGES, base_link=0, effector=5, platform=_PLATFORM_SPEC)
 
 
 _DEMOS = {

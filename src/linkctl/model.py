@@ -178,7 +178,8 @@ class PlatformSpec:
     the moving attachment, in path order.  ``fixed``/``moving`` list the
     vertices of the two rigid triangles.  The one rule for a branch: it is an
     open chain listed from its fixed anchor, an entry of
-    ``MechanismType.chain_removals`` read from a vertex in ``fixed``.
+    ``MechanismType.chain_removals`` read from a vertex in ``fixed`` to one
+    in ``moving``.
     """
 
     branches: tuple[tuple[int, ...], ...]
@@ -290,8 +291,9 @@ class Linkage:
     def _platform_branches(self) -> tuple[tuple[ChainRemoval, tuple[int, ...]], ...]:
         # Each branch of a planar three-branch platform as its open-chain
         # removal, found from its edges in either direction, and its vertex
-        # path in listing order, which must start on the fixed triangle.  Any
-        # other platform raises InvalidSpec and caches nothing.
+        # path in listing order, which must start on the fixed triangle and
+        # end on the moving one.  Any other platform raises InvalidSpec and
+        # caches nothing.
         plat = self.platform
         if plat is None or self.ambient_dim != 2:
             raise InvalidSpec("linkage is not tagged as a planar platform")
@@ -308,6 +310,8 @@ class Linkage:
             paths = [p for p, e in ((cv, ce), (cv[::-1], ce[::-1])) if e == branch and p[0] in plat.fixed]
             if not paths:
                 raise InvalidSpec(f"platform branch {idx} does not start at a fixed-platform vertex")
+            if paths[0][-1] not in plat.moving:
+                raise InvalidSpec(f"platform branch {idx} does not end at a moving-platform vertex")
             resolved.append((removal, paths[0]))
         return tuple(resolved)
 

@@ -5,7 +5,11 @@ pseudo-arclength continuation, and local branch counting.
 Gauss-Newton's Armijo line search takes the full step's residual and tests
 every shorter step on the residual's exact quadratic along the step
 (``_shorter_step``), so it builds no trial iterate; the residual is then
-evaluated once, directly, at the step taken.
+evaluated once, directly, at the step taken.  Both solvers, the callable
+``_gauss_newton`` and the lockstep ``_gauss_newton_rows``, check each full
+step and each chord step finite, raising InvalidSpec as building a
+Configuration would.  A shorter step lies between two finite points and
+needs no check, so no residual closure checks its iterate.
 
 Tangent frames, work images and traced points read the constraint Jacobian's
 null space off one SVD per configuration, taken in ``_null_space``; a stage
@@ -227,6 +231,11 @@ def _gauss_newton(
     with it, without a line search, and is kept when it cuts |r|^2 at least
     fourfold; otherwise it is dropped and a fresh step is taken from the same
     iterate.  Either kind of step counts toward max_iter.
+
+    Every full step and chord step is checked finite before its residual is
+    taken: a non-finite one raises InvalidSpec, as building a Configuration
+    would, instead of ending in NoConvergence.  A shorter step lies between
+    x and the full step, so it is finite when both are.
     """
     x = np.array(x0, dtype=float)
     r = residual_fn(x) if r0 is None else r0
@@ -237,6 +246,7 @@ def _gauss_newton(
         phi = float(r @ r)
         if svd is not None:
             x_new = x - _svd_solve(svd, r)
+            check_finite(x_new)
             r_new = residual_fn(x_new)
             if 4.0 * float(r_new @ r_new) <= phi:
                 x, r = x_new, r_new
@@ -250,6 +260,7 @@ def _gauss_newton(
             svd = fresh
         slope = float(2.0 * (jac.T @ r) @ delta)
         x_new = x + delta  # the full step, t = 1
+        check_finite(x_new)
         r_new = residual_fn(x_new)
         if not float(r_new @ r_new) <= phi + _ARMIJO_C * slope:
             b = jac @ delta
@@ -323,18 +334,6 @@ def _gauss_newton_rows(
     return x, ok
 
 
-def _finite_points(x: np.ndarray, d: int) -> np.ndarray:
-    """View of a flat Gauss-Newton iterate as (N, d) points, checked finite.
-
-    Residual closures call it on every iterate: a non-finite step raises
-    InvalidSpec, as building a Configuration would, instead of ending in
-    NoConvergence.  Jacobians are only taken at iterates a residual has seen.
-    """
-    p = x.reshape(-1, d)
-    check_finite(p)
-    return p
-
-
 def project_to_cspace(
     linkage: Linkage,
     guess: Configuration,
@@ -362,7 +361,7 @@ def project_to_cspace(
     d = linkage.ambient_dim
 
     def res(x: np.ndarray) -> np.ndarray:
-        return _residual_points(linkage, _finite_points(x, d))
+        return _residual_points(linkage, x.reshape(-1, d))
 
     def jac(x: np.ndarray) -> np.ndarray:
         return _jacobian_points(linkage, x.reshape(-1, d))
@@ -574,9 +573,11 @@ def reduced_work_data(linkage: Linkage, frame: TangentFrame, tol_rank: float = 1
     Raises InvalidSpec when the linkage has no end effector, tol_rank is not
     finite and >= 0 or the frame's configuration does not fit the linkage,
     and DegenerateDirection when base and effector lie within
-    1e-9 * (1 + total length) of each other, the scale of stage_classify's
-    coincident_endpoints reason, so the test does not depend on where the
-    mechanism sits.
+    1e-9 * (1 + total length) of each other, so the test does not depend on
+    where the mechanism sits.  That scale is at most the one of
+    stage_classify's coincident_endpoints reason, 1 + the longer total length
+    of remainder and chain, so a stage, which calls this on its remainder only
+    past that reason, never reaches the raise.
     """
     base, eff = _work_ends(linkage)
     check_real(tol_rank, "tol_rank")
@@ -695,8 +696,7 @@ def trace_curve(
             predictor = v.flat + sub_step * tangent
 
             def res(x: np.ndarray, _t=tangent, _p=predictor) -> np.ndarray:
-                p = _finite_points(x, d)
-                return np.concatenate([_residual_points(linkage, p), [_t @ (x - _p)]])
+                return np.concatenate([_residual_points(linkage, x.reshape(-1, d)), [_t @ (x - _p)]])
 
             try:
                 corrected = _gauss_newton(res, jac, predictor, _TRACE_TOL, 60, tol_rank, None, True)

@@ -245,10 +245,7 @@ class TestLinesConcurrent:
 
 def _platform_pair(points, edges=demos._PLATFORM_EDGES, platform=demos._PLATFORM_SPEC):
     """A platform linkage with the lengths of ``points``, and that pose."""
-    ldoc, cdoc = demos._docs(
-        points, edges, demos._edge_lengths(points, edges), base=0, base_link=0, effector=5,
-        platform=platform,
-    )
+    ldoc, cdoc = demos._docs(points, edges, base_link=0, effector=5, platform=platform)
     return build_linkage(ldoc), Configuration(cdoc["points"])
 
 
@@ -437,11 +434,14 @@ class TestPlatform:
             ([], [[6, 7], [9, 8], [10, 11]], "platform branch 1 does not start at a fixed-platform vertex"),
             ([], [[6, 7], [8, 9], [10, 7]], "platform branch 2's edges do not form a removable open chain"),
             ([(8, 0)], [[6, 7], [8, 9], [10, 11]], "platform branch 2's edges do not form a removable open chain"),
+            ([], [[0], [8, 9], [10, 11]], "platform branch 0 does not end at a moving-platform vertex"),
         ],
-        ids=["listed-from-moving-end", "not-a-path", "extra-edge-at-middle-joint"],
+        ids=["listed-from-moving-end", "not-a-path", "extra-edge-at-middle-joint", "ends-on-the-fixed-triangle"],
     )
     def test_screen_and_verifier_share_one_gate(self, extra_edges, branches, message):
-        # tri-platform-a's pose meets condition (a) once its branches are well formed
+        # tri-platform-a's pose meets condition (a) once its branches are well
+        # formed; a branch 0 given as the fixed triangle's edge 0-1 was
+        # accepted, and the screen tested that edge's line in its place
         points = np.array(build_demo("tri-platform-a")[1]["points"])
         platform = {**demos._PLATFORM_SPEC, "branches": branches}
         linkage, config = _platform_pair(points, demos._PLATFORM_EDGES + extra_edges, platform)

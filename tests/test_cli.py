@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import linkctl
@@ -83,6 +84,14 @@ class TestDemoCommand:
             linkage_doc, config_doc = build_demo(name)
             linkage = build_linkage(linkage_doc)
             assert len(config_doc["points"]) == linkage.n_vertices
+
+    @pytest.mark.parametrize("name", DEMO_NAMES)
+    def test_lengths_are_the_points_distances(self, name):
+        # every length is derived from the placed points, none typed by hand
+        linkage_doc, config_doc = build_demo(name)
+        points = np.array(config_doc["points"])
+        for edge in linkage_doc["edges"]:
+            assert edge["length"] == float(np.linalg.norm(points[edge["u"]] - points[edge["v"]]))
 
     def test_demo_documents_share_no_state(self):
         # both tri-platform documents held the module's one platform dict, so
@@ -454,6 +463,15 @@ class TestWorkspaceCommand:
         assert captured.out == ""
         assert captured.err == f"error: --lengths must be comma-separated numbers, got {lengths!r}\n"
 
+    def test_lengths_and_a_linkage_document_exit_1(self, demo_files, capsys):
+        # the document was ignored, and the --lengths interval printed with exit 0
+        lp, _ = demo_files("five-bar")
+        code = main(["workspace", lp, "--lengths", "2,1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: workspace takes --lengths '2,1' or {lp}, not both\n"
+
     def test_effector_at_the_far_end_of_the_base_link_exits_1(self, demo_files, capsys):
         # the second anchor chain would have no link
         lp, _ = demo_files("four-bar-regular")
@@ -565,15 +583,16 @@ class TestBranchesCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
-    @pytest.mark.parametrize("command", ["branches", "sample"])
+    @pytest.mark.parametrize("command", ["branches", "sample", "analyze"])
     def test_negative_seed_exits_1(self, demo_files, capsys, command):
+        # the message was sample_cspace's and local_branch_count's, which do not name the flag
         lp, cp = demo_files("four-bar-singular")
-        args = [lp, cp] if command == "branches" else [lp]
+        args = {"branches": [lp, cp], "sample": [lp], "analyze": [lp, cp, "--branches"]}[command]
         code = main([command, *args, "--seed", "-1"])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err == "error: seed must be an integer >= 0, got -1\n"
+        assert captured.err == "error: --seed must be an integer >= 0, got -1\n"
 
     @pytest.mark.parametrize("command", ["branches", "sample"])
     def test_non_integer_seed_variable_exits_1(self, demo_files, capsys, monkeypatch, command):

@@ -334,6 +334,39 @@ class TestReferencePathEquivalence:
             project_to_cspace(linkage, guess)
 
 
+class TestNonFiniteSteps:
+    """The callable solver checks each full step and each chord step finite
+    itself, so a residual closure checks nothing."""
+
+    def test_plain_residual_full_step(self, monkeypatch):
+        # x*x - 1 takes an infinite step without complaint; the solver does not
+        monkeypatch.setattr(
+            numeric, "_svd_solve", lambda svd, rhs: np.full(svd[2].shape[1], np.inf)
+        )
+        with np.errstate(invalid="ignore"), pytest.raises(
+            InvalidSpec, match="configuration coordinates must be finite"
+        ):
+            numeric._gauss_newton(
+                lambda x: x * x - 1.0, lambda x: np.diag(2.0 * x), np.array([2.0, 3.0]), 1e-10, 10
+            )
+
+    def test_trace_corrector_chord_step(self, monkeypatch):
+        # a chord step solves with the SVD of the corrector's last fresh step
+        linkage, config = demo_pair("four-bar-regular")
+        real = numeric._svd_solve
+        fresh = []
+
+        def infinite_chord_step(svd, rhs):
+            if fresh and svd is fresh[-1]:
+                return np.full(svd[2].shape[1], np.inf)
+            fresh.append(svd)
+            return real(svd, rhs)
+
+        monkeypatch.setattr(numeric, "_svd_solve", infinite_chord_step)
+        with pytest.raises(InvalidSpec, match="configuration coordinates must be finite"):
+            trace_curve(linkage, config, max_steps=5)
+
+
 def overstretched(linkage: Linkage) -> Linkage:
     """A random_linkage linkage plus a vertex w, tied to the last vertex by a
     unit edge and to vertex 0 by an edge 0.1% longer than the path from w
