@@ -20,13 +20,16 @@ coordinate that is not a finite JSON number or is too large for a float,
 and a non-numeric or empty --lengths entry each raise InvalidSpec naming the
 file or the option, and such a length names the edge.  The seed comes from
 --seed, falling back to LINKCTL_SEED (an integer >= 0, either named when it
-is not).  ``workspace`` given both --lengths and a linkage document exits 1.
+is not).  ``analyze`` checks a given --seed before it classifies and reads
+LINKCTL_SEED only under --branches.  ``workspace`` given both --lengths and
+a linkage document exits 1.
 
 ``--svg`` draws planar linkages only: ``analyze`` and ``sample`` given a
 3-D linkage exit 1 before any work.  ``trace --svg`` plots flat coordinates
 --px and --py of the traced points, which have the base vertex at the
 origin and the base link along +x; they default to the x and y of the first
-vertex that is neither the base vertex nor the far end of the base link.
+vertex that is neither the base vertex nor the far end of the base link,
+and ``trace`` rejects either outside the flat coordinates, even without --svg.
 
 A linkage document is a JSON object:
 
@@ -164,12 +167,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     linkage, config = _load_pair(args.linkage, args.config)
     _check_planar_svg(args, linkage)
     tols = _tolerances(args)
+    seed = _seed(args) if args.branches or args.seed is not None else None
     report = classify_configuration(linkage, config, tols)
     doc = report.to_json_dict()
     notes = doc.pop("notes")
     doc["branch_report"] = None
     if args.branches:
-        branches = local_branch_count(linkage, config, seed=_seed(args), tol_rank=tols.rank)
+        branches = local_branch_count(linkage, config, seed=seed, tol_rank=tols.rank)
         doc["branch_report"] = branches.to_json_dict()
     doc["notes"] = notes
     _emit(doc)
@@ -206,7 +210,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     px = free * linkage.ambient_dim if args.px is None else args.px
     py = free * linkage.ambient_dim + 1 if args.py is None else args.py
     coords = config.flat.size
-    if args.svg and not (0 <= px < coords and 0 <= py < coords):
+    if not (0 <= px < coords and 0 <= py < coords):  # the defaults always lie inside
         raise InvalidSpec(f"--px and --py must lie in [0, {coords}), got {px} and {py}")
     result = trace_curve(
         linkage,

@@ -17,11 +17,11 @@ with every stage transverse over a full-rank base.
 
 Both are found by the same depth-first walk down the decomposition tree
 (``_search``), one stage at a time (``_step``); the two differ only in where
-they stop and which stages they descend through.  The walk carries the one
-host configuration its caller passed.  A stage's parts are cut (``_cut``) in
-the removal's own ids, and ``_step``'s stage record is the one place that
-maps them to host ids: the sub-mechanism it descends into pairs the cut
-remainder with that record's host ids.  The walk returns the public
+they stop and which stages they descend through.  The walk reads the host
+configuration once, at the root, and carries parts (``SubMechanism``): each
+holds its linkage and its points in its own ids, cut (``_cut``) from its
+parent's by the removal's ids, and ``_step``'s stage record is the one place
+that maps ids to the host.  The walk returns the public
 ``Decomposition`` it found with the verdict of its deepest stage, from which
 the entry points build their ``Witness`` or certificate.
 ``find_witness_through``, the platform verifier's entry point, takes one
@@ -108,23 +108,17 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class SubMechanism:
-    """A sub-linkage with its vertex/edge maps back to the host mechanism."""
+    """A part of the host mechanism: its linkage and its points, both in the
+    part's own ids, with the host id of each part vertex and edge."""
 
     linkage: Linkage
-    vertex_ids: tuple[int, ...]  # host id of each sub-linkage vertex
+    config: Configuration
+    vertex_ids: tuple[int, ...]  # host id of each part vertex
     edge_ids: tuple[int, ...]
 
-    def restrict(self, config: Configuration) -> Configuration:
-        """The sub-linkage's configuration, from the host's configuration."""
-        return Configuration(config.points[list(self.vertex_ids)])
 
-
-def _whole(linkage: Linkage) -> SubMechanism:
-    return SubMechanism(
-        linkage=linkage,
-        vertex_ids=tuple(range(linkage.n_vertices)),
-        edge_ids=tuple(range(linkage.k)),
-    )
+def _whole(linkage: Linkage, config: Configuration) -> SubMechanism:
+    return SubMechanism(linkage, config, tuple(range(linkage.n_vertices)), tuple(range(linkage.k)))
 
 
 def enumerate_chain_removals(graph: MechanismType) -> list[ChainRemoval]:
@@ -355,34 +349,34 @@ class Witness:
 
 def _search(
     sub: SubMechanism,
-    config: Configuration,
     depth: int,
     tols: Tolerances,
     certificate: bool,
     memo: dict[tuple[frozenset[int], int], Optional[tuple[Decomposition, Optional[StageVerdict]]]],
 ) -> Optional[tuple[Decomposition, Optional[StageVerdict]]]:
-    """Depth-first walk down the decomposition tree of ``sub`` at the host
-    configuration ``config``: the first decomposition found, in host ids,
-    with its deepest stage's verdict (None for a zero-stage certificate).
+    """Depth-first walk down the decomposition tree of the part ``sub`` at
+    its own points: the first decomposition found, in host ids, with its
+    deepest stage's verdict (None for a zero-stage certificate).
 
     Removals are visited in lexicographic edge order, each by ``_step``, and
     the first hit is returned; a certificate stops at a full-rank base.  At
     depth 0 neither search visits a removal.  Every part of a ``sub`` that
     passes check_on_constraint passes it too, so every removal gets a verdict.
+    The memo key (host edges, depth) is sound because a part's points are
+    the host's points at its host vertices, whichever path reaches it.
     """
     key = (frozenset(sub.edge_ids), depth)
     if key in memo:
         return memo[key]
     result = None
     full_rank = certificate and (
-        numerical_rank(constraint_jacobian(sub.linkage, sub.restrict(config)), tols.rank)
-        == sub.linkage.k
+        numerical_rank(constraint_jacobian(sub.linkage, sub.config), tols.rank) == sub.linkage.k
     )
     if full_rank:
         result = (Decomposition((), sub.vertex_ids, sub.edge_ids), None)
     elif depth > 0:
         for removal in enumerate_chain_removals(sub.linkage.graph):
-            result = _step(sub, config, removal, depth, tols, certificate, memo)[1]
+            result = _step(sub, removal, depth, tols, certificate, memo)[1]
             if result is not None:
                 break
     memo[key] = result
@@ -391,7 +385,6 @@ def _search(
 
 def _step(
     sub: SubMechanism,
-    config: Configuration,
     removal: ChainRemoval,
     depth: int,
     tols: Tolerances,
@@ -404,7 +397,7 @@ def _step(
     generically non-transverse stage and descends through a stage whose
     chain is not aligned, the one outer stage a singularity lifts through;
     any other stage gives None."""
-    verdict = stage_classify(sub.linkage, sub.restrict(config), removal, tols)
+    verdict = stage_classify(sub.linkage, sub.config, removal, tols)
     vertex, edge = sub.vertex_ids, sub.edge_ids
     stage = DecompositionStage(
         chain_vertices=tuple(vertex[v] for v in removal.chain_vertices),
@@ -423,8 +416,9 @@ def _step(
     if not descend:
         return verdict, None
     remainder = _cut(sub.linkage, removal.remainder_vertices, removal.remainder_edges, removal.endpoints)
-    part = SubMechanism(remainder, stage.remainder_vertices, stage.remainder_edges)
-    hit = _search(part, config, depth - 1, tols, certificate, memo)
+    points = Configuration(sub.config.points[list(removal.remainder_vertices)])
+    part = SubMechanism(remainder, points, stage.remainder_vertices, stage.remainder_edges)
+    hit = _search(part, depth - 1, tols, certificate, memo)
     if hit is None:
         return verdict, None
     found, deepest = hit
@@ -445,7 +439,7 @@ def find_nontransversive_witness(
     smooth.
     """
     check_on_constraint(linkage, config)
-    hit = _search(_whole(linkage), config, tols.depth, tols, False, {})
+    hit = _search(_whole(linkage, config), tols.depth, tols, False, {})
     return None if hit is None else Witness(*hit)  # type: ignore[arg-type]
 
 
@@ -468,7 +462,7 @@ def find_witness_through(
     first stage, on one off the constraint set.
     """
     check_match(linkage, config)
-    verdict, hit = _step(_whole(linkage), config, removal, tols.depth, tols, False, {})
+    verdict, hit = _step(_whole(linkage, config), removal, tols.depth, tols, False, {})
     return verdict, None if hit is None else Witness(*hit)  # type: ignore[arg-type]
 
 
@@ -484,5 +478,5 @@ def find_smoothness_certificate(
     search order; None means no certificate within tols.depth removals.
     """
     check_on_constraint(linkage, config)
-    hit = _search(_whole(linkage), config, tols.depth, tols, True, {})
+    hit = _search(_whole(linkage, config), tols.depth, tols, True, {})
     return None if hit is None else hit[0]

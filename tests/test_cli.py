@@ -15,7 +15,7 @@ from linkctl.decomp import Tolerances
 from linkctl.demos import DEMO_NAMES, build_demo
 from linkctl.errors import InvalidSpec
 from linkctl.model import Configuration, build_linkage
-from linkctl import svg
+from linkctl import cli, svg
 
 
 def run(capsys, *argv):
@@ -430,6 +430,23 @@ class TestTraceCommand:
         assert captured.err.startswith("error: --px and --py must lie in [0, 8)")
         assert not svg_path.exists()
 
+    @pytest.mark.parametrize("axis", [("--px", "99"), ("--py", "8"), ("--px", "-1")], ids="=".join)
+    def test_axis_out_of_range_without_svg_exits_1(self, demo_files, capsys, axis):
+        # the range check ran only with --svg, so these exited 0 and the axis was ignored
+        lp, cp = demo_files("four-bar-regular")
+        code = main(["trace", lp, cp, *axis])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: --px and --py must lie in [0, 8), got ")
+        assert "Traceback" not in captured.err
+
+    def test_axis_in_range_without_svg_traces(self, demo_files, capsys):
+        lp, cp = demo_files("four-bar-regular")
+        code, out = run(capsys, "trace", lp, cp, "--px", "7", "--py", "0", "--max-steps", "5")
+        assert code == 0
+        assert len(json.loads(out)["points"]) == 6
+
 
 class TestWorkspaceCommand:
     def test_interval_mode(self, capsys):
@@ -583,16 +600,40 @@ class TestBranchesCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
-    @pytest.mark.parametrize("command", ["branches", "sample", "analyze"])
+    @pytest.mark.parametrize("command", ["branches", "sample", "analyze", "analyze-without-branches"])
     def test_negative_seed_exits_1(self, demo_files, capsys, command):
-        # the message was sample_cspace's and local_branch_count's, which do not name the flag
+        # the message was sample_cspace's and local_branch_count's, which do not name the flag;
+        # analyze without --branches ignored the seed and exited 10
         lp, cp = demo_files("four-bar-singular")
-        args = {"branches": [lp, cp], "sample": [lp], "analyze": [lp, cp, "--branches"]}[command]
-        code = main([command, *args, "--seed", "-1"])
+        args = {
+            "branches": [lp, cp],
+            "sample": [lp],
+            "analyze": [lp, cp, "--branches"],
+            "analyze-without-branches": [lp, cp],
+        }[command]
+        code = main([command.split("-")[0], *args, "--seed", "-1"])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
         assert captured.err == "error: --seed must be an integer >= 0, got -1\n"
+
+    @pytest.mark.parametrize("branches", [[], ["--branches"]], ids=["alone", "with-branches"])
+    def test_analyze_checks_the_seed_before_classifying(self, demo_files, capsys, monkeypatch, branches):
+        def classify(*args):
+            raise AssertionError("classified with a bad --seed")
+
+        monkeypatch.setattr(cli, "classify_configuration", classify)
+        lp, cp = demo_files("four-bar-singular")
+        assert main(["analyze", lp, cp, *branches, "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: --seed must be an integer >= 0, got -1\n"
+
+    def test_analyze_reads_the_seed_variable_only_for_branches(self, demo_files, capsys, monkeypatch):
+        # without --branches analyze draws no sample, so LINKCTL_SEED is not read
+        lp, cp = demo_files("four-bar-singular")
+        monkeypatch.setenv("LINKCTL_SEED", "-1")
+        assert run(capsys, "analyze", lp, cp)[0] == 10
+        assert main(["analyze", lp, cp, "--branches"]) == 1
+        assert capsys.readouterr().err == "error: LINKCTL_SEED must be an integer >= 0, got -1\n"
 
     @pytest.mark.parametrize("command", ["branches", "sample"])
     def test_non_integer_seed_variable_exits_1(self, demo_files, capsys, monkeypatch, command):

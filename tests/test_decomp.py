@@ -387,6 +387,38 @@ class TestHereditaryValidity:
                 below += 1
         assert below > 100
 
+    def test_every_part_carries_the_host_points_at_its_ids(self, monkeypatch):
+        # a part's points are cut from its parent's in the removal's ids, so
+        # at every stage and every full-rank test they must be the host's
+        # points at the part's host vertices, bit for bit; the braced nodes'
+        # witness searches descend through remainders renumbered from the host
+        seen = []
+
+        def wrap(original):
+            def visit(sub, *args):
+                seen.append(sub)
+                return original(sub, *args)
+
+            return visit
+
+        monkeypatch.setattr(decomp, "_step", wrap(decomp._step))
+        monkeypatch.setattr(decomp, "_search", wrap(decomp._search))
+        docs = {name: build_demo(name) for name in DEMO_NAMES}
+        poses = {name: (build_linkage(doc), Configuration(config["points"])) for name, (doc, config) in docs.items()}
+        poses["braced"] = _braced_node([(0.2, 1.0), (0.6, 1.2)])
+        descents = {}
+        for name, (linkage, config) in poses.items():
+            start = len(seen)  # seen keeps every part alive, so no id is reused
+            find_nontransversive_witness(linkage, config)
+            find_smoothness_certificate(linkage, config)
+            for sub in seen[start:]:
+                host = config.points[list(sub.vertex_ids)]
+                assert sub.config.points.shape == host.shape
+                assert sub.config.points.tobytes() == host.tobytes()
+            descents[name] = len({id(sub) for sub in seen[start:] if sub.linkage is not linkage})
+        assert descents["tri-platform-a"] == 141 and descents["egsing"] == 25
+        assert descents["braced"] > 0
+
     def test_every_removal_gets_a_verdict(self):
         # the poses above and self-stressed ones, whose stages can be non-transverse
         rng = np.random.default_rng(19)
