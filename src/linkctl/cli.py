@@ -203,9 +203,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     # by default the x and y of the first vertex the gauge leaves free (vertex
     # 0 when it pins them all): the traced points put the base vertex at the
     # origin and the base link on +x
-    pinned = {linkage.base_vertex}
-    if linkage.base_link is not None:
-        pinned.update(linkage.graph.edges[linkage.base_link])
+    pinned = (linkage.base_vertex, linkage._base_link_end)
     free = next((v for v in range(linkage.n_vertices) if v not in pinned), 0)
     px = free * linkage.ambient_dim if args.px is None else args.px
     py = free * linkage.ambient_dim + 1 if args.py is None else args.py
@@ -234,33 +232,24 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _two_anchor_chains(linkage: Linkage) -> tuple[np.ndarray, list[float], np.ndarray, list[float]]:
-    """Split a cycle with a ground edge into the two anchor-to-effector chains."""
+    """The lens's two arms of a cycle, anchored at the base vertex (origin) and the base
+    link's far end (on +x): from each anchor, the lengths of the ``graph.chain_removals``
+    entry that runs off the base link to the effector, listed from the anchor on."""
     if linkage.base_link is None or linkage.end_effector is None:
         raise InvalidSpec("workspace of a linkage needs base_link and effector")
     graph = linkage.graph
     if not graph.is_connected() or any(graph.degree(v) != 2 for v in range(linkage.n_vertices)):
         raise InvalidSpec("lens workspace is implemented for cycle mechanisms")
-    u, v = linkage.graph.edges[linkage.base_link]
-    ground = linkage.lengths[linkage.base_link]
+    ground, far, effector = linkage.base_link, linkage._base_link_end, linkage.end_effector
+    if effector == far:
+        raise InvalidSpec(f"lens workspace needs an effector off the base link, not its far end {far}")
 
-    def walk(start: int) -> list[float]:
-        lengths: list[float] = []
-        prev_edge = linkage.base_link
-        vertex = start
-        while vertex != linkage.end_effector:
-            vertex, prev_edge = next(
-                (w, i) for w, i in linkage.graph.adjacency[vertex] if i != prev_edge
-            )
-            lengths.append(linkage.lengths[prev_edge])
-        return lengths
+    def arm(anchor: int) -> list[float]:
+        chains = graph.chain_removals.values()
+        chain = next(r for r in chains if {*r.endpoints} == {anchor, effector} and ground not in r.chain_edges)
+        return [linkage.lengths[i] for i in chain.chain_edges[:: 1 if chain.endpoints[0] == anchor else -1]]
 
-    anchor_a = np.array([0.0, 0.0])
-    anchor_b = np.array([ground, 0.0])
-    base = linkage.base_vertex
-    other = v if u == base else u
-    if linkage.end_effector == other:
-        raise InvalidSpec(f"lens workspace needs an effector off the base link, not its far end {other}")
-    return anchor_a, walk(base), anchor_b, walk(other)
+    return np.array([0.0, 0.0]), arm(linkage.base_vertex), np.array([linkage.lengths[ground], 0.0]), arm(far)
 
 
 def _cmd_workspace(args: argparse.Namespace) -> int:

@@ -273,6 +273,14 @@ class Linkage:
         return np.asarray(self.lengths, dtype=float) ** 2
 
     @cached_property
+    def _base_link_end(self) -> Optional[int]:
+        # the base link's far end, which the reduced gauge puts on +e1; None without a base link
+        if self.base_link is None:
+            return None
+        u, v = self.graph.edges[self.base_link]
+        return v if u == self.base_vertex else u
+
+    @cached_property
     def _kernel(self) -> _EdgeKernel:
         # Built on first use and kept on the instance; every field it reads is frozen.
         edges = np.array(self.graph.edges, dtype=int).reshape(-1, 2)
@@ -621,13 +629,9 @@ def _normalized_points(p: np.ndarray, base_vertex: int, link_end: Optional[int] 
 
 
 def _gauge_points(linkage: Linkage, p: np.ndarray) -> np.ndarray:
-    """_normalized_points in the linkage's gauge: reduced when it has a base
-    link, pointed otherwise."""
-    link_end = None
-    if linkage.base_link is not None:
-        u, v = linkage.graph.edges[linkage.base_link]
-        link_end = v if u == linkage.base_vertex else u
-    return _normalized_points(p, linkage.base_vertex, link_end)
+    """_normalized_points in the linkage's gauge: reduced, with the base link's
+    far end on +e1, when it has a base link, pointed otherwise."""
+    return _normalized_points(p, linkage.base_vertex, linkage._base_link_end)
 
 
 def pointed_normalize(config: Configuration, base_vertex: int) -> Configuration:
