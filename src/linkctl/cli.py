@@ -17,12 +17,18 @@ raises InvalidSpec, and only LinkctlError and OSError are reported: a file
 that is not JSON, points that are not a nonempty list of rows of equal
 length (``[]``, ``5``, a string, a flat or a deeper list, ragged rows), a
 coordinate that is not a finite JSON number or is too large for a float,
-and a non-numeric or empty --lengths entry each raise InvalidSpec naming the
-file or the option, and such a length names the edge.  The seed comes from
---seed, falling back to LINKCTL_SEED (an integer >= 0, either named when it
-is not).  ``analyze`` checks a given --seed before it classifies and reads
-LINKCTL_SEED only under --branches.  ``workspace`` given both --lengths and
-a linkage document exits 1.
+and a non-numeric or empty --lengths entry (``--lengths ''`` too) each raise
+InvalidSpec naming the file or the option, and such a length names the edge.
+Every numeric option but --px and --py, whose range is the configuration's,
+is checked under its own flag as the arguments are parsed, before any work: a
+value outside its range exits 1 naming the flag (``--sing-tol must be finite
+and >= 0, got -1.0``), and text that is not a number keeps argparse's exit 2.
+The seed comes from --seed, falling back to LINKCTL_SEED (an integer >= 0,
+named when it is not), which ``analyze`` reads only under --branches.
+``workspace`` given both --lengths and a linkage document exits 1.  The
+lens's two arms are open chains of the graph (``MechanismType.chain_removals``),
+from the base vertex and from the base link's far end to the effector, off
+the base link.
 
 ``--svg`` draws planar linkages only: ``analyze`` and ``sample`` given a
 3-D linkage exit 1 before any work.  ``trace --svg`` plots flat coordinates
@@ -74,8 +80,8 @@ from .classify import Verdict, classify_configuration
 from .decomp import Tolerances
 from .demos import DEMO_NAMES, build_demo
 from .errors import InvalidSpec, LinkctlError
-from .model import Configuration, Linkage, build_linkage, check_integer, check_match
-from .chains import workspace_interval
+from .model import Configuration, Linkage, build_linkage, check_integer, check_match, check_real
+from .chains import _check_angle, workspace_interval
 from .numeric import local_branch_count, sample_cspace, trace_curve
 from . import svg
 
@@ -154,7 +160,7 @@ def _tolerances(args: argparse.Namespace) -> Tolerances:
 
 def _seed(args: argparse.Namespace) -> int:
     if args.seed is not None:
-        return check_integer(args.seed, "--seed", 0)
+        return args.seed
     env = os.environ.get("LINKCTL_SEED")
     try:
         seed = int(env) if env else 0
@@ -167,7 +173,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     linkage, config = _load_pair(args.linkage, args.config)
     _check_planar_svg(args, linkage)
     tols = _tolerances(args)
-    seed = _seed(args) if args.branches or args.seed is not None else None
+    seed = _seed(args) if args.branches else None
     report = classify_configuration(linkage, config, tols)
     doc = report.to_json_dict()
     notes = doc.pop("notes")
@@ -255,7 +261,7 @@ def _two_anchor_chains(linkage: Linkage) -> tuple[np.ndarray, list[float], np.nd
 def _cmd_workspace(args: argparse.Namespace) -> int:
     if args.lengths is not None and args.linkage:
         raise InvalidSpec(f"workspace takes --lengths {args.lengths!r} or {args.linkage}, not both")
-    if args.lengths:
+    if args.lengths is not None:
         try:
             lengths = [float(x) for x in args.lengths.split(",")]
         except ValueError:
@@ -326,6 +332,18 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
+def _option(parser: argparse.ArgumentParser, flag: str, parse, check, *rule, **kwargs) -> None:
+    """Add ``flag``, its text read by ``parse`` and then checked by ``check``
+    (with ``rule``) under the flag's own name as the arguments are parsed,
+    before any work.  Text that ``parse`` cannot read keeps argparse's exit 2."""
+
+    def read(text: str):
+        return check(parse(text), flag, *rule)
+
+    read.__name__ = parse.__name__  # argparse's "invalid float value" names the type
+    parser.add_argument(flag, type=read, **kwargs)
+
+
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     # Built once per process: parsing leaves the parser unchanged, and the
@@ -334,17 +352,19 @@ def _build_parser() -> argparse.ArgumentParser:
     # defaults are the library's.
     defaults = Tolerances()
     rank = argparse.ArgumentParser(add_help=False)
-    rank.add_argument("--tol-rank", type=float, default=defaults.rank, help="relative rank cutoff")
+    _option(rank, "--tol-rank", float, check_real, default=defaults.rank, help="relative rank cutoff")
     seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=None, help="RNG seed (default LINKCTL_SEED or 0)")
+    _option(seed, "--seed", int, check_integer, 0, default=None, help="RNG seed (default LINKCTL_SEED or 0)")
     search = argparse.ArgumentParser(add_help=False)
-    search.add_argument(
-        "--tol-grad", type=float, default=defaults.grad_scale, help="gradient tolerance scale"
+    _option(
+        search, "--tol-grad", float, check_real, default=defaults.grad_scale, help="gradient tolerance scale"
     )
-    search.add_argument(
-        "--tol-align", type=float, default=defaults.align, help="alignment tolerance (radians)"
+    _option(
+        search, "--tol-align", float, _check_angle, default=defaults.align, help="alignment tolerance (radians)"
     )
-    search.add_argument("--depth", type=int, default=defaults.depth, help="decomposition search depth")
+    _option(
+        search, "--depth", int, check_integer, 0, default=defaults.depth, help="decomposition search depth"
+    )
 
     parser = argparse.ArgumentParser(prog="linkctl", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -358,16 +378,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", parents=[seed], help="draw random configurations")
     p.add_argument("linkage")
-    p.add_argument("-n", type=int, default=20, help="number of attempts")
+    _option(p, "-n", int, check_integer, 1, default=20, help="number of attempts")
     p.add_argument("--svg", help="render the samples to an SVG file")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("trace", parents=[rank], help="trace the solution curve")
     p.add_argument("linkage")
     p.add_argument("config")
-    p.add_argument("--step", type=float, default=0.05)
-    p.add_argument("--max-steps", type=int, default=2000)
-    p.add_argument("--sing-tol", type=float, default=1e-4, help="singularity proximity cutoff")
+    _option(p, "--step", float, check_real, True, default=0.05)
+    _option(p, "--max-steps", int, check_integer, 0, default=2000)
+    _option(p, "--sing-tol", float, check_real, default=1e-4, help="singularity proximity cutoff")
     p.add_argument("--svg", help="render the traced curve to an SVG file")
     free = "of the first vertex the gauge leaves free"
     p.add_argument("--px", type=int, help=f"flat coordinate for the SVG x axis (default: x {free})")
@@ -383,9 +403,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("branches", parents=[rank, seed], help="count local solution branches")
     p.add_argument("linkage")
     p.add_argument("config")
-    p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--samples", type=int, default=48)
-    p.add_argument("--cluster-factor", type=float, default=0.25)
+    _option(p, "--radius", float, check_real, True, default=None)
+    _option(p, "--samples", int, check_integer, 1, default=48)
+    _option(p, "--cluster-factor", float, check_real, True, default=0.25)
     p.set_defaults(func=_cmd_branches)
 
     p = sub.add_parser("demo", help="write a demo mechanism to cwd")
@@ -396,9 +416,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (LinkctlError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -592,3 +592,73 @@ def reference_work_image(
     fields = basis.reshape(len(basis), linkage.n_vertices, d)
     rows = fields[:, effector, :] - fields[:, base, :]
     return SubspaceBasis(d, _orthonormal_rows(rows, rel_tol=max(tol_rank, 1e-9)))
+
+
+def reference_lens_arms(linkage: Linkage) -> tuple[np.ndarray, list[float], np.ndarray, list[float]]:
+    """Reference for cli._two_anchor_chains: the cycle walked one link at a
+    time over its own incidence lists, from the base vertex and from the far
+    end of the base link, off the base link, to the effector; raises the
+    same InvalidSpec messages."""
+    if linkage.base_link is None or linkage.end_effector is None:
+        raise InvalidSpec("workspace of a linkage needs base_link and effector")
+    edges = linkage.graph.edges
+    incident = [[i for i, e in enumerate(edges) if v in e] for v in range(linkage.n_vertices)]
+    seen, stack = {0}, [0]
+    while stack:
+        vertex = stack.pop()
+        for i in incident[vertex]:
+            nb = sum(edges[i]) - vertex
+            if nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    if len(seen) != linkage.n_vertices or any(len(inc) != 2 for inc in incident):
+        raise InvalidSpec("lens workspace is implemented for cycle mechanisms")
+    u, v = edges[linkage.base_link]
+    far = v if u == linkage.base_vertex else u
+    if linkage.end_effector == far:
+        raise InvalidSpec(f"lens workspace needs an effector off the base link, not its far end {far}")
+
+    def walk(vertex: int) -> list[float]:
+        lengths, prev = [], linkage.base_link
+        while vertex != linkage.end_effector:
+            prev = next(i for i in incident[vertex] if i != prev)
+            vertex = sum(edges[prev]) - vertex
+            lengths.append(linkage.lengths[prev])
+        return lengths
+
+    ground = linkage.lengths[linkage.base_link]
+    return np.array([0.0, 0.0]), walk(linkage.base_vertex), np.array([ground, 0.0]), walk(far)
+
+
+def collinear_polygon(rng: np.random.Generator, n: int, d: int) -> tuple[Linkage, Configuration, tuple[int, int]]:
+    """A collinear pose of an n-gon in R^d, its lengths on the wall by
+    construction: (linkage, pose, (a, b)), with a links pointing forward
+    along the line and b backward.
+
+    n points are drawn on a line at least 0.05 apart, link i runs from point
+    i to point i + 1 (mod n) and its length is their distance, so the signed
+    lengths sum to zero.  The pose is then moved by a random rigid motion
+    and a mirror image, and the vertices are relabeled cyclically; base 0
+    and its outgoing link as the base link.
+    """
+    while True:
+        x = rng.uniform(-2.0, 2.0, n)
+        if np.min(np.diff(np.sort(x))) >= 0.05:
+            break
+    steps = np.roll(x, -1) - x
+    a = int(np.sum(steps > 0))
+    rotation, upper = np.linalg.qr(rng.normal(size=(d, d)))
+    rotation *= np.sign(np.diag(upper))  # a Haar-random orthogonal matrix
+    if np.linalg.det(rotation) < 0:
+        rotation[:, 0] *= -1.0  # a rotation
+    mirror = np.diag([-1.0] + [1.0] * (d - 1))
+    moved = (np.outer(x, np.eye(d)[0]) @ rotation.T) @ mirror + rng.uniform(-1.0, 1.0, d)
+    shift = int(rng.integers(n))
+    points = np.empty_like(moved)
+    points[(np.arange(n) + shift) % n] = moved
+    edges = tuple(((i + shift) % n, (i + 1 + shift) % n) for i in range(n))
+    lengths = tuple(float(abs(s)) for s in steps)
+    linkage = Linkage(
+        MechanismType(n, edges), lengths, ambient_dim=d, base_vertex=0, base_link=(n - shift) % n
+    )
+    return linkage, Configuration(points), (a, n - a)

@@ -15,14 +15,14 @@ from linkctl.classify import (
 )
 from linkctl.chains import is_aligned
 from linkctl.decomp import StageVerdictKind, Tolerances, find_nontransversive_witness
-from linkctl.errors import DegenerateDirection, InvalidSpec, OffConstraint
+from linkctl.errors import DegenerateDirection, InvalidSpec, NoFeasiblePoint, OffConstraint
 from linkctl.model import Configuration, Linkage, MechanismType, PlatformSpec, build_linkage
 from linkctl.numeric import numerical_rank, sample_cspace, tangent_frame
 from linkctl.model import constraint_jacobian
 from linkctl import decomp, demos, model
 from linkctl.demos import build_demo
 
-from conftest import reference_platform_conditions, self_stressed_linkage, stress_matrix
+from conftest import collinear_polygon, reference_platform_conditions, self_stressed_linkage, stress_matrix
 from test_invariance import _moved
 
 
@@ -183,6 +183,50 @@ class TestSpatialSelfStressSamples:
         assert report.verdict is Verdict.INDETERMINATE
         assert (report.rank, report.k) == (6, 7)
         assert report.witness is None and report.certificate is None
+
+
+class TestCollinearPolygons:
+    """The polygon-space theorem as an oracle: an n-gon in R^d is singular
+    exactly at its collinear poses, and at one with a links forward and b
+    backward the witness signature is (d - 1) * (a - 1, b - 1) up to the
+    order of its parts.  Two draws for each d and n."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_collinear_pose_is_generic_singular(self, d, n):
+        rng = np.random.default_rng([d, n])
+        for _ in range(2):
+            linkage, config, (a, b) = collinear_polygon(rng, n, d)
+            report = classify_configuration(linkage, config)
+            assert report.verdict is Verdict.GENERIC_SINGULAR
+            expected = ((d - 1) * (a - 1), (d - 1) * (b - 1))
+            assert report.witness.signature in (expected, expected[::-1]), (a, b)
+            # Q = B Omega(mu) B^T on the reduced frame B, cut as in criterion 10
+            mu = np.linalg.svd(constraint_jacobian(linkage, config))[0][:, -1]
+            basis = tangent_frame(linkage, config).basis
+            eigs = np.linalg.eigvalsh(basis @ stress_matrix(linkage, mu) @ basis.T)
+            nullity = int(np.sum(np.abs(eigs) <= max(1e-6 * np.max(np.abs(eigs)), 1e-9)))
+            assert report.witness.euclidean_factor == 0 == nullity
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_closing_length_off_the_wall_is_smooth(self, d, n):
+        # no signed sum of the lengths vanishes, so no pose is singular; the
+        # space is empty when the closing link outgrows all the others
+        rng = np.random.default_rng([d, n])
+        poses = 0
+        for _ in range(2):
+            linkage, _, _ = collinear_polygon(rng, n, d)
+            for factor in (1.0 - 1e-3, 1.0 + 1e-3):
+                lengths = linkage.lengths[:-1] + (linkage.lengths[-1] * factor,)
+                moved = dataclasses.replace(linkage, lengths=lengths)
+                try:
+                    sampled = sample_cspace(moved, 10, seed=0)
+                except NoFeasiblePoint:
+                    continue
+                assert all(classify_configuration(moved, p).verdict is Verdict.SMOOTH for p in sampled)
+                poses += len(sampled)
+        assert poses > 0
 
 
 class TestLinesConcurrent:

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+from collections import Counter
 import subprocess
 import sys
 from pathlib import Path
@@ -14,8 +15,10 @@ from linkctl.cli import _build_parser, main
 from linkctl.decomp import Tolerances
 from linkctl.demos import DEMO_NAMES, build_demo
 from linkctl.errors import InvalidSpec
-from linkctl.model import Configuration, build_linkage
+from linkctl.model import Configuration, Linkage, MechanismType, build_linkage
 from linkctl import cli, svg
+
+from conftest import reference_lens_arms
 
 
 def run(capsys, *argv):
@@ -381,7 +384,7 @@ class TestTraceCommand:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err.startswith("error: step must be positive and finite")
+        assert captured.err.startswith("error: --step must be positive and finite")
 
     @pytest.mark.parametrize("tol_rank", TOL_RANK_OUT_OF_RANGE)
     def test_tol_rank_out_of_range_exits_1(self, demo_files, capsys, tol_rank):
@@ -390,15 +393,15 @@ class TestTraceCommand:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err.startswith("error: tol_rank must be finite and >= 0")
+        assert captured.err.startswith("error: --tol-rank must be finite and >= 0")
 
     @pytest.mark.parametrize(
         "option, message",
         [
-            (("--max-steps", "-3"), "max_steps must be an integer >= 0"),
-            (("--sing-tol", "nan"), "detect_tol must be finite and >= 0"),
-            (("--sing-tol", "inf"), "detect_tol must be finite and >= 0"),
-            (("--sing-tol", "-1"), "detect_tol must be finite and >= 0"),
+            (("--max-steps", "-3"), "--max-steps must be an integer >= 0"),
+            (("--sing-tol", "nan"), "--sing-tol must be finite and >= 0"),
+            (("--sing-tol", "inf"), "--sing-tol must be finite and >= 0"),
+            (("--sing-tol", "-1"), "--sing-tol must be finite and >= 0"),
         ],
     )
     def test_out_of_range_option_exits_1(self, demo_files, capsys, option, message):
@@ -471,9 +474,10 @@ class TestWorkspaceCommand:
         assert captured.out == ""
         assert captured.err == "error: --lengths must be comma-separated numbers, got '2,a'\n"
 
-    @pytest.mark.parametrize("lengths", ["1,,2", "2,1,"])
+    @pytest.mark.parametrize("lengths", ["1,,2", "2,1,", ""])
     def test_empty_length_entry_exits_1(self, capsys, lengths):
-        # an empty entry was skipped, so both read as a two-link chain
+        # an empty entry was skipped, so the first two read as a two-link chain;
+        # an empty --lengths was taken for a missing one
         code = main(["workspace", "--lengths", lengths])
         captured = capsys.readouterr()
         assert code == 1
@@ -576,6 +580,46 @@ class TestWorkspaceCommand:
         assert done.returncode == 1
         assert done.stdout == ""
         assert done.stderr.startswith("error: lens workspace is implemented for cycle mechanisms")
+
+    def test_arms_agree_with_the_cycle_walk(self):
+        # every placement of a seeded n-cycle (vertices relabeled, edges in a
+        # random order and direction, then each edge reversed): every base
+        # link, both its ends as the base, every effector and none; and the
+        # cycle with a chord, which is not one
+        def outcome(arms, linkage):
+            try:
+                return [x.tolist() if isinstance(x, np.ndarray) else x for x in arms(linkage)]
+            except InvalidSpec as exc:
+                return str(exc)
+
+        seen = Counter()
+        for n in range(3, 9):
+            rng = np.random.default_rng(n)
+            label = rng.permutation(n)
+            cycle = [(int(label[i]), int(label[(i + 1) % n])) for i in rng.permutation(n)]
+            drawn = [e[::-1] if flip else e for e, flip in zip(cycle, rng.integers(0, 2, n))]
+            lengths = tuple(float(x) for x in rng.uniform(0.5, 2.0, n + 1))
+            listings = [drawn, [e[::-1] for e in drawn]]
+            if n > 3:
+                listings.append(drawn + [(int(label[0]), int(label[2]))])
+            for edges in listings:
+                graph = MechanismType(n, tuple(edges))
+                for base_link, (u, v) in enumerate(edges[:n]):
+                    for base in (u, v):
+                        for effector in [None] + [w for w in range(n) if w != base]:
+                            linkage = Linkage(
+                                graph, lengths[: len(edges)], base_vertex=base,
+                                base_link=base_link, end_effector=effector,
+                            )
+                            got = outcome(cli._two_anchor_chains, linkage)
+                            assert got == outcome(reference_lens_arms, linkage), (edges, base, effector)
+                            seen[re.sub(r"\d+$", "N", got) if isinstance(got, str) else "arms"] += 1
+        assert seen == {
+            "arms": 532,
+            "workspace of a linkage needs base_link and effector": 192,
+            "lens workspace is implemented for cycle mechanisms": 320,
+            "lens workspace needs an effector off the base link, not its far end N": 132,
+        }
 
 
 class TestBranchesCommand:
@@ -757,6 +801,21 @@ _READ = {
 }
 _VALUES = {"--tol-rank": "0.001", "--tol-grad": "0.002", "--tol-align": "0.003", "--seed": "3", "--depth": "1"}
 
+# one out-of-range value for each numeric option but --seed, and its message
+_BAD_OPTIONS = [
+    ("analyze", ("--tol-rank", "-1"), "--tol-rank must be finite and >= 0, got -1.0"),
+    ("analyze", ("--tol-grad", "-1"), "--tol-grad must be finite and >= 0, got -1.0"),
+    ("analyze", ("--tol-align", "2"), "--tol-align must be below pi/2, got 2.0"),
+    ("analyze", ("--depth", "-1"), "--depth must be an integer >= 0, got -1"),
+    ("sample", ("-n", "0"), "-n must be an integer >= 1, got 0"),
+    ("trace", ("--step", "0"), "--step must be positive and finite, got 0.0"),
+    ("trace", ("--max-steps", "-1"), "--max-steps must be an integer >= 0, got -1"),
+    ("trace", ("--sing-tol", "-1"), "--sing-tol must be finite and >= 0, got -1.0"),
+    ("branches", ("--radius", "0"), "--radius must be positive and finite, got 0.0"),
+    ("branches", ("--samples", "0"), "--samples must be an integer >= 1, got 0"),
+    ("branches", ("--cluster-factor", "nan"), "--cluster-factor must be positive and finite, got nan"),
+]
+
 
 class TestOptions:
     @pytest.mark.parametrize(
@@ -785,3 +844,28 @@ class TestOptions:
             defaults.rank, defaults.grad_scale, defaults.align, defaults.depth
         )
         assert args.seed is None
+
+    @pytest.mark.parametrize(
+        "command, option, message", _BAD_OPTIONS, ids=[option[0] for _, option, _ in _BAD_OPTIONS]
+    )
+    def test_bad_option_names_its_flag_before_any_work(
+        self, tmp_path, monkeypatch, capsys, command, option, message
+    ):
+        # the library named its parameter (detect_tol, n_samples, tolerance
+        # grad_scale ...), and only after the documents were read; the files
+        # here do not exist, so any work would fail on them first
+        monkeypatch.chdir(tmp_path)
+        assert main([command, *_POSITIONALS[command], *option]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "command, option, kind",
+        [("trace", "--sing-tol", "float"), ("sample", "-n", "int"), ("analyze", "--depth", "int")],
+    )
+    def test_option_that_is_not_a_number_exits_2(self, capsys, command, option, kind):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *_POSITIONALS[command], option, "abc"])
+        assert exc.value.code == 2
+        assert f"argument {option}: invalid {kind} value: 'abc'" in capsys.readouterr().err

@@ -560,6 +560,19 @@ class TestGaugeKernel:
             assert out.tobytes() == (row - row[2]).tobytes()
             assert pointed_normalize(Configuration(row), 2).points.tobytes() == out.tobytes()
 
+    @pytest.mark.parametrize("listed", [(0, 1), (1, 0)], ids=["listed-0-1", "listed-1-0"])
+    @pytest.mark.parametrize("base", [0, 1])
+    def test_base_link_end(self, listed, base):
+        # the base link's other vertex however the edge is listed, which the
+        # reduced gauge puts on +e1; None without a base link
+        graph = MechanismType(3, (listed, (1, 2), (2, 0)))
+        linkage = Linkage(graph, (1.0, 1.0, 1.0), base_vertex=base, base_link=0)
+        far = 1 - base
+        assert linkage._base_link_end == far
+        moved = _gauge_points(linkage, np.random.default_rng(80 + base).normal(size=(3, 2)))
+        assert moved[far, 0] > 0.0 and moved[far, 1] == pytest.approx(0.0, abs=1e-12)
+        assert dataclasses.replace(linkage, base_link=None)._base_link_end is None
+
 
 class TestConfiguration:
     def test_points_must_be_a_two_dimensional_array(self):
