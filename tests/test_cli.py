@@ -1,9 +1,9 @@
 import json
 import os
 import re
-from collections import Counter
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
