@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateDirection, InvalidSpec
-from .model import Configuration, _ChainLinks, check_real
+from .model import Configuration, _ChainLinks, check_array, check_real
 
 __all__ = ["workspace_interval", "is_aligned", "chord_signature"]
 
@@ -27,13 +27,15 @@ def workspace_interval(lengths: Sequence[float]) -> tuple[float, float]:
 
     M is the total length; m is 2*max(l) - M clamped at zero (the longest
     link against everything else folded back).  Raises InvalidSpec unless
-    there is a length and every length is positive and finite.
+    lengths is a list of numbers, there is one and every one is positive and
+    finite.
     """
-    ls = [float(x) for x in lengths]
+    rule = "link lengths must be positive and finite"
+    ls = check_array(lengths, 1, "link lengths must be a list of numbers", rule).tolist()
     if not ls:
         raise InvalidSpec("workspace_interval needs at least one link")
-    if not all(math.isfinite(x) and x > 0 for x in ls):
-        raise InvalidSpec("link lengths must be positive and finite")
+    if not all(x > 0 for x in ls):
+        raise InvalidSpec(rule)
     total = sum(ls)
     m = max(0.0, 2.0 * max(ls) - total)
     return (m, total)
@@ -42,7 +44,7 @@ def workspace_interval(lengths: Sequence[float]) -> tuple[float, float]:
 def _chain_points(config: Configuration | np.ndarray) -> np.ndarray:
     if isinstance(config, Configuration):
         return config.points
-    return np.asarray(config, dtype=float)
+    return check_array(config, 2, "chain points must be an (n, d) array", "chain points must be finite")
 
 
 def _check_angle(tol, name: str) -> float:
@@ -92,7 +94,8 @@ def is_aligned(config: Configuration | np.ndarray, tol: float = 1e-6) -> Optiona
     within angular tolerance ``tol``.  For a closed chain, pass its points
     with the first repeated at the end.  Raises DegenerateDirection on a link
     shorter than 1e-12 * (1 + the summed link lengths), and InvalidSpec on
-    fewer than two points or unless tol is finite, >= 0 and below pi/2.
+    points that are not an (n, d) array of finite numbers, fewer than two
+    points or unless tol is finite, >= 0 and below pi/2.
     One kernel decides alignment for one chain or for a stack of chains:
     this is its one-chain case, and ``classify.platform_conditions`` runs it
     on a platform's three branches at once.
@@ -116,15 +119,15 @@ def chord_signature(config: Configuration | np.ndarray, tol: float = 1e-6) -> tu
     function: for a closed chain, pass the points of its fixed links, the
     variable link being the one that closes the loop.  Raises
     DegenerateDirection when the chord is shorter than 1e-12 * (1 + the
-    summed link lengths), and InvalidSpec unless the chain is aligned within
-    ``tol``.
+    summed link lengths), and InvalidSpec unless the points are an (n, d)
+    array of finite numbers and the chain is aligned within ``tol``.
     """
     points = _chain_points(config)
     chord = points[-1] - points[0]
     rho = float(np.linalg.norm(chord))
     if rho < 1e-12 * (1.0 + np.linalg.norm(np.diff(points, axis=0), axis=1).sum()):
         raise DegenerateDirection("aligned chain chord vanishes")
-    if is_aligned(points, tol=tol) is None:
+    if is_aligned(config, tol=tol) is None:
         raise InvalidSpec("chord_signature requires an aligned chain")
     f = int(np.sum(np.diff(points, axis=0) @ (chord / rho) > 0.0))
     d = points.shape[1]

@@ -1,11 +1,13 @@
 """Top-level verdicts and the planar parallel-platform conditions.
 
-classify_configuration runs the full pipeline: full constraint rank means
-smooth; otherwise a transversality certificate (smooth), a generically
-non-transverse witness (topologically singular, with a local cone model), or
-neither (indeterminate).  The platform operations test the two alignment
-conditions that characterize singular poses of triangular parallel platforms
-and drive the classifier through the branch-removal decomposition.
+classify_configuration runs the full pipeline: Smooth exactly at full
+constraint rank.  Below it a generically non-transverse witness gives
+GenericSingular (with a local cone model), a smoothness certificate
+Conflict, since a transverse fiber product of regular maps is regular and
+so the tolerances disagree, and neither Indeterminate.  The platform
+operations test the two alignment conditions that characterize singular
+poses of triangular parallel platforms and drive the classifier through the
+branch-removal decomposition.
 """
 
 from __future__ import annotations
@@ -94,13 +96,13 @@ def classify_configuration(
     config: Configuration,
     tols: Tolerances = Tolerances(),
 ) -> ClassificationReport:
-    """Classify a configuration as Smooth, GenericSingular, or Indeterminate.
+    """Classify a configuration as Smooth, GenericSingular, Indeterminate or Conflict.
 
-    Full constraint rank gives Smooth immediately.  Otherwise both a
-    smoothness certificate and a non-transversality witness are searched; if
-    both turn up the report says Conflict and surfaces them, since that
-    combination signals a numerical tolerance problem rather than geometry.
-    Both searches go tols.depth deep.
+    Smooth exactly at full constraint rank.  Below it both searches run,
+    tols.depth deep: a witness gives GenericSingular and neither gives
+    Indeterminate, while a certificate gives Conflict, with the witness if
+    any, since a transverse fiber product of regular maps is regular and the
+    rank test and the search's tolerances must then disagree.
     """
     check_on_constraint(linkage, config)
 
@@ -115,15 +117,10 @@ def classify_configuration(
     certificate = find_smoothness_certificate(linkage, config, tols)
     witness = find_nontransversive_witness(linkage, config, tols)
 
-    if certificate is not None and witness is not None:
-        return ClassificationReport(
-            Verdict.CONFLICT, rank, linkage.k, witness=witness, certificate=certificate,
-            notes=("both a certificate and a witness were found; check tolerances",),
-        )
     if certificate is not None:
         return ClassificationReport(
-            Verdict.SMOOTH, rank, linkage.k, certificate=certificate,
-            notes=("transversality certificate",),
+            Verdict.CONFLICT, rank, linkage.k, witness=witness, certificate=certificate,
+            notes=("a certificate at a rank-deficient configuration; check tolerances",),
         )
     if witness is not None:
         return ClassificationReport(

@@ -11,14 +11,16 @@ Reports are JSON on stdout.  ``analyze`` prints the classification report
 (``ClassificationReport.to_json_dict``) with a ``branch_report`` key before
 ``notes``: null, or with --branches the ``local_branch_count`` report that
 ``branches`` prints, taken after the classification.  ``analyze`` exits 0
-for Smooth, 10 for GenericSingular, 20 for Indeterminate, 30 for Conflict;
-all commands exit 1 on errors, with the message on stderr.  A bad input
-raises InvalidSpec, and only LinkctlError and OSError are reported: a file
-that is not JSON, points that are not a nonempty list of rows of equal
-length (``[]``, ``5``, a string, a flat or a deeper list, ragged rows), a
-coordinate that is not a finite JSON number or is too large for a float,
-and a non-numeric or empty --lengths entry (``--lengths ''`` too) each raise
-InvalidSpec naming the file or the option, and such a length names the edge.
+for Smooth, 10 for GenericSingular, 20 for Indeterminate, 30 for Conflict, a
+search result that contradicts the rank (a certificate at a rank-deficient
+configuration); all commands exit 1 on errors, with the message on stderr.
+A bad input raises InvalidSpec, and only LinkctlError and OSError are
+reported: a file that is not JSON, points that are not a nonempty list of
+rows of equal length (``[]``, ``5``, a string, a flat or a deeper list,
+ragged rows), a coordinate that is not a finite JSON number or is too large
+for a float, and a non-numeric or empty --lengths entry (``--lengths ''``
+too) each raise InvalidSpec naming the file or the option, and such a
+length names the edge.
 Every numeric option but --px and --py, whose range is the configuration's,
 is checked under its own flag as the arguments are parsed, before any work: a
 value outside its range exits 1 naming the flag (``--sing-tol must be finite
@@ -130,11 +132,12 @@ def _load_pair(linkage_path: str, config_path: str) -> tuple[Linkage, Configurat
     if bad and type(bad[0]) is not str:
         raise InvalidSpec(f"{not_numbers} (got {bad[0]!r})")
     try:
-        config = Configuration(points)
+        points = np.array(points, dtype=float)
     except (ValueError, OverflowError) as exc:  # ragged, non-numeric or too large points
         raise InvalidSpec(f"{not_numbers} ({exc})") from None
     if bad:
         raise InvalidSpec(f"{not_numbers} (got {bad[0]!r})")
+    config = Configuration(points)
     check_match(linkage, config)
     return linkage, config
 

@@ -282,7 +282,7 @@ def stage_classify(
         gradient_norm=grad_norm,
         hessian_eigenvalues=eigs,
         remainder_signature=rem_sig if generic else None,
-        chain_signature=chord_signature(v_k.points, tols.align) if generic else None,
+        chain_signature=chord_signature(v_k, tols.align) if generic else None,
         reasons=tuple(reasons),
     )
 
@@ -475,7 +475,11 @@ def find_smoothness_certificate(
     a base whose constraint Jacobian has full rank.
 
     A full-rank mechanism certifies itself (zero stages).  Deterministic
-    search order; None means no certificate within tols.depth removals.
+    search order; None means no certificate within tols.depth removals.  It
+    returns None at every rank-deficient configuration unless the rank test
+    and the stage tolerances disagree: a transverse fiber product of regular
+    maps is regular, so every all-transverse decomposition of a
+    rank-deficient mechanism ends in a rank-deficient base.
     """
     check_on_constraint(linkage, config)
     hit = _search(_whole(linkage, config), tols.depth, tols, True, {})

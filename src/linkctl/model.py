@@ -207,6 +207,9 @@ class _ChainLinks(NamedTuple):
     first: np.ndarray  # (m,) position of each chain's first link, increasing
 
 
+_LENGTH_RULE = "edge lengths must be positive and finite"
+
+
 @dataclass(frozen=True)
 class Linkage:
     """A mechanism graph with one positive length per edge.
@@ -226,13 +229,14 @@ class Linkage:
     platform: Optional[PlatformSpec] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lengths", tuple(float(x) for x in self.lengths))
+        lengths = check_array(self.lengths, 1, "edge lengths must be a list of numbers", _LENGTH_RULE).tolist()
+        object.__setattr__(self, "lengths", tuple(lengths))
         if self.ambient_dim not in (2, 3):
             raise InvalidSpec("ambient_dim must be 2 or 3")
-        if len(self.lengths) != self.graph.edge_count:
+        if len(lengths) != self.graph.edge_count:
             raise InvalidSpec("one length per edge required")
-        if any(not np.isfinite(x) or x <= 0.0 for x in self.lengths):
-            raise InvalidSpec("edge lengths must be positive and finite")
+        if min(lengths, default=1.0) <= 0.0:
+            raise InvalidSpec(_LENGTH_RULE)
         if not (0 <= self.base_vertex < self.graph.vertex_count):
             raise InvalidSpec("base_vertex out of range")
         if self.base_link is not None:
@@ -340,10 +344,7 @@ class Configuration:
     __slots__ = ("points",)
 
     def __init__(self, points: Iterable[Sequence[float]] | np.ndarray):
-        arr = np.array(points, dtype=float)
-        if arr.ndim != 2:
-            raise InvalidSpec("configuration must be an (N, d) array of points")
-        check_finite(arr)
+        arr = check_array(points, 2, "configuration must be an (N, d) array of points", _FINITE_POINTS)
         arr.setflags(write=False)
         object.__setattr__(self, "points", arr)
 
@@ -381,13 +382,13 @@ class SubspaceBasis:
     vectors: np.ndarray  # (m, ambient_dim), orthonormal rows
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.vectors, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != self.ambient_dim:
-            raise InvalidSpec(f"basis vectors must be an (m, {self.ambient_dim}) array, got shape {arr.shape}")
+        shape_rule = f"basis vectors must be an (m, {self.ambient_dim}) array"
+        arr = check_array(self.vectors, 2, shape_rule, None)
+        if arr.shape[1] != self.ambient_dim:
+            raise InvalidSpec(f"{shape_rule}, got shape {arr.shape}")
         if not np.all(np.abs(arr @ arr.T - np.eye(len(arr))) <= 1e-10):  # NaN fails too
             raise InvalidSpec("basis vectors must be orthonormal")
-        arr = arr.view()  # read-only without freezing the caller's array
-        arr.setflags(write=False)
+        arr.setflags(write=False)  # a copy: the caller's array stays writable
         object.__setattr__(self, "vectors", arr)
 
     @property
@@ -395,10 +396,31 @@ class SubspaceBasis:
         return self.vectors.shape[0]
 
 
+_FINITE_POINTS = "configuration coordinates must be finite"
+
+
 def check_finite(points: np.ndarray) -> None:
     """Raise InvalidSpec unless every coordinate is finite."""
     if not np.isfinite(points).all():
-        raise InvalidSpec("configuration coordinates must be finite")
+        raise InvalidSpec(_FINITE_POINTS)
+
+
+def check_array(value, ndim: int, shape_rule: str, finite_rule: Optional[str]) -> np.ndarray:
+    """value as a new float array of ndim axes, every entry finite.  Raises
+    InvalidSpec stating ``shape_rule`` when numpy cannot read value as
+    numbers (ragged rows, text, an integer too large for a float) or reads
+    another number of axes, and ``finite_rule`` on a NaN or infinite entry;
+    a caller whose own later test fails on such an entry passes None and
+    saves the finiteness pass."""
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidSpec(f"{shape_rule} ({exc})") from None
+    if arr.ndim != ndim:
+        raise InvalidSpec(f"{shape_rule}, got shape {arr.shape}")
+    if finite_rule is not None and not np.isfinite(arr).all():
+        raise InvalidSpec(finite_rule)
+    return arr
 
 
 def check_real(value, name: str, positive: bool = False) -> float:

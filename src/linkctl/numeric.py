@@ -44,6 +44,7 @@ from .model import (
     _residual_points,
     _residual_rows,
     _row_dots,
+    check_array,
     check_finite,
     check_integer,
     check_match,
@@ -92,6 +93,10 @@ _TRACE_MIN_COS = 0.5
 # samples take.
 _RETRACT_TOL = 1e-12
 _RETRACT_MAX_ITER = 60
+
+# Rows of local_branch_count's distance graph built at once; bounds its
+# difference array at _CLUSTER_BLOCK x n x N*d floats for n kept samples.
+_CLUSTER_BLOCK = 64
 
 # Starts that sample_cspace projects together; bounds the batch's memory.
 _SAMPLE_CHUNK = 32
@@ -155,16 +160,12 @@ def _kept_singular_values(s: np.ndarray, tol_rank: float) -> np.ndarray:
 
 def numerical_rank(matrix: np.ndarray, tol_rank: float = 1e-8) -> int:
     """Number of singular values above tol_rank * sigma_max (absolute floor
-    1e-12) of a 2-D matrix.  Raises InvalidSpec unless the matrix is 2-D,
-    tol_rank and every entry are finite and tol_rank >= 0."""
+    1e-12) of a 2-D matrix.  Raises InvalidSpec unless the matrix is a 2-D
+    array of numbers, tol_rank and every entry are finite and tol_rank >= 0."""
     check_real(tol_rank, "tol_rank")
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2:
-        raise InvalidSpec(f"matrix must be 2-D, got shape {m.shape}")
+    m = check_array(matrix, 2, "matrix must be 2-D", "matrix entries must be finite")
     if m.size == 0:
         return 0
-    if not np.all(np.isfinite(m)):
-        raise InvalidSpec("matrix entries must be finite")
     return int(np.count_nonzero(_kept_singular_values(np.linalg.svd(m, compute_uv=False), tol_rank)))
 
 
@@ -669,10 +670,11 @@ def trace_curve(
     check_real(tol_rank, "tol_rank")
     check_real(detect_tol, "detect_tol")
     if direction is not None:
-        direction = np.asarray(direction, dtype=float)
         size = linkage.n_vertices * linkage.ambient_dim
-        if direction.shape != (size,) or not np.isfinite(direction).all():
-            raise InvalidSpec(f"direction must be {size} finite coordinates, got shape {direction.shape}")
+        rule = f"direction must be {size} finite coordinates"
+        direction = check_array(direction, 1, rule, rule)
+        if direction.shape != (size,):
+            raise InvalidSpec(f"{rule}, got shape {direction.shape}")
     v = _gauge_fix(linkage, project_to_cspace(linkage, start, tol=_TRACE_TOL))
     frame = tangent_frame(linkage, v, tol_rank)
     if frame.dim != 1:
@@ -769,10 +771,12 @@ def local_branch_count(
     pays its stacked Jacobian, SVD call, gauge fix and shell test once.  A
     row's retraction does not depend on the rest of its batch, so each
     radius keeps the points that retracting it alone would keep.  The kept
-    rows are split by radius, and one stacked distance graph clusters each
-    radius' points.  Errors come in round order, whichever radius raises
-    them: within a round, a non-finite step's InvalidSpec from the lockstep
-    comes before the gauge fix's DegenerateDirection.
+    rows are split by radius, and one distance graph clusters each radius'
+    points, built a block of rows at a time so that its memory grows like
+    n_samples**2, not n_samples**2 * N*d.  Errors come in round order,
+    whichever radius raises them: within a round, a non-finite step's
+    InvalidSpec from the lockstep comes before the gauge fix's
+    DegenerateDirection.
 
     At an isolated point every step converges linearly back into the center
     and is then dropped: at the tri-platform-b demo a row takes 37
@@ -842,12 +846,15 @@ def local_branch_count(
         n = len(pts)
         if not n:
             return []
+        rows = [slice(lo, lo + _CLUSTER_BLOCK) for lo in range(0, n, _CLUSTER_BLOCK)]
         # near[i, j]: np.linalg.norm of pts[j] - pts[i]; a point joins itself
-        diff = pts[None] - pts[:, None]
-        near = np.sqrt(_row_dots(diff, diff)) < cluster_factor * rad
+        near = np.empty((n, n), dtype=bool)
+        for block in rows:
+            diff = pts[None] - pts[block, None]
+            near[block] = np.sqrt(_row_dots(diff, diff)) < cluster_factor * rad
         label = np.arange(n)
         while True:  # every point takes the least label of its neighbours
-            least = np.where(near, label, n).min(axis=1)
+            least = np.concatenate([np.where(near[block], label, n).min(axis=1) for block in rows])
             if np.array_equal(least, label):
                 break
             label = least

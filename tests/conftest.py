@@ -5,10 +5,18 @@ import numpy as np
 import pytest
 
 from linkctl.chains import _check_angle
-from linkctl.classify import PlatformCondition, _meeting_point
+from linkctl.classify import ClassificationReport, PlatformCondition, Verdict, _meeting_point
 from linkctl.decomp import ChainRemoval, Tolerances
 from linkctl.errors import DegenerateDirection, InvalidSpec
 from linkctl.model import Configuration, Linkage, MechanismType, SubspaceBasis
+
+
+def assert_verdict_fits_rank(report: ClassificationReport) -> None:
+    """Smooth exactly at full constraint rank, so GenericSingular only below
+    it: no search result may contradict the rank test."""
+    assert (report.verdict is Verdict.SMOOTH) == (report.rank == report.k), (
+        report.verdict, report.rank, report.k
+    )
 
 
 def four_bar(lengths=(3.0, 2.5, 1.5, 2.0)) -> Linkage:

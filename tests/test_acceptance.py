@@ -41,6 +41,7 @@ from linkctl.demos import build_demo
 
 from conftest import (
     aligned_closed_chain,
+    assert_verdict_fits_rank,
     chain_linkage,
     egsing_linkage,
     four_bar,
@@ -251,8 +252,10 @@ def test_criterion_6_platform_conditions():
         config = Configuration(config_doc["points"])
         report = verify_platform_singularity(linkage, config)
         assert report.verdict is Verdict.GENERIC_SINGULAR
+        assert_verdict_fits_rank(report)
         full = classify_configuration(linkage, config)
         assert full.verdict is Verdict.GENERIC_SINGULAR
+        assert_verdict_fits_rank(full)
         if name == "tri-platform-b":
             assert report.witness.verdict.gradient_norm < 1e-6
 
@@ -366,6 +369,8 @@ def test_criterion_10_generic_singularities():
     # configuration of corank 1 whose stress form Q = B Omega(mu) B^T on the
     # reduced tangent frame B is nondegenerate, the witness search finds a
     # witness whose signature is Q's inertia, up to the order of its parts.
+    # classify_configuration reports that witness, and its verdict, like
+    # every verdict, is Smooth exactly at full rank.
     # A pendant vertex moves freely, so Q vanishes along its motion: every
     # sample inside the theorem has minimum degree 2.
     inside = {2: 0, 3: 0}
@@ -392,7 +397,9 @@ def test_criterion_10_generic_singularities():
                     continue
                 inertia = (int(np.sum(eigs > cut)), int(np.sum(eigs < -cut)))
                 assert min(linkage.graph.degree(v) for v in range(linkage.n_vertices)) >= 2
-                witness = find_nontransversive_witness(linkage, config)
+                report = classify_configuration(linkage, config)
+                assert_verdict_fits_rank(report)
+                witness = report.witness
                 assert witness is not None, (d, seed)
                 assert witness.signature in (inertia, inertia[::-1]), (d, seed, witness.signature, inertia)
                 inside[d] += 1

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import json
 import re
 import warnings
 
@@ -19,10 +20,16 @@ from linkctl.errors import DegenerateDirection, InvalidSpec, NoFeasiblePoint, Of
 from linkctl.model import Configuration, Linkage, MechanismType, PlatformSpec, build_linkage
 from linkctl.numeric import numerical_rank, sample_cspace, tangent_frame
 from linkctl.model import constraint_jacobian
-from linkctl import decomp, demos, model
+from linkctl import cli, decomp, demos, model
 from linkctl.demos import build_demo
 
-from conftest import collinear_polygon, reference_platform_conditions, self_stressed_linkage, stress_matrix
+from conftest import (
+    assert_verdict_fits_rank,
+    collinear_polygon,
+    reference_platform_conditions,
+    self_stressed_linkage,
+    stress_matrix,
+)
 from test_invariance import _moved
 
 
@@ -140,6 +147,52 @@ class TestClassify:
         assert d["certificate"] is None
 
 
+class TestConflict:
+    """A certificate at a rank-deficient configuration contradicts the rank
+    test, so it is reported as Conflict, never as Smooth, with or without a
+    witness beside it."""
+
+    @staticmethod
+    def _certified_node(monkeypatch, witness_found):
+        # the four-bar node with a one-stage certificate the search cannot
+        # find there: the outermost stage of the node's own witness
+        linkage, node = _demo_pair("four-bar-singular")
+        stage = find_nontransversive_witness(linkage, node).decomposition.stages[0]
+        certificate = decomp.Decomposition((stage,), stage.remainder_vertices, stage.remainder_edges)
+        monkeypatch.setattr("linkctl.classify.find_smoothness_certificate", lambda *args: certificate)
+        if not witness_found:
+            monkeypatch.setattr("linkctl.classify.find_nontransversive_witness", lambda *args: None)
+        return linkage, node, certificate
+
+    def test_certificate_beside_a_witness(self, monkeypatch):
+        linkage, node, certificate = self._certified_node(monkeypatch, witness_found=True)
+        report = classify_configuration(linkage, node)
+        assert report.verdict is Verdict.CONFLICT
+        assert (report.rank, report.k) == (3, 4)
+        assert report.certificate == certificate
+        assert report.witness is not None and report.witness.signature == (1, 1)
+
+    def test_certificate_alone(self, monkeypatch):
+        linkage, node, certificate = self._certified_node(monkeypatch, witness_found=False)
+        report = classify_configuration(linkage, node)
+        assert report.verdict is Verdict.CONFLICT
+        assert report.certificate == certificate and report.witness is None
+        assert_verdict_fits_rank(report)
+
+    @pytest.mark.parametrize("witness_found", [True, False])
+    def test_analyze_exits_30(self, monkeypatch, tmp_path, capsys, witness_found):
+        self._certified_node(monkeypatch, witness_found)
+        paths = []
+        for suffix, doc in zip(("linkage", "config"), build_demo("four-bar-singular")):
+            paths.append(tmp_path / f"node.{suffix}.json")
+            paths[-1].write_text(json.dumps(doc))
+        assert cli.main(["analyze", *map(str, paths)]) == 30
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdict"] == "Conflict"
+        assert len(doc["certificate"]["stages"]) == 1
+        assert (doc["witness"] is not None) is witness_found
+
+
 def _spatial_self_stress_draw(seed: int, call: int) -> tuple[Linkage, Configuration, np.ndarray]:
     """The call-th self_stressed_linkage(rng, 3) from a fresh default_rng(seed),
     counting the calls that return None, as criterion 10 draws; with the
@@ -166,6 +219,7 @@ class TestSpatialSelfStressSamples:
         report = classify_configuration(linkage, config)
         assert report.verdict is Verdict.GENERIC_SINGULAR
         assert (report.rank, report.k) == (4, 5)
+        assert_verdict_fits_rank(report)
         assert report.witness.signature == (0, 2)
         assert report.witness.euclidean_factor == 1
 
@@ -182,6 +236,7 @@ class TestSpatialSelfStressSamples:
         report = classify_configuration(linkage, config)
         assert report.verdict is Verdict.INDETERMINATE
         assert (report.rank, report.k) == (6, 7)
+        assert_verdict_fits_rank(report)
         assert report.witness is None and report.certificate is None
 
 
@@ -199,6 +254,7 @@ class TestCollinearPolygons:
             linkage, config, (a, b) = collinear_polygon(rng, n, d)
             report = classify_configuration(linkage, config)
             assert report.verdict is Verdict.GENERIC_SINGULAR
+            assert_verdict_fits_rank(report)
             expected = ((d - 1) * (a - 1), (d - 1) * (b - 1))
             assert report.witness.signature in (expected, expected[::-1]), (a, b)
             # Q = B Omega(mu) B^T on the reduced frame B, cut as in criterion 10
@@ -224,7 +280,10 @@ class TestCollinearPolygons:
                     sampled = sample_cspace(moved, 10, seed=0)
                 except NoFeasiblePoint:
                     continue
-                assert all(classify_configuration(moved, p).verdict is Verdict.SMOOTH for p in sampled)
+                for pose in sampled:
+                    report = classify_configuration(moved, pose)
+                    assert report.verdict is Verdict.SMOOTH
+                    assert_verdict_fits_rank(report)
                 poses += len(sampled)
         assert poses > 0
 

@@ -10,6 +10,8 @@ from linkctl.classify import classify_configuration
 from linkctl.demos import build_demo
 from linkctl.model import Configuration, build_linkage
 
+from conftest import assert_verdict_fits_rank
+
 
 def _moved(linkage_doc, config_doc, angle, shift, perm):
     """Rotate by ``angle``, translate by ``shift`` and list the edges in the
@@ -57,7 +59,9 @@ def test_verdict_invariant_under_rigid_motion_and_edge_order(name, examples):
         report = classify_configuration(linkage, config)
         assert report.verdict is expected.verdict
         assert (report.rank, report.k) == (expected.rank, expected.k)
+        assert_verdict_fits_rank(report)
 
+    assert_verdict_fits_rank(expected)
     check()
 
 

@@ -1,11 +1,13 @@
 import dataclasses
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from linkctl.chains import chord_signature, is_aligned, workspace_interval
 from linkctl.demos import build_demo
 from linkctl.errors import DegenerateDirection, InvalidSpec, OffConstraint
 from linkctl.model import (
@@ -25,7 +27,7 @@ from linkctl.model import (
     reduced_normalize,
     squared_length_map,
 )
-from linkctl.numeric import numerical_rank
+from linkctl.numeric import numerical_rank, sample_cspace, trace_curve
 
 from conftest import (
     four_bar,
@@ -624,3 +626,41 @@ class TestSubspaceBasis:
         basis = SubspaceBasis(2, vectors)
         assert vectors.flags.writeable
         assert not basis.vectors.flags.writeable
+
+
+def _trace_with_direction(direction):
+    linkage = four_bar((2.0, 1.2, 1.7, 0.9))
+    return trace_curve(linkage, sample_cspace(linkage, 1, seed=11)[0], max_steps=1, direction=direction)
+
+
+# numpy's conversion raised ValueError, OverflowError or TypeError, a flat
+# point list numpy's AxisError, and an infinite chain point was read as
+# "not aligned" with a RuntimeWarning
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: numerical_rank([["a", 1.0]]),
+        lambda: numerical_rank([[1.0, 2.0], [1.0]]),
+        lambda: Configuration([["a", 0]]),
+        lambda: Configuration([[0.0, 0.0], [1.0]]),
+        lambda: Configuration([[10**400, 0]]),
+        lambda: SubspaceBasis(2, [["a", 0]]),
+        lambda: Linkage(MechanismType(2, ((0, 1),)), ("a",)),
+        lambda: _trace_with_direction(["a"] * 8),
+        lambda: workspace_interval(["a"]),
+        lambda: workspace_interval([None]),
+        lambda: is_aligned([0.0, 1.0, 2.0]),
+        lambda: chord_signature([0.0, 1.0, 2.0]),
+        lambda: is_aligned([[0.0, 0.0], [np.inf, 0.0], [2.0, 0.0]]),
+    ],
+    ids=[
+        "rank-text", "rank-ragged", "config-text", "config-ragged", "config-huge", "basis-text",
+        "lengths-text", "direction-text", "interval-text", "interval-none", "aligned-flat",
+        "signature-flat", "aligned-inf",
+    ],
+)
+def test_malformed_arrays_raise_invalid_spec(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidSpec):
+            call()

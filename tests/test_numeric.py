@@ -1153,6 +1153,17 @@ class TestLocalBranchCount:
             tracemalloc.stop()
         assert peak < 1.0e6, peak
 
+    def test_distance_graph_row_blocks_keep_every_report(self, monkeypatch):
+        # the distance graph built 3 rows at a time against one block of all rows
+        calls = [(demo_pair("four-bar-singular"), {"seed": seed}) for seed in range(4)]
+        calls.append((demo_pair("egsing"), {"n_samples": 96, "seed": 0}))
+        for (linkage, config), kw in calls:
+            monkeypatch.setattr(numeric, "_CLUSTER_BLOCK", 10**9)
+            whole = local_branch_count(linkage, config, **kw)
+            monkeypatch.setattr(numeric, "_CLUSTER_BLOCK", 3)
+            assert local_branch_count(linkage, config, **kw) == whole, kw
+            assert whole.sample_count > 3
+
 
 def collinear(linkage: Linkage, config: Configuration):
     """The linkage's graph with its vertices projected onto the first axis and
