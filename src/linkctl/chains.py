@@ -41,10 +41,16 @@ def workspace_interval(lengths: Sequence[float]) -> tuple[float, float]:
     return (m, total)
 
 
-def _chain_points(config: Configuration | np.ndarray) -> np.ndarray:
+def _chain_points(config: Configuration | np.ndarray, caller: str) -> np.ndarray:
+    """The chain's points; InvalidSpec naming the caller unless there are at
+    least two, so that the chain has a link."""
     if isinstance(config, Configuration):
-        return config.points
-    return check_array(config, 2, "chain points must be an (n, d) array", "chain points must be finite")
+        points = config.points
+    else:
+        points = check_array(config, 2, "chain points must be an (n, d) array", "chain points must be finite")
+    if len(points) < 2:
+        raise InvalidSpec(f"{caller} needs at least one link")
+    return points
 
 
 def _check_angle(tol, name: str) -> float:
@@ -101,9 +107,7 @@ def is_aligned(config: Configuration | np.ndarray, tol: float = 1e-6) -> Optiona
     on a platform's three branches at once.
     """
     cos_tol = math.cos(_check_angle(tol, "tol"))
-    points = _chain_points(config)
-    if len(points) < 2:
-        raise InvalidSpec("is_aligned needs at least one link")
+    points = _chain_points(config, "is_aligned")
     w, aligned, degenerate = _aligned_chains(points, _ONE_CHAIN, cos_tol)
     if degenerate[0]:
         raise DegenerateDirection("chain has a zero-length link")
@@ -120,9 +124,10 @@ def chord_signature(config: Configuration | np.ndarray, tol: float = 1e-6) -> tu
     variable link being the one that closes the loop.  Raises
     DegenerateDirection when the chord is shorter than 1e-12 * (1 + the
     summed link lengths), and InvalidSpec unless the points are an (n, d)
-    array of finite numbers and the chain is aligned within ``tol``.
+    array of at least two finite points and the chain is aligned within
+    ``tol``.
     """
-    points = _chain_points(config)
+    points = _chain_points(config, "chord_signature")
     chord = points[-1] - points[0]
     rho = float(np.linalg.norm(chord))
     if rho < 1e-12 * (1.0 + np.linalg.norm(np.diff(points, axis=0), axis=1).sum()):

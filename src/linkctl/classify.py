@@ -102,7 +102,9 @@ def classify_configuration(
     tols.depth deep: a witness gives GenericSingular and neither gives
     Indeterminate, while a certificate gives Conflict, with the witness if
     any, since a transverse fiber product of regular maps is regular and the
-    rank test and the search's tolerances must then disagree.
+    rank test and the search's tolerances must then disagree.  Raises
+    OffConstraint unless each edge's residual is below 1e-8 * (1 + its
+    length) (check_on_constraint).
     """
     check_on_constraint(linkage, config)
 
@@ -252,7 +254,10 @@ def verify_platform_singularity(
     search's rule; the notes record the reduced work gradient at the
     remainder.  Without a witness the verdict is Indeterminate and the last
     note says why: a non-generic degenerate stage, an aligned removed
-    branch, or no witness inside the remainder.
+    branch, or no witness inside the remainder.  Raises InvalidSpec unless
+    the pose satisfies a platform condition, and OffConstraint, from the
+    first stage, unless each edge's residual is below 1e-8 * (1 + its
+    length) (check_on_constraint).
     """
     cond = platform_conditions(linkage, config, tols)
     if cond is None:

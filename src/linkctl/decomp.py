@@ -436,7 +436,8 @@ def find_nontransversive_witness(
     Deterministic: removals are visited in lexicographic edge order, depth
     first, and the first hit is returned.  None means no witness within
     tols.depth stages, which callers must report as indeterminate, never as
-    smooth.
+    smooth.  Raises OffConstraint unless each edge's residual is below
+    1e-8 * (1 + its length) (check_on_constraint).
     """
     check_on_constraint(linkage, config)
     hit = _search(_whole(linkage, config), tols.depth, tols, False, {})
@@ -479,7 +480,9 @@ def find_smoothness_certificate(
     returns None at every rank-deficient configuration unless the rank test
     and the stage tolerances disagree: a transverse fiber product of regular
     maps is regular, so every all-transverse decomposition of a
-    rank-deficient mechanism ends in a rank-deficient base.
+    rank-deficient mechanism ends in a rank-deficient base.  Raises
+    OffConstraint unless each edge's residual is below 1e-8 * (1 + its
+    length) (check_on_constraint).
     """
     check_on_constraint(linkage, config)
     hit = _search(_whole(linkage, config), tols.depth, tols, True, {})

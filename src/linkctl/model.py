@@ -51,9 +51,15 @@ class MechanismType:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.vertex_count < 1:
+        count = check_integer(self.vertex_count, "vertex_count")
+        if count < 1:
             raise InvalidSpec("vertex_count must be positive")
-        object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
+        object.__setattr__(self, "vertex_count", count)
+        object.__setattr__(
+            self,
+            "edges",
+            tuple((check_integer(u, "edge endpoint"), check_integer(v, "edge endpoint")) for u, v in self.edges),
+        )
         seen: set[frozenset[int]] = set()
         for u, v in self.edges:
             if u == v:
@@ -186,6 +192,12 @@ class PlatformSpec:
     fixed: tuple[int, ...]
     moving: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        branches = tuple(tuple(check_integer(i, "platform branch edge") for i in b) for b in self.branches)
+        object.__setattr__(self, "branches", branches)
+        object.__setattr__(self, "fixed", tuple(check_integer(v, "platform fixed vertex") for v in self.fixed))
+        object.__setattr__(self, "moving", tuple(check_integer(v, "platform moving vertex") for v in self.moving))
+
 
 class _EdgeKernel(NamedTuple):
     """A linkage's edge list compiled to index arrays for the constraint kernel."""
@@ -231,6 +243,11 @@ class Linkage:
     def __post_init__(self) -> None:
         lengths = check_array(self.lengths, 1, "edge lengths must be a list of numbers", _LENGTH_RULE).tolist()
         object.__setattr__(self, "lengths", tuple(lengths))
+        object.__setattr__(self, "ambient_dim", check_integer(self.ambient_dim, "ambient_dim"))
+        object.__setattr__(self, "base_vertex", check_integer(self.base_vertex, "base_vertex"))
+        for name in ("base_link", "end_effector"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, check_integer(getattr(self, name), name))
         if self.ambient_dim not in (2, 3):
             raise InvalidSpec("ambient_dim must be 2 or 3")
         if len(lengths) != self.graph.edge_count:
@@ -440,14 +457,19 @@ def check_real(value, name: str, positive: bool = False) -> float:
     return float(value)
 
 
-def check_integer(value, name: str, least: int) -> int:
-    """value as an int; InvalidSpec naming the option unless it is an integer >= least, not a bool."""
+def check_integer(value, name: str, least: Optional[int] = None) -> int:
+    """value as an int; InvalidSpec naming it unless it is an integer, not a
+    bool, and >= least when least is given.  operator.index takes numpy
+    integers and refuses floats, so 1.5 and 2.0 are not read as ids."""
+    if value.__class__ is int and (least is None or value >= least):  # the common case
+        return value
     try:
-        count = least - 1 if isinstance(value, bool) else operator.index(value)
+        count = None if isinstance(value, (bool, np.bool_)) else operator.index(value)
     except TypeError:
-        count = least - 1
-    if count < least:
-        raise InvalidSpec(f"{name} must be an integer >= {least}, got {value!r}")
+        count = None
+    if count is None or (least is not None and count < least):
+        rule = "an integer" if least is None else f"an integer >= {least}"
+        raise InvalidSpec(f"{name} must be {rule}, got {value!r}")
     return count
 
 
@@ -461,12 +483,18 @@ def check_match(linkage: Linkage, config: Configuration) -> None:
 
 
 def check_on_constraint(linkage: Linkage, config: Configuration, tol: float = 1e-8) -> None:
-    """Raise OffConstraint, reporting the largest residual, unless each edge's
-    residual is below tol * (1 + its length), so that every part cut from a
-    passing linkage passes too; no edges pass."""
+    """Raise OffConstraint unless each edge's residual is below tol * (1 + its
+    length), so that every part cut from a passing linkage passes too; no
+    edges pass.  The message reports the largest residual, then the edge
+    furthest over its bound with its residual and that bound."""
     residual = np.abs(constraint_residual(linkage, config))
-    if (residual >= tol * linkage._kernel.scale).any():
-        raise OffConstraint(f"configuration residual {residual.max():.3g} too large")
+    bound = tol * linkage._kernel.scale
+    if (residual >= bound).any():
+        worst = int(np.argmax(residual / bound))
+        raise OffConstraint(
+            f"configuration residual {residual.max():.3g} too large "
+            f"(edge {worst}: {residual[worst]:.3g} against its bound {bound[worst]:.3g})"
+        )
 
 
 def _integer(value, what: str) -> int:

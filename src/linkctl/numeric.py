@@ -477,8 +477,9 @@ def _gauge_frame(config: Configuration, null: np.ndarray) -> TangentFrame:
 def tangent_frame(linkage: Linkage, config: Configuration, tol_rank: float = 1e-8) -> TangentFrame:
     """Orthonormal basis of the constraint null space minus the rigid motions.
 
-    Requires the configuration to satisfy the constraints to 1e-8.  Raises
-    InvalidSpec unless tol_rank is finite and >= 0.
+    Raises OffConstraint unless each edge's residual is below
+    1e-8 * (1 + its length) (check_on_constraint), and InvalidSpec unless
+    tol_rank is finite and >= 0.
     """
     check_real(tol_rank, "tol_rank")
     return _gauge_frame(config, _null_space(linkage, config, tol_rank)[1])
@@ -505,7 +506,8 @@ def work_image(linkage: Linkage, config: Configuration, tol_rank: float = 1e-8) 
     base-to-end-effector displacement.  No gauge is removed: translations lie in
     the null space and map to 0, so this is the image over the pointed tangent.
     It takes one _null_space SVD.  Raises InvalidSpec without an end effector
-    or unless tol_rank is finite and >= 0."""
+    or unless tol_rank is finite and >= 0, and OffConstraint unless each
+    edge's residual is below 1e-8 * (1 + its length) (check_on_constraint)."""
     _work_ends(linkage)
     check_real(tol_rank, "tol_rank")
     return _work_image(linkage, _null_space(linkage, config, tol_rank)[1], tol_rank)

@@ -38,6 +38,15 @@ def triangle(lengths=(3.0, 4.0, 5.0)) -> Linkage:
     return Linkage(MechanismType(3, ((0, 1), (1, 2), (2, 0))), lengths, ambient_dim=2)
 
 
+def hinge() -> tuple[Linkage, Configuration]:
+    """Two triangles in R^3 hinged on their shared edge 0-1: the reduced
+    configuration space is a circle, the dihedral angle."""
+    points = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.7, 1.1, 0.2], [1.3, -0.4, 0.9]])
+    edges = ((0, 1), (1, 2), (2, 0), (0, 3), (1, 3))
+    lengths = tuple(float(np.linalg.norm(points[u] - points[v])) for u, v in edges)
+    return Linkage(MechanismType(4, edges), lengths, 3, base_link=0), Configuration(points)
+
+
 def egsing_linkage() -> tuple[Linkage, Configuration]:
     """Four-bar 0-1-2-3 at its node, braced by the triangle 0-3-4 and the
     stretched two-chain 4-5-1.

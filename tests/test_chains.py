@@ -221,6 +221,13 @@ class TestChordSignature:
         with pytest.raises(InvalidSpec, match="chord_signature requires an aligned chain"):
             chord_signature(np.array([[0.0, 0], [1, 0], [1, 1]]))
 
+    @pytest.mark.parametrize("test", [is_aligned, chord_signature], ids=lambda test: test.__name__)
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_points_is_not_a_chain(self, test, n):
+        # chord_signature raised IndexError on no point and DegenerateDirection on one
+        with pytest.raises(InvalidSpec, match=f"^{test.__name__} needs at least one link$"):
+            test(np.zeros((n, 2)))
+
 
 class TestWorkImage:
     """An open chain's work image, over its pointed tangent space:

@@ -18,13 +18,23 @@ from linkctl.errors import InvalidSpec
 from linkctl.model import Configuration, Linkage, MechanismType, build_linkage
 from linkctl import cli, svg
 
-from conftest import reference_lens_arms
+from conftest import hinge, reference_lens_arms
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def run_module(*argv):
+    """``python -m linkctl.cli`` in a new process, with the package's source
+    directory first on PYTHONPATH."""
+    src = str(Path(linkctl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-m", "linkctl.cli", *argv], capture_output=True, text=True, timeout=30, env=env
+    )
 
 
 @pytest.fixture
@@ -62,6 +72,21 @@ def triangle_3d_files(tmp_path, monkeypatch):
     edges = [{"u": u, "v": v, "length": 1.0} for u, v in ((0, 1), (1, 2), (2, 0))]
     lpath.write_text(json.dumps({"dim": 3, "vertices": 3, "edges": edges}))
     cpath.write_text(json.dumps({"points": [[0, 0, 0], [1, 0, 0], [0.5, 0.75**0.5, 0]]}))
+    return str(lpath), str(cpath)
+
+
+@pytest.fixture
+def hinge_files(tmp_path, monkeypatch):
+    """conftest.hinge as documents: a loop in space, closed modulo the
+    rotation about the base link."""
+    monkeypatch.chdir(tmp_path)
+    linkage, config = hinge()
+    edges = [{"u": u, "v": v, "length": ell} for (u, v), ell in zip(linkage.graph.edges, linkage.lengths)]
+    lpath = tmp_path / "hinge.linkage.json"
+    cpath = tmp_path / "hinge.config.json"
+    doc = {"dim": linkage.ambient_dim, "vertices": linkage.n_vertices, "edges": edges, "base_link": linkage.base_link}
+    lpath.write_text(json.dumps(doc))
+    cpath.write_text(json.dumps({"points": config.points.tolist()}))
     return str(lpath), str(cpath)
 
 
@@ -127,6 +152,29 @@ class TestAnalyzeCommand:
         code, out = run(capsys, "analyze", lp, cp)
         assert code == 20
         assert json.loads(out)["verdict"] == "Indeterminate"
+
+    @pytest.mark.parametrize("name", DEMO_NAMES)
+    def test_exit_code_fits_the_rank(self, demo_files, capsys, name):
+        # 0 exactly at full rank, and never 30: a search result that contradicts the rank
+        code, out = run(capsys, "analyze", *demo_files(name))
+        rank, k = json.loads(out)["rank"]
+        assert code != 30 and (code == 0) == (rank == k)
+
+    @pytest.mark.parametrize("shift, code", [(1.9e-8, 1), (5e-9, 10)])
+    def test_node_moved_along_x(self, demo_files, capsys, shift, code):
+        # vertex 2 moved: edge 1, of length 2.5, is off by 5 * shift against
+        # its bound 1e-8 * (1 + 2.5), so 1.9e-8 is off the constraint set
+        lp, cp = demo_files("four-bar-singular")
+        doc = json.loads(Path(cp).read_text())
+        doc["points"][2][0] += shift
+        Path(cp).write_text(json.dumps(doc))
+        assert main(["analyze", lp, cp]) == code
+        captured = capsys.readouterr()
+        if code == 1:
+            assert captured.out == ""
+            assert captured.err.startswith("error: configuration residual 9.5e-08 too large (edge 1: ")
+        else:
+            assert json.loads(captured.out)["verdict"] == "GenericSingular"
 
     def test_malformed_json(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -342,6 +390,17 @@ class TestSampleCommand:
         assert out1 == out2
         assert json.loads(out1)["count"] >= 1
 
+    def test_samples_lie_on_the_constraint_set(self, demo_files, capsys):
+        lp, _ = demo_files("four-bar-regular")
+        code, out = run(capsys, "sample", lp, "-n", "5")
+        assert code == 0
+        samples = np.array(json.loads(out)["samples"])
+        assert len(samples) > 0
+        edges = json.loads(Path(lp).read_text())["edges"]
+        u, v, length = (np.array([e[key] for e in edges]) for key in ("u", "v", "length"))
+        squared = np.sum((samples[:, u] - samples[:, v]) ** 2, axis=2)
+        assert np.abs(squared - length**2).max() <= 1e-9
+
     def test_edgeless_linkage(self, edgeless_files, capsys):
         lp, _ = edgeless_files
         code, out = run(capsys, "sample", lp, "-n", "2")
@@ -376,6 +435,12 @@ class TestTraceCommand:
         # far end of the base link (adding 0.0 turns -0.0 into 0.0, as the SVG does)
         assert drawn == [f"{x + 0.0:.6f},{-y + 0.0:.6f}" for x, y in (p[2] for p in doc["points"])]
         assert len(set(drawn)) > 1
+
+    def test_3d_hinge_loop_closes(self, hinge_files, capsys):
+        code, out = run(capsys, "trace", *hinge_files)
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["stop_reason"], doc["closed"]) == ("loop_closed", True)
 
     @pytest.mark.parametrize("step", ["0", "-0.05"])
     def test_non_positive_step_exits_1(self, demo_files, capsys, step):
@@ -534,6 +599,13 @@ class TestWorkspaceCommand:
         assert doc["annuli"][0]["m"] == pytest.approx(1.0)
         assert doc["annuli"][0]["M"] == pytest.approx(4.0)
         assert len(doc["boundary"]) > 100
+        # each annulus, from the base and from the far end of the base link, is
+        # the reachable interval of the arm from that anchor to the effector
+        _, base_arm, _, far_arm = reference_lens_arms(build_linkage(json.loads(Path(lp).read_text())))
+        for annulus, arm in zip(doc["annuli"], (base_arm, far_arm)):
+            code, interval = run(capsys, "workspace", "--lengths", ",".join(map(repr, arm)))
+            assert code == 0
+            assert json.loads(interval) == {"m": annulus["m"], "M": annulus["M"]}
 
     def test_linkage_that_is_not_a_cycle_exits_1(self, demo_files, capsys):
         lp, _ = demo_files("tri-platform-a")
@@ -571,12 +643,7 @@ class TestWorkspaceCommand:
         path = tmp_path / "two-triangles.json"
         path.write_text(json.dumps(doc))
         # a subprocess, so that a walk that never ends fails the test instead of hanging it
-        src = str(Path(linkctl.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        done = subprocess.run(
-            [sys.executable, "-m", "linkctl.cli", "workspace", str(path)],
-            capture_output=True, text=True, timeout=30, env=env,
-        )
+        done = run_module("workspace", str(path))
         assert done.returncode == 1
         assert done.stdout == ""
         assert done.stderr.startswith("error: lens workspace is implemented for cycle mechanisms")
@@ -623,13 +690,19 @@ class TestWorkspaceCommand:
 
 
 class TestBranchesCommand:
-    def test_node_branches(self, demo_files, capsys):
+    def test_node_branches(self, demo_files, capsys, monkeypatch):
+        monkeypatch.delenv("LINKCTL_SEED", raising=False)
         lp, cp = demo_files("four-bar-singular")
-        code, out = run(capsys, "branches", lp, cp, "--radius", "0.01", "--seed", "0")
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["branch_count"] == 4
-        assert doc["stable"] is True
+        for options in (["--radius", "0.01", "--seed", "0"], []):
+            code, out = run(capsys, "branches", lp, cp, *options)
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["branch_count"] == 4
+            assert doc["stable"] is True
+        # with default options too, analyze --branches exits 10 with the same report
+        code, out = run(capsys, "analyze", lp, cp, "--branches")
+        assert code == 10
+        assert json.loads(out)["branch_report"] == doc
 
     @pytest.mark.parametrize(
         "option",
@@ -781,6 +854,19 @@ class TestOneProcess:
         monkeypatch.setenv("LINKCTL_SEED", "1")
         _, again = run(capsys, "sample", lp, "-n", "4")
         assert again == env1
+
+
+class TestEntryPoint:
+    def test_process_exits_with_the_command_code(self, demo_files):
+        # sys.exit(main()) hands each command's code to the shell
+        lp, cp = demo_files("four-bar-singular")
+        node = run_module("analyze", lp, cp)
+        assert node.returncode == 10
+        assert json.loads(node.stdout)["verdict"] == "GenericSingular"
+        unknown = run_module("demo", "nope")
+        assert unknown.returncode == 1
+        assert unknown.stdout == ""
+        assert "unknown demo" in unknown.stderr and "Traceback" not in unknown.stderr
 
 
 _POSITIONALS = {

@@ -218,6 +218,48 @@ class TestIntegerIds:
         assert build_linkage(_set(doc, path, float(target))) == build_linkage(doc)
 
 
+def _path_linkage(**change) -> Linkage:
+    return Linkage(MechanismType(3, ((0, 1), (1, 2))), (1.0, 1.0), **change)
+
+
+# ids and counts that the constructors read: int() took edge endpoint 1.5 for
+# 1 and "0" and True for ids, and the Linkage ids passed their range checks
+# or failed later with TypeError
+NON_INTEGER_IDS = [
+    ("endpoint-1.5", lambda: MechanismType(3, ((0, 1.5),)), "edge endpoint", 1.5),
+    ("endpoint-string", lambda: MechanismType(3, (("0", "1"),)), "edge endpoint", "0"),
+    ("endpoint-bool", lambda: MechanismType(3, ((True, 2),)), "edge endpoint", True),
+    ("vertex_count", lambda: MechanismType(2.5, ((0, 1),)), "vertex_count", 2.5),
+    ("ambient_dim", lambda: _path_linkage(ambient_dim=2.0), "ambient_dim", 2.0),
+    ("base_vertex", lambda: _path_linkage(base_vertex=0.5), "base_vertex", 0.5),
+    ("base_link", lambda: _path_linkage(base_link=0.0), "base_link", 0.0),
+    ("end_effector", lambda: _path_linkage(end_effector=2.7), "end_effector", 2.7),
+    ("branch-edge", lambda: PlatformSpec(((1.0,),), (0,), (2,)), "platform branch edge", 1.0),
+    ("fixed", lambda: PlatformSpec(((1,),), (True,), (2,)), "platform fixed vertex", True),
+    ("moving", lambda: PlatformSpec(((1,),), (0,), ("2",)), "platform moving vertex", "2"),
+]
+
+
+class TestConstructorIds:
+    @pytest.mark.parametrize(
+        "build, name, value", [case[1:] for case in NON_INTEGER_IDS], ids=[case[0] for case in NON_INTEGER_IDS]
+    )
+    def test_non_integer_rejected(self, build, name, value):
+        with pytest.raises(InvalidSpec, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            build()
+
+    def test_numpy_integers_read_as_int(self):
+        graph = MechanismType(np.int64(3), ((np.int32(0), np.int64(1)), (1, 2)))
+        linkage = Linkage(graph, (1.0, 1.0), np.int64(2), np.int64(1), np.int64(1), np.int8(0))
+        platform = PlatformSpec(((np.int64(1),),), (np.int64(0),), (np.int16(2),))
+        assert linkage == Linkage(MechanismType(3, ((0, 1), (1, 2))), (1.0, 1.0), 2, 1, 1, 0)
+        ids = (
+            graph.vertex_count, *graph.edges[0], linkage.ambient_dim, linkage.base_vertex,
+            linkage.base_link, linkage.end_effector, *platform.branches[0], *platform.fixed, *platform.moving,
+        )
+        assert {type(x) for x in ids} == {int}
+
+
 class TestSquaredLengthMap:
     def test_three_four_five(self):
         v = Configuration([(0, 0), (3, 4)])
@@ -269,6 +311,16 @@ class TestCheckOnConstraint:
         points = four_bar_node().points.copy()
         points[2, 0] += 1e-8
         with pytest.raises(OffConstraint, match="residual 5e-08 too large"):
+            check_on_constraint(four_bar(), Configuration(points))
+
+    def test_message_names_the_edge_furthest_over_its_bound(self):
+        # vertex 2 of the four-bar node moved 1.9e-8 along x: edge 1, (1, 2) of
+        # length 2.5, is off by 9.5e-8 against 1e-8 * (1 + 2.5), and edge 2,
+        # (2, 3) of length 1.5, by 5.7e-8 against 1e-8 * (1 + 1.5)
+        points = four_bar_node().points.copy()
+        points[2, 0] += 1.9e-8
+        message = "configuration residual 9.5e-08 too large (edge 1: 9.5e-08 against its bound 3.5e-08)"
+        with pytest.raises(OffConstraint, match=f"^{re.escape(message)}$"):
             check_on_constraint(four_bar(), Configuration(points))
 
     def test_edgeless_linkage_is_on_its_constraint_set(self):

@@ -44,6 +44,7 @@ from conftest import (
     fd_gradient,
     four_bar,
     four_bar_node,
+    hinge,
     pointed_frame,
     random_linkage,
     random_open_chain,
@@ -890,15 +891,6 @@ class TestTraceCurve:
         assert len(arclength_rows) == 3  # failed try, its retry, the next step
         assert arclength_rows[1] == pytest.approx(0.0, abs=1e-12)
         assert len(result.points) == 3
-
-
-def hinge() -> tuple[Linkage, Configuration]:
-    """Two triangles in R^3 hinged on their shared edge 0-1: the reduced
-    configuration space is a circle, the dihedral angle."""
-    points = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.7, 1.1, 0.2], [1.3, -0.4, 0.9]])
-    edges = ((0, 1), (1, 2), (2, 0), (0, 3), (1, 3))
-    lengths = tuple(float(np.linalg.norm(points[u] - points[v])) for u, v in edges)
-    return Linkage(MechanismType(4, edges), lengths, 3, base_link=0), Configuration(points)
 
 
 def record_corrector(monkeypatch, linkage):
