@@ -123,9 +123,9 @@ def chord_signature(config: Configuration | np.ndarray, tol: float = 1e-6) -> tu
     function: for a closed chain, pass the points of its fixed links, the
     variable link being the one that closes the loop.  Raises
     DegenerateDirection when the chord is shorter than 1e-12 * (1 + the
-    summed link lengths), and InvalidSpec unless the points are an (n, d)
-    array of at least two finite points and the chain is aligned within
-    ``tol``.
+    summed link lengths) or, from ``is_aligned``, on a zero-length link, and
+    InvalidSpec unless the points are an (n, d) array of at least two finite
+    points and the chain is aligned within ``tol``.
     """
     points = _chain_points(config, "chord_signature")
     chord = points[-1] - points[0]

@@ -14,6 +14,9 @@ Reports are JSON on stdout.  ``analyze`` prints the classification report
 for Smooth, 10 for GenericSingular, 20 for Indeterminate, 30 for Conflict, a
 search result that contradicts the rank (a certificate at a rank-deficient
 configuration); all commands exit 1 on errors, with the message on stderr.
+A command writes its files (the --svg drawing, the demo documents) first and
+returns its report, which ``main`` alone writes to stdout, last: so every exit
+1 leaves stdout empty, a failed SVG write included.
 A bad input raises InvalidSpec, and only LinkctlError and OSError are
 reported: a file that is not JSON, points that are not a nonempty list of
 rows of equal length (``[]``, ``5``, a string, a flat or a deeper list,
@@ -148,10 +151,6 @@ def _check_planar_svg(args: argparse.Namespace, linkage: Linkage) -> None:
         raise InvalidSpec("SVG rendering is implemented for planar linkages")
 
 
-def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
-
-
 def _tolerances(args: argparse.Namespace) -> Tolerances:
     return Tolerances(
         rank=args.tol_rank,
@@ -172,7 +171,7 @@ def _seed(args: argparse.Namespace) -> int:
     return check_integer(seed, "LINKCTL_SEED", 0)
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, int]:
     linkage, config = _load_pair(args.linkage, args.config)
     _check_planar_svg(args, linkage)
     tols = _tolerances(args)
@@ -185,29 +184,25 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         branches = local_branch_count(linkage, config, seed=seed, tol_rank=tols.rank)
         doc["branch_report"] = branches.to_json_dict()
     doc["notes"] = notes
-    _emit(doc)
     if args.svg:
         svg.render_linkage(linkage, [config], args.svg)
-    return _EXIT_BY_VERDICT[report.verdict]
+    return doc, _EXIT_BY_VERDICT[report.verdict]
 
 
-def _cmd_sample(args: argparse.Namespace) -> int:
+def _cmd_sample(args: argparse.Namespace) -> tuple[dict, int]:
     linkage = build_linkage(_load_json(args.linkage))
     _check_planar_svg(args, linkage)
     samples = sample_cspace(linkage, args.n, seed=_seed(args))
-    _emit(
-        {
-            "count": len(samples),
-            "attempts": args.n,
-            "samples": [s.points.tolist() for s in samples],
-        }
-    )
     if args.svg:
         svg.render_linkage(linkage, samples, args.svg)
-    return 0
+    return {
+        "count": len(samples),
+        "attempts": args.n,
+        "samples": [s.points.tolist() for s in samples],
+    }, 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
+def _cmd_trace(args: argparse.Namespace) -> tuple[dict, int]:
     linkage, config = _load_pair(args.linkage, args.config)
     # by default the x and y of the first vertex the gauge leaves free (vertex
     # 0 when it pins them all): the traced points put the base vertex at the
@@ -227,17 +222,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         tol_rank=args.tol_rank,
         detect_tol=args.sing_tol,
     )
-    _emit(
-        {
-            "points": [p.points.tolist() for p in result.points],
-            "stop_reason": result.stop_reason,
-            "closed": result.closed,
-        }
-    )
     if args.svg:
         flat = np.array([p.flat for p in result.points])
         svg.render_curve(flat[:, [px, py]], args.svg, closed=result.closed)
-    return 0
+    return {
+        "points": [p.points.tolist() for p in result.points],
+        "stop_reason": result.stop_reason,
+        "closed": result.closed,
+    }, 0
 
 
 def _two_anchor_chains(linkage: Linkage) -> tuple[np.ndarray, list[float], np.ndarray, list[float]]:
@@ -261,7 +253,7 @@ def _two_anchor_chains(linkage: Linkage) -> tuple[np.ndarray, list[float], np.nd
     return np.array([0.0, 0.0]), arm(linkage.base_vertex), np.array([linkage.lengths[ground], 0.0]), arm(far)
 
 
-def _cmd_workspace(args: argparse.Namespace) -> int:
+def _cmd_workspace(args: argparse.Namespace) -> tuple[dict, int]:
     if args.lengths is not None and args.linkage:
         raise InvalidSpec(f"workspace takes --lengths {args.lengths!r} or {args.linkage}, not both")
     if args.lengths is not None:
@@ -270,10 +262,9 @@ def _cmd_workspace(args: argparse.Namespace) -> int:
         except ValueError:
             raise InvalidSpec(f"--lengths must be comma-separated numbers, got {args.lengths!r}") from None
         m, big = workspace_interval(lengths)
-        _emit({"m": m, "M": big})
         if args.svg:
             svg.render_workspace([(np.zeros(2), m, big)], None, args.svg)
-        return 0
+        return {"m": m, "M": big}, 0
     if not args.linkage:
         raise InvalidSpec("workspace needs --lengths or a linkage document")
     linkage = build_linkage(_load_json(args.linkage))
@@ -290,23 +281,20 @@ def _cmd_workspace(args: argparse.Namespace) -> int:
         for q in (center + radius * unit for radius in radii if radius > 0):
             dist = np.sqrt(np.add.reduce((q - other_c) ** 2, axis=1))  # np.linalg.norm of each
             boundary += q[(other_lo - 1e-9 <= dist) & (dist <= other_hi + 1e-9)].tolist()
-    _emit(
-        {
-            "annuli": [
-                {"center": ca.tolist(), "m": ma, "M": fa},
-                {"center": cb.tolist(), "m": mb, "M": fb},
-            ],
-            "boundary": boundary,
-        }
-    )
     if args.svg:
         svg.render_workspace(
             [(ca, ma, fa), (cb, mb, fb)], np.array(boundary) if boundary else None, args.svg
         )
-    return 0
+    return {
+        "annuli": [
+            {"center": ca.tolist(), "m": ma, "M": fa},
+            {"center": cb.tolist(), "m": mb, "M": fb},
+        ],
+        "boundary": boundary,
+    }, 0
 
 
-def _cmd_branches(args: argparse.Namespace) -> int:
+def _cmd_branches(args: argparse.Namespace) -> tuple[dict, int]:
     linkage, config = _load_pair(args.linkage, args.config)
     report = local_branch_count(
         linkage,
@@ -317,22 +305,17 @@ def _cmd_branches(args: argparse.Namespace) -> int:
         cluster_factor=args.cluster_factor,
         tol_rank=args.tol_rank,
     )
-    _emit(report.to_json_dict())
-    return 0
+    return report.to_json_dict(), 0
 
 
-def _cmd_demo(args: argparse.Namespace) -> int:
-    linkage_doc, config_doc = build_demo(args.name)
-    lpath = f"{args.name}.linkage.json"
-    cpath = f"{args.name}.config.json"
-    with open(lpath, "w", encoding="utf-8") as fh:
-        json.dump(linkage_doc, fh, indent=2)
-        fh.write("\n")
-    with open(cpath, "w", encoding="utf-8") as fh:
-        json.dump(config_doc, fh, indent=2)
-        fh.write("\n")
-    _emit({"linkage": lpath, "config": cpath})
-    return 0
+def _cmd_demo(args: argparse.Namespace) -> tuple[dict, int]:
+    paths = {}
+    for kind, doc in zip(("linkage", "config"), build_demo(args.name)):
+        paths[kind] = f"{args.name}.{kind}.json"
+        with open(paths[kind], "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+    return paths, 0
 
 
 def _option(parser: argparse.ArgumentParser, flag: str, parse, check, *rule, **kwargs) -> None:
@@ -421,7 +404,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        report, code = args.func(args)
+        sys.stdout.write(json.dumps(report, indent=2) + "\n")
+        return code
     except (LinkctlError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -55,11 +55,11 @@ class MechanismType:
         if count < 1:
             raise InvalidSpec("vertex_count must be positive")
         object.__setattr__(self, "vertex_count", count)
-        object.__setattr__(
-            self,
-            "edges",
-            tuple((check_integer(u, "edge endpoint"), check_integer(v, "edge endpoint")) for u, v in self.edges),
-        )
+        try:
+            edges = tuple((check_integer(u, "edge endpoint"), check_integer(v, "edge endpoint")) for u, v in self.edges)
+        except (TypeError, ValueError):  # not iterable, or an entry that is not a pair
+            raise InvalidSpec(f"edges must be a sequence of (u, v) pairs, got {self.edges!r}") from None
+        object.__setattr__(self, "edges", edges)
         seen: set[frozenset[int]] = set()
         for u, v in self.edges:
             if u == v:
@@ -193,10 +193,18 @@ class PlatformSpec:
     moving: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        branches = tuple(tuple(check_integer(i, "platform branch edge") for i in b) for b in self.branches)
+        try:
+            branches = tuple(tuple(check_integer(i, "platform branch edge") for i in b) for b in self.branches)
+            fixed = tuple(check_integer(v, "platform fixed vertex") for v in self.fixed)
+            moving = tuple(check_integer(v, "platform moving vertex") for v in self.moving)
+        except TypeError:  # a part that is not a sequence
+            raise InvalidSpec(
+                "platform branches must be sequences of edge ids and fixed and moving sequences of vertex ids, "
+                f"got {self.branches!r}, {self.fixed!r} and {self.moving!r}"
+            ) from None
         object.__setattr__(self, "branches", branches)
-        object.__setattr__(self, "fixed", tuple(check_integer(v, "platform fixed vertex") for v in self.fixed))
-        object.__setattr__(self, "moving", tuple(check_integer(v, "platform moving vertex") for v in self.moving))
+        object.__setattr__(self, "fixed", fixed)
+        object.__setattr__(self, "moving", moving)
 
 
 class _EdgeKernel(NamedTuple):
@@ -399,6 +407,7 @@ class SubspaceBasis:
     vectors: np.ndarray  # (m, ambient_dim), orthonormal rows
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "ambient_dim", check_integer(self.ambient_dim, "ambient_dim", 0))
         shape_rule = f"basis vectors must be an (m, {self.ambient_dim}) array"
         arr = check_array(self.vectors, 2, shape_rule, None)
         if arr.shape[1] != self.ambient_dim:
@@ -685,8 +694,12 @@ def _gauge_points(linkage: Linkage, p: np.ndarray) -> np.ndarray:
 
 
 def pointed_normalize(config: Configuration, base_vertex: int) -> Configuration:
-    """Translate so the base vertex sits at the origin.  Idempotent."""
-    return Configuration(_normalized_points(config.points, base_vertex))
+    """Translate so the base vertex sits at the origin.  Idempotent.  Raises
+    InvalidSpec unless base_vertex is an integer id in [0, N)."""
+    vertex = check_integer(base_vertex, "base_vertex")
+    if not 0 <= vertex < config.n_vertices:
+        raise InvalidSpec(f"base_vertex must lie in [0, {config.n_vertices}), got {vertex}")
+    return Configuration(_normalized_points(config.points, vertex))
 
 
 def reduced_normalize(linkage: Linkage, config: Configuration) -> Configuration:

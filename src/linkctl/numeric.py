@@ -114,6 +114,14 @@ class TangentFrame:
     base_config: Configuration
     basis: np.ndarray  # (m, N*d), orthonormal rows
 
+    def __post_init__(self) -> None:
+        shape, columns = np.shape(self.basis), self.base_config.points.size
+        if len(shape) != 2 or shape[1] != columns:
+            raise InvalidSpec(
+                f"tangent basis must be an (m, {columns}) array for a configuration of shape "
+                f"{self.base_config.points.shape}, got shape {shape}"
+            )
+
     @property
     def dim(self) -> int:
         return self.basis.shape[0]

@@ -76,3 +76,25 @@ def test_every_raise_names_a_concrete_error_class():
                     stray.append(f"{path.name}:{node.lineno} {name}")
     assert [entry.split()[1] for entry in stray] == ["AttributeError"], stray
     assert stray[0].startswith("model.py:")
+
+
+def test_only_cli_main_writes_stdout():
+    """The CLI's output rule: a command returns its report and ``cli.main``
+    alone writes it, last, so no other function touches sys.stdout or calls
+    print."""
+    package = pathlib.Path(importlib.import_module("linkctl").__file__).parent
+    writers = []
+
+    def visit(node, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            printed = isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "print"
+            if printed or isinstance(child, ast.Attribute) and child.attr == "stdout":
+                writers.append(f"{where}:{child.lineno}")
+            visit(child, where)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert [entry.split(":")[0] for entry in writers] == ["cli.main"], writers

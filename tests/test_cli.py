@@ -27,6 +27,14 @@ def run(capsys, *argv):
     return code, out
 
 
+def fails(capsys, *argv) -> str:
+    """The stderr of ``main(argv)``, which must exit 1 with nothing on stdout."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    return captured.err
+
+
 def run_module(*argv):
     """``python -m linkctl.cli`` in a new process, with the package's source
     directory first on PYTHONPATH."""
@@ -104,8 +112,7 @@ class TestDemoCommand:
 
     def test_unknown_demo(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        assert main(["demo", "nope"]) == 1
-        assert capsys.readouterr().err.startswith("error: unknown demo 'nope'; choose from egsing, ")
+        assert fails(capsys, "demo", "nope").startswith("error: unknown demo 'nope'; choose from egsing, ")
 
     def test_all_demos_build(self):
         for name in DEMO_NAMES:
@@ -168,37 +175,28 @@ class TestAnalyzeCommand:
         doc = json.loads(Path(cp).read_text())
         doc["points"][2][0] += shift
         Path(cp).write_text(json.dumps(doc))
-        assert main(["analyze", lp, cp]) == code
-        captured = capsys.readouterr()
         if code == 1:
-            assert captured.out == ""
-            assert captured.err.startswith("error: configuration residual 9.5e-08 too large (edge 1: ")
+            err = fails(capsys, "analyze", lp, cp)
+            assert err.startswith("error: configuration residual 9.5e-08 too large (edge 1: ")
         else:
-            assert json.loads(captured.out)["verdict"] == "GenericSingular"
+            got, out = run(capsys, "analyze", lp, cp)
+            assert got == code and json.loads(out)["verdict"] == "GenericSingular"
 
     def test_malformed_json(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        assert main(["analyze", str(bad), str(bad)]) == 1
+        assert fails(capsys, "analyze", str(bad), str(bad)).startswith(f"error: {bad} is not a JSON document: ")
 
     def test_configuration_without_points_exits_1(self, demo_files, capsys):
         lp, cp = demo_files("four-bar-singular")
         Path(cp).write_text(json.dumps({"vertices": [[0.0, 0.0]]}))
-        code = main(["analyze", lp, cp])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == "error: malformed configuration document: 'points'\n"
+        assert fails(capsys, "analyze", lp, cp) == "error: malformed configuration document: 'points'\n"
 
     def test_configuration_of_the_wrong_shape_exits_1(self, demo_files, capsys):
         lp, cp = demo_files("four-bar-singular")
         Path(cp).write_text(json.dumps({"points": [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]}))
-        code = main(["analyze", lp, cp])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == "error: configuration shape (3,2) does not match linkage (4,2)\n"
+        assert fails(capsys, "analyze", lp, cp) == "error: configuration shape (3,2) does not match linkage (4,2)\n"
 
     @pytest.mark.parametrize(
         "points, cause",
@@ -225,12 +223,9 @@ class TestAnalyzeCommand:
     def test_points_that_are_not_numbers_exit_1(self, demo_files, capsys, points, cause):
         lp, cp = demo_files("four-bar-singular")
         Path(cp).write_text(json.dumps({"points": points}))
-        code = main(["analyze", lp, cp])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: {cp}: points must be an (N, d) array of numbers (")
-        assert cause in captured.err
+        err = fails(capsys, "analyze", lp, cp)
+        assert err.startswith(f"error: {cp}: points must be an (N, d) array of numbers (")
+        assert cause in err
 
     @pytest.mark.parametrize("coordinate", [True, False, "1", None, float("nan"), float("inf")])
     def test_points_that_are_not_json_numbers_exit_1(self, demo_files, capsys, coordinate):
@@ -241,11 +236,8 @@ class TestAnalyzeCommand:
         doc = json.loads(Path(cp).read_text())
         doc["points"][1][0] = coordinate
         Path(cp).write_text(json.dumps(doc))
-        code = main(["analyze", lp, cp])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == f"error: {cp}: points must be an (N, d) array of numbers (got {coordinate!r})\n"
+        err = fails(capsys, "analyze", lp, cp)
+        assert err == f"error: {cp}: points must be an (N, d) array of numbers (got {coordinate!r})\n"
 
     @pytest.mark.parametrize("length", [True, "3.0"])
     def test_length_that_is_not_a_json_number_exits_1(self, demo_files, capsys, length):
@@ -253,22 +245,14 @@ class TestAnalyzeCommand:
         doc = json.loads(Path(lp).read_text())
         doc["edges"][0]["length"] = length
         Path(lp).write_text(json.dumps(doc))
-        code = main(["analyze", lp, cp])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == f"error: edge 0 length must be a number, got {length!r}\n"
+        assert fails(capsys, "analyze", lp, cp) == f"error: edge 0 length must be a number, got {length!r}\n"
 
     def test_length_too_large_for_a_float_exits_1(self, demo_files, capsys):
         lp, cp = demo_files("four-bar-singular")
         doc = json.loads(Path(lp).read_text())
         doc["edges"][1]["length"] = 10**400
         Path(lp).write_text(json.dumps(doc))
-        code = main(["analyze", lp, cp])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == "error: malformed edge 1: int too large to convert to float\n"
+        assert fails(capsys, "analyze", lp, cp) == "error: malformed edge 1: int too large to convert to float\n"
 
     @pytest.mark.parametrize(
         "content, cause",
@@ -278,11 +262,7 @@ class TestAnalyzeCommand:
     def test_configuration_that_is_not_json_exits_1(self, demo_files, capsys, content, cause):
         lp, cp = demo_files("four-bar-singular")
         Path(cp).write_bytes(content)
-        code = main(["analyze", lp, cp])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: {cp} is not a JSON document: {cause}")
+        assert fails(capsys, "analyze", lp, cp).startswith(f"error: {cp} is not a JSON document: {cause}")
 
     def test_depth_zero_is_indeterminate(self, demo_files, capsys):
         lp, cp = demo_files("four-bar-singular")
@@ -296,31 +276,22 @@ class TestAnalyzeCommand:
     )
     def test_out_of_range_option_exits_1(self, demo_files, capsys, option):
         lp, cp = demo_files("four-bar-singular")
-        code = main(["analyze", lp, cp, *option])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and ">= 0, got" in captured.err
+        err = fails(capsys, "analyze", lp, cp, *option)
+        assert err.startswith("error: ") and ">= 0, got" in err
 
     def test_tol_align_of_a_right_angle_or_more_exits_1(self, demo_files, capsys):
         # cos(4) < 0: every chain counted as aligned, and the node exited 10
         lp, cp = demo_files("four-bar-singular")
-        code = main(["analyze", lp, cp, "--tol-align", "4"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and "below pi/2, got 4.0" in captured.err
+        err = fails(capsys, "analyze", lp, cp, "--tol-align", "4")
+        assert err.startswith("error: ") and "below pi/2, got 4.0" in err
 
     def test_prismatic_document_exits_1(self, demo_files, capsys):
         lp, cp = demo_files("four-bar-singular")
         doc = json.loads(Path(lp).read_text())
         doc["edges"][2]["prismatic"] = {"min": 0.5, "max": 2.0}
         Path(lp).write_text(json.dumps(doc))
-        code = main(["analyze", lp, cp])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert "edge 2" in captured.err and "length fixed" in captured.err
+        err = fails(capsys, "analyze", lp, cp)
+        assert "edge 2" in err and "length fixed" in err
 
     @pytest.mark.parametrize("key, value", [("dim", 2.9), ("vertices", 3.5), ("effector", 2.6)])
     def test_non_integer_id_exits_1(self, demo_files, capsys, key, value):
@@ -328,11 +299,7 @@ class TestAnalyzeCommand:
         doc = json.loads(Path(lp).read_text())
         doc[key] = value
         Path(lp).write_text(json.dumps(doc))
-        code = main(["analyze", lp, cp])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: {key} must be an integer")
+        assert fails(capsys, "analyze", lp, cp).startswith(f"error: {key} must be an integer")
 
     @pytest.mark.parametrize("options", [[], ["--branches"]])
     def test_report_keys_in_order(self, demo_files, capsys, options):
@@ -366,12 +333,28 @@ class TestPlanarSvg:
         svg_path = tmp_path / "out.svg"
         args = [lp, cp] if command == "analyze" else [lp, "-n", "2"]
         assert run(capsys, command, *args)[0] == 0
-        code = main([command, *args, "--svg", str(svg_path)])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == "error: SVG rendering is implemented for planar linkages\n"
+        err = fails(capsys, command, *args, "--svg", str(svg_path))
+        assert err == "error: SVG rendering is implemented for planar linkages\n"
         assert not svg_path.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "four-bar-singular.linkage.json", "four-bar-singular.config.json"),
+            ("sample", "four-bar-regular.linkage.json", "-n", "2"),
+            ("trace", "four-bar-regular.linkage.json", "four-bar-regular.config.json", "--max-steps", "5"),
+            ("workspace", "--lengths", "2,1"),
+            ("workspace", "five-bar.linkage.json"),
+        ],
+        ids=["analyze", "sample", "trace", "workspace-lengths", "workspace-lens"],
+    )
+    def test_svg_into_a_missing_directory_exits_1(self, demo_files, tmp_path, capsys, argv):
+        # the whole report was printed before the drawing failed to open
+        for name in ("four-bar-singular", "four-bar-regular", "five-bar"):
+            demo_files(name)
+        path = tmp_path / "missing" / "out.svg"
+        err = fails(capsys, *argv, "--svg", str(path))
+        assert err.startswith("error: ") and str(path) in err
 
     def test_library_rejects_a_3d_linkage(self, tmp_path):
         linkage = build_linkage({"dim": 3, "vertices": 2, "edges": [{"u": 0, "v": 1, "length": 1.0}]})
@@ -445,20 +428,14 @@ class TestTraceCommand:
     @pytest.mark.parametrize("step", ["0", "-0.05"])
     def test_non_positive_step_exits_1(self, demo_files, capsys, step):
         lp, cp = demo_files("four-bar-regular")
-        code = main(["trace", lp, cp, "--step", step, "--max-steps", "30"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err.startswith("error: --step must be positive and finite")
+        err = fails(capsys, "trace", lp, cp, "--step", step, "--max-steps", "30")
+        assert err.startswith("error: --step must be positive and finite")
 
     @pytest.mark.parametrize("tol_rank", TOL_RANK_OUT_OF_RANGE)
     def test_tol_rank_out_of_range_exits_1(self, demo_files, capsys, tol_rank):
         lp, cp = demo_files("four-bar-regular")
-        code = main(["trace", lp, cp, "--tol-rank", tol_rank, "--max-steps", "30"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err.startswith("error: --tol-rank must be finite and >= 0")
+        err = fails(capsys, "trace", lp, cp, "--tol-rank", tol_rank, "--max-steps", "30")
+        assert err.startswith("error: --tol-rank must be finite and >= 0")
 
     @pytest.mark.parametrize(
         "option, message",
@@ -472,11 +449,7 @@ class TestTraceCommand:
     def test_out_of_range_option_exits_1(self, demo_files, capsys, option, message):
         # --max-steps -3 exited 0 with one point; --sing-tol nan switched detection off
         lp, cp = demo_files("four-bar-regular")
-        code = main(["trace", lp, cp, *option])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: {message}")
+        assert fails(capsys, "trace", lp, cp, *option).startswith(f"error: {message}")
 
     def test_edgeless_linkage(self, edgeless_files, capsys):
         lp, cp = edgeless_files
@@ -491,23 +464,17 @@ class TestTraceCommand:
         # four-bar-regular has 4 vertices in the plane: flat coordinates 0..7
         lp, cp = demo_files("four-bar-regular")
         svg_path = tmp_path / "curve.svg"
-        code = main(["trace", lp, cp, "--svg", str(svg_path), "--px", axes[0], "--py", axes[1]])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err.startswith("error: --px and --py must lie in [0, 8)")
+        err = fails(capsys, "trace", lp, cp, "--svg", str(svg_path), "--px", axes[0], "--py", axes[1])
+        assert err.startswith("error: --px and --py must lie in [0, 8)")
         assert not svg_path.exists()
 
     @pytest.mark.parametrize("axis", [("--px", "99"), ("--py", "8"), ("--px", "-1")], ids="=".join)
     def test_axis_out_of_range_without_svg_exits_1(self, demo_files, capsys, axis):
         # the range check ran only with --svg, so these exited 0 and the axis was ignored
         lp, cp = demo_files("four-bar-regular")
-        code = main(["trace", lp, cp, *axis])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err.startswith("error: --px and --py must lie in [0, 8), got ")
-        assert "Traceback" not in captured.err
+        err = fails(capsys, "trace", lp, cp, *axis)
+        assert err.startswith("error: --px and --py must lie in [0, 8), got ")
+        assert "Traceback" not in err
 
     def test_axis_in_range_without_svg_traces(self, demo_files, capsys):
         lp, cp = demo_files("four-bar-regular")
@@ -525,38 +492,26 @@ class TestWorkspaceCommand:
     @pytest.mark.parametrize("lengths", ["nan,1", "inf,1", "1,-2"])
     def test_bad_length_exits_1(self, capsys, lengths):
         # nan printed "M": NaN, which is not JSON
-        code = main(["workspace", "--lengths", lengths])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err.startswith("error: link lengths must be positive and finite")
+        err = fails(capsys, "workspace", "--lengths", lengths)
+        assert err.startswith("error: link lengths must be positive and finite")
 
     def test_non_numeric_length_exits_1(self, capsys):
         # float()'s own message named neither the option nor the bad entry's place
-        code = main(["workspace", "--lengths", "2,a"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == "error: --lengths must be comma-separated numbers, got '2,a'\n"
+        err = fails(capsys, "workspace", "--lengths", "2,a")
+        assert err == "error: --lengths must be comma-separated numbers, got '2,a'\n"
 
     @pytest.mark.parametrize("lengths", ["1,,2", "2,1,", ""])
     def test_empty_length_entry_exits_1(self, capsys, lengths):
         # an empty entry was skipped, so the first two read as a two-link chain;
         # an empty --lengths was taken for a missing one
-        code = main(["workspace", "--lengths", lengths])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == f"error: --lengths must be comma-separated numbers, got {lengths!r}\n"
+        err = fails(capsys, "workspace", "--lengths", lengths)
+        assert err == f"error: --lengths must be comma-separated numbers, got {lengths!r}\n"
 
     def test_lengths_and_a_linkage_document_exit_1(self, demo_files, capsys):
         # the document was ignored, and the --lengths interval printed with exit 0
         lp, _ = demo_files("five-bar")
-        code = main(["workspace", lp, "--lengths", "2,1"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == f"error: workspace takes --lengths '2,1' or {lp}, not both\n"
+        err = fails(capsys, "workspace", lp, "--lengths", "2,1")
+        assert err == f"error: workspace takes --lengths '2,1' or {lp}, not both\n"
 
     def test_effector_at_the_far_end_of_the_base_link_exits_1(self, demo_files, capsys):
         # the second anchor chain would have no link
@@ -564,11 +519,8 @@ class TestWorkspaceCommand:
         doc = json.loads(Path(lp).read_text())
         doc["effector"] = 1
         Path(lp).write_text(json.dumps(doc))
-        code = main(["workspace", lp])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == "error: lens workspace needs an effector off the base link, not its far end 1\n"
+        err = fails(capsys, "workspace", lp)
+        assert err == "error: lens workspace needs an effector off the base link, not its far end 1\n"
 
     @pytest.mark.parametrize(
         "drop, message",
@@ -584,11 +536,7 @@ class TestWorkspaceCommand:
         if drop is not None:
             del doc[drop]
             Path(lp).write_text(json.dumps(doc))
-        code = main(["workspace"] if drop is None else ["workspace", lp])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
+        assert fails(capsys, *(["workspace"] if drop is None else ["workspace", lp])) == f"error: {message}\n"
 
     def test_five_bar_lens(self, demo_files, capsys):
         lp, _ = demo_files("five-bar")
@@ -609,11 +557,7 @@ class TestWorkspaceCommand:
 
     def test_linkage_that_is_not_a_cycle_exits_1(self, demo_files, capsys):
         lp, _ = demo_files("tri-platform-a")
-        code = main(["workspace", lp])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == "error: lens workspace is implemented for cycle mechanisms\n"
+        assert fails(capsys, "workspace", lp) == "error: lens workspace is implemented for cycle mechanisms\n"
 
     def test_anchor_chains_with_inner_radius_zero(self, tmp_path, capsys):
         # the five-cycle 0-3-2-4-1 with ground link 0-1 and effector 2: each
@@ -711,11 +655,7 @@ class TestBranchesCommand:
     )
     def test_out_of_range_option_exits_1(self, demo_files, capsys, option):
         lp, cp = demo_files("four-bar-singular")
-        code = main(["branches", lp, cp, *option])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err.startswith("error: ")
+        assert fails(capsys, "branches", lp, cp, *option).startswith("error: ")
 
     @pytest.mark.parametrize("command", ["branches", "sample", "analyze", "analyze-without-branches"])
     def test_negative_seed_exits_1(self, demo_files, capsys, command):
@@ -728,11 +668,8 @@ class TestBranchesCommand:
             "analyze": [lp, cp, "--branches"],
             "analyze-without-branches": [lp, cp],
         }[command]
-        code = main([command.split("-")[0], *args, "--seed", "-1"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == "error: --seed must be an integer >= 0, got -1\n"
+        err = fails(capsys, command.split("-")[0], *args, "--seed", "-1")
+        assert err == "error: --seed must be an integer >= 0, got -1\n"
 
     @pytest.mark.parametrize("branches", [[], ["--branches"]], ids=["alone", "with-branches"])
     def test_analyze_checks_the_seed_before_classifying(self, demo_files, capsys, monkeypatch, branches):
@@ -741,38 +678,31 @@ class TestBranchesCommand:
 
         monkeypatch.setattr(cli, "classify_configuration", classify)
         lp, cp = demo_files("four-bar-singular")
-        assert main(["analyze", lp, cp, *branches, "--seed", "-1"]) == 1
-        assert capsys.readouterr().err == "error: --seed must be an integer >= 0, got -1\n"
+        err = fails(capsys, "analyze", lp, cp, *branches, "--seed", "-1")
+        assert err == "error: --seed must be an integer >= 0, got -1\n"
 
     def test_analyze_reads_the_seed_variable_only_for_branches(self, demo_files, capsys, monkeypatch):
         # without --branches analyze draws no sample, so LINKCTL_SEED is not read
         lp, cp = demo_files("four-bar-singular")
         monkeypatch.setenv("LINKCTL_SEED", "-1")
         assert run(capsys, "analyze", lp, cp)[0] == 10
-        assert main(["analyze", lp, cp, "--branches"]) == 1
-        assert capsys.readouterr().err == "error: LINKCTL_SEED must be an integer >= 0, got -1\n"
+        assert fails(capsys, "analyze", lp, cp, "--branches") == "error: LINKCTL_SEED must be an integer >= 0, got -1\n"
 
     @pytest.mark.parametrize("command", ["branches", "sample"])
     def test_non_integer_seed_variable_exits_1(self, demo_files, capsys, monkeypatch, command):
         # the message was int()'s, which does not name the variable
         lp, cp = demo_files("four-bar-singular")
         monkeypatch.setenv("LINKCTL_SEED", "abc")
-        code = main([command, *([lp, cp] if command == "branches" else [lp])])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == "error: LINKCTL_SEED must be an integer, got 'abc'\n"
+        err = fails(capsys, command, *([lp, cp] if command == "branches" else [lp]))
+        assert err == "error: LINKCTL_SEED must be an integer, got 'abc'\n"
 
     @pytest.mark.parametrize("command", ["branches", "sample"])
     def test_negative_seed_variable_exits_1(self, demo_files, capsys, monkeypatch, command):
         # the message was sample_cspace's, which names the seed but not where it came from
         lp, cp = demo_files("four-bar-singular")
         monkeypatch.setenv("LINKCTL_SEED", "-1")
-        code = main([command, *([lp, cp] if command == "branches" else [lp])])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == "error: LINKCTL_SEED must be an integer >= 0, got -1\n"
+        err = fails(capsys, command, *([lp, cp] if command == "branches" else [lp]))
+        assert err == "error: LINKCTL_SEED must be an integer >= 0, got -1\n"
 
     def test_edgeless_linkage(self, edgeless_files, capsys):
         lp, cp = edgeless_files
@@ -941,10 +871,7 @@ class TestOptions:
         # grad_scale ...), and only after the documents were read; the files
         # here do not exist, so any work would fail on them first
         monkeypatch.chdir(tmp_path)
-        assert main([command, *_POSITIONALS[command], *option]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
+        assert fails(capsys, command, *_POSITIONALS[command], *option) == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "command, option, kind",

@@ -240,7 +240,29 @@ NON_INTEGER_IDS = [
 ]
 
 
+# edge lists and platform parts that are not sequences of pairs or of ids:
+# unpacking them raised ValueError or TypeError
+NOT_SEQUENCES = [
+    ("triple", lambda: MechanismType(3, ((0, 1, 2),)), "edges must be a sequence of (u, v) pairs, got ((0, 1, 2),)"),
+    ("flat", lambda: MechanismType(3, (0, 1)), "edges must be a sequence of (u, v) pairs, got (0, 1)"),
+    ("none", lambda: MechanismType(3, None), "edges must be a sequence of (u, v) pairs, got None"),
+    (
+        "platform-count",
+        lambda: PlatformSpec(5, (0,), (1,)),
+        "platform branches must be sequences of edge ids and fixed and moving sequences of vertex ids, "
+        "got 5, (0,) and (1,)",
+    ),
+]
+
+
 class TestConstructorIds:
+    @pytest.mark.parametrize(
+        "build, message", [case[1:] for case in NOT_SEQUENCES], ids=[case[0] for case in NOT_SEQUENCES]
+    )
+    def test_parts_that_are_not_sequences_rejected(self, build, message):
+        with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
+            build()
+
     @pytest.mark.parametrize(
         "build, name, value", [case[1:] for case in NON_INTEGER_IDS], ids=[case[0] for case in NON_INTEGER_IDS]
     )
@@ -471,6 +493,24 @@ class TestNormalization:
         out = pointed_normalize(v, 0)
         assert out.points == pytest.approx(np.array([(0, 0), (3, 4)]))
 
+    @pytest.mark.parametrize(
+        "base, message",
+        [
+            (-1, "base_vertex must lie in [0, 4), got -1"),  # pinned vertex 3
+            (4, "base_vertex must lie in [0, 4), got 4"),  # IndexError
+            (True, "base_vertex must be an integer, got True"),  # a shape error about (4, 1, 4, 2)
+            (1.5, "base_vertex must be an integer, got 1.5"),
+        ],
+        ids=["minus-one", "n", "bool", "float"],
+    )
+    def test_pointed_base_vertex_is_an_id(self, base, message):
+        with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
+            pointed_normalize(Configuration(np.arange(8.0).reshape(4, 2)), base)
+
+    def test_pointed_base_vertex_may_be_a_numpy_integer(self):
+        v = Configuration(np.arange(8.0).reshape(4, 2))
+        assert pointed_normalize(v, np.int64(1)).points.tobytes() == pointed_normalize(v, 1).points.tobytes()
+
     def test_reduced_identity_when_normalized(self):
         linkage = single_edge()
         linkage = Linkage(linkage.graph, linkage.lengths, 2, base_vertex=0, base_link=0)
@@ -648,6 +688,16 @@ class TestSubspaceBasis:
     def test_empty_is_fine(self):
         basis = SubspaceBasis(3, np.zeros((0, 3)))
         assert basis.dim == 0
+
+    @pytest.mark.parametrize("dim", [True, 2.5, -1])
+    def test_ambient_dim_is_an_integer(self, dim):
+        # True was read as dimension 1, and 2.5 named an (m, 2.5) array
+        with pytest.raises(InvalidSpec, match=f"^ambient_dim must be an integer >= 0, got {dim!r}$"):
+            SubspaceBasis(dim, np.zeros((0, 2)))
+
+    def test_ambient_dim_may_be_a_numpy_integer(self):
+        basis = SubspaceBasis(np.int64(2), np.eye(2))
+        assert type(basis.ambient_dim) is int and basis.vectors.tolist() == np.eye(2).tolist()
 
     @pytest.mark.parametrize("vectors", [[[1.0, 0.0, 0.0, 1.0]], [1.0, 0.0], [[1.0], [0.0]], np.eye(2)[None]])
     def test_shape_required(self, vectors):

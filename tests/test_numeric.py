@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
@@ -562,6 +563,16 @@ class TestTangentFrame:
     def test_off_constraint_rejected(self):
         with pytest.raises(OffConstraint):
             tangent_frame(four_bar(), Configuration([(0, 0), (1, 1), (2, 2), (3, 3)]))
+
+    @pytest.mark.parametrize("columns", [slice(None, -1), 0], ids=["seven-columns", "one-axis"])
+    def test_basis_needs_a_column_per_coordinate(self, columns):
+        # fd_hessian raised numpy's broadcast error on such a frame, and
+        # reduced_work_data a matmul mismatch
+        frame = tangent_frame(four_bar(), four_bar_node())
+        basis = frame.basis[:, columns]
+        message = f"tangent basis must be an (m, 8) array for a configuration of shape (4, 2), got shape {basis.shape}"
+        with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
+            replace(frame, basis=basis)
 
     def test_one_gauge(self):
         # every frame is reduced: no gauge setting is left to choose
