@@ -28,7 +28,7 @@ def workspace_interval(lengths: Sequence[float]) -> tuple[float, float]:
     M is the total length; m is 2*max(l) - M clamped at zero (the longest
     link against everything else folded back).  Raises InvalidSpec unless
     lengths is a list of numbers, there is one and every one is positive and
-    finite.
+    finite, and their sum is finite.
     """
     rule = "link lengths must be positive and finite"
     ls = check_array(lengths, 1, "link lengths must be a list of numbers", rule).tolist()
@@ -37,6 +37,8 @@ def workspace_interval(lengths: Sequence[float]) -> tuple[float, float]:
     if not all(x > 0 for x in ls):
         raise InvalidSpec(rule)
     total = sum(ls)
+    if not math.isfinite(total):
+        raise InvalidSpec(f"link lengths must have a finite sum, got {ls!r}")
     m = max(0.0, 2.0 * max(ls) - total)
     return (m, total)
 

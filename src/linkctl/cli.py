@@ -30,7 +30,8 @@ value outside its range exits 1 naming the flag (``--sing-tol must be finite
 and >= 0, got -1.0``), and text that is not a number keeps argparse's exit 2.
 The seed comes from --seed, falling back to LINKCTL_SEED (an integer >= 0,
 named when it is not), which ``analyze`` reads only under --branches.
-``workspace`` given both --lengths and a linkage document exits 1.  The
+``workspace`` given both --lengths and a linkage document exits 1, and so
+does --lengths whose sum overflows a float.  The
 lens's two arms are open chains of the graph (``MechanismType.chain_removals``),
 from the base vertex and from the base link's far end to the effector, off
 the base link.
@@ -60,7 +61,8 @@ A linkage document is a JSON object:
 
 Every count and id is an integer (2.0 reads as 2; 2.5, true or "2" is
 rejected), every length and coordinate is a JSON number (true or "3.0" is
-rejected), every length is positive and finite, every coordinate is finite
+rejected), every length is positive and at most sqrt(float max), about
+1.34e154, so that its square is finite, every coordinate is finite
 (null, NaN or Infinity is rejected), and the edge order fixes the order of
 the constraint rows.  Lengths are fixed: an edge with a "prismatic" key is
 rejected, and a prismatic chain is analyzed one fiber at a time, each fiber

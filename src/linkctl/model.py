@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -228,11 +229,15 @@ class _ChainLinks(NamedTuple):
 
 
 _LENGTH_RULE = "edge lengths must be positive and finite"
+# The longest length whose square is a finite float: every layer squares the
+# lengths, and an infinite squared length turns residuals into inf - inf = NaN.
+_MAX_LENGTH = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
 class Linkage:
-    """A mechanism graph with one positive length per edge.
+    """A mechanism graph with one positive length per edge, each at most
+    sqrt(float max), about 1.34e154, so that every squared length is finite.
 
     ``base_vertex`` pins the pointed gauge, ``base_link`` (an edge index
     incident to the base) pins the reduced gauge, ``end_effector`` is the
@@ -262,6 +267,11 @@ class Linkage:
             raise InvalidSpec("one length per edge required")
         if min(lengths, default=1.0) <= 0.0:
             raise InvalidSpec(_LENGTH_RULE)
+        if max(lengths, default=1.0) > _MAX_LENGTH:
+            i = next(i for i, length in enumerate(lengths) if length > _MAX_LENGTH)
+            raise InvalidSpec(
+                f"edge {i} length {lengths[i]!r} is above {_MAX_LENGTH:.6g}, so its square overflows a float"
+            )
         if not (0 <= self.base_vertex < self.graph.vertex_count):
             raise InvalidSpec("base_vertex out of range")
         if self.base_link is not None:
@@ -579,36 +589,51 @@ def build_linkage(doc: Mapping) -> Linkage:
     )
 
 
-def _length_map_points(linkage: Linkage, p: np.ndarray) -> np.ndarray:
-    """Squared-length map at the (N, d) point array p, which must fit the linkage."""
+def _edge_vectors(linkage: Linkage, p: np.ndarray) -> np.ndarray:
+    """p_u - p_v of every edge at the point array p, (..., N, d), which must
+    fit the linkage; returns (..., k, d).  The squared-length map, the
+    residual and the Jacobian are all read off these vectors."""
     kernel = linkage._kernel
-    diff = p.take(kernel.u, axis=0) - p.take(kernel.v, axis=0)
-    return np.einsum("ij,ij->i", diff, diff)
+    return p.take(kernel.u, axis=-2) - p.take(kernel.v, axis=-2)
 
 
-def _residual_points(linkage: Linkage, p: np.ndarray) -> np.ndarray:
-    """Constraint residual at the (N, d) point array p, which must fit the linkage."""
-    return _length_map_points(linkage, p) - linkage._kernel.target
+def _edge_residual(linkage: Linkage, e: np.ndarray) -> np.ndarray:
+    """Constraint residual from the (k, d) edge vectors e of one configuration."""
+    return np.einsum("ij,ij->i", e, e) - linkage._kernel.target
 
 
-def _jacobian_points(linkage: Linkage, p: np.ndarray) -> np.ndarray:
-    """Constraint Jacobian at the (N, d) point array p, which must fit the linkage."""
+def _edge_jacobian(linkage: Linkage, e: np.ndarray) -> np.ndarray:
+    """Constraint Jacobian from the (k, d) edge vectors e of one configuration."""
     kernel = linkage._kernel
-    g = 2.0 * (p.take(kernel.u, axis=0) - p.take(kernel.v, axis=0))
-    jac = np.zeros((linkage.k, p.size))
+    g = 2.0 * e
+    jac = np.zeros((linkage.k, linkage.n_vertices * linkage.ambient_dim))
     jac.put(kernel.u_at, g)
     jac.put(kernel.v_at, -g)
     return jac
 
 
+def _length_map_points(linkage: Linkage, p: np.ndarray) -> np.ndarray:
+    """Squared-length map at the (N, d) point array p, which must fit the linkage."""
+    e = _edge_vectors(linkage, p)
+    return np.einsum("ij,ij->i", e, e)
+
+
+def _residual_points(linkage: Linkage, p: np.ndarray) -> np.ndarray:
+    """Constraint residual at the (N, d) point array p, which must fit the linkage."""
+    return _edge_residual(linkage, _edge_vectors(linkage, p))
+
+
+def _jacobian_points(linkage: Linkage, p: np.ndarray) -> np.ndarray:
+    """Constraint Jacobian at the (N, d) point array p, which must fit the linkage."""
+    return _edge_jacobian(linkage, _edge_vectors(linkage, p))
+
+
 def _residual_rows(linkage: Linkage, x: np.ndarray) -> np.ndarray:
     """Constraint residuals of a batch: x is (B, N*d), one flat configuration a
     row; returns (B, k).  Row i equals _residual_points at row i bit for bit."""
-    kernel = linkage._kernel
     d = linkage.ambient_dim
-    p = x.reshape(x.shape[0], -1, d)
-    diff = (p.take(kernel.u, axis=1) - p.take(kernel.v, axis=1)).reshape(-1, d)
-    return np.einsum("ij,ij->i", diff, diff).reshape(x.shape[0], linkage.k) - kernel.target
+    diff = _edge_vectors(linkage, x.reshape(x.shape[0], -1, d)).reshape(-1, d)
+    return np.einsum("ij,ij->i", diff, diff).reshape(x.shape[0], linkage.k) - linkage._kernel.target
 
 
 def _jacobian_rows(linkage: Linkage, x: np.ndarray) -> np.ndarray:
@@ -616,8 +641,7 @@ def _jacobian_rows(linkage: Linkage, x: np.ndarray) -> np.ndarray:
     returns (B, k, N*d).  Slice i equals _jacobian_points at row i."""
     kernel = linkage._kernel
     b = x.shape[0]
-    p = x.reshape(b, -1, linkage.ambient_dim)
-    g = (2.0 * (p.take(kernel.u, axis=1) - p.take(kernel.v, axis=1))).reshape(b, -1)
+    g = (2.0 * _edge_vectors(linkage, x.reshape(b, -1, linkage.ambient_dim))).reshape(b, -1)
     jac = np.zeros((b, linkage.k, x.shape[1]))
     flat = jac.reshape(b, -1)
     flat[:, kernel.u_at.reshape(-1)] = g

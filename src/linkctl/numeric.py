@@ -2,14 +2,20 @@
 sampling, tangent frames, a finite-difference Hessian, reduced work data,
 pseudo-arclength continuation, and local branch counting.
 
-Gauss-Newton's Armijo line search takes the full step's residual and tests
-every shorter step on the residual's exact quadratic along the step
-(``_shorter_step``), so it builds no trial iterate; the residual is then
-evaluated once, directly, at the step taken.  Both solvers, the callable
-``_gauss_newton`` and the lockstep ``_gauss_newton_rows``, check each full
-step and each chord step finite, raising InvalidSpec as building a
-Configuration would.  A shorter step lies between two finite points and
-needs no check, so no residual closure checks its iterate.
+Three damped Gauss-Newton solvers share one step rule.
+``project_to_cspace`` runs its own loop on the constraint residual, which
+reads each iterate's edge vectors once; it serves every projection and
+retraction of one configuration.  The callable ``_gauss_newton`` serves
+systems given as residual and Jacobian functions, such as trace_curve's
+corrector.  The lockstep ``_gauss_newton_rows`` projects many rows at once,
+for sample_cspace and local_branch_count.  Their Armijo line search takes
+the full step's residual and tests every shorter step on the residual's
+exact quadratic along the step (``_shorter_step``), so it builds no trial
+iterate; the residual is then evaluated once, directly, at the step taken.
+All three check each full step and each chord step finite, raising
+InvalidSpec as building a Configuration would.  A shorter step lies between
+two finite points and needs no check, so no residual closure checks its
+iterate.
 
 Tangent frames, work images and traced points read the constraint Jacobian's
 null space off one SVD per configuration, taken in ``_null_space``; a stage
@@ -38,6 +44,9 @@ from .model import (
     Configuration,
     Linkage,
     SubspaceBasis,
+    _edge_jacobian,
+    _edge_residual,
+    _edge_vectors,
     _gauge_points,
     _jacobian_points,
     _jacobian_rows,
@@ -223,7 +232,6 @@ def _gauss_newton(
     tol: float,
     max_iter: int,
     tol_rank: float = 1e-8,
-    r0: Optional[np.ndarray] = None,
     chord: bool = False,
 ) -> np.ndarray:
     """Damped Gauss-Newton: a fresh step solves with one _truncated_svd of
@@ -234,8 +242,7 @@ def _gauss_newton(
     is evaluated once more, at that step.  So every iterate is x + t*delta,
     with its residual computed from it.
 
-    r0, when given, is residual_fn(x0), already computed by the caller.  An
-    empty residual (no constraint) has converged.  With chord (trace_curve's
+    An empty residual (no constraint) has converged.  With chord (trace_curve's
     corrector), the fresh step's SVD is kept: every later step first solves
     with it, without a line search, and is kept when it cuts |r|^2 at least
     fourfold; otherwise it is dropped and a fresh step is taken from the same
@@ -247,7 +254,7 @@ def _gauss_newton(
     x and the full step, so it is finite when both are.
     """
     x = np.array(x0, dtype=float)
-    r = residual_fn(x) if r0 is None else r0
+    r = residual_fn(x)
     if np.abs(r).max(initial=0.0) < tol:
         return x
     svd = None  # under chord, the last fresh step's SVD
@@ -358,25 +365,45 @@ def project_to_cspace(
     origin (translation leaves the constraints exact).  Raises InvalidSpec
     unless tol is positive and finite, max_iter is an integer >= 0, and
     tol_rank is finite and >= 0.
+
+    The projection runs its own loop, which equals _gauss_newton on the
+    constraint residual and Jacobian bit for bit: the same full step, Armijo
+    test, _shorter_step fallback, finiteness checks and NoConvergence
+    messages.  Each iterate's edge vectors are computed once, and both its
+    residual and, when a fresh step is taken from it, its Jacobian are read
+    off them.
     """
     check_real(tol, "tol", positive=True)
     max_iter = check_integer(max_iter, "max_iter", 0)
     check_real(tol_rank, "tol_rank")
     check_match(linkage, guess)
-    r0 = _residual_points(linkage, guess.points)
-    if np.abs(r0).max(initial=0.0) < tol:
+    e = _edge_vectors(linkage, guess.points)
+    r = _edge_residual(linkage, e)
+    if np.abs(r).max(initial=0.0) < tol:
         return guess
-
     d = linkage.ambient_dim
-
-    def res(x: np.ndarray) -> np.ndarray:
-        return _residual_points(linkage, x.reshape(-1, d))
-
-    def jac(x: np.ndarray) -> np.ndarray:
-        return _jacobian_points(linkage, x.reshape(-1, d))
-
-    x = _gauss_newton(res, jac, guess.flat, tol, max_iter, tol_rank, r0)
-    return Configuration.from_flat(x, d)
+    x = guess.flat  # read only; every iterate is a new array
+    for _ in range(max_iter):
+        phi = float(r @ r)
+        jac = _edge_jacobian(linkage, e)
+        delta = -_svd_solve(_truncated_svd(jac, tol_rank), r)
+        slope = float(2.0 * (jac.T @ r) @ delta)
+        x_new = x + delta  # the full step, t = 1
+        check_finite(x_new)
+        e_new = _edge_vectors(linkage, x_new.reshape(-1, d))
+        r_new = _edge_residual(linkage, e_new)
+        if not float(r_new @ r_new) <= phi + _ARMIJO_C * slope:
+            b = jac @ delta
+            j = _shorter_step(r[None], b[None], (r_new - r - b)[None], np.array([phi]), np.array([slope]))[0]
+            if j < 0:
+                raise NoConvergence("line search stalled")
+            x_new = x + _SHORTER_STEPS[j] * delta
+            e_new = _edge_vectors(linkage, x_new.reshape(-1, d))
+            r_new = _edge_residual(linkage, e_new)
+        x, e, r = x_new, e_new, r_new
+        if np.abs(r).max() < tol:
+            return Configuration.from_flat(x, d)
+    raise NoConvergence(f"no convergence after {max_iter} iterations (|r|_inf={np.max(np.abs(r)):.3g})")
 
 
 def sample_cspace(linkage: Linkage, n: int, seed: int = 0) -> list[Configuration]:
@@ -595,7 +622,7 @@ def reduced_work_data(linkage: Linkage, frame: TangentFrame, tol_rank: float = 1
     check_match(linkage, frame.base_config)
     p = frame.base_config.points
     diff = p[eff] - p[base]
-    dist = float(np.linalg.norm(diff))
+    dist = math.sqrt(diff @ diff)  # np.linalg.norm of the vector, bit for bit
     if dist < 1e-9 * (1.0 + linkage.length_scale):
         raise DegenerateDirection("effector coincides with base; reduced work data undefined")
 
@@ -606,8 +633,8 @@ def reduced_work_data(linkage: Linkage, frame: TangentFrame, tol_rank: float = 1
     grad = frame.basis @ amb.reshape(-1) if frame.dim else np.zeros(0)
 
     def dist_fn(cfg: Configuration) -> float:
-        q = cfg.points
-        return float(np.linalg.norm(q[eff] - q[base]))
+        q = cfg.points[eff] - cfg.points[base]
+        return math.sqrt(q @ q)
 
     hess = fd_hessian(linkage, dist_fn, frame, tol_rank)
     return WorkData(gradient=grad, hessian=hess)
@@ -711,7 +738,7 @@ def trace_curve(
                 return np.concatenate([_residual_points(linkage, x.reshape(-1, d)), [_t @ (x - _p)]])
 
             try:
-                corrected = _gauss_newton(res, jac, predictor, _TRACE_TOL, 60, tol_rank, None, True)
+                corrected = _gauss_newton(res, jac, predictor, _TRACE_TOL, 60, tol_rank, True)
                 break
             except NoConvergence:
                 sub_step *= 0.5

@@ -35,6 +35,11 @@ class TestWorkspaceInterval:
         with pytest.raises(InvalidSpec, match="positive and finite"):
             workspace_interval((bad, 1.0))
 
+    def test_total_must_be_finite(self):
+        # gave (0.0, inf), and linkctl workspace printed "M": Infinity
+        with pytest.raises(InvalidSpec, match=r"^link lengths must have a finite sum, got \[1e\+308, 1e\+308\]$"):
+            workspace_interval((1e308, 1e308))
+
     def test_against_sampling_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(12):

@@ -254,6 +254,15 @@ class TestAnalyzeCommand:
         Path(lp).write_text(json.dumps(doc))
         assert fails(capsys, "analyze", lp, cp) == "error: malformed edge 1: int too large to convert to float\n"
 
+    def test_length_whose_square_overflows_exits_1(self, tmp_path, capsys):
+        # 1e200 squared is inf: at a pose five times too long the residual was
+        # inf - inf = NaN, and analyze printed Smooth and exited 0
+        lp, cp = tmp_path / "long.linkage.json", tmp_path / "long.config.json"
+        lp.write_text(json.dumps({"dim": 2, "vertices": 2, "edges": [{"u": 0, "v": 1, "length": 1e200}]}))
+        cp.write_text(json.dumps({"points": [[0.0, 0.0], [5e200, 0.0]]}))
+        err = fails(capsys, "analyze", str(lp), str(cp))
+        assert err == "error: edge 0 length 1e+200 is above 1.34078e+154, so its square overflows a float\n"
+
     @pytest.mark.parametrize(
         "content, cause",
         [(b"{not json", "Expecting property name"), (b"\xff{}", "'utf-8' codec can't decode")],
@@ -494,6 +503,11 @@ class TestWorkspaceCommand:
         # nan printed "M": NaN, which is not JSON
         err = fails(capsys, "workspace", "--lengths", lengths)
         assert err.startswith("error: link lengths must be positive and finite")
+
+    def test_lengths_whose_sum_overflows_exit_1(self, capsys):
+        # printed "M": Infinity, which is not JSON, and exited 0
+        err = fails(capsys, "workspace", "--lengths", "1e308,1e308")
+        assert err == "error: link lengths must have a finite sum, got [1e+308, 1e+308]\n"
 
     def test_non_numeric_length_exits_1(self, capsys):
         # float()'s own message named neither the option nor the bad entry's place

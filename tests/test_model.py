@@ -86,6 +86,24 @@ class TestBuildLinkage:
         with pytest.raises(InvalidSpec, match=f"^edge 0 length must be a number, got {re.escape(repr(length))}$"):
             build_linkage(doc)
 
+    @pytest.mark.parametrize("length", [1e200, float(np.nextafter(np.sqrt(np.finfo(float).max), np.inf))])
+    def test_length_whose_square_overflows_rejected(self, length):
+        # the squared length was inf, so a pose five times too long had
+        # residual inf - inf = NaN, which check_on_constraint let through
+        doc = {
+            "dim": 2,
+            "vertices": 3,
+            "edges": [{"u": 0, "v": 1, "length": 1.0}, {"u": 1, "v": 2, "length": length}],
+        }
+        with pytest.raises(
+            InvalidSpec, match=f"^edge 1 length {re.escape(repr(length))} is above 1.34078e\\+154, so its square"
+        ):
+            build_linkage(doc)
+
+    def test_longest_length_whose_square_is_finite_accepted(self):
+        limit = float(np.sqrt(np.finfo(float).max))
+        assert np.isfinite(single_edge(limit).squared_lengths()).all()
+
     def test_self_loop_rejected(self):
         with pytest.raises(InvalidSpec, match="self-loop"):
             MechanismType(2, ((0, 0),))

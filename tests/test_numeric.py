@@ -196,10 +196,8 @@ def demo_pair(name):
     return build_linkage(linkage_doc), Configuration(config_doc["points"])
 
 
-def reference_gauss_newton(
-    residual_fn, jacobian_fn, x0, tol, max_iter, tol_rank=1e-8, r0=None, chord=False, log=None
-):
-    """numeric._gauss_newton as a loop of its own that evaluates the start residual itself.
+def reference_gauss_newton(residual_fn, jacobian_fn, x0, tol, max_iter, tol_rank=1e-8, chord=False, log=None):
+    """numeric._gauss_newton as a loop of its own.
 
     With chord, every step after the first first tries the solve of the last
     Jacobian a full step was taken with, its SVD taken afresh, and keeps it
@@ -275,11 +273,32 @@ def per_start_samples(linkage, n, seed, tol=1e-10):
     return out
 
 
+def reference_edge_vectors(linkage, p):
+    """p_u - p_v of every edge of one configuration, one edge at a time."""
+    return np.array([p[u] - p[v] for u, v in linkage.graph.edges]).reshape(linkage.k, p.shape[1])
+
+
+def reference_edge_residual(linkage, e):
+    """Constraint residual from edge vectors, one edge at a time."""
+    return np.array([sum(c * c for c in row) for row in e]) - linkage.squared_lengths()
+
+
+def reference_edge_jacobian(linkage, e):
+    """Constraint Jacobian from edge vectors, filled one edge at a time."""
+    d = linkage.ambient_dim
+    jac = np.zeros((linkage.k, linkage.n_vertices * d))
+    for i, (u, v) in enumerate(linkage.graph.edges):
+        jac[i, u * d : (u + 1) * d] = 2.0 * e[i]
+        jac[i, v * d : (v + 1) * d] = -2.0 * e[i]
+    return jac
+
+
 @pytest.fixture
 def reference_path(monkeypatch):
     """Switch numeric's projections and corrector to the reference path: a
     Configuration built at every residual and Jacobian evaluation, per-edge
-    loops, and the reference Gauss-Newton loop."""
+    loops for the projection's edge vectors, residual and Jacobian, and the
+    reference Gauss-Newton loop for the corrector."""
 
     def use():
         monkeypatch.setattr(numeric, "_gauss_newton", reference_gauss_newton)
@@ -289,6 +308,9 @@ def reference_path(monkeypatch):
         monkeypatch.setattr(
             numeric, "_jacobian_points", lambda lk, p: reference_jacobian(lk, Configuration(p))
         )
+        monkeypatch.setattr(numeric, "_edge_vectors", reference_edge_vectors)
+        monkeypatch.setattr(numeric, "_edge_residual", reference_edge_residual)
+        monkeypatch.setattr(numeric, "_edge_jacobian", reference_edge_jacobian)
 
     return use
 
@@ -323,6 +345,34 @@ class TestReferencePathEquivalence:
         assert (got.stop_reason, got.closed) == (want.stop_reason, want.closed)
         assert as_bytes(got.points) == as_bytes(want.points)
         assert len(got.points) > 5
+
+    @pytest.mark.parametrize("name", ["four-bar-singular", "egsing", "tri-platform-b"])
+    def test_reduced_work_data_at_non_transverse_stages(self, monkeypatch, reference_path, name):
+        # every retraction of fd_hessian is a projection; the top-level stages
+        # call reduced_work_data only where they are not transverse
+        linkage, config = demo_pair(name)
+        remainders = []
+        real = decomp.reduced_work_data
+
+        def recording(lk, frame, tol_rank):
+            remainders.append((lk, frame, tol_rank))
+            return real(lk, frame, tol_rank)
+
+        monkeypatch.setattr(decomp, "reduced_work_data", recording)
+        for removal in enumerate_chain_removals(linkage.graph):
+            decomp.stage_classify(linkage, config, removal)
+        assert remainders
+
+        def work_bytes():
+            out = []
+            for lk, frame, tol_rank in remainders:
+                data = reduced_work_data(lk, frame, tol_rank)
+                out.append((data.gradient.tobytes(), data.hessian.tobytes()))
+            return out
+
+        got = work_bytes()
+        reference_path()
+        assert got == work_bytes()
 
     def test_non_finite_step_is_invalid_spec(self, monkeypatch):
         linkage, config = demo_pair("four-bar-regular")
@@ -516,12 +566,81 @@ class TestBatchedSampling:
                     assert abs(float(model @ model) - float(direct @ direct)) <= 1e-10 * phi, (draw, t)
 
     def test_non_finite_iterate_is_invalid_spec(self):
-        # squared lengths overflow: the first full step is not finite
-        linkage = triangle((3e200, 4e200, 5e200))
+        # every length squares to a finite float, but the starts' box has
+        # half-width 1.2e154, so squared edge vectors overflow and the first
+        # full step is not finite
+        linkage = triangle((3e153, 4e153, 5e153))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             InvalidSpec, match="configuration coordinates must be finite"
         ):
             sample_cspace(linkage, 3, seed=0)
+
+
+def solution_or_message(solve):
+    """The bytes of the point solve() returns, or its NoConvergence message."""
+    try:
+        return solve().tobytes()
+    except NoConvergence as exc:
+        return str(exc)
+
+
+class TestProjectionLoop:
+    """project_to_cspace runs its own Gauss-Newton loop on the constraint residual."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_equals_the_callable_solver(self, dim):
+        # the same point, or the same failure, as _gauss_newton on the residual
+        # and Jacobian closures that the projection used to pass it
+        events = Counter()
+        for draw, lk, n, tol in batch_cases(dim):
+
+            def res(y):
+                return numeric._residual_points(lk, y.reshape(-1, dim))
+
+            def jac(y):
+                return numeric._jacobian_points(lk, y.reshape(-1, dim))
+
+            for i in range(n):
+                start = draw_start(lk, draw, i)
+                got = solution_or_message(lambda: project_to_cspace(lk, start, tol=tol).flat)
+                want = solution_or_message(lambda: numeric._gauss_newton(res, jac, start.flat, tol, 100, 1e-8))
+                assert got == want, (draw, n, tol, i)
+                events.update(solver_row(lk, start.flat, tol)[2])
+        for event in ("full step", "shorter step", "line search stalled", "max_iter"):
+            assert events[event] > 0, (event, events)
+
+    def test_edge_vectors_once_an_iterate(self, monkeypatch):
+        # a retraction from one of fd_hessian's stencil points around the
+        # egsing demo's singular configuration (9 iterations): one SVD an
+        # iteration, and the edge vectors of the start, of each full step and
+        # of each shorter step taken, each computed once; the parent computed
+        # the start's twice, for its residual and for its Jacobian
+        linkage, config = demo_pair("egsing")
+        points = config.points - config.points.mean(axis=0)
+        frame = tangent_frame(linkage, Configuration(points))
+        stencil = points.reshape(-1) + numeric._default_step(Configuration(points)) * frame.basis[0]
+        real_edges, real_svd, real_shorter = numeric._edge_vectors, np.linalg.svd, numeric._shorter_step
+        at, svds, shorter = [], [], []
+
+        def edges(lk, p):
+            at.append(p.tobytes())
+            return real_edges(lk, p)
+
+        def svd(*args, **kwargs):
+            svds.append(args[0].shape)
+            return real_svd(*args, **kwargs)
+
+        def shorter_step(*args):
+            shorter.append(int(real_shorter(*args)[0]))
+            return np.array(shorter[-1:])
+
+        monkeypatch.setattr(numeric, "_edge_vectors", edges)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(numeric, "_shorter_step", shorter_step)
+        out = numeric._retract(linkage, stencil, 1e-8)
+        assert np.abs(constraint_residual(linkage, out)).max() < numeric._RETRACT_TOL
+        assert len(svds) > 1 and svds == [(linkage.k, stencil.size)] * len(svds)
+        assert len(at) == len(set(at)) == 1 + len(svds) + sum(j >= 0 for j in shorter)
 
 
 class TestTangentFrame:
