@@ -87,7 +87,7 @@ from .classify import Verdict, classify_configuration
 from .decomp import Tolerances
 from .demos import DEMO_NAMES, build_demo
 from .errors import InvalidSpec, LinkctlError
-from .model import Configuration, Linkage, build_linkage, check_integer, check_match, check_real
+from .model import Configuration, Linkage, build_linkage, check_integer, check_match, check_real, check_tol_rank
 from .chains import _check_angle, workspace_interval
 from .numeric import local_branch_count, sample_cspace, trace_curve
 from . import svg
@@ -340,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # defaults are the library's.
     defaults = Tolerances()
     rank = argparse.ArgumentParser(add_help=False)
-    _option(rank, "--tol-rank", float, check_real, default=defaults.rank, help="relative rank cutoff")
+    _option(rank, "--tol-rank", float, check_tol_rank, default=defaults.rank, help="relative rank cutoff, below 1")
     seed = argparse.ArgumentParser(add_help=False)
     _option(seed, "--seed", int, check_integer, 0, default=None, help="RNG seed (default LINKCTL_SEED or 0)")
     search = argparse.ArgumentParser(add_help=False)

@@ -49,6 +49,7 @@ from .model import (
     check_match,
     check_on_constraint,
     check_real,
+    check_tol_rank,
     constraint_jacobian,
 )
 from .numeric import _gauge_frame, _null_space, _work_image, numerical_rank, reduced_work_data, work_image
@@ -84,7 +85,7 @@ class Tolerances:
     |eigenvalue| and the floor _EIG_FLOOR / (1 + L), so exactly-zero
     Hessians are recognized as degenerate.  ``depth`` bounds every
     decomposition search.  Raises InvalidSpec unless every threshold is
-    finite and >= 0, align is below pi/2, and depth is an integer >= 0.
+    finite and >= 0, rank below 1, align below pi/2, and depth an integer >= 0.
     """
 
     rank: float = 1e-8
@@ -93,7 +94,7 @@ class Tolerances:
     depth: int = 4
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rank", check_real(self.rank, "tolerance rank"))
+        object.__setattr__(self, "rank", check_tol_rank(self.rank, "tolerance rank"))
         object.__setattr__(self, "align", _check_angle(self.align, "tolerance align"))
         object.__setattr__(self, "grad_scale", check_real(self.grad_scale, "tolerance grad_scale"))
         object.__setattr__(self, "depth", check_integer(self.depth, "search depth", 0))
@@ -193,8 +194,8 @@ def transversality_check(
     tol_rank: float = 1e-8,
 ) -> bool:
     """True iff the two subspaces jointly span the ambient space.  Raises
-    InvalidSpec unless tol_rank is finite and >= 0."""
-    check_real(tol_rank, "tol_rank")
+    InvalidSpec unless 0 <= tol_rank < 1."""
+    check_tol_rank(tol_rank)
     if image_a.ambient_dim != d or image_b.ambient_dim != d:
         raise InvalidSpec("image bases must live in the ambient dimension")
     return numerical_rank(np.vstack([image_a.vectors, image_b.vectors]), tol_rank) == d

@@ -476,6 +476,15 @@ def check_real(value, name: str, positive: bool = False) -> float:
     return float(value)
 
 
+def check_tol_rank(value, name: str = "tol_rank") -> float:
+    """value as a float; InvalidSpec unless the relative rank cutoff is finite,
+    >= 0 and below 1, where numeric's rank test would keep no singular value."""
+    tol_rank = check_real(value, name)
+    if not tol_rank < 1.0:
+        raise InvalidSpec(f"{name} must be below 1, got {tol_rank}")
+    return tol_rank
+
+
 def check_integer(value, name: str, least: Optional[int] = None) -> int:
     """value as an int; InvalidSpec naming it unless it is an integer, not a
     bool, and >= least when least is given.  operator.index takes numpy
@@ -612,25 +621,9 @@ def _edge_jacobian(linkage: Linkage, e: np.ndarray) -> np.ndarray:
     return jac
 
 
-def _length_map_points(linkage: Linkage, p: np.ndarray) -> np.ndarray:
-    """Squared-length map at the (N, d) point array p, which must fit the linkage."""
-    e = _edge_vectors(linkage, p)
-    return np.einsum("ij,ij->i", e, e)
-
-
-def _residual_points(linkage: Linkage, p: np.ndarray) -> np.ndarray:
-    """Constraint residual at the (N, d) point array p, which must fit the linkage."""
-    return _edge_residual(linkage, _edge_vectors(linkage, p))
-
-
-def _jacobian_points(linkage: Linkage, p: np.ndarray) -> np.ndarray:
-    """Constraint Jacobian at the (N, d) point array p, which must fit the linkage."""
-    return _edge_jacobian(linkage, _edge_vectors(linkage, p))
-
-
 def _residual_rows(linkage: Linkage, x: np.ndarray) -> np.ndarray:
     """Constraint residuals of a batch: x is (B, N*d), one flat configuration a
-    row; returns (B, k).  Row i equals _residual_points at row i bit for bit."""
+    row; returns (B, k).  Row i equals constraint_residual at row i bit for bit."""
     d = linkage.ambient_dim
     diff = _edge_vectors(linkage, x.reshape(x.shape[0], -1, d)).reshape(-1, d)
     return np.einsum("ij,ij->i", diff, diff).reshape(x.shape[0], linkage.k) - linkage._kernel.target
@@ -638,7 +631,7 @@ def _residual_rows(linkage: Linkage, x: np.ndarray) -> np.ndarray:
 
 def _jacobian_rows(linkage: Linkage, x: np.ndarray) -> np.ndarray:
     """Constraint Jacobians of a batch of flat configurations x, (B, N*d);
-    returns (B, k, N*d).  Slice i equals _jacobian_points at row i."""
+    returns (B, k, N*d).  Slice i equals constraint_jacobian at row i."""
     kernel = linkage._kernel
     b = x.shape[0]
     g = (2.0 * _edge_vectors(linkage, x.reshape(b, -1, linkage.ambient_dim))).reshape(b, -1)
@@ -652,13 +645,14 @@ def _jacobian_rows(linkage: Linkage, x: np.ndarray) -> np.ndarray:
 def squared_length_map(linkage: Linkage, config: Configuration) -> np.ndarray:
     """Vector of squared endpoint distances, one entry per edge, in edge order."""
     check_match(linkage, config)
-    return _length_map_points(linkage, config.points)
+    e = _edge_vectors(linkage, config.points)
+    return np.einsum("ij,ij->i", e, e)
 
 
 def constraint_residual(linkage: Linkage, config: Configuration) -> np.ndarray:
     """squared_length_map(V) minus the target squared lengths; zero on the constraint set."""
     check_match(linkage, config)
-    return _residual_points(linkage, config.points)
+    return _edge_residual(linkage, _edge_vectors(linkage, config.points))
 
 
 def constraint_jacobian(linkage: Linkage, config: Configuration) -> np.ndarray:
@@ -668,7 +662,7 @@ def constraint_jacobian(linkage: Linkage, config: Configuration) -> np.ndarray:
     vertex v's block; all other entries vanish.  Shape (k, N*d).
     """
     check_match(linkage, config)
-    return _jacobian_points(linkage, config.points)
+    return _edge_jacobian(linkage, _edge_vectors(linkage, config.points))
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

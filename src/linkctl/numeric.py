@@ -2,20 +2,18 @@
 sampling, tangent frames, a finite-difference Hessian, reduced work data,
 pseudo-arclength continuation, and local branch counting.
 
-Three damped Gauss-Newton solvers share one step rule.
-``project_to_cspace`` runs its own loop on the constraint residual, which
-reads each iterate's edge vectors once; it serves every projection and
-retraction of one configuration.  The callable ``_gauss_newton`` serves
-systems given as residual and Jacobian functions, such as trace_curve's
-corrector.  The lockstep ``_gauss_newton_rows`` projects many rows at once,
-for sample_cspace and local_branch_count.  Their Armijo line search takes
-the full step's residual and tests every shorter step on the residual's
-exact quadratic along the step (``_shorter_step``), so it builds no trial
+Two damped Gauss-Newton solvers share one step rule.  ``_gauss_newton``
+solves one configuration on the constraint residual and reads each
+iterate's edge vectors once; it serves every projection and retraction
+(``project_to_cspace``) and, with the pseudo-arclength hyperplane as one
+more row, trace_curve's corrector.  The lockstep ``_gauss_newton_rows``
+projects many rows at once, for sample_cspace and local_branch_count, each
+row as ``project_to_cspace`` would.  Their Armijo line search takes the full
+step's residual and tests every shorter step on the residual's exact
+quadratic along the step (``_shorter_step``), so it builds no trial
 iterate; the residual is then evaluated once, directly, at the step taken.
-All three check each full step and each chord step finite, raising
-InvalidSpec as building a Configuration would.  A shorter step lies between
-two finite points and needs no check, so no residual closure checks its
-iterate.
+Both check each full step and chord step finite, raising InvalidSpec as
+building a Configuration would; a shorter step lies between two finite points.
 
 Tangent frames, work images and traced points read the constraint Jacobian's
 null space off one SVD per configuration, taken in ``_null_space``; a stage
@@ -26,8 +24,8 @@ traced point, whose corrector takes one more SVD.
 
 All stochastic operations are pure functions of (inputs, seed): every sample
 draws from its own substream keyed by (seed, index).  Every numeric option
-is checked by model.check_real or model.check_integer: a tol_rank that is not
-finite and >= 0, or any option its function's docstring names, raises InvalidSpec.
+is checked by model's check_real, check_tol_rank or check_integer: a tol_rank
+outside [0, 1), or any option its function's docstring names, raises InvalidSpec.
 """
 
 from __future__ import annotations
@@ -48,9 +46,7 @@ from .model import (
     _edge_residual,
     _edge_vectors,
     _gauge_points,
-    _jacobian_points,
     _jacobian_rows,
-    _residual_points,
     _residual_rows,
     _row_dots,
     check_array,
@@ -59,6 +55,7 @@ from .model import (
     check_match,
     check_on_constraint,
     check_real,
+    check_tol_rank,
     constraint_jacobian,
 )
 
@@ -178,8 +175,8 @@ def _kept_singular_values(s: np.ndarray, tol_rank: float) -> np.ndarray:
 def numerical_rank(matrix: np.ndarray, tol_rank: float = 1e-8) -> int:
     """Number of singular values above tol_rank * sigma_max (absolute floor
     1e-12) of a 2-D matrix.  Raises InvalidSpec unless the matrix is a 2-D
-    array of numbers, tol_rank and every entry are finite and tol_rank >= 0."""
-    check_real(tol_rank, "tol_rank")
+    array of numbers, every entry is finite and 0 <= tol_rank < 1."""
+    check_tol_rank(tol_rank)
     m = check_array(matrix, 2, "matrix must be 2-D", "matrix entries must be finite")
     if m.size == 0:
         return 0
@@ -226,66 +223,82 @@ def _shorter_step(r: np.ndarray, b: np.ndarray, c: np.ndarray, phi: np.ndarray, 
 
 
 def _gauss_newton(
-    residual_fn: Callable[[np.ndarray], np.ndarray],
-    jacobian_fn: Callable[[np.ndarray], np.ndarray],
-    x0: np.ndarray,
+    linkage: Linkage,
+    x: np.ndarray,
     tol: float,
     max_iter: int,
-    tol_rank: float = 1e-8,
-    chord: bool = False,
+    tol_rank: float,
+    plane: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
-    """Damped Gauss-Newton: a fresh step solves with one _truncated_svd of
-    the Jacobian, then backtracks along _STEP_LADDER until Armijo passes.
-    The full step is tested on its residual; when it fails, one _shorter_step
-    pass picks the first shorter step that passes on the residual's quadratic
-    along the step (the line search stalls when none does), and the residual
-    is evaluated once more, at that step.  So every iterate is x + t*delta,
-    with its residual computed from it.
+    """Damped Gauss-Newton on the constraint residual from the flat start x:
+    x itself when its residual is below tol (an empty one is), else the first
+    iterate whose residual is.  An iterate's residual and, for a fresh step,
+    its Jacobian are read off its edge vectors, computed once.
 
-    An empty residual (no constraint) has converged.  With chord (trace_curve's
-    corrector), the fresh step's SVD is kept: every later step first solves
-    with it, without a line search, and is kept when it cuts |r|^2 at least
-    fourfold; otherwise it is dropped and a fresh step is taken from the same
-    iterate.  Either kind of step counts toward max_iter.
+    A fresh step solves with one _truncated_svd of the Jacobian.  When its
+    full step fails Armijo, one _shorter_step pass picks the first step of
+    _STEP_LADDER that passes on the residual's quadratic along the step (the
+    line search stalls when none does), and the residual is evaluated once
+    more, at that step.
+
+    A plane (t, p), trace_curve's pseudo-arclength hyperplane, appends the
+    row t.(x - p) to the residual and t to the Jacobian, and turns on chord
+    steps: each later step first solves with the last fresh step's SVD,
+    without a line search, and is kept when it cuts |r|^2 at least fourfold,
+    else a fresh step is taken from the same iterate; both count toward
+    max_iter.  Without a plane every step is fresh: project_to_cspace must
+    equal a row of _gauss_newton_rows, which takes no chord step, and a
+    moved retraction would move the Hessians fd_hessian divides by step**2.
 
     Every full step and chord step is checked finite before its residual is
-    taken: a non-finite one raises InvalidSpec, as building a Configuration
-    would, instead of ending in NoConvergence.  A shorter step lies between
-    x and the full step, so it is finite when both are.
+    taken, raising InvalidSpec as building a Configuration would; a shorter
+    step lies between two finite points.
     """
-    x = np.array(x0, dtype=float)
-    r = residual_fn(x)
+    d = linkage.ambient_dim
+    e = _edge_vectors(linkage, x.reshape(-1, d))
+    r = _edge_residual(linkage, e)
+    if plane is not None:
+        t, p = plane
+        r = np.concatenate([r, [t @ (x - p)]])
     if np.abs(r).max(initial=0.0) < tol:
         return x
-    svd = None  # under chord, the last fresh step's SVD
+    svd = None  # with a plane, the last fresh step's SVD
     for _ in range(max_iter):
         phi = float(r @ r)
         if svd is not None:
             x_new = x - _svd_solve(svd, r)
             check_finite(x_new)
-            r_new = residual_fn(x_new)
+            e_new = _edge_vectors(linkage, x_new.reshape(-1, d))
+            r_new = np.concatenate([_edge_residual(linkage, e_new), [t @ (x_new - p)]])
             if 4.0 * float(r_new @ r_new) <= phi:
-                x, r = x_new, r_new
+                x, e, r = x_new, e_new, r_new
                 if np.abs(r).max() < tol:
                     return x
                 continue
-        jac = jacobian_fn(x)
+        jac = _edge_jacobian(linkage, e)
+        if plane is not None:
+            jac = np.vstack([jac, t])
         fresh = _truncated_svd(jac, tol_rank)
+        svd = fresh if plane is not None else None
         delta = -_svd_solve(fresh, r)
-        if chord:
-            svd = fresh
         slope = float(2.0 * (jac.T @ r) @ delta)
         x_new = x + delta  # the full step, t = 1
         check_finite(x_new)
-        r_new = residual_fn(x_new)
+        e_new = _edge_vectors(linkage, x_new.reshape(-1, d))
+        r_new = _edge_residual(linkage, e_new)
+        if plane is not None:
+            r_new = np.concatenate([r_new, [t @ (x_new - p)]])
         if not float(r_new @ r_new) <= phi + _ARMIJO_C * slope:
             b = jac @ delta
             j = _shorter_step(r[None], b[None], (r_new - r - b)[None], np.array([phi]), np.array([slope]))[0]
             if j < 0:
                 raise NoConvergence("line search stalled")
             x_new = x + _SHORTER_STEPS[j] * delta
-            r_new = residual_fn(x_new)
-        x, r = x_new, r_new
+            e_new = _edge_vectors(linkage, x_new.reshape(-1, d))
+            r_new = _edge_residual(linkage, e_new)
+            if plane is not None:
+                r_new = np.concatenate([r_new, [t @ (x_new - p)]])
+        x, e, r = x_new, e_new, r_new
         if np.abs(r).max() < tol:
             return x
     raise NoConvergence(f"no convergence after {max_iter} iterations (|r|_inf={np.max(np.abs(r)):.3g})")
@@ -298,19 +311,19 @@ def _gauss_newton_rows(
     max_iter: int,
     tol_rank: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """_gauss_newton on the constraint residual of every row of x0, in lockstep.
+    """_gauss_newton without a plane on every row of x0, in lockstep.
 
     x0 is (B, N*d), one flat start a row.  Returns (x, ok): where ok[i], x[i]
-    is what _gauss_newton returns from row i, bit for bit; elsewhere it raises
-    NoConvergence, and x[i] is the iterate it stopped at (the line search
-    stalled there, or max_iter ran out).  An iteration takes one stacked SVD
-    and tries the full step on every live row.  The rows that reject it pick
-    their shorter step in one _shorter_step pass, on (rows, 39, k) values of
-    the residual's quadratic; each row takes the first step that passes
-    Armijo, or stalls when none does, and one _residual_rows call evaluates
-    the rows that moved at their steps.  Only the full steps are checked
-    finite: a shorter step lies between x and the full step, so it is finite
-    when both are.
+    is what _gauss_newton, and so project_to_cspace, returns from row i, bit
+    for bit; elsewhere that raises NoConvergence, and x[i] is the iterate it
+    stopped at (the line search stalled there, or max_iter ran out).  An
+    iteration takes one stacked SVD and tries the full step on every live
+    row.  The rows that reject it pick their shorter step in one
+    _shorter_step pass, on (rows, 39, k) values of the residual's quadratic;
+    each row takes the first step that passes Armijo, or stalls when none
+    does, and one _residual_rows call evaluates the rows that moved at their
+    steps.  Only the full steps are checked finite: a shorter step lies
+    between x and the full step, so it is finite when both are.
     """
     x = np.array(x0, dtype=float)
     r = _residual_rows(linkage, x)
@@ -357,53 +370,22 @@ def project_to_cspace(
     max_iter: int = _PROJECT_MAX_ITER,
     tol_rank: float = _PROJECT_TOL_RANK,
 ) -> Configuration:
-    """Gauss-Newton projection of a guess onto the constraint set.
+    """Gauss-Newton projection (_gauss_newton) of a guess onto the constraint set.
 
     A guess already on the set is returned unchanged; any other guess gives
     the Gauss-Newton point, wherever its minimal-norm steps leave it.  No
     gauge is pinned: call pointed_normalize to put the base vertex at the
     origin (translation leaves the constraints exact).  Raises InvalidSpec
     unless tol is positive and finite, max_iter is an integer >= 0, and
-    tol_rank is finite and >= 0.
-
-    The projection runs its own loop, which equals _gauss_newton on the
-    constraint residual and Jacobian bit for bit: the same full step, Armijo
-    test, _shorter_step fallback, finiteness checks and NoConvergence
-    messages.  Each iterate's edge vectors are computed once, and both its
-    residual and, when a fresh step is taken from it, its Jacobian are read
-    off them.
+    0 <= tol_rank < 1.
     """
     check_real(tol, "tol", positive=True)
     max_iter = check_integer(max_iter, "max_iter", 0)
-    check_real(tol_rank, "tol_rank")
+    check_tol_rank(tol_rank)
     check_match(linkage, guess)
-    e = _edge_vectors(linkage, guess.points)
-    r = _edge_residual(linkage, e)
-    if np.abs(r).max(initial=0.0) < tol:
-        return guess
-    d = linkage.ambient_dim
-    x = guess.flat  # read only; every iterate is a new array
-    for _ in range(max_iter):
-        phi = float(r @ r)
-        jac = _edge_jacobian(linkage, e)
-        delta = -_svd_solve(_truncated_svd(jac, tol_rank), r)
-        slope = float(2.0 * (jac.T @ r) @ delta)
-        x_new = x + delta  # the full step, t = 1
-        check_finite(x_new)
-        e_new = _edge_vectors(linkage, x_new.reshape(-1, d))
-        r_new = _edge_residual(linkage, e_new)
-        if not float(r_new @ r_new) <= phi + _ARMIJO_C * slope:
-            b = jac @ delta
-            j = _shorter_step(r[None], b[None], (r_new - r - b)[None], np.array([phi]), np.array([slope]))[0]
-            if j < 0:
-                raise NoConvergence("line search stalled")
-            x_new = x + _SHORTER_STEPS[j] * delta
-            e_new = _edge_vectors(linkage, x_new.reshape(-1, d))
-            r_new = _edge_residual(linkage, e_new)
-        x, e, r = x_new, e_new, r_new
-        if np.abs(r).max() < tol:
-            return Configuration.from_flat(x, d)
-    raise NoConvergence(f"no convergence after {max_iter} iterations (|r|_inf={np.max(np.abs(r)):.3g})")
+    x = guess.flat
+    out = _gauss_newton(linkage, x, tol, max_iter, tol_rank)
+    return guess if out is x else Configuration.from_flat(out, linkage.ambient_dim)
 
 
 def sample_cspace(linkage: Linkage, n: int, seed: int = 0) -> list[Configuration]:
@@ -514,9 +496,9 @@ def tangent_frame(linkage: Linkage, config: Configuration, tol_rank: float = 1e-
 
     Raises OffConstraint unless each edge's residual is below
     1e-8 * (1 + its length) (check_on_constraint), and InvalidSpec unless
-    tol_rank is finite and >= 0.
+    0 <= tol_rank < 1.
     """
-    check_real(tol_rank, "tol_rank")
+    check_tol_rank(tol_rank)
     return _gauge_frame(config, _null_space(linkage, config, tol_rank)[1])
 
 
@@ -541,10 +523,10 @@ def work_image(linkage: Linkage, config: Configuration, tol_rank: float = 1e-8) 
     base-to-end-effector displacement.  No gauge is removed: translations lie in
     the null space and map to 0, so this is the image over the pointed tangent.
     It takes one _null_space SVD.  Raises InvalidSpec without an end effector
-    or unless tol_rank is finite and >= 0, and OffConstraint unless each
+    or unless 0 <= tol_rank < 1, and OffConstraint unless each
     edge's residual is below 1e-8 * (1 + its length) (check_on_constraint)."""
     _work_ends(linkage)
-    check_real(tol_rank, "tol_rank")
+    check_tol_rank(tol_rank)
     return _work_image(linkage, _null_space(linkage, config, tol_rank)[1], tol_rank)
 
 
@@ -575,8 +557,8 @@ def fd_hessian(
     translated so that its centroid is at the origin; the step,
     1e-4 * (1 + max |coordinate|), and every retraction are taken from that
     centered configuration, so the Hessian does not depend on where the
-    mechanism sits.  Raises InvalidSpec unless tol_rank is finite and >= 0."""
-    check_real(tol_rank, "tol_rank")
+    mechanism sits.  Raises InvalidSpec unless 0 <= tol_rank < 1."""
+    check_tol_rank(tol_rank)
     points = frame.base_config.points
     centered = Configuration(points - points.mean(axis=0))
     v0 = centered.flat
@@ -609,7 +591,7 @@ def reduced_work_data(linkage: Linkage, frame: TangentFrame, tol_rank: float = 1
     The gradient is the analytic ambient gradient projected onto the frame;
     the Hessian is fd_hessian's retraction-corrected finite difference.
     Raises InvalidSpec when the linkage has no end effector, tol_rank is not
-    finite and >= 0 or the frame's configuration does not fit the linkage,
+    in [0, 1) or the frame's configuration does not fit the linkage,
     and DegenerateDirection when base and effector lie within
     1e-9 * (1 + total length) of each other, so the test does not depend on
     where the mechanism sits.  That scale is at most the one of
@@ -618,7 +600,7 @@ def reduced_work_data(linkage: Linkage, frame: TangentFrame, tol_rank: float = 1
     past that reason, never reaches the raise.
     """
     base, eff = _work_ends(linkage)
-    check_real(tol_rank, "tol_rank")
+    check_tol_rank(tol_rank)
     check_match(linkage, frame.base_config)
     p = frame.base_config.points
     diff = p[eff] - p[base]
@@ -672,17 +654,17 @@ def trace_curve(
 ) -> TraceResult:
     """Pseudo-arclength continuation of a one-dimensional solution curve.
 
-    Predicts along the unit reduced tangent, corrects by Gauss-Newton to
-    residual 1e-10 in the hyperplane orthogonal to the predictor, and stops
-    on loop closure, step exhaustion, or singularity indicators: a jump in
-    tangent dimension or direction (|cos| below 0.5 between consecutive
-    tangents), or the rank-proximity ratio falling below detect_tol
-    ("tangent_jump"), or a corrector that keeps failing as the step shrinks
+    Predicts along the unit reduced tangent t to p, corrects by _gauss_newton
+    with the plane (t, p) to residual 1e-10, and stops on loop closure, step
+    exhaustion, or singularity indicators: a jump in tangent dimension or
+    direction (|cos| below 0.5 between consecutive tangents), or the
+    rank-proximity ratio falling below detect_tol ("tangent_jump"), or a
+    corrector that keeps failing as the step shrinks
     ("stalled_at_singularity").  A flat ``direction`` orients the first
     tangent.  Raises InvalidSpec unless step is positive and finite,
-    max_steps is an integer >= 0, tol_rank and detect_tol are finite and
-    >= 0, direction has N*d finite coordinates, and the reduced tangent
-    space at the projected start is a line.
+    max_steps is an integer >= 0, detect_tol is finite and >= 0,
+    0 <= tol_rank < 1, direction has N*d finite coordinates, and the
+    reduced tangent space at the projected start is a line.
 
     The loop closes at a point after the tenth step that lies within step/2
     of the start once the rotation its gauge leaves free is taken out
@@ -704,7 +686,7 @@ def trace_curve(
     """
     check_real(step, "step", positive=True)
     max_steps = check_integer(max_steps, "max_steps", 0)
-    check_real(tol_rank, "tol_rank")
+    check_tol_rank(tol_rank)
     check_real(detect_tol, "detect_tol")
     if direction is not None:
         size = linkage.n_vertices * linkage.ambient_dim
@@ -720,25 +702,17 @@ def trace_curve(
     if direction is not None and float(tangent @ direction) < 0.0:
         tangent = -tangent
 
-    d = linkage.ambient_dim
     points: list[Configuration] = [v]
     reason = "max_steps"
 
     for step_idx in range(max_steps):
-        def jac(x: np.ndarray, _t=tangent) -> np.ndarray:
-            return np.vstack([_jacobian_points(linkage, x.reshape(-1, d)), _t])
-
         corrected = None
         sub_step = step
         for _ in range(3):
             # a retry corrects in the hyperplane through its own, shorter predictor
             predictor = v.flat + sub_step * tangent
-
-            def res(x: np.ndarray, _t=tangent, _p=predictor) -> np.ndarray:
-                return np.concatenate([_residual_points(linkage, x.reshape(-1, d)), [_t @ (x - _p)]])
-
             try:
-                corrected = _gauss_newton(res, jac, predictor, _TRACE_TOL, 60, tol_rank, True)
+                corrected = _gauss_newton(linkage, predictor, _TRACE_TOL, 60, tol_rank, (tangent, predictor))
                 break
             except NoConvergence:
                 sub_step *= 0.5
@@ -746,7 +720,7 @@ def trace_curve(
             reason = "stalled_at_singularity"
             break
 
-        w = Configuration(_gauge_points(linkage, corrected.reshape(-1, d)))
+        w = Configuration(_gauge_points(linkage, corrected.reshape(-1, linkage.ambient_dim)))
         s, null = _null_space(linkage, w, tol_rank)
         # sigma_k / sigma_1 of the constraint Jacobian, small near a rank drop;
         # with no constraint there is no rank to lose
@@ -800,7 +774,7 @@ def local_branch_count(
     0.05 * radius of the center is dropped; one landing over 0.1 * radius
     off the sphere is rescaled onto it and retried, 8 rounds at most.  Raises
     InvalidSpec unless radius and cluster_factor are positive and finite,
-    tol_rank is finite and >= 0, n_samples >= 1 and seed >= 0 are integers.
+    0 <= tol_rank < 1, and n_samples >= 1 and seed >= 0 are integers.
 
     Each step is a row that carries its own radius, and both radii's rows
     share every round: one lockstep retraction (_gauss_newton_rows) and one
@@ -842,7 +816,7 @@ def local_branch_count(
     n_samples = check_integer(n_samples, "n_samples", 1)
     seed = check_integer(seed, "seed", 0)
     check_real(cluster_factor, "cluster_factor", positive=True)
-    check_real(tol_rank, "tol_rank")
+    check_tol_rank(tol_rank)
     r = radius if radius is not None else 1e-2 * min(linkage.lengths, default=1.0)
     center = _gauge_fix(linkage, project_to_cspace(linkage, config, tol=_RETRACT_TOL))
     frame = tangent_frame(linkage, center, tol_rank)

@@ -109,13 +109,76 @@ def stress_matrix(linkage: Linkage, mu: np.ndarray) -> np.ndarray:
     return np.kron(incidence.T @ (mu[:, None] * incidence), np.eye(linkage.ambient_dim))
 
 
+def reference_gauss_newton(residual_fn, jacobian_fn, x0, tol, max_iter, tol_rank=1e-8, chord=False, log=None):
+    """numeric's damped Gauss-Newton step rule as a loop of its own, on a
+    system given as residual and Jacobian functions of a flat point.
+
+    With chord, every step after the first first tries the solve of the last
+    Jacobian a full step was taken with, its SVD taken afresh, and keeps it
+    when it cuts |r|^2 at least fourfold.
+    A rejected full step chooses the shorter one on the residual's exact
+    quadratic along the step, r + t*b + t*t*c with b = J delta and
+    c = r(x + delta) - r - b, then evaluates the residual at the step taken.
+    log, when given, gets an (event, iterate) pair for each iteration,
+    ("full step", "shorter step" or "chord step", the new iterate), and for a
+    failure, ("line search stalled" or "max_iter", the iterate it stopped at).
+    """
+    from linkctl.errors import NoConvergence
+    from linkctl.numeric import _svd_solve, _truncated_svd
+
+    note = log.append if log is not None else lambda event: None
+    x = np.array(x0, dtype=float)
+    r = residual_fn(x)
+    if np.max(np.abs(r), initial=0.0) < tol:
+        return x
+    last_jac = None
+    for _ in range(max_iter):
+        phi = float(r @ r)
+        if last_jac is not None:
+            x_new = x - _svd_solve(_truncated_svd(last_jac, tol_rank), r)
+            r_new = residual_fn(x_new)
+            if float(r_new @ r_new) <= phi / 4.0:
+                x, r = x_new, r_new
+                note(("chord step", x))
+                if np.max(np.abs(r)) < tol:
+                    return x
+                continue
+        jac = jacobian_fn(x)
+        if chord:
+            last_jac = jac
+        delta = -_svd_solve(_truncated_svd(jac, tol_rank), r)
+        slope = float(2.0 * (jac.T @ r) @ delta)
+        alpha = 1.0
+        x_new = x + delta
+        r_new = residual_fn(x_new)
+        if not float(r_new @ r_new) <= phi + 1e-4 * slope:
+            b = jac @ delta
+            c = r_new - r - b
+            while True:
+                alpha *= 0.5
+                if alpha < 1e-12:
+                    note(("line search stalled", x))
+                    raise NoConvergence("line search stalled")
+                model = r + alpha * b + alpha * alpha * c
+                if float(model @ model) <= phi + 1e-4 * alpha * slope:
+                    break
+            x_new = x + alpha * delta
+            r_new = residual_fn(x_new)
+        x, r = x_new, r_new
+        note(("full step" if alpha == 1.0 else "shorter step", x))
+        if np.max(np.abs(r)) < tol:
+            return x
+    note(("max_iter", x))
+    raise NoConvergence(f"no convergence after {max_iter} iterations (|r|_inf={np.max(np.abs(r)):.3g})")
+
+
 def self_stressed_linkage(
     rng: np.random.Generator, dim: int, max_vertices: int = 7, min_link: float = 1e-2
 ) -> Optional[tuple[Linkage, Configuration]]:
     """A random linkage placed where it has a self-stress, or None.
 
     A self-stress is a unit mu with J(x)^T mu = 0, J the constraint Jacobian.
-    Gauss-Newton runs over (x, mu) on J(x)^T mu = 0 and |mu|^2 = 1, from a
+    reference_gauss_newton runs over (x, mu) on J(x)^T mu = 0 and |mu|^2 = 1, from a
     random_linkage placement and a random unit mu.  Its Jacobian is
     [[2 Omega(mu), J^T], [0, 2 mu^T]], with Omega(mu) from stress_matrix.
     The lengths are read off the converged points.  None when Gauss-Newton
@@ -124,8 +187,8 @@ def self_stressed_linkage(
     when a link is shorter than min_link of the longest.
     """
     from linkctl.errors import NoConvergence
-    from linkctl.model import _jacobian_points, constraint_jacobian
-    from linkctl.numeric import _gauss_newton, numerical_rank
+    from linkctl.model import constraint_jacobian
+    from linkctl.numeric import numerical_rank
 
     drawn, start = random_linkage(rng, max_vertices, dim)
     n, k = drawn.n_vertices, drawn.k
@@ -137,15 +200,16 @@ def self_stressed_linkage(
 
     def residual(z: np.ndarray) -> np.ndarray:
         x, mu = split(z)
-        return np.append(_jacobian_points(drawn, x.reshape(n, dim)).T @ mu, mu @ mu - 1.0)
+        return np.append(constraint_jacobian(drawn, Configuration(x.reshape(n, dim))).T @ mu, mu @ mu - 1.0)
 
     def jacobian(z: np.ndarray) -> np.ndarray:
         x, mu = split(z)
-        top = np.hstack([2.0 * stress_matrix(drawn, mu), _jacobian_points(drawn, x.reshape(n, dim)).T])
+        jac = constraint_jacobian(drawn, Configuration(x.reshape(n, dim)))
+        top = np.hstack([2.0 * stress_matrix(drawn, mu), jac.T])
         return np.vstack([top, np.append(np.zeros(n * dim), 2.0 * mu)])
 
     try:
-        z = _gauss_newton(residual, jacobian, np.append(start.flat, mu0 / np.linalg.norm(mu0)), 1e-12, 100)
+        z = reference_gauss_newton(residual, jacobian, np.append(start.flat, mu0 / np.linalg.norm(mu0)), 1e-12, 100)
     except NoConvergence:
         return None
     points = split(z)[0].reshape(n, dim)
@@ -157,6 +221,34 @@ def self_stressed_linkage(
     if numerical_rank(constraint_jacobian(linkage, config)) == k:
         return None
     return linkage, config
+
+
+# The octahedron's edges: the base triangle 0-1-2, the top triangle 3-4-5,
+# and the legs, two from each top vertex; and four of its faces, every edge
+# on exactly one of them.
+OCTAHEDRON_EDGES = ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 3), (1, 4), (2, 4), (2, 5), (0, 5))
+_ALTERNATE_FACES = ((0, 1, 2), (1, 3, 4), (2, 4, 5), (0, 5, 3))
+
+
+def octahedral_linkage(points: np.ndarray) -> tuple[Linkage, Configuration]:
+    """The octahedral platform on six points of R^3, its lengths read off
+    them: base 0, effector 1, no base link."""
+    lengths = tuple(float(np.linalg.norm(points[u] - points[v])) for u, v in OCTAHEDRON_EDGES)
+    linkage = Linkage(MechanismType(6, OCTAHEDRON_EDGES), lengths, ambient_dim=3, end_effector=1)
+    return linkage, Configuration(points)
+
+
+def blaschke_determinant(points: np.ndarray) -> float:
+    """The 4x4 determinant of the unit plane equations (n, -n.a) of the
+    octahedron's faces 0-1-2, 1-3-4, 2-4-5 and 0-5-3 at the six points.  It
+    vanishes exactly where the four planes meet in a point, which is where
+    the octahedron is infinitesimally flexible (Blaschke)."""
+    rows = []
+    for a, b, c in _ALTERNATE_FACES:
+        n = np.cross(points[b] - points[a], points[c] - points[a])
+        n /= np.linalg.norm(n)
+        rows.append(np.append(n, -n @ points[a]))
+    return float(np.linalg.det(np.array(rows)))
 
 
 def reference_length_map(linkage: Linkage, config: Configuration) -> np.ndarray:

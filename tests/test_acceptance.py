@@ -13,6 +13,7 @@ nontransversive witness.
 
 import json
 from collections import Counter
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -42,10 +43,12 @@ from linkctl.demos import build_demo
 from conftest import (
     aligned_closed_chain,
     assert_verdict_fits_rank,
+    blaschke_determinant,
     chain_linkage,
     egsing_linkage,
     four_bar,
     four_bar_node,
+    octahedral_linkage,
     random_linkage,
     random_open_chain,
     reach_oracle,
@@ -276,6 +279,95 @@ def test_criterion_6_platform_conditions():
         seed += 1
     assert false_positives == 0
     _report("6 platform-conditions", True)
+
+
+def _octahedral_platform(theta: float) -> np.ndarray:
+    """An octahedral platform's points: the base triangle at radius 1 in
+    z = 0, the top one at radius 0.6 in z = 0.8, top vertex 3 at the angle
+    60 degrees + theta, between base vertices 0 and 1."""
+    base = np.radians([0.0, 120.0, 240.0])
+    top = np.radians([60.0, 180.0, 300.0]) + theta
+    return np.vstack(
+        [
+            np.column_stack([np.cos(base), np.sin(base), np.zeros(3)]),
+            np.column_stack([0.6 * np.cos(top), 0.6 * np.sin(top), np.full(3, 0.8)]),
+        ]
+    )
+
+
+def test_criterion_6_octahedral_platform_twists():
+    # the rank drops below 12 exactly where Blaschke's determinant vanishes,
+    # at the twists of +-90 degrees, and both are generic singularities whose
+    # stress form Q on the 1-dimensional reduced frame is nondegenerate
+    singular = []
+    for degrees in range(-180, 185, 5):
+        points = _octahedral_platform(np.radians(degrees))
+        linkage, config = octahedral_linkage(points)
+        rank = numerical_rank(constraint_jacobian(linkage, config))
+        assert (rank < 12) == (abs(blaschke_determinant(points)) < 1e-9), degrees
+        if rank < 12:
+            singular.append(degrees)
+    assert singular == [-90, 90]
+    for degrees in singular:
+        linkage, config = octahedral_linkage(_octahedral_platform(np.radians(degrees)))
+        report = classify_configuration(linkage, config)
+        assert (report.verdict, report.rank) == (Verdict.GENERIC_SINGULAR, 11)
+        assert (report.witness.signature, report.witness.euclidean_factor) == ((1, 0), 0)
+        jac = constraint_jacobian(linkage, config)
+        mu = np.linalg.svd(jac)[0][:, -1]
+        basis = tangent_frame(linkage, config).basis
+        q = basis @ stress_matrix(linkage, mu) @ basis.T
+        assert q.shape == (1, 1) and abs(q[0, 0]) == pytest.approx(1.026, abs=1e-3)
+    linkage, config = octahedral_linkage(_octahedral_platform(0.3))
+    assert classify_configuration(linkage, config).verdict is Verdict.SMOOTH
+    _report("6 octahedral platform twists", True)
+
+
+def _blaschke_root(points: np.ndarray, line: np.ndarray) -> Optional[float]:
+    """The first s in [-1, 1], on a grid of 40 steps refined by bisection,
+    where Blaschke's determinant vanishes with vertex 5 at points[5] + s*line;
+    None without a sign change."""
+
+    def det(s: float) -> float:
+        moved = points.copy()
+        moved[5] = points[5] + s * line
+        return blaschke_determinant(moved)
+
+    grid = np.linspace(-1.0, 1.0, 41)
+    for a, b in zip(grid[:-1], grid[1:]):
+        fa = det(a)
+        if fa * det(b) <= 0.0:
+            for _ in range(60):
+                mid = 0.5 * (a + b)
+                if fa * det(mid) <= 0.0:
+                    b = mid
+                else:
+                    a, fa = mid, det(mid)
+            return 0.5 * (a + b)
+    return None
+
+
+def test_criterion_6_random_octahedra_on_blaschke_roots():
+    # a random octahedron with vertex 5 moved along a random line onto a root
+    # of Blaschke's determinant is a generic singularity of corank 1
+    rng = np.random.default_rng(23)
+    signatures = Counter()
+    for _ in range(100):
+        if sum(signatures.values()) == 20:
+            break
+        points = rng.normal(size=(6, 3))
+        line = rng.normal(size=3)
+        root = _blaschke_root(points, line / np.linalg.norm(line))
+        if root is None:
+            continue
+        points[5] += root * line / np.linalg.norm(line)
+        linkage, config = octahedral_linkage(points)
+        report = classify_configuration(linkage, config)
+        assert (report.verdict, report.rank) == (Verdict.GENERIC_SINGULAR, 11)
+        assert report.witness.euclidean_factor == 0
+        signatures[report.witness.signature] += 1
+    assert sum(signatures.values()) == 20 and set(signatures) == {(1, 0), (0, 1)}, signatures
+    _report("6 random octahedra on Blaschke roots", True)
 
 
 def _generic_platform():

@@ -288,6 +288,16 @@ class TestAnalyzeCommand:
         err = fails(capsys, "analyze", lp, cp, *option)
         assert err.startswith("error: ") and ">= 0, got" in err
 
+    @pytest.mark.parametrize("value", ["1", "2"])
+    @pytest.mark.parametrize("command", ["analyze", "trace", "branches"])
+    def test_tol_rank_of_one_or_more_exits_1(self, demo_files, capsys, command, value):
+        # no singular value passes a cutoff of 1, so every Jacobian had rank 0:
+        # analyze printed rank [0, 4] and Indeterminate (exit 20), branches 0
+        # branches with "stable": true, and trace "reduced tangent dimension is 5"
+        lp, cp = demo_files("four-bar-regular" if command != "branches" else "four-bar-singular")
+        err = fails(capsys, command, lp, cp, "--tol-rank", value)
+        assert err == f"error: --tol-rank must be below 1, got {float(value)}\n"
+
     def test_tol_align_of_a_right_angle_or_more_exits_1(self, demo_files, capsys):
         # cos(4) < 0: every chain counted as aligned, and the node exited 10
         lp, cp = demo_files("four-bar-singular")

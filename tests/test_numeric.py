@@ -50,6 +50,7 @@ from conftest import (
     random_linkage,
     random_open_chain,
     reference_gauge_vectors,
+    reference_gauss_newton,
     reference_jacobian,
     reference_local_branch_count,
     reference_residual,
@@ -196,65 +197,6 @@ def demo_pair(name):
     return build_linkage(linkage_doc), Configuration(config_doc["points"])
 
 
-def reference_gauss_newton(residual_fn, jacobian_fn, x0, tol, max_iter, tol_rank=1e-8, chord=False, log=None):
-    """numeric._gauss_newton as a loop of its own.
-
-    With chord, every step after the first first tries the solve of the last
-    Jacobian a full step was taken with, its SVD taken afresh, and keeps it
-    when it cuts |r|^2 at least fourfold.
-    A rejected full step chooses the shorter one on the residual's exact
-    quadratic along the step, r + t*b + t*t*c with b = J delta and
-    c = r(x + delta) - r - b, then evaluates the residual at the step taken.
-    log, when given, gets an (event, iterate) pair for each iteration,
-    ("full step", "shorter step" or "chord step", the new iterate), and for a
-    failure, ("line search stalled" or "max_iter", the iterate it stopped at).
-    """
-    note = log.append if log is not None else lambda event: None
-    x = np.array(x0, dtype=float)
-    r = residual_fn(x)
-    if np.max(np.abs(r)) < tol:
-        return x
-    last_jac = None
-    for _ in range(max_iter):
-        phi = float(r @ r)
-        if last_jac is not None:
-            x_new = x - numeric._svd_solve(numeric._truncated_svd(last_jac, tol_rank), r)
-            r_new = residual_fn(x_new)
-            if float(r_new @ r_new) <= phi / 4.0:
-                x, r = x_new, r_new
-                note(("chord step", x))
-                if np.max(np.abs(r)) < tol:
-                    return x
-                continue
-        jac = jacobian_fn(x)
-        if chord:
-            last_jac = jac
-        delta = -numeric._svd_solve(numeric._truncated_svd(jac, tol_rank), r)
-        slope = float(2.0 * (jac.T @ r) @ delta)
-        alpha = 1.0
-        x_new = x + delta
-        r_new = residual_fn(x_new)
-        if not float(r_new @ r_new) <= phi + 1e-4 * slope:
-            b = jac @ delta
-            c = r_new - r - b
-            while True:
-                alpha *= 0.5
-                if alpha < 1e-12:
-                    note(("line search stalled", x))
-                    raise NoConvergence("line search stalled")
-                model = r + alpha * b + alpha * alpha * c
-                if float(model @ model) <= phi + 1e-4 * alpha * slope:
-                    break
-            x_new = x + alpha * delta
-            r_new = residual_fn(x_new)
-        x, r = x_new, r_new
-        note(("full step" if alpha == 1.0 else "shorter step", x))
-        if np.max(np.abs(r)) < tol:
-            return x
-    note(("max_iter", x))
-    raise NoConvergence(f"no convergence after {max_iter} iterations")
-
-
 def draw_start(linkage, seed, i):
     """Start i of sample_cspace(linkage, n, seed): uniform in the box of half-width sum(lengths)."""
     box = linkage.length_scale
@@ -273,44 +215,31 @@ def per_start_samples(linkage, n, seed, tol=1e-10):
     return out
 
 
-def reference_edge_vectors(linkage, p):
-    """p_u - p_v of every edge of one configuration, one edge at a time."""
-    return np.array([p[u] - p[v] for u, v in linkage.graph.edges]).reshape(linkage.k, p.shape[1])
-
-
-def reference_edge_residual(linkage, e):
-    """Constraint residual from edge vectors, one edge at a time."""
-    return np.array([sum(c * c for c in row) for row in e]) - linkage.squared_lengths()
-
-
-def reference_edge_jacobian(linkage, e):
-    """Constraint Jacobian from edge vectors, filled one edge at a time."""
+def reference_solver(linkage, x, tol, max_iter, tol_rank, plane=None):
+    """numeric._gauss_newton's signature on the reference path:
+    reference_gauss_newton on a Configuration built at every residual and
+    Jacobian evaluation, the plane's row appended, with chord steps exactly
+    when there is a plane."""
     d = linkage.ambient_dim
-    jac = np.zeros((linkage.k, linkage.n_vertices * d))
-    for i, (u, v) in enumerate(linkage.graph.edges):
-        jac[i, u * d : (u + 1) * d] = 2.0 * e[i]
-        jac[i, v * d : (v + 1) * d] = -2.0 * e[i]
-    return jac
+
+    def res(y):
+        r = reference_residual(linkage, Configuration(y.reshape(-1, d)))
+        return r if plane is None else np.concatenate([r, [plane[0] @ (y - plane[1])]])
+
+    def jac(y):
+        j = reference_jacobian(linkage, Configuration(y.reshape(-1, d)))
+        return j if plane is None else np.vstack([j, plane[0]])
+
+    return reference_gauss_newton(res, jac, x, tol, max_iter, tol_rank, chord=plane is not None)
 
 
 @pytest.fixture
 def reference_path(monkeypatch):
-    """Switch numeric's projections and corrector to the reference path: a
-    Configuration built at every residual and Jacobian evaluation, per-edge
-    loops for the projection's edge vectors, residual and Jacobian, and the
-    reference Gauss-Newton loop for the corrector."""
+    """Switch numeric's projections, retractions and corrector to the
+    reference path, reference_solver in place of numeric._gauss_newton."""
 
     def use():
-        monkeypatch.setattr(numeric, "_gauss_newton", reference_gauss_newton)
-        monkeypatch.setattr(
-            numeric, "_residual_points", lambda lk, p: reference_residual(lk, Configuration(p))
-        )
-        monkeypatch.setattr(
-            numeric, "_jacobian_points", lambda lk, p: reference_jacobian(lk, Configuration(p))
-        )
-        monkeypatch.setattr(numeric, "_edge_vectors", reference_edge_vectors)
-        monkeypatch.setattr(numeric, "_edge_residual", reference_edge_residual)
-        monkeypatch.setattr(numeric, "_edge_jacobian", reference_edge_jacobian)
+        monkeypatch.setattr(numeric, "_gauss_newton", reference_solver)
 
     return use
 
@@ -387,20 +316,23 @@ class TestReferencePathEquivalence:
 
 
 class TestNonFiniteSteps:
-    """The callable solver checks each full step and each chord step finite
-    itself, so a residual closure checks nothing."""
+    """The solver checks each full step and each chord step finite before it
+    takes the step's residual."""
 
     def test_plain_residual_full_step(self, monkeypatch):
-        # x*x - 1 takes an infinite step without complaint; the solver does not
+        # an infinite first full step, from a start off the constraint set,
+        # without a plane and with the corrector's
+        linkage, config = demo_pair("four-bar-regular")
+        start = 1.05 * config.flat
+        tangent = tangent_frame(linkage, config).basis[0]
         monkeypatch.setattr(
             numeric, "_svd_solve", lambda svd, rhs: np.full(svd[2].shape[1], np.inf)
         )
-        with np.errstate(invalid="ignore"), pytest.raises(
-            InvalidSpec, match="configuration coordinates must be finite"
-        ):
-            numeric._gauss_newton(
-                lambda x: x * x - 1.0, lambda x: np.diag(2.0 * x), np.array([2.0, 3.0]), 1e-10, 10
-            )
+        for plane in (None, (tangent, start)):
+            with np.errstate(invalid="ignore"), pytest.raises(
+                InvalidSpec, match="configuration coordinates must be finite"
+            ):
+                numeric._gauss_newton(linkage, start, 1e-10, 10, 1e-8, plane)
 
     def test_trace_corrector_chord_step(self, monkeypatch):
         # a chord step solves with the SVD of the corrector's last fresh step
@@ -436,18 +368,22 @@ def overstretched(linkage: Linkage) -> Linkage:
     )
 
 
+def residual_closures(linkage):
+    """The constraint residual and Jacobian as functions of a flat point."""
+    d = linkage.ambient_dim
+    return (
+        lambda y: constraint_residual(linkage, Configuration.from_flat(y, d)),
+        lambda y: constraint_jacobian(linkage, Configuration.from_flat(y, d)),
+    )
+
+
 def reference_row(linkage, start, tol):
     """reference_gauss_newton on the constraint residual from one flat start,
     with project_to_cspace's defaults: (x, ok, events), x being the point it
     returns or the iterate it stopped at."""
-    d = linkage.ambient_dim
     log = []
     try:
-        x = reference_gauss_newton(
-            lambda y: numeric._residual_points(linkage, y.reshape(-1, d)),
-            lambda y: numeric._jacobian_points(linkage, y.reshape(-1, d)),
-            start, tol, 100, 1e-8, log=log,
-        )
+        x = reference_gauss_newton(*residual_closures(linkage), start, tol, 100, 1e-8, log=log)
         ok = True
     except NoConvergence:
         x, ok = log[-1][1], False
@@ -455,25 +391,42 @@ def reference_row(linkage, start, tol):
     return x, ok, events
 
 
+def log_evaluations(mp):
+    """Patch numeric's _edge_vectors and _edge_jacobian through the
+    monkeypatch mp.  While log[0] is a list, each point that _gauss_newton
+    evaluates appends ("res", x) to it and each fresh step ("jac", x), x the
+    flat point.  Returns log, with log[0] None."""
+    vectors, jacobian = numeric._edge_vectors, numeric._edge_jacobian
+    log, at = [None], []  # at: (edge vectors, flat point) of each evaluation
+
+    def logged_vectors(lk, p):
+        e = vectors(lk, p)
+        if log[0] is not None:
+            at.append((e, p.reshape(-1).copy()))
+            log[0].append(("res", at[-1][1]))
+        return e
+
+    def logged_jacobian(lk, e):
+        if log[0] is not None:
+            log[0].append(("jac", next(x for f, x in reversed(at) if f is e)))
+        return jacobian(lk, e)
+
+    mp.setattr(numeric, "_edge_vectors", logged_vectors)
+    mp.setattr(numeric, "_edge_jacobian", logged_jacobian)
+    return log
+
+
 def solver_row(linkage, start, tol):
     """numeric._gauss_newton itself on the constraint residual from one flat
     start, with project_to_cspace's defaults: (x, ok, events) as reference_row
     gives them.  A stalled line search stops at the iterate of the last
     Jacobian; max_iter at the last residual, the step it last took."""
-    d = linkage.ambient_dim
     seen = []  # ("res" or "jac", iterate), in order
-
-    def res(y):
-        seen.append(("res", np.array(y)))
-        return numeric._residual_points(linkage, y.reshape(-1, d))
-
-    def jac(y):
-        seen.append(("jac", np.array(y)))
-        return numeric._jacobian_points(linkage, y.reshape(-1, d))
-
     events, stalled = [], False
     try:
-        x, ok = numeric._gauss_newton(res, jac, start, tol, 100, 1e-8), True
+        with pytest.MonkeyPatch.context() as mp:
+            log_evaluations(mp)[0] = seen
+            x, ok = numeric._gauss_newton(linkage, start, tol, 100, 1e-8), True
     except NoConvergence as exc:
         stalled = "stalled" in str(exc)
         x, ok = [y for kind, y in seen if kind == ("jac" if stalled else "res")][-1], False
@@ -553,16 +506,15 @@ class TestBatchedSampling:
             linkage, _ = random_linkage(rng, max_vertices=6, dim=dim)
             for lk in (linkage, overstretched(linkage)):
                 x = draw_start(lk, draw, 0).flat
-                d = lk.ambient_dim
-                r = numeric._residual_points(lk, x.reshape(-1, d))
-                jac = numeric._jacobian_points(lk, x.reshape(-1, d))
+                residual, jacobian = residual_closures(lk)
+                r, jac = residual(x), jacobian(x)
                 delta = -numeric._svd_solve(numeric._truncated_svd(jac, 1e-8), r)
                 b = jac @ delta
-                c = numeric._residual_points(lk, (x + delta).reshape(-1, d)) - r - b
+                c = residual(x + delta) - r - b
                 phi = float(r @ r)
                 for t in numeric._STEP_LADDER:
                     model = r + t * b + t * t * c
-                    direct = numeric._residual_points(lk, (x + t * delta).reshape(-1, d))
+                    direct = residual(x + t * delta)
                     assert abs(float(model @ model) - float(direct @ direct)) <= 1e-10 * phi, (draw, t)
 
     def test_non_finite_iterate_is_invalid_spec(self):
@@ -585,25 +537,20 @@ def solution_or_message(solve):
 
 
 class TestProjectionLoop:
-    """project_to_cspace runs its own Gauss-Newton loop on the constraint residual."""
+    """project_to_cspace runs numeric._gauss_newton, which reads the residual
+    and Jacobian off each iterate's edge vectors."""
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_equals_the_callable_solver(self, dim):
-        # the same point, or the same failure, as _gauss_newton on the residual
-        # and Jacobian closures that the projection used to pass it
+        # the same point, or the same failure and message, as the callable
+        # reference_gauss_newton on residual and Jacobian closures
         events = Counter()
         for draw, lk, n, tol in batch_cases(dim):
-
-            def res(y):
-                return numeric._residual_points(lk, y.reshape(-1, dim))
-
-            def jac(y):
-                return numeric._jacobian_points(lk, y.reshape(-1, dim))
-
+            closures = residual_closures(lk)
             for i in range(n):
                 start = draw_start(lk, draw, i)
                 got = solution_or_message(lambda: project_to_cspace(lk, start, tol=tol).flat)
-                want = solution_or_message(lambda: numeric._gauss_newton(res, jac, start.flat, tol, 100, 1e-8))
+                want = solution_or_message(lambda: reference_gauss_newton(*closures, start.flat, tol, 100, 1e-8))
                 assert got == want, (draw, n, tol, i)
                 events.update(solver_row(lk, start.flat, tol)[2])
         for event in ("full step", "shorter step", "line search stalled", "max_iter"):
@@ -975,7 +922,11 @@ class TestTraceCurve:
         linkage = four_bar((2.0, 1.2, 1.7, 0.9))
         start = sample_cspace(linkage, 1, seed=11)[0]
 
-        def never_converges(*args):
+        real = numeric._gauss_newton
+
+        def never_converges(linkage, x, tol, max_iter, tol_rank, plane=None):
+            if plane is None:  # the start's projection, not the corrector
+                return real(linkage, x, tol, max_iter, tol_rank)
             raise NoConvergence("forced")
 
         monkeypatch.setattr(numeric, "_gauss_newton", never_converges)
@@ -1008,13 +959,12 @@ class TestTraceCurve:
         real = numeric._gauss_newton
         arclength_rows = []  # hyperplane row of each corrector call at its start point
 
-        def fail_first_corrector(res, jac, x0, *args):
-            r0 = res(x0)
-            if len(r0) == linkage.k + 1:  # the corrector, not a plain projection
-                arclength_rows.append(float(r0[-1]))
+        def fail_first_corrector(lk, x, tol, max_iter, tol_rank, plane=None):
+            if plane is not None:  # the corrector, not a projection
+                arclength_rows.append(float(plane[0] @ (x - plane[1])))
                 if len(arclength_rows) == 1:
                     raise NoConvergence("forced")
-            return real(res, jac, x0, *args)
+            return real(lk, x, tol, max_iter, tol_rank, plane)
 
         monkeypatch.setattr(numeric, "_gauss_newton", fail_first_corrector)
         result = trace_curve(linkage, start, step=0.05, max_steps=2)
@@ -1022,29 +972,45 @@ class TestTraceCurve:
         assert arclength_rows[1] == pytest.approx(0.0, abs=1e-12)
         assert len(result.points) == 3
 
+    def test_grashof_rule_counts_the_loops(self):
+        # a four-bar with shortest link s, longest l and the others p, q has
+        # two loops of reduced poses when s + l < p + q (Grashof) and one
+        # otherwise: trace from every sample pose no earlier loop passes near
+        rng = np.random.default_rng(7)
+        kinds = Counter()
+        for i in range(12):
+            lengths = tuple(float(x) for x in rng.uniform(0.5, 2.0, 4))
+            linkage = four_bar(lengths)
+            s, l = min(lengths), max(lengths)
+            grashof = s + l < sum(lengths) - s - l
+            loops = []
+            for pose in sample_cspace(linkage, 30, seed=i):
+                flat = numeric._gauge_fix(linkage, pose).flat
+                if all(np.linalg.norm(loop - flat, axis=1).min() > 0.05 for loop in loops):
+                    result = trace_curve(linkage, pose, step=0.02)
+                    assert result.stop_reason == "loop_closed", (i, lengths)
+                    loops.append(np.array([p.flat for p in result.points]))
+            assert len(loops) == (2 if grashof else 1), (i, lengths)
+            kinds[grashof] += 1
+        assert kinds == {True: 8, False: 4}
 
-def record_corrector(monkeypatch, linkage):
+
+def record_corrector(monkeypatch):
     """Patch numeric._gauss_newton to record each of trace_curve's corrector
-    calls as (tangent, events): the tangent it corrects against (the last row
-    of its Jacobian) and its evaluations in order, ("res" or "jac", x)."""
+    calls as (tangent, events): the tangent of its plane and its evaluations
+    in order, ("res" or "jac", x) as log_evaluations gives them."""
     real = numeric._gauss_newton
+    log = log_evaluations(monkeypatch)
     calls = []
 
-    def recording(res, jac, x0, *args):
-        if len(res(x0)) != linkage.k + 1:  # a plain projection, not the corrector
-            return real(res, jac, x0, *args)
-        events = []
-        calls.append((jac(x0)[-1], events))
-
-        def res_logged(x):
-            events.append(("res", np.array(x)))
-            return res(x)
-
-        def jac_logged(x):
-            events.append(("jac", np.array(x)))
-            return jac(x)
-
-        return real(res_logged, jac_logged, x0, *args)
+    def recording(linkage, x, tol, max_iter, tol_rank, plane=None):
+        if plane is not None:  # the corrector, not a projection
+            calls.append((plane[0], []))
+            log[0] = calls[-1][1]
+        try:
+            return real(linkage, x, tol, max_iter, tol_rank, plane)
+        finally:
+            log[0] = None
 
     monkeypatch.setattr(numeric, "_gauss_newton", recording)
     return calls
@@ -1061,7 +1027,7 @@ class TestTraceTangent:
             start, max_steps = sample_cspace(linkage, 1, seed=11)[0], 1500
         else:
             (linkage, start), max_steps = hinge(), 150
-        calls = record_corrector(monkeypatch, linkage)
+        calls = record_corrector(monkeypatch)
         result = trace_curve(linkage, start, step=0.05, max_steps=max_steps)
         assert result.stop_reason == "loop_closed"
         # one corrector call steps from each point but the last
@@ -1126,7 +1092,7 @@ class TestTraceTangent:
         # the four-bar node converges in one or two steps and never refuses
         linkage, _ = demo_pair("egsing")
         start = sample_cspace(linkage, 4, seed=9)[0]
-        calls = record_corrector(monkeypatch, linkage)
+        calls = record_corrector(monkeypatch)
         result = trace_curve(linkage, start, step=0.05, max_steps=2000)
         assert result.stop_reason in ("tangent_jump", "stalled_at_singularity")
         refused = 0
@@ -1138,6 +1104,64 @@ class TestTraceTangent:
                     assert not np.array_equal(x, before)
                     refused += 1
         assert refused >= 1
+
+    def test_corrector_edge_vectors_once_an_iterate(self, monkeypatch):
+        # each corrector call of a four-bar trace computes the edge vectors of
+        # each point it evaluates once, and takes one SVD per fresh step and
+        # none per chord step: a fresh step's Jacobian is read off the edge
+        # vectors its iterate's residual was
+        linkage = four_bar((2.0, 1.2, 1.7, 0.9))
+        start = sample_cspace(linkage, 1, seed=11)[0]
+        real = numeric._gauss_newton
+        real_edges, real_svd = numeric._edge_vectors, np.linalg.svd
+        real_solve, real_shorter = numeric._svd_solve, numeric._shorter_step
+        call = None  # the counts of the running corrector call
+        chord_steps = 0
+
+        def edges(lk, p):
+            if call is not None:
+                call["at"].append(p.tobytes())
+            return real_edges(lk, p)
+
+        def svd(*args, **kwargs):
+            if call is not None:
+                call["svds"] += 1
+            return real_svd(*args, **kwargs)
+
+        def solve(factors, rhs):
+            if call is not None:
+                call["solves"].append(factors)
+            return real_solve(factors, rhs)
+
+        def shorter_step(*args):
+            first = real_shorter(*args)
+            if call is not None:
+                call["shorter"] += int(first[0] >= 0)
+            return first
+
+        def corrector(lk, x, tol, max_iter, tol_rank, plane=None):
+            nonlocal call, chord_steps
+            if plane is None:  # the start's projection
+                return real(lk, x, tol, max_iter, tol_rank)
+            call = {"at": [], "svds": 0, "solves": [], "shorter": 0}
+            out = real(lk, x, tol, max_iter, tol_rank, plane)
+            at, solves = call["at"], call["solves"]
+            fresh = len({id(factors) for factors in solves})
+            assert len(at) == len(set(at)) == 1 + len(solves) + call["shorter"]
+            assert call["svds"] == fresh >= 1
+            # a refused chord step is followed by a fresh one from the same iterate
+            chord_steps += len(solves) - fresh - (fresh - 1)
+            call = None
+            return out
+
+        monkeypatch.setattr(numeric, "_gauss_newton", corrector)
+        monkeypatch.setattr(numeric, "_edge_vectors", edges)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(numeric, "_svd_solve", solve)
+        monkeypatch.setattr(numeric, "_shorter_step", shorter_step)
+        result = trace_curve(linkage, start, step=0.05, max_steps=60)
+        assert len(result.points) == 61
+        assert chord_steps > 0  # accepted chord steps, which take no SVD
 
 
 class TestLocalBranchCount:
@@ -1349,6 +1373,7 @@ def _tol_rank_calls():
     bent = Configuration([(0.0, 0.0), (2.0, 0.0), (2.0, 1.0)])
     frame = tangent_frame(fb, node)
     image = work_image(fb, node)
+    regular, pose = demo_pair("four-bar-regular")
     return {
         "numerical_rank": lambda t: numerical_rank(np.eye(2), tol_rank=t),
         "tangent_frame": lambda t: tangent_frame(fb, node, tol_rank=t),
@@ -1356,6 +1381,10 @@ def _tol_rank_calls():
         "fd_hessian": lambda t: fd_hessian(fb, lambda c: 0.0, frame, tol_rank=t),
         "reduced_work_data": lambda t: reduced_work_data(chain, tangent_frame(chain, bent), tol_rank=t),
         "transversality_check": lambda t: transversality_check(image, image, 2, tol_rank=t),
+        "project_to_cspace": lambda t: project_to_cspace(fb, node, tol_rank=t),
+        "trace_curve": lambda t: trace_curve(regular, pose, max_steps=0, tol_rank=t),
+        "local_branch_count": lambda t: local_branch_count(fb, node, n_samples=4, tol_rank=t),
+        "Tolerances": lambda t: decomp.Tolerances(rank=t),
     }
 
 
@@ -1377,4 +1406,17 @@ def test_tol_rank_checked(entry, tol_rank):
     call = _tol_rank_calls()[entry]
     call(1e-8)  # the other arguments are valid
     with pytest.raises(InvalidSpec, match="^tol_rank must be finite and >= 0"):
+        call(tol_rank)
+
+
+@pytest.mark.parametrize(
+    "entry", _TOL_RANK_ENTRIES + ("project_to_cspace", "trace_curve", "local_branch_count", "Tolerances")
+)
+@pytest.mark.parametrize("tol_rank", [1.0, 2.0])
+def test_tol_rank_below_one(entry, tol_rank):
+    # _kept_singular_values keeps s > tol_rank * s[0], so at 1 or above no
+    # singular value passed and every Jacobian had rank 0
+    call = _tol_rank_calls()[entry]
+    call(1e-8)  # the other arguments are valid
+    with pytest.raises(InvalidSpec, match=f"rank must be below 1, got {tol_rank}$"):
         call(tol_rank)
